@@ -1,0 +1,344 @@
+"""Command-line front end: expand, count, and verify as batch commands.
+
+Output is machine readable (JSON by default, CSV on request) and contains
+no timestamps, so identical invocations produce byte-identical output.
+Exit status: 0 when every requested check passes, 1 on a verification
+failure, 2 on a usage error (bad flags, parse errors, insufficient order,
+brute-force cap violations).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import shlex
+import sys
+from typing import List, Optional
+
+from . import __version__
+from .counting import (
+    BRUTE_FORCE_CAP,
+    count_gen_cubic,
+    count_gen_cubic_brute,
+    count_gen_overcubic_brute,
+    count_gen_overcubic_dp,
+    count_overpartitions,
+    count_partitions,
+    count_partitions_brute,
+)
+from .eta import EtaQuotientParseError, gen_cubic_gf, gen_overcubic_gf, parse_eta_quotient
+from .series import Series
+from .verify import (
+    CONJECTURED_FAMILIES,
+    IDENTITIES,
+    PROVED_FAMILIES,
+    VerificationReport,
+    check_named_identity,
+    verify_conjectured_families,
+    verify_mod4_classification,
+    verify_proved_families,
+)
+
+USAGE_ERROR = 2
+VERIFY_FAILURE = 1
+
+DEFAULT_ORDER_ENV = "OVERCUBIC_DEFAULT_ORDER"
+FALLBACK_ORDER = 500
+
+
+def _default_order() -> int:
+    raw = os.environ.get(DEFAULT_ORDER_ENV)
+    if raw is None:
+        return FALLBACK_ORDER
+    try:
+        value = int(raw)
+    except ValueError:
+        raise UsageError(f"{DEFAULT_ORDER_ENV} must be an integer, got {raw!r}")
+    if value < 0:
+        raise UsageError(f"{DEFAULT_ORDER_ENV} must be non-negative, got {value}")
+    return value
+
+
+class UsageError(Exception):
+    """Invalid request; maps to exit status 2."""
+
+
+def _record(command: str, parameters: dict, payload: dict) -> dict:
+    out = {"command": command, "version": __version__, "parameters": parameters}
+    out.update(payload)
+    return out
+
+
+def _emit(record: dict, csv_rows: List[List], csv_header: List[str], fmt: str) -> None:
+    if fmt == "json":
+        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        sys.stdout.write(buf.getvalue())
+
+
+# -- expand -------------------------------------------------------------------
+
+_GF_BUILDERS = {
+    "partition": lambda c, order, modulus: _maybe_reduce(gen_cubic_gf(1, order), modulus),
+    "overpartition": lambda c, order, modulus: gen_overcubic_gf(1, order, modulus),
+    "cubic": lambda c, order, modulus: _maybe_reduce(gen_cubic_gf(c, order), modulus),
+    "overcubic": lambda c, order, modulus: gen_overcubic_gf(c, order, modulus),
+}
+
+
+def _maybe_reduce(series: Series, modulus: Optional[int]) -> Series:
+    return series if modulus is None else series.reduce_mod(modulus)
+
+
+def _cmd_expand(args, command: str) -> int:
+    order = args.order if args.order is not None else _default_order()
+    if order <= 0:
+        raise UsageError(f"order must be positive, got {order}")
+    if args.modulus is not None and args.modulus < 2:
+        raise UsageError(f"modulus must be at least 2, got {args.modulus}")
+    if (args.gf is None) == (args.eta is None):
+        raise UsageError("exactly one of --gf and --eta is required")
+    if args.gf is not None:
+        if args.gf in ("cubic", "overcubic"):
+            if args.c is None:
+                raise UsageError(f"--gf {args.gf} requires --c")
+            if args.c < 1:
+                raise UsageError(f"--c must be at least 1, got {args.c}")
+        elif args.c is not None:
+            raise UsageError(f"--c is meaningless with --gf {args.gf}")
+        series = _GF_BUILDERS[args.gf](args.c, order, args.modulus)
+        spec = {"gf": args.gf, "c": args.c}
+    else:
+        if args.c is not None:
+            raise UsageError("--c is meaningless with --eta")
+        try:
+            quotient = parse_eta_quotient(args.eta)
+        except EtaQuotientParseError as exc:
+            raise UsageError(f"bad eta quotient: {exc}")
+        series = quotient.expand(order, args.modulus)
+        spec = {"eta": str(quotient)}
+    rows = [[n, series[n]] for n in range(order + 1)]
+    record = _record(
+        command,
+        {**spec, "order": order, "modulus": args.modulus},
+        {"order": order, "rows": rows},
+    )
+    _emit(record, rows, ["n", "coefficient"], args.format)
+    return 0
+
+
+# -- count --------------------------------------------------------------------
+
+
+def _cmd_count(args, command: str) -> int:
+    kind, engine, n = args.kind, args.engine, args.n
+    if n < 0:
+        raise UsageError(f"--n must be non-negative, got {n}")
+    needs_c = kind in ("cubic", "overcubic")
+    if needs_c and args.c is None:
+        raise UsageError(f"--kind {kind} requires --c")
+    if not needs_c and args.c is not None:
+        raise UsageError(f"--c is meaningless with --kind {kind}")
+    c = args.c if needs_c else 1
+    if c < 1:
+        raise UsageError(f"--c must be at least 1, got {c}")
+    if engine == "brute" and n > BRUTE_FORCE_CAP:
+        raise UsageError(
+            f"brute-force counting is capped at n <= {BRUTE_FORCE_CAP} (got {n}); "
+            "use --engine dp"
+        )
+    counters = {
+        ("partition", "dp"): lambda: count_partitions(n),
+        ("partition", "brute"): lambda: count_partitions_brute(n),
+        ("overpartition", "dp"): lambda: count_overpartitions(n),
+        ("overpartition", "brute"): lambda: count_gen_overcubic_brute(1, n),
+        ("cubic", "dp"): lambda: count_gen_cubic(c, n),
+        ("cubic", "brute"): lambda: count_gen_cubic_brute(c, n),
+        ("overcubic", "dp"): lambda: count_gen_overcubic_dp(c, n),
+        ("overcubic", "brute"): lambda: count_gen_overcubic_brute(c, n),
+    }
+    value = counters[(kind, engine)]()
+    record = _record(
+        command,
+        {"kind": kind, "c": args.c, "n": n, "engine": engine},
+        {"count": value},
+    )
+    csv_c = "" if args.c is None else args.c
+    _emit(record, [[csv_c, n, value]], ["c", "n", "count"], args.format)
+    return 0
+
+
+# -- verify -------------------------------------------------------------------
+
+
+def _report_rows(reports: List[VerificationReport]) -> List[List]:
+    rows = []
+    for idx, rep in enumerate(reports):
+        first = rep.counterexamples[0] if rep.counterexamples else None
+        rows.append(
+            [
+                idx,
+                1 if rep.passed else 0,
+                1 if rep.vacuous else 0,
+                rep.order,
+                rep.i_range[0] if rep.i_range else "",
+                rep.i_range[1] if rep.i_range else "",
+                rep.n_range[0],
+                rep.n_range[1],
+                len(rep.counterexamples),
+                "" if first is None or first.i is None else first.i,
+                "" if first is None else first.n,
+                "" if first is None else first.observed,
+                "" if first is None else first.expected,
+            ]
+        )
+    return rows
+
+
+_VERIFY_CSV_HEADER = [
+    "index",
+    "passed",
+    "vacuous",
+    "order",
+    "i_lo",
+    "i_hi",
+    "n_lo",
+    "n_hi",
+    "counterexamples",
+    "first_i",
+    "first_n",
+    "first_observed",
+    "first_expected",
+]
+
+
+def _cmd_verify(args, command: str) -> int:
+    target = args.target
+    try:
+        if target == "thm14":
+            c_max = args.c_max if args.c_max is not None else 10
+            n_max = args.n_max if args.n_max is not None else 2000
+            order = args.order if args.order is not None else n_max
+            reports = [verify_mod4_classification(c_max, n_max, order)]
+            params = {"target": target, "c_max": c_max, "n_max": n_max, "order": order}
+        elif target in ("thm15", "conj73"):
+            i_max = args.i_max if args.i_max is not None else 3
+            n_max = args.n_max if args.n_max is not None else 100
+            if target == "thm15":
+                runner, families = verify_proved_families, PROVED_FAMILIES
+            else:
+                runner, families = verify_conjectured_families, CONJECTURED_FAMILIES
+            if args.order is not None:
+                order = args.order
+            else:
+                order = max(
+                    f.prog_slope * n_max + f.prog_intercept for f in families
+                )
+            reports = runner(i_max, n_max, order)
+            params = {"target": target, "i_max": i_max, "n_max": n_max, "order": order}
+        elif target == "identity":
+            if args.name is None:
+                raise UsageError(
+                    "--target identity requires --name; known names: "
+                    + ", ".join(sorted(IDENTITIES))
+                )
+            reports = [check_named_identity(args.name, args.order)]
+            params = {
+                "target": target,
+                "name": args.name,
+                "order": reports[0].order,
+            }
+        else:  # unreachable: argparse restricts choices
+            raise UsageError(f"unknown target {target!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    all_pass = all(r.passed for r in reports)
+    record = _record(
+        command,
+        params,
+        {
+            "status": "pass" if all_pass else "fail",
+            "reports": [r.to_dict() for r in reports],
+        },
+    )
+    _emit(record, _report_rows(reports), _VERIFY_CSV_HEADER, args.format)
+    return 0 if all_pass else VERIFY_FAILURE
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="overcubic",
+        description=(
+            "Exact q-series expansion, partition counting, and finite-order "
+            "congruence verification for colored overlined partitions."
+        ),
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add_common(p):
+        p.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default="json",
+            help="output format (default json)",
+        )
+
+    p_expand = sub.add_parser("expand", help="expand a generating function")
+    p_expand.add_argument("--gf", choices=tuple(_GF_BUILDERS))
+    p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
+    p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
+    p_expand.add_argument("--order", type=int, help=f"truncation order (default {FALLBACK_ORDER} or ${DEFAULT_ORDER_ENV})")
+    p_expand.add_argument("--modulus", type=int, help="reduce coefficients mod this")
+    add_common(p_expand)
+
+    p_count = sub.add_parser("count", help="count partitions of one weight")
+    p_count.add_argument(
+        "--kind",
+        required=True,
+        choices=("partition", "overpartition", "cubic", "overcubic"),
+    )
+    p_count.add_argument("--c", type=int, help="color count for cubic/overcubic")
+    p_count.add_argument("--n", type=int, required=True)
+    p_count.add_argument("--engine", choices=("dp", "brute"), default="dp")
+    add_common(p_count)
+
+    p_verify = sub.add_parser("verify", help="run a verification sweep")
+    p_verify.add_argument(
+        "--target", required=True, choices=("thm14", "thm15", "conj73", "identity")
+    )
+    p_verify.add_argument("--c-max", type=int, dest="c_max")
+    p_verify.add_argument("--n-max", type=int, dest="n_max")
+    p_verify.add_argument("--i-max", type=int, dest="i_max")
+    p_verify.add_argument("--order", type=int)
+    p_verify.add_argument("--name", help="identity name for --target identity")
+    add_common(p_verify)
+
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse already printed the usage message
+        return USAGE_ERROR if exc.code else 0
+    command = shlex.join(["overcubic"] + argv)
+    handlers = {"expand": _cmd_expand, "count": _cmd_count, "verify": _cmd_verify}
+    try:
+        return handlers[args.subcommand](args, command)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,364 @@
+"""Truncated formal power series with exact integer or residue coefficients.
+
+A :class:`Series` stores the coefficients of exponents ``0..order`` as a
+dense tuple. Coefficients are either plain Python integers (exact, arbitrary
+precision) or, when a modulus ``m`` is attached, canonical residues in
+``[0, m)``. All arithmetic is exact; there is no floating point anywhere.
+
+Truncation semantics: a coefficient beyond ``order`` is *unknown*, not zero.
+Binary operations on operands of different orders therefore truncate to the
+smaller order, and :meth:`Series.coefficient` refuses to read past the end
+instead of inventing zeros.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
+
+__all__ = ["Series", "NonInvertibleError"]
+
+# np.convolve on int64 inputs is exact while no intermediate sum overflows.
+# With both operands reduced mod m each product is at most (m-1)**2 and at
+# most (order+1) products are summed per output coefficient.
+_INT64_BUDGET = 2**62
+
+# Flipped to False in tests to exercise the pure-Python convolution on the
+# same inputs as the vectorized one.
+_USE_NUMPY = True
+
+
+class NonInvertibleError(ValueError):
+    """The constant term is not a unit, so no series inverse exists."""
+
+
+def _validate_modulus(modulus: Optional[int]) -> Optional[int]:
+    if modulus is None:
+        return None
+    m = int(modulus)
+    if m < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
+    return m
+
+
+class Series:
+    """Exact truncated power series in one variable.
+
+    Instances are immutable: every operation returns a fresh series and the
+    coefficient tuple is never mutated, so values can be shared freely
+    across threads.
+    """
+
+    __slots__ = ("_coeffs", "_modulus")
+
+    def __init__(self, coeffs: Iterable[int], modulus: Optional[int] = None):
+        m = _validate_modulus(modulus)
+        if m is None:
+            cs = tuple(int(c) for c in coeffs)
+        else:
+            cs = tuple(int(c) % m for c in coeffs)
+        if not cs:
+            raise ValueError("a series needs at least the constant coefficient")
+        self._coeffs = cs
+        self._modulus = m
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def constant(cls, value: int, order: int, modulus: Optional[int] = None) -> "Series":
+        """Series whose constant coefficient is ``value`` and all others 0."""
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {order}")
+        coeffs = [0] * (order + 1)
+        coeffs[0] = int(value)
+        return cls(coeffs, modulus)
+
+    @classmethod
+    def zero(cls, order: int, modulus: Optional[int] = None) -> "Series":
+        return cls.constant(0, order, modulus)
+
+    @classmethod
+    def one(cls, order: int, modulus: Optional[int] = None) -> "Series":
+        return cls.constant(1, order, modulus)
+
+    @classmethod
+    def monomial(
+        cls,
+        exponent: int,
+        order: int,
+        modulus: Optional[int] = None,
+        coeff: int = 1,
+    ) -> "Series":
+        """``coeff * q**exponent`` truncated at ``order``."""
+        if not 0 <= exponent <= order:
+            raise ValueError(f"exponent {exponent} outside [0, {order}]")
+        coeffs = [0] * (order + 1)
+        coeffs[exponent] = int(coeff)
+        return cls(coeffs, modulus)
+
+    # -- basic accessors ---------------------------------------------------
+
+    @property
+    def order(self) -> int:
+        return len(self._coeffs) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    @property
+    def modulus(self) -> Optional[int]:
+        return self._modulus
+
+    def coefficient(self, n: int) -> int:
+        """Coefficient of ``q**n``. Reading past ``order`` is an error."""
+        if not 0 <= n <= self.order:
+            raise IndexError(
+                f"exponent {n} outside the reliable window [0, {self.order}]"
+            )
+        return self._coeffs[n]
+
+    __getitem__ = coefficient
+
+    def is_zero(self) -> bool:
+        return not any(self._coeffs)
+
+    def nonzero_terms(self) -> Iterator[tuple]:
+        """Pairs ``(exponent, coefficient)`` for the nonzero coefficients."""
+        return ((i, c) for i, c in enumerate(self._coeffs) if c)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self._coeffs == other._coeffs and self._modulus == other._modulus
+
+    def __hash__(self) -> int:
+        return hash((self._coeffs, self._modulus))
+
+    def agrees(self, other: "Series", up_to: Optional[int] = None) -> bool:
+        """Coefficientwise equality on the common reliable window."""
+        self._check_compatible(other)
+        n = min(self.order, other.order)
+        if up_to is not None:
+            if up_to > n:
+                raise ValueError(f"comparison order {up_to} beyond common order {n}")
+            n = up_to
+        return self._coeffs[: n + 1] == other._coeffs[: n + 1]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(str(c) for c in self._coeffs[:8])
+        if self.order >= 8:
+            shown += ", ..."
+        mod = f", mod {self._modulus}" if self._modulus is not None else ""
+        return f"Series([{shown}], order={self.order}{mod})"
+
+    def __str__(self) -> str:
+        terms = []
+        for i, c in self.nonzero_terms():
+            if len(terms) == 8:
+                terms.append("...")
+                break
+            if i == 0:
+                terms.append(str(c))
+            else:
+                q = "q" if i == 1 else f"q^{i}"
+                terms.append(q if c == 1 else f"{c}*{q}")
+        body = " + ".join(terms) if terms else "0"
+        return f"{body} + O(q^{self.order + 1})"
+
+    # -- ring operations ---------------------------------------------------
+
+    def _check_compatible(self, other: "Series") -> None:
+        if self._modulus != other._modulus:
+            raise ValueError(
+                f"mismatched moduli: {self._modulus} vs {other._modulus}"
+            )
+
+    def __add__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
+        self._check_compatible(other)
+        n = min(self.order, other.order)
+        a, b = self._coeffs, other._coeffs
+        return Series([a[i] + b[i] for i in range(n + 1)], self._modulus)
+
+    def __neg__(self) -> "Series":
+        return Series([-c for c in self._coeffs], self._modulus)
+
+    def __sub__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, factor: int) -> "Series":
+        return Series([factor * c for c in self._coeffs], self._modulus)
+
+    def __mul__(self, other: Union["Series", int]) -> "Series":
+        if isinstance(other, int):
+            return self.scale(other)
+        if not isinstance(other, Series):
+            return NotImplemented
+        self._check_compatible(other)
+        n = min(self.order, other.order)
+        m = self._modulus
+        a = self._coeffs[: n + 1]
+        b = other._coeffs[: n + 1]
+        if (
+            _USE_NUMPY
+            and m is not None
+            and (m - 1) * (m - 1) * (n + 1) < _INT64_BUDGET
+        ):
+            out = np.convolve(
+                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            )[: n + 1]
+            return Series((out % m).tolist(), m)
+        return Series(_convolve_py(a, b, n), m)
+
+    def __rmul__(self, other: int) -> "Series":
+        if isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
+
+    def invert(self) -> "Series":
+        """Multiplicative inverse, valid whenever the constant term is a unit.
+
+        The recurrence walks only the nonzero coefficients of ``self``, so
+        inverting a sparse series (an Euler product, say) costs far less
+        than a dense convolution.
+        """
+        c0 = self._coeffs[0]
+        m = self._modulus
+        if m is None:
+            if c0 not in (1, -1):
+                raise NonInvertibleError(
+                    f"constant term {c0} is not a unit over the integers"
+                )
+            inv0 = c0
+        else:
+            try:
+                inv0 = pow(c0, -1, m)
+            except ValueError as exc:
+                raise NonInvertibleError(
+                    f"constant term {c0} is not invertible mod {m}"
+                ) from exc
+        n = self.order
+        nz = [(i, c) for i, c in enumerate(self._coeffs) if c and i > 0]
+        out = [0] * (n + 1)
+        out[0] = inv0 if m is None else inv0 % m
+        for j in range(1, n + 1):
+            acc = 0
+            for i, c in nz:
+                if i > j:
+                    break
+                acc += c * out[j - i]
+            val = -inv0 * acc
+            out[j] = val if m is None else val % m
+        return Series(out, m)
+
+    def __pow__(self, exponent: int) -> "Series":
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.invert() ** (-exponent)
+        result = Series.one(self.order, self._modulus)
+        base = self
+        k = exponent
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    # -- reindexing operators ----------------------------------------------
+
+    def substitute_power(self, k: int, order: Optional[int] = None) -> "Series":
+        """The map ``q -> q**k``: coefficient of ``q**(k*n)`` is ``self[n]``.
+
+        By default the result keeps ``self.order`` (terms pushed beyond it
+        are dropped). An explicit ``order`` may extend that as far as the
+        known coefficients allow, i.e. up to ``k*self.order + k - 1``.
+        """
+        if k < 1:
+            raise ValueError(f"substitution power must be >= 1, got {k}")
+        target = self.order if order is None else order
+        if target < 0 or target > k * self.order + k - 1:
+            raise ValueError(
+                f"target order {target} not determined by a series of order "
+                f"{self.order} under q -> q^{k}"
+            )
+        out = [0] * (target + 1)
+        for i, c in enumerate(self._coeffs):
+            e = k * i
+            if e > target:
+                break
+            out[e] = c
+        return Series(out, self._modulus)
+
+    def extract_progression(self, k: int, r: int) -> "Series":
+        """Coefficients along ``k*n + r``: result ``[n] == self[k*n + r]``."""
+        if k < 1:
+            raise ValueError(f"progression step must be >= 1, got {k}")
+        if not 0 <= r < k:
+            raise ValueError(f"residue {r} outside [0, {k})")
+        if r > self.order:
+            raise ValueError(
+                f"progression start {r} beyond truncation order {self.order}"
+            )
+        return Series(self._coeffs[r :: k], self._modulus)
+
+    def shift(self, s: int, order: Optional[int] = None) -> "Series":
+        """Multiply by ``q**s``. Keeps ``self.order`` unless ``order`` given."""
+        if s < 0:
+            raise ValueError(f"shift must be non-negative, got {s}")
+        target = self.order if order is None else order
+        if target < s:
+            raise ValueError(f"target order {target} cannot hold a shift by {s}")
+        if target - s > self.order:
+            raise ValueError(
+                f"shift by {s} to order {target} needs coefficients beyond "
+                f"order {self.order}"
+            )
+        return Series((0,) * s + self._coeffs[: target - s + 1], self._modulus)
+
+    def truncate(self, order: int) -> "Series":
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order-{self.order} series to {order}")
+        return Series(self._coeffs[: order + 1], self._modulus)
+
+    def reduce_mod(self, m: int) -> "Series":
+        """Reduce every coefficient to its canonical residue in ``[0, m)``.
+
+        Allowed on integer series, or on residue series whose modulus is a
+        multiple of ``m`` (the natural tower of quotient maps).
+        """
+        m = _validate_modulus(m)
+        if self._modulus is not None and self._modulus % m != 0:
+            raise ValueError(
+                f"cannot reduce a mod-{self._modulus} series mod {m}: "
+                f"{m} does not divide {self._modulus}"
+            )
+        return Series(self._coeffs, m)
+
+
+def _convolve_py(a: tuple, b: tuple, n: int) -> list:
+    """Truncated Cauchy product with exact Python integers.
+
+    Iterates the operand with fewer nonzero coefficients on the outside, so
+    products against sparse Euler factors cost O(order * nonzeros) instead
+    of O(order**2).
+    """
+    nz_a = sum(1 for c in a if c)
+    nz_b = sum(1 for c in b if c)
+    outer, inner = (a, b) if nz_a <= nz_b else (b, a)
+    out = [0] * (n + 1)
+    for i, c in enumerate(outer):
+        if not c:
+            continue
+        for j in range(n - i + 1):
+            d = inner[j]
+            if d:
+                out[i + j] += c * d
+    return out
