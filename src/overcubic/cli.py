@@ -4,7 +4,8 @@ Output is machine readable (JSON by default, CSV on request) and contains
 no timestamps, so identical invocations produce byte-identical output.
 Exit status: 0 when every requested check passes, 1 on a verification
 failure, 2 on a usage error (bad flags, parse errors, insufficient order,
-brute-force cap violations).
+brute-force cap violations), 3 when two routes through the engine disagree
+(an internal inconsistency, not a verdict on the claim checked).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .verify import (
     CONJECTURED_FAMILIES,
     IDENTITIES,
     PROVED_FAMILIES,
+    EngineInconsistencyError,
     VerificationReport,
     check_named_identity,
     verify_conjectured_families,
@@ -42,6 +44,7 @@ from .verify import (
     verify_proved_families,
 )
 
+ENGINE_INCONSISTENCY = 3
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
@@ -338,6 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except EngineInconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ENGINE_INCONSISTENCY
 
 
 if __name__ == "__main__":

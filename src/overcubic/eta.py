@@ -5,19 +5,40 @@ generating function this package cares about is a finite product of integer
 powers of such factors (an *eta quotient*), and the theta functions psi,
 phi, chi are quotients of that shape as well.
 
-Expansion strategy: a single factor is expanded through the pentagonal
-number theorem (a bilateral sum with O(sqrt(order)) nonzero terms), then
-raised to its power. Negative powers go through the series inverse, which
-is cheap because the Euler factor is sparse.
+Expansion strategy: :func:`expand_eta_quotient` is the one expansion
+route; every named series and :func:`expand_f` call it.
+
+1. Normalize the exponents. Factors with a subscript above the order are
+   dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
+   ``p^a``, every exponent with ``|k| > p^a/2`` is rewritten by
+   ``f(n)^(p^a) == f(pn)^(p^(a-1)) (mod p^a)``. Proof sketch:
+   ``(1-x)^p == 1-x^p (mod p)`` because the inner binomial coefficients
+   are multiples of p, and ``A == B (mod p^j)`` implies
+   ``A^p == B^p (mod p^(j+1))`` (write ``A = B + p^j C`` and expand).
+   Induction on a gives ``(1-x)^(p^a) == (1-x^p)^(p^(a-1)) (mod p^a)``;
+   take the product over ``x = q^(jn)``. Both sides are units, so the
+   congruence holds for negative multiples too. For example the c = 10
+   overcubic series ``f4^9/(f1^2*f2^17)`` becomes ``f4/(f1^2*f2)`` mod 4.
+   Over Z or a composite modulus the exponents are left alone.
+2. Apply each factor ``f(n)^k`` to one coefficient list as ``|k|`` sparse
+   passes over the pentagonal terms of ``f(n)`` (Euler's pentagonal number
+   theorem: O(sqrt(order/n)) terms). A pass multiplies for ``k > 0`` and
+   runs the division recurrence for ``k < 0``. Under a modulus, a factor
+   with a large ``|k|`` is instead expanded once, raised to ``|k|`` by
+   binary powering with the Kronecker product of :class:`Series`, and
+   multiplied in. Over Z every factor takes sparse passes: coefficient
+   growth makes dense powering lose there.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from operator import add, itemgetter, sub
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .series import Series
+from .counting import _factorize
+from .series import Series, _validate_modulus
 
 __all__ = [
     "EtaQuotient",
@@ -118,31 +139,118 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-def _euler_factor(step: int, order: int, modulus: Optional[int] = None) -> Series:
-    """Pentagonal-number expansion of ``prod_{j>=1} (1 - q^(j*step))``."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
+def _pentagonal_terms(step: int, order: int) -> List[Tuple[int, int]]:
+    """Terms ``(exponent, sign)`` of ``prod_{j>=1} (1 - q^(j*step))`` past the
+    constant 1, by increasing exponent (Euler's pentagonal number theorem)."""
+    terms = []
     j = 1
     while True:
         e1 = step * (j * (3 * j - 1) // 2)
         if e1 > order:
-            break
+            return terms
         sign = -1 if j % 2 else 1
-        coeffs[e1] += sign
+        terms.append((e1, sign))
         e2 = step * (j * (3 * j + 1) // 2)
         if e2 <= order:
-            coeffs[e2] += sign
+            terms.append((e2, sign))
         j += 1
-    return Series(coeffs, modulus)
+
+
+def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
+    """One sparse pass: ``coeffs`` times the factor whose terms are given."""
+    size = len(coeffs)
+    out = coeffs[:]
+    for t, sign in terms:
+        out[t:] = map(add if sign > 0 else sub, out[t:], coeffs[: size - t])
+    return out if modulus is None else [c % modulus for c in out]
+
+
+def _over_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
+    """One sparse pass: ``coeffs`` divided by the factor whose terms are given.
+
+    Walking up, ``out[e] = coeffs[e] - sum(sign * out[e - t])`` over the
+    terms with ``t <= e``. ``out`` grows by one entry per step, so while
+    exponent ``e`` is computed, ``out[-t]`` is ``out[e - t]``. One
+    ``itemgetter`` per stretch of exponents with the same active terms
+    gathers them. ``out[0]`` is a zero sentinel that keeps every gather a
+    tuple, even of one term.
+    """
+    first = terms[0][0] if terms else len(coeffs)
+    out = [0] + coeffs[:first]
+    added, subtracted = [], []
+    ends = [t for t, _ in terms[1:]] + [len(coeffs)]
+    for (t, sign), end in zip(terms, ends):
+        (added if sign < 0 else subtracted).append(-t)
+        plus = itemgetter(0, 0, *added)
+        minus = itemgetter(0, 0, *subtracted)
+        for e in range(t, end):
+            acc = coeffs[e] + sum(plus(out)) - sum(minus(out))
+            out.append(acc if modulus is None else acc % modulus)
+    return out[1:]
+
+
+def _normalized_factors(
+    quotient: EtaQuotient, order: int, modulus: Optional[int]
+) -> List[Tuple[int, int]]:
+    """The factors that matter at ``order``, exponents reduced mod a prime power.
+
+    Factors with a subscript above ``order`` are dropped: ``f(n) = 1 +
+    O(q^n)``. Under a prime-power modulus ``p^a``, every ``f(n)^k`` with
+    ``|k| > p^a/2`` becomes ``f(n)^r * f(pn)^((k-r)/p)``, where ``r`` is the
+    symmetric remainder of ``k`` mod ``p^a``, until no exponent is that
+    large (see the module docstring for why this is exact).
+    """
+    exps = {n: k for n, k in quotient.factors if n <= order}
+    # No exponent above m/2 leaves nothing to rewrite; checking that first
+    # keeps a large modulus from ever being factorized.
+    if modulus is None or all(2 * abs(k) <= modulus for k in exps.values()):
+        return sorted(exps.items())
+    primes = _factorize(modulus)
+    if len(primes) != 1:
+        return sorted(exps.items())
+    (p,) = primes
+    changed = True
+    while changed:
+        changed = False
+        for n in sorted(exps):
+            k = exps[n]
+            if 2 * abs(k) <= modulus:
+                continue
+            r = k % modulus
+            if 2 * r > modulus:
+                r -= modulus
+            exps[n] = r
+            if p * n <= order:
+                exps[p * n] = exps.get(p * n, 0) + (k - r) // p
+            changed = True
+    return [(n, k) for n, k in sorted(exps.items()) if k]
+
+
+# Under a modulus, a factor with |k| above this many passes is expanded once
+# by a sparse pass and raised to |k| by binary powering with the Kronecker
+# product instead. Over Z, coefficient growth makes dense powering lose, so
+# there every factor is applied as |k| sparse passes.
+_SPARSE_PASS_LIMIT = 2
+
+
+def _single_factor(n: int, sign: int, order: int, modulus: Optional[int]) -> Series:
+    """``f(n)`` from its pentagonal terms, or ``1/f(n)`` by one division
+    pass on 1, run in ``q^n`` so that it walks ``order // n`` exponents."""
+    if sign > 0:
+        coeffs = [1] + [0] * order
+        for t, s in _pentagonal_terms(n, order):
+            coeffs[t] = s
+        return Series(coeffs, modulus)
+    reduced = order // n
+    base = _over_f([1] + [0] * reduced, _pentagonal_terms(1, reduced), modulus)
+    coeffs = [0] * (order + 1)
+    coeffs[::n] = base
+    return Series._canonical(tuple(coeffs), modulus)
 
 
 def expand_f(n: int, k: int, order: int, modulus: Optional[int] = None) -> Series:
     """Truncated expansion of ``f(n)^k`` for any integer exponent ``k``."""
-    if n < 1:
-        raise ValueError(f"factor subscript must be positive, got {n}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    return _euler_factor(n, order, modulus) ** k
+    return expand_eta_quotient([(n, k)], order, modulus)
 
 
 def _coerce_factors(e: Union[EtaQuotient, FactorList]) -> EtaQuotient:
@@ -154,16 +262,30 @@ def expand_eta_quotient(
     order: int,
     modulus: Optional[int] = None,
 ) -> Series:
-    """Expand a product of eta factors, reducing after every factor.
+    """Expand a product of eta factors into one coefficient list.
 
-    Reducing as soon as a modulus is available keeps coefficients bounded;
-    by the homomorphism property the result matches reduce-at-the-end.
+    Each factor ``f(n)^k`` is applied in place as ``|k|`` sparse passes
+    (multiply for ``k > 0``, the division recurrence for ``k < 0``), except
+    that under a modulus a factor with ``|k| > _SPARSE_PASS_LIMIT`` is
+    expanded once, raised to ``|k|`` densely, and multiplied in. Reducing
+    after every pass keeps coefficients bounded; by the homomorphism
+    property the result matches reduce-at-the-end.
     """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     quotient = _coerce_factors(e)
-    result = Series.one(order, modulus)
-    for n, k in quotient.factors:
-        result = result * expand_f(n, k, order, modulus)
-    return result
+    m = _validate_modulus(modulus)
+    coeffs = [1] + [0] * order
+    for n, k in _normalized_factors(quotient, order, m):
+        if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
+            power = _single_factor(n, k, order, m) ** abs(k)
+            coeffs = list((Series._canonical(tuple(coeffs), m) * power).coeffs)
+            continue
+        terms = _pentagonal_terms(n, order)
+        apply_pass = _times_f if k > 0 else _over_f
+        for _ in range(abs(k)):
+            coeffs = apply_pass(coeffs, terms, m)
+    return Series._canonical(tuple(coeffs), m)
 
 
 @dataclass(frozen=True)

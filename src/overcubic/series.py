@@ -9,24 +9,24 @@ Truncation semantics: a coefficient beyond ``order`` is *unknown*, not zero.
 Binary operations on operands of different orders therefore truncate to the
 smaller order, and :meth:`Series.coefficient` refuses to read past the end
 instead of inventing zeros.
+
+Multiplication is one Kronecker substitution: each operand is packed into a
+single big integer, one coefficient per fixed-width slot, the two integers
+are multiplied by CPython's big-int arithmetic, and the product is read back
+slot by slot. Slots are wide enough that no coefficient of the product
+carries into the next one, so the result is exact.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
-
-import numpy as np
+import sys
+from array import array
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Series", "NonInvertibleError"]
 
-# np.convolve on int64 inputs is exact while no intermediate sum overflows.
-# With both operands reduced mod m each product is at most (m-1)**2 and at
-# most (order+1) products are summed per output coefficient.
-_INT64_BUDGET = 2**62
-
-# Flipped to False in tests to exercise the pure-Python convolution on the
-# same inputs as the vectorized one.
-_USE_NUMPY = True
+# array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes.
+_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
 
 
 class NonInvertibleError(ValueError):
@@ -62,6 +62,16 @@ class Series:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = cs
         self._modulus = m
+
+    @classmethod
+    def _canonical(cls, coeffs: tuple, modulus: Optional[int]) -> "Series":
+        """Wrap a non-empty tuple that already holds canonical coefficients
+        (ints, reduced into ``[0, modulus)`` when a modulus is given), so
+        results computed internally are not checked and reduced again."""
+        series = object.__new__(cls)
+        series._coeffs = coeffs
+        series._modulus = modulus
+        return series
 
     # -- constructors -----------------------------------------------------
 
@@ -204,16 +214,9 @@ class Series:
         m = self._modulus
         a = self._coeffs[: n + 1]
         b = other._coeffs[: n + 1]
-        if (
-            _USE_NUMPY
-            and m is not None
-            and (m - 1) * (m - 1) * (n + 1) < _INT64_BUDGET
-        ):
-            out = np.convolve(
-                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-            )[: n + 1]
-            return Series((out % m).tolist(), m)
-        return Series(_convolve_py(a, b, n), m)
+        if m is None:
+            return Series._canonical(tuple(_kronecker_z(a, b)), None)
+        return Series._canonical(tuple(_kronecker_mod(a, b, m)), m)
 
     def __rmul__(self, other: int) -> "Series":
         if isinstance(other, int):
@@ -261,16 +264,16 @@ class Series:
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = Series.one(self.order, self._modulus)
+        result = None
         base = self
         k = exponent
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Series.one(self.order, self._modulus) if result is None else result
 
     # -- reindexing operators ----------------------------------------------
 
@@ -343,22 +346,69 @@ class Series:
         return Series(self._coeffs, m)
 
 
-def _convolve_py(a: tuple, b: tuple, n: int) -> list:
-    """Truncated Cauchy product with exact Python integers.
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values in ``[0, bound]``: 1, 2, 4, or a multiple of 8."""
+    nbytes = (bound.bit_length() + 7) // 8
+    for width in (1, 2, 4):
+        if nbytes <= width:
+            return width
+    return -(-nbytes // 8) * 8
 
-    Iterates the operand with fewer nonzero coefficients on the outside, so
-    products against sparse Euler factors cost O(order * nonzeros) instead
-    of O(order**2).
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """``sum(values[i] * 2**(8*width*i))`` for values in ``[0, 2**(8*width))``."""
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        raw = b"".join(v.to_bytes(width, "little") for v in values)
+    else:
+        words = array(typecode, values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, width: int, count: int) -> List[int]:
+    """The lowest ``count`` slots of ``x``, which must be non-negative."""
+    raw = (x & ((1 << (8 * width * count)) - 1)).to_bytes(width * count, "little")
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    words = array(typecode)
+    words.frombytes(raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+def _kronecker_mod(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    """Truncated product of two equal-length residue vectors, reduced mod m.
+
+    Every product coefficient is a sum of at most ``len(a)`` terms below
+    ``(m-1)**2``, which bounds the slot.
     """
-    nz_a = sum(1 for c in a if c)
-    nz_b = sum(1 for c in b if c)
-    outer, inner = (a, b) if nz_a <= nz_b else (b, a)
-    out = [0] * (n + 1)
-    for i, c in enumerate(outer):
-        if not c:
-            continue
-        for j in range(n - i + 1):
-            d = inner[j]
-            if d:
-                out[i + j] += c * d
-    return out
+    count = len(a)
+    width = _slot_width((m - 1) * (m - 1) * count)
+    slots = _unpack(_pack(a, width) * _pack(b, width), width, count)
+    return [v % m for v in slots]
+
+
+def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Truncated product of two equal-length integer vectors.
+
+    Signed slots: a coefficient ``c`` with ``|c| < half`` is stored as
+    ``c + half`` and the packed sum of the offsets subtracted again, so the
+    packed integer is exactly ``sum(c_i * B**i)`` with ``B = 2**(8*width)``.
+    After the multiply, adding the offsets back makes every slot of the
+    product non-negative and carry-free.
+    """
+    count = len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * count
+    if not bound:
+        return [0] * count
+    width = _slot_width(2 * bound)
+    half = 1 << (8 * width - 1)
+    offsets = int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+    x = _pack([c + half for c in a], width) - offsets
+    y = _pack([c + half for c in b], width) - offsets
+    return [v - half for v in _unpack(x * y + offsets, width, count)]

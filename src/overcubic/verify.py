@@ -10,7 +10,7 @@ ranges were covered, so a pass never silently claims more than was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .counting import _factorize
@@ -40,6 +40,7 @@ __all__ = [
     "Mod4Class",
     "CongruenceFamily",
     "Counterexample",
+    "EngineInconsistencyError",
     "VerificationReport",
     "classify_n",
     "expected_mod4_residue",
@@ -162,16 +163,28 @@ class Counterexample:
         return {"i": self.i, "n": self.n, "observed": self.observed, "expected": self.expected}
 
 
+class EngineInconsistencyError(RuntimeError):
+    """Two routes through the engine disagree on the same question."""
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one finite sweep; pass means zero counterexamples."""
+    """Outcome of one finite sweep; pass means zero counterexamples.
+
+    Ranges are inclusive ``(lo, hi)`` pairs; ``hi < lo`` means empty.
+    """
 
     description: str
     i_range: Optional[Tuple[int, int]]
     n_range: Tuple[int, int]
     order: int
     counterexamples: Tuple[Counterexample, ...] = ()
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        """True when a swept range is empty, so the pass checked nothing."""
+        ranges = [self.n_range] if self.i_range is None else [self.i_range, self.n_range]
+        return any(hi < lo for lo, hi in ranges)
 
     @property
     def passed(self) -> bool:
@@ -200,6 +213,14 @@ def verify_mod4_classification(c_max: int, n_max: int, order: int) -> Verificati
         raise ValueError(f"c_max must be at least 1, got {c_max}")
     if order < n_max:
         raise ValueError(f"order {order} is below n_max {n_max}; coefficients unknown")
+    report = VerificationReport(
+        description=f"mod-4 residue classification for c <= {c_max}",
+        i_range=(1, c_max),
+        n_range=(1, n_max),
+        order=order,
+    )
+    if report.vacuous:
+        return report
     bad: List[Counterexample] = []
     for c in range(1, c_max + 1):
         series = gen_overcubic_gf(c, order, modulus=4)
@@ -208,13 +229,7 @@ def verify_mod4_classification(c_max: int, n_max: int, order: int) -> Verificati
             expected = expected_mod4_residue(c, n)
             if observed != expected:
                 bad.append(Counterexample(c, n, observed, expected))
-    return VerificationReport(
-        description=f"mod-4 residue classification for c <= {c_max}",
-        i_range=(1, c_max),
-        n_range=(1, n_max),
-        order=order,
-        counterexamples=tuple(bad),
-    )
+    return replace(report, counterexamples=tuple(bad))
 
 
 def _prime_power_components(m: int) -> List[int]:
@@ -243,7 +258,11 @@ def verify_family(
 
     For a composite modulus the sweep also runs each prime-power component
     separately and insists the two routes agree on exactly which (i, n)
-    fail; a disagreement would mean the engine itself is broken.
+    fail. The two routes compute differently: under a prime power the
+    engine first reduces the exponents and applies them as sparse passes,
+    under the composite modulus it cannot reduce them and raises the large
+    ones by dense powering. A disagreement means the engine itself is
+    broken and raises :class:`EngineInconsistencyError`.
     """
     needed = family.prog_slope * n_max + family.prog_intercept
     if order < needed:
@@ -252,14 +271,14 @@ def verify_family(
             f"{family.prog_slope}n+{family.prog_intercept} with n <= {n_max} "
             f"needs order >= {needed}"
         )
-    if i_max < 1:
-        return VerificationReport(
-            description=family.describe(),
-            i_range=(1, i_max),
-            n_range=(0, n_max),
-            order=order,
-            vacuous=True,
-        )
+    report = VerificationReport(
+        description=family.describe(),
+        i_range=(1, i_max),
+        n_range=(0, n_max),
+        order=order,
+    )
+    if report.vacuous:
+        return report
     failures = _family_failures(family, i_max, n_max, order, family.modulus)
     components = _prime_power_components(family.modulus)
     if len(components) > 1:
@@ -267,7 +286,7 @@ def verify_family(
         for pe in components:
             component_failures |= set(_family_failures(family, i_max, n_max, order, pe))
         if component_failures != set(failures):
-            raise RuntimeError(
+            raise EngineInconsistencyError(
                 "prime-power decomposition disagrees with the direct check "
                 f"for {family.describe()}: this is an engine bug"
             )
@@ -275,13 +294,7 @@ def verify_family(
         Counterexample(i, n, observed, family.residue)
         for (i, n), observed in sorted(failures.items())
     ]
-    return VerificationReport(
-        description=family.describe(),
-        i_range=(1, i_max),
-        n_range=(0, n_max),
-        order=order,
-        counterexamples=tuple(bad),
-    )
+    return replace(report, counterexamples=tuple(bad))
 
 
 # The three families with elementary proofs, and the five conjectured ones

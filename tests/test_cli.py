@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import overcubic.verify as verify_module
 from overcubic.cli import main
 
 
@@ -220,6 +221,26 @@ def test_verify_insufficient_order_is_usage_error(capsys):
     )
     assert code == 2
     assert "insufficient" in err
+
+
+def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
+    # make the prime-power route disagree with the direct mod-6 route
+    real = verify_module._family_failures
+
+    def skewed(family, i_max, n_max, order, modulus):
+        failures = real(family, i_max, n_max, order, modulus)
+        if modulus != family.modulus:
+            failures[(1, 0)] = 1
+        return failures
+
+    monkeypatch.setattr(verify_module, "_family_failures", skewed)
+    code, out, err = run(
+        capsys, "verify", "--target", "thm15", "--i-max", "1", "--n-max", "5"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: prime-power decomposition disagrees")
+    assert "Traceback" not in err
 
 
 def test_verify_bad_flag_is_usage_error(capsys):

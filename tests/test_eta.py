@@ -6,9 +6,12 @@ package.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overcubic.counting import count_overpartitions, count_partitions_brute
 from overcubic.eta import (
+    _normalized_factors,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -33,15 +36,33 @@ from overcubic.eta import (
 from overcubic.series import Series
 
 
-def naive_euler_power(step, k, order):
-    """Truncated ``prod_{j>=1} (1 - q^(j*step))^k`` for k >= 0, via lists."""
-    poly = [1] + [0] * order
-    for _ in range(k):
+def naive_euler_power(step, k, order, poly=None):
+    """Truncated ``poly * prod_{j>=1} (1 - q^(j*step))^k`` via lists.
+
+    ``poly`` defaults to 1. Each factor ``1 - q^s`` is applied on its own:
+    for k >= 0 as a multiply, for k < 0 as the running sum along stride s
+    that divides by it.
+    """
+    poly = [1] + [0] * order if poly is None else list(poly)
+    for _ in range(abs(k)):
         j = 1
         while j * step <= order:
-            for e in range(order - j * step, -1, -1):
-                poly[e + j * step] -= poly[e]
+            s = j * step
+            if k > 0:
+                for e in range(order - s, -1, -1):
+                    poly[e + s] -= poly[e]
+            else:
+                for e in range(s, order + 1):
+                    poly[e] += poly[e - s]
             j += 1
+    return poly
+
+
+def naive_eta_quotient(factors, order):
+    """Truncated ``prod f(n)^k`` over Z, one ``naive_euler_power`` per factor."""
+    poly = [1] + [0] * order
+    for n, k in factors:
+        poly = naive_euler_power(n, k, order, poly)
     return poly
 
 
@@ -52,7 +73,10 @@ def test_expand_f_pentagonal_signs():
     assert expand_f(1, 1, 8).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0)
 
 
-@pytest.mark.parametrize("step,k,order", [(1, 1, 40), (2, 1, 40), (1, 3, 30), (3, 2, 50), (4, 5, 60)])
+@pytest.mark.parametrize(
+    "step,k,order",
+    [(1, 1, 40), (2, 1, 40), (1, 3, 30), (3, 2, 50), (4, 5, 60), (1, -1, 40), (2, -3, 50)],
+)
 def test_expand_f_matches_naive_product(step, k, order):
     assert list(expand_f(step, k, order).coeffs) == naive_euler_power(step, k, order)
 
@@ -119,6 +143,62 @@ def test_expand_with_modulus_matches_reduction():
     exact = expand_eta_quotient(factors, order)
     for m in (2, 3, 4, 6, 12):
         assert expand_eta_quotient(factors, order, modulus=m) == exact.reduce_mod(m)
+
+
+# -- the expansion engine against the naive product --------------------------------
+
+_quotients = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(-12, 12)), max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotients, st.integers(0, 60))
+def test_expansion_matches_naive_product_over_z(factors, order):
+    got = expand_eta_quotient(factors, order)
+    assert list(got.coeffs) == naive_eta_quotient(factors, order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_quotients, st.integers(0, 60), st.sampled_from([2, 4, 8, 3, 9, 27, 25, 6, 12]))
+def test_expansion_matches_naive_product_mod_m(factors, order, m):
+    got = expand_eta_quotient(factors, order, modulus=m)
+    assert list(got.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_quotients, st.integers(0, 80), st.sampled_from([2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49]))
+def test_reduced_exponents_match_z_expansion(factors, order, pa):
+    # under a prime power the exponents are rewritten before expanding
+    exact = expand_eta_quotient(factors, order)
+    assert expand_eta_quotient(factors, order, modulus=pa) == exact.reduce_mod(pa)
+
+
+def test_exponent_reduction_mod_4():
+    # the c = 10 overlined series f4^9/(f1^2*f2^17) is f4/(f1^2*f2) mod 4:
+    # 4 sparse passes in place of 28
+    c10 = EtaQuotient([(4, 9), (1, -2), (2, -17)])
+    assert _normalized_factors(c10, 100, 4) == [(1, -2), (2, -1), (4, 1)]
+    assert _normalized_factors(c10, 100, 12) == [(1, -2), (2, -17), (4, 9)]
+    assert _normalized_factors(c10, 100, None) == [(1, -2), (2, -17), (4, 9)]
+    # subscripts beyond the order drop out: f(n) = 1 + O(q^n)
+    assert _normalized_factors(c10, 3, 4) == [(1, -2), (2, -1)]
+
+
+def test_large_prime_modulus_expands_promptly():
+    # 2**61 - 1 is prime: factorizing it by trial division would not finish
+    got = expand_eta_quotient([(2, 1), (1, -2)], 30, modulus=2**61 - 1)
+    assert got == expand_eta_quotient([(2, 1), (1, -2)], 30).reduce_mod(2**61 - 1)
+
+
+def test_exponent_reduction_mod_3_chain():
+    # c = 29: f4^28/(f1^2*f2^55) mod 3 takes 7 passes in place of 85; the
+    # rewrite cascades f6^-18 -> f18^-6 -> f54^-2 -> f54*f162^-1 and
+    # f12^9 -> f36^3 -> f108
+    c29 = EtaQuotient([(4, 28), (1, -2), (2, -55)])
+    assert _normalized_factors(c29, 1000, 3) == [
+        (1, 1), (2, -1), (3, -1), (4, 1), (54, 1), (108, 1), (162, -1),
+    ]
 
 
 # -- grammar ---------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overcubic.series import NonInvertibleError, Series
-import overcubic.series as series_mod
 
 
 # -- construction -------------------------------------------------------------
@@ -106,22 +105,6 @@ def test_scalar_multiplication():
     assert (5 * s).coeffs == (5, 10, 15)
     assert (s * 5).coeffs == (5, 10, 15)
     assert (2 * Series([1, 2], modulus=3)).coeffs == (2, 1)
-
-
-def test_python_and_numpy_convolutions_agree():
-    rng = random.Random(7)
-    for _ in range(50):
-        order = rng.randrange(0, 40)
-        m = rng.choice([2, 3, 4, 6, 12, 97])
-        a = Series([rng.randrange(m) for _ in range(order + 1)], m)
-        b = Series([rng.randrange(m) for _ in range(order + 1)], m)
-        fast = a * b
-        series_mod._USE_NUMPY = False
-        try:
-            slow = a * b
-        finally:
-            series_mod._USE_NUMPY = True
-        assert fast == slow
 
 
 # -- invert / pow --------------------------------------------------------------
@@ -318,3 +301,59 @@ def test_substitute_then_scale_exponents(s):
             assert sub[e] == 0
         else:
             assert sub[e] == s[e // 2]
+
+
+# -- Kronecker product against the schoolbook convolution -------------------------
+
+
+def schoolbook(a, b, modulus=None):
+    """Truncated Cauchy product of two equal-length lists, term by term."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out if modulus is None else [c % modulus for c in out]
+
+
+# At orders up to 40 the product slots of these moduli take 1 byte (2, 3),
+# 2 bytes (4, 6, 12), 4 bytes (97), 8 bytes (2**20 + 7) and 16 bytes
+# (2**40 + 15, wider than any array item).
+_KRONECKER_MODULI = [2, 3, 4, 6, 12, 97, 2**20 + 7, 2**40 + 15]
+
+
+@st.composite
+def _operand_pair(draw, values):
+    order = draw(st.integers(0, 40))
+    same_length = st.lists(values, min_size=order + 1, max_size=order + 1)
+    return draw(same_length), draw(same_length)
+
+
+# Coefficient sizes whose product slots take 2, 4, 8, 16 and more bytes.
+@given(
+    st.sampled_from([3, 10, 25, 40, 200]).flatmap(
+        lambda bits: _operand_pair(st.integers(-(2**bits), 2**bits))
+    )
+)
+def test_kronecker_product_matches_schoolbook_over_z(pair):
+    a, b = pair
+    assert list((Series(a) * Series(b)).coeffs) == schoolbook(a, b)
+
+
+@given(
+    st.sampled_from(_KRONECKER_MODULI).flatmap(
+        lambda m: st.tuples(st.just(m), _operand_pair(st.integers(0, m - 1)))
+    )
+)
+def test_kronecker_product_matches_schoolbook_mod_m(case):
+    m, (a, b) = case
+    assert list((Series(a, m) * Series(b, m)).coeffs) == schoolbook(a, b, m)
+
+
+def test_kronecker_product_extreme_signs():
+    # all-negative and alternating operands at the edge of a slot width
+    big = 2**64 - 1
+    for a, b in [([-big] * 9, [-big] * 9), ([big, -big] * 5, [-big, big] * 5)]:
+        assert list((Series(a) * Series(b)).coeffs) == schoolbook(a, b)
+    m = 2**40 + 15
+    full = [m - 1] * 50
+    assert list((Series(full, m) * Series(full, m)).coeffs) == schoolbook(full, full, m)

@@ -148,6 +148,29 @@ def test_family_empty_range_is_vacuous():
     assert report.vacuous
 
 
+def test_family_empty_n_range_is_vacuous():
+    # n_max = -1 leaves nothing to check, even where the order could not
+    # hold the progression's first coefficient
+    for order in (100, 0):
+        report = verify_family(PROVED_FAMILIES[0], 3, -1, order)
+        assert report.passed
+        assert report.vacuous
+        assert report.to_dict()["n_range"] == [0, -1]
+
+
+def test_mod4_sweep_empty_n_range_is_vacuous():
+    report = verify_mod4_classification(3, 0, 0)
+    assert report.passed
+    assert report.vacuous
+    assert report.to_dict()["vacuous"] is True
+
+
+def test_nonempty_ranges_are_not_vacuous():
+    assert not verify_mod4_classification(2, 1, 1).vacuous
+    assert not verify_family(PROVED_FAMILIES[0], 1, 0, 2).vacuous
+    assert not VerificationReport("x", None, (0, 0), 0).vacuous
+
+
 def test_prime_power_components():
     assert _prime_power_components(6) == [2, 3]
     assert _prime_power_components(12) == [4, 3]
