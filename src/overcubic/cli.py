@@ -4,8 +4,10 @@ Output is machine readable (JSON by default, CSV on request) and contains
 no timestamps, so identical invocations produce byte-identical output.
 Exit status: 0 when every requested check passes, 1 on a verification
 failure, 2 on a usage error (bad flags, parse errors, insufficient order,
-brute-force cap violations), 3 when two routes through the engine disagree
-(an internal inconsistency, not a verdict on the claim checked).
+brute-force cap or DP work-bound violations), 3 when two routes through
+the engine disagree, in the composite-modulus cross-check or the
+brute-force self-check (an internal inconsistency, not a verdict on the
+claim checked).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .counting import (
     count_partitions_brute,
 )
 from .eta import EtaQuotientParseError, gen_cubic_gf, gen_overcubic_gf, parse_eta_quotient
-from .series import Series
 from .verify import (
     CONJECTURED_FAMILIES,
     IDENTITIES,
@@ -89,15 +90,11 @@ def _emit(record: dict, csv_rows: List[List], csv_header: List[str], fmt: str) -
 # -- expand -------------------------------------------------------------------
 
 _GF_BUILDERS = {
-    "partition": lambda c, order, modulus: _maybe_reduce(gen_cubic_gf(1, order), modulus),
+    "partition": lambda c, order, modulus: gen_cubic_gf(1, order, modulus),
     "overpartition": lambda c, order, modulus: gen_overcubic_gf(1, order, modulus),
-    "cubic": lambda c, order, modulus: _maybe_reduce(gen_cubic_gf(c, order), modulus),
-    "overcubic": lambda c, order, modulus: gen_overcubic_gf(c, order, modulus),
+    "cubic": gen_cubic_gf,
+    "overcubic": gen_overcubic_gf,
 }
-
-
-def _maybe_reduce(series: Series, modulus: Optional[int]) -> Series:
-    return series if modulus is None else series.reduce_mod(modulus)
 
 
 def _cmd_expand(args, command: str) -> int:
@@ -139,6 +136,16 @@ def _cmd_expand(args, command: str) -> int:
 
 # -- count --------------------------------------------------------------------
 
+# A DP count needing more inner-loop additions is refused: about 10 s at 8e6/s.
+DP_ADDITIONS_CAP = 8 * 10**7
+
+
+def _dp_additions(kind: str, c: int, n: int) -> int:
+    """Sum over sizes s <= n of colors(s) * (n - s + 1), doubled for overlines."""
+    half = n // 2
+    additions = n * (n + 1) // 2 + (c - 1) * half * (n - half)
+    return 2 * additions if kind in ("overpartition", "overcubic") else additions
+
 
 def _cmd_count(args, command: str) -> int:
     kind, engine, n = args.kind, args.engine, args.n
@@ -156,6 +163,12 @@ def _cmd_count(args, command: str) -> int:
         raise UsageError(
             f"brute-force counting is capped at n <= {BRUTE_FORCE_CAP} (got {n}); "
             "use --engine dp"
+        )
+    if engine == "dp" and _dp_additions(kind, c, n) > DP_ADDITIONS_CAP:
+        c_flag = f" --c {c}" if needs_c else ""
+        raise UsageError(
+            f"the {kind} DP at n = {n} needs over {DP_ADDITIONS_CAP:.0e} additions; "
+            f"expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         )
     counters = {
         ("partition", "dp"): lambda: count_partitions(n),

@@ -7,6 +7,13 @@ construction, with the coefficient streams produced by
 :mod:`overcubic.eta`; the brute-force enumerators exist precisely so that
 agreement can be *checked* rather than assumed.
 
+One non-recursive walk, ``_colored_partitions``, lists every colored
+partition as its (size, color, multiplicity) classes. The brute-force
+counters, ``iter_overcubic_partitions`` and ``decompose`` are folds over
+it. ``count_gen_overcubic_brute`` folds each partition twice, as ``2^r``
+for its ``r`` classes and as a product of the two first-copy choices per
+class, and raises :class:`EngineInconsistencyError` if the totals differ.
+
 Brute-force routines are capped at weight 30: the object counts grow fast
 enough beyond that to make exhaustive enumeration pointless when the DP
 and the generating function are available.
@@ -15,6 +22,7 @@ and the generating function are available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterator, List, Tuple
 
 __all__ = [
@@ -39,6 +47,10 @@ __all__ = [
 BRUTE_FORCE_CAP = 30
 
 
+class EngineInconsistencyError(RuntimeError):
+    """Two routes through the engine disagree on the same question."""
+
+
 def _check_colors(c: int) -> None:
     if c < 1:
         raise ValueError(f"color count must be at least 1, got {c}")
@@ -49,7 +61,9 @@ def _check_weight(n: int) -> None:
         raise ValueError(f"weight must be non-negative, got {n}")
 
 
-def _check_cap(n: int) -> None:
+def _check_brute(c: int, n: int) -> None:
+    _check_colors(c)
+    _check_weight(n)
     if n > BRUTE_FORCE_CAP:
         raise ValueError(
             f"brute-force enumeration is capped at weight {BRUTE_FORCE_CAP} "
@@ -113,27 +127,8 @@ class ColoredOverPartition:
 
 
 def count_partitions(n: int) -> int:
-    """Number of partitions of ``n``, by the textbook unbounded-part DP."""
-    _check_weight(n)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for s in range(1, n + 1):
-        for w in range(s, n + 1):
-            dp[w] += dp[w - s]
-    return dp[n]
-
-
-def count_partitions_brute(n: int) -> int:
-    """Partitions of ``n`` by explicit recursive enumeration (oracle)."""
-    _check_weight(n)
-    _check_cap(n)
-
-    def go(remaining: int, largest: int) -> int:
-        if remaining == 0:
-            return 1
-        return sum(go(remaining - s, s) for s in range(1, min(largest, remaining) + 1))
-
-    return go(n, n)
+    """Number of partitions of ``n``: the colored DP at one color."""
+    return count_gen_cubic(1, n)
 
 
 def count_overpartitions(n: int) -> int:
@@ -159,15 +154,7 @@ def count_overpartitions(n: int) -> int:
 
 def count_gen_cubic(c: int, n: int) -> int:
     """Partitions of ``n`` with ``c`` colors on even parts (no overlines)."""
-    _check_colors(c)
-    _check_weight(n)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for s in range(1, n + 1):
-        for _ in range(_color_count(s, c)):
-            for w in range(s, n + 1):
-                dp[w] += dp[w - s]
-    return dp[n]
+    return _colored_dp(c, n, overlined=False)
 
 
 def count_gen_overcubic_dp(c: int, n: int) -> int:
@@ -177,6 +164,10 @@ def count_gen_overcubic_dp(c: int, n: int) -> int:
     ``(1 + q^s) / (1 - q^s)``: an optional overlined copy plus unboundedly
     many plain copies.
     """
+    return _colored_dp(c, n, overlined=True)
+
+
+def _colored_dp(c: int, n: int, overlined: bool) -> int:
     _check_colors(c)
     _check_weight(n)
     dp = [0] * (n + 1)
@@ -185,8 +176,9 @@ def count_gen_overcubic_dp(c: int, n: int) -> int:
         for _ in range(_color_count(s, c)):
             for w in range(s, n + 1):  # 1/(1-q^s), unbounded copies
                 dp[w] += dp[w - s]
-            for w in range(n, s - 1, -1):  # (1+q^s), the overline choice
-                dp[w] += dp[w - s]
+            if overlined:
+                for w in range(n, s - 1, -1):  # (1+q^s), the overline choice
+                    dp[w] += dp[w - s]
     return dp[n]
 
 
@@ -194,85 +186,115 @@ def count_gen_overcubic_dp(c: int, n: int) -> int:
 
 
 def _part_types(c: int, n: int) -> List[Tuple[int, int]]:
-    """All (size, color) classes of weight at most ``n``, size ascending."""
+    """All (size, color) classes of weight at most ``n``: size descending,
+    color ascending, so the last one is ``(1, 1)``."""
     return [
         (s, col)
-        for s in range(1, n + 1)
+        for s in range(n, 0, -1)
         for col in range(1, _color_count(s, c) + 1)
     ]
 
 
+def _colored_partitions(c: int, n: int) -> Iterator[List[Tuple[int, int, int]]]:
+    """Yield every ``c``-colored partition of ``n`` once, as the list of
+    its ``(size, color, multiplicity)`` classes in canonical order. The same
+    list is mutated between yields; copy it to keep it.
+
+    The walk does not recurse (Knuth, TAOCP 4A, 7.2.1.4). ``frames`` holds
+    a ``(type index, weight left before it)`` pair per class. A new class
+    takes the first type that fits at its largest multiplicity; a step
+    lowers the multiplicity, then moves to the next type. The last type,
+    ``(1, 1)``, always takes all the weight left, so no branch dead-ends.
+    """
+    types = _part_types(c, n)
+    last = len(types) - 1
+    first = [0] * (n + 1)  # first[w]: index of the first type of size <= w
+    for j in range(last, -1, -1):
+        first[types[j][0]] = j
+    classes: List[Tuple[int, int, int]] = []
+    frames: List[Tuple[int, int]] = []
+    idx, left = 0, n
+    while True:
+        while left:
+            j = max(idx, first[left])
+            size, color = types[j]
+            mult = left // size
+            frames.append((j, left))
+            classes.append((size, color, mult))
+            idx, left = j + 1, left - mult * size
+        yield classes
+        while frames:
+            j, before = frames[-1]
+            if j == last:
+                frames.pop()
+                classes.pop()
+                continue
+            size, color, mult = classes[-1]
+            if mult > 1:
+                mult -= 1
+            else:
+                j += 1
+                size, color = types[j]
+                mult = before // size
+                frames[-1] = (j, before)
+            classes[-1] = (size, color, mult)
+            idx, left = j + 1, before - mult * size
+            break
+        else:
+            return
+
+
+def _overlinings_by_weight(classes: List[Tuple[int, int, int]]) -> int:
+    """``2^r`` overlinings of a colored partition with ``r`` classes."""
+    return 1 << len(classes)
+
+
+def _overlinings_by_choices(classes: List[Tuple[int, int, int]]) -> int:
+    """Overlinings as a product over the classes of the two first-copy
+    choices, plain or overlined."""
+    ways = 1
+    for _class in classes:
+        ways *= 2
+    return ways
+
+
+def count_partitions_brute(n: int) -> int:
+    """Partitions of ``n`` by explicit enumeration (oracle)."""
+    return count_gen_cubic_brute(1, n)
+
+
 def count_gen_cubic_brute(c: int, n: int) -> int:
     """Colored partitions of ``n`` by explicit enumeration (oracle)."""
-    _check_colors(c)
-    _check_weight(n)
-    _check_cap(n)
-    types = _part_types(c, n)
-
-    def go(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(types) or types[idx][0] > remaining:
-            return 0
-        size = types[idx][0]
-        total = go(idx + 1, remaining)
-        used = size
-        while used <= remaining:
-            total += go(idx + 1, remaining - used)
-            used += size
-        return total
-
-    return go(0, n)
+    _check_brute(c, n)
+    return sum(1 for _ in _colored_partitions(c, n))
 
 
 def count_gen_overcubic_brute(c: int, n: int) -> int:
     """Overlined colored partitions of ``n`` by exhaustive enumeration.
 
-    Runs two independent enumerations and insists they agree: summing
-    ``2^r`` over colored partitions with ``r`` distinct classes, and
-    walking every overline subset explicitly.
+    Folds every colored partition twice and insists the totals agree:
+    ``2^r`` for its ``r`` classes, and the product over its classes of the
+    two first-copy choices. A disagreement raises
+    :class:`EngineInconsistencyError`.
     """
-    _check_colors(c)
-    _check_weight(n)
-    _check_cap(n)
-    types = _part_types(c, n)
-
-    def by_weight(idx: int, remaining: int, r: int) -> int:
-        if remaining == 0:
-            return 1 << r
-        if idx == len(types) or types[idx][0] > remaining:
-            return 0
-        size = types[idx][0]
-        total = by_weight(idx + 1, remaining, r)
-        used = size
-        while used <= remaining:
-            total += by_weight(idx + 1, remaining - used, r + 1)
-            used += size
-        return total
-
-    def by_subsets(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(types) or types[idx][0] > remaining:
-            return 0
-        size = types[idx][0]
-        total = by_subsets(idx + 1, remaining)
-        used = size
-        while used <= remaining:
-            below = by_subsets(idx + 1, remaining - used)
-            total += below  # first copy plain
-            total += below  # first copy overlined
-            used += size
-        return total
-
-    weighted = by_weight(0, n, 0)
-    subsets = by_subsets(0, n)
+    _check_brute(c, n)
+    weighted = subsets = 0
+    for classes in _colored_partitions(c, n):
+        weighted += _overlinings_by_weight(classes)
+        subsets += _overlinings_by_choices(classes)
     if weighted != subsets:
-        raise AssertionError(
+        raise EngineInconsistencyError(
             f"enumeration self-check failed for c={c}, n={n}: "
             f"{weighted} != {subsets}"
         )
     return weighted
+
+
+def _first_copy_choices(cls: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
+    """A class's parts with the first copy plain, and with it overlined."""
+    size, color, mult = cls
+    plain = (ColoredPart(size, color),) * mult
+    return plain, (ColoredPart(size, color, True),) + plain[1:]
 
 
 def iter_overcubic_partitions(c: int, n: int) -> Iterator[ColoredOverPartition]:
@@ -280,37 +302,14 @@ def iter_overcubic_partitions(c: int, n: int) -> Iterator[ColoredOverPartition]:
 
     Parts within a partition appear in canonical order: size descending,
     color ascending, the overlined copy before its plain siblings.
+    Arguments are checked on the call, before the first item is drawn.
     """
-    _check_colors(c)
-    _check_weight(n)
-    _check_cap(n)
-    types = sorted(_part_types(c, n), key=lambda t: (-t[0], t[1]))
-
-    def variants(chosen: List[Tuple[int, int, int]], idx: int, acc: List[ColoredPart]):
-        if idx == len(chosen):
-            yield ColoredOverPartition(parts=tuple(acc), weight=n)
-            return
-        size, color, mult = chosen[idx]
-        plain = [ColoredPart(size, color, False)] * mult
-        yield from variants(chosen, idx + 1, acc + plain)
-        marked = [ColoredPart(size, color, True)] + plain[1:]
-        yield from variants(chosen, idx + 1, acc + marked)
-
-    def go(idx: int, remaining: int, chosen: List[Tuple[int, int, int]]):
-        if remaining == 0:
-            yield from variants(chosen, 0, [])
-            return
-        if idx == len(types):
-            return
-        size, color = types[idx]
-        if size <= remaining:
-            mult = 1
-            while mult * size <= remaining:
-                yield from go(idx + 1, remaining - mult * size, chosen + [(size, color, mult)])
-                mult += 1
-        yield from go(idx + 1, remaining, chosen)
-
-    return go(0, n, [])
+    _check_brute(c, n)
+    return (
+        ColoredOverPartition(parts=tuple(chain.from_iterable(choice)), weight=n)
+        for classes in _colored_partitions(c, n)
+        for choice in product(*map(_first_copy_choices, classes))
+    )
 
 
 # -- the single-size / multi-size decomposition ------------------------------
@@ -346,40 +345,23 @@ class DecompositionCounts:
 
 def decompose(c: int, n: int) -> DecompositionCounts:
     """Enumerate and classify every overlined colored partition of ``n``."""
-    _check_colors(c)
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
-    _check_cap(n)
-    types = _part_types(c, n)
+    _check_brute(c, n)
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
-
-    # sizes: saturating count of distinct sizes (0, 1, or 2 meaning "2+")
-    def go(idx: int, remaining: int, sizes: int, single_size: int, r: int):
-        if remaining == 0:
-            overlined = 1 << r
-            if sizes >= 2:
-                tallies["p_geq2"] += overlined
-            else:
-                tallies["p1"] += overlined
-                if single_size % 2:
-                    tallies["kappa1"] += 1
-                elif r == 1:
-                    tallies["kappa21"] += 1
-                else:
-                    tallies["kappa22"] += overlined
-            return
-        if idx == len(types) or types[idx][0] > remaining:
-            return
-        size = types[idx][0]
-        go(idx + 1, remaining, sizes, single_size, r)
-        new_sizes = sizes + 1 if size != single_size else sizes
-        used = size
-        while used <= remaining:
-            go(idx + 1, remaining - used, min(new_sizes, 2), size, r + 1)
-            used += size
-        return
-
-    go(0, n, 0, 0, 0)
+    for classes in _colored_partitions(c, n):
+        overlined = _overlinings_by_weight(classes)
+        size = classes[0][0]
+        if size != classes[-1][0]:  # classes are size-sorted
+            tallies["p_geq2"] += overlined
+            continue
+        tallies["p1"] += overlined
+        if size % 2:
+            tallies["kappa1"] += 1
+        elif len(classes) == 1:
+            tallies["kappa21"] += 1
+        else:
+            tallies["kappa22"] += overlined
     return DecompositionCounts(
         c=c,
         n=n,

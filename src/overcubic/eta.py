@@ -371,7 +371,7 @@ def chi(order: int) -> Series:
     return expand_eta_quotient([(2, 2), (1, -1), (4, -1)], order)
 
 
-def gen_cubic_gf(c: int, order: int) -> Series:
+def gen_cubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Series:
     """Counting series for partitions whose even parts carry ``c`` colors.
 
     Expansion of ``1 / (f1 * f2^(c-1))``; at ``c = 1`` this is the ordinary
@@ -379,7 +379,7 @@ def gen_cubic_gf(c: int, order: int) -> Series:
     """
     if c < 1:
         raise ValueError(f"color count must be at least 1, got {c}")
-    return expand_eta_quotient([(1, -1), (2, -(c - 1))], order)
+    return expand_eta_quotient([(1, -1), (2, -(c - 1))], order, modulus)
 
 
 def gen_overcubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Series:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .counting import _factorize
+from .counting import EngineInconsistencyError, _factorize
 from .eta import (
     F_MINUS_Q_Q2,
     F_Q3_Q6,
@@ -99,7 +99,10 @@ def expected_mod4_residue(c: int, n: int) -> int:
     """
     if c < 1:
         raise ValueError(f"color count must be at least 1, got {c}")
-    tag = classify_n(n).tag
+    return _mod4_residue(c, classify_n(n).tag)
+
+
+def _mod4_residue(c: int, tag: str) -> int:
     if tag == SQUARE:
         return 2
     if tag == TWICE_SQUARE:
@@ -163,10 +166,6 @@ class Counterexample:
         return {"i": self.i, "n": self.n, "observed": self.observed, "expected": self.expected}
 
 
-class EngineInconsistencyError(RuntimeError):
-    """Two routes through the engine disagree on the same question."""
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one finite sweep; pass means zero counterexamples.
@@ -221,12 +220,13 @@ def verify_mod4_classification(c_max: int, n_max: int, order: int) -> Verificati
     )
     if report.vacuous:
         return report
+    tags = [classify_n(n).tag for n in range(1, n_max + 1)]
     bad: List[Counterexample] = []
     for c in range(1, c_max + 1):
         series = gen_overcubic_gf(c, order, modulus=4)
-        for n in range(1, n_max + 1):
+        for n, tag in enumerate(tags, start=1):
             observed = series[n]
-            expected = expected_mod4_residue(c, n)
+            expected = _mod4_residue(c, tag)
             if observed != expected:
                 bad.append(Counterexample(c, n, observed, expected))
     return replace(report, counterexamples=tuple(bad))

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+import overcubic.counting as counting_module
 import overcubic.verify as verify_module
-from overcubic.cli import main
+from overcubic.cli import DP_ADDITIONS_CAP, _dp_additions, main
 
 
 def run(capsys, *argv):
@@ -127,6 +128,28 @@ def test_count_brute_cap_is_usage_error(capsys):
     )
     assert code == 2
     assert "capped" in err
+
+
+def test_count_brute_self_check_has_engine_exit_status(capsys, monkeypatch):
+    # make one of the two overline folds disagree with the other
+    monkeypatch.setattr(counting_module, "_overlinings_by_choices", lambda classes: 0)
+    code, out, err = run(
+        capsys, "count", "--kind", "overcubic", "--c", "2", "--n", "6", "--engine", "brute"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: enumeration self-check failed")
+    assert err.count("\n") == 1
+
+
+def test_count_dp_beyond_work_bound_is_usage_error(capsys):
+    # this request used to run for well over 15 s
+    code, out, err = run(capsys, "count", "--kind", "overcubic", "--c", "2", "--n", "20000")
+    assert code == 2
+    assert out == ""
+    assert "overcubic expand --gf overcubic --c 2 --order 20000" in err
+    # the largest DP requests of the benchmark stay below the bound
+    assert _dp_additions("overcubic", 4, 1000) < DP_ADDITIONS_CAP
 
 
 def test_count_engines_agree(capsys):

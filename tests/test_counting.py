@@ -5,8 +5,11 @@ assertions here are (a) brute force against hand-checked and frozen
 values, and (b) the DP and generating-function routes against brute force.
 """
 
+from itertools import islice
+
 import pytest
 
+import overcubic.counting as counting_module
 from overcubic.counting import (
     BRUTE_FORCE_CAP,
     ColoredOverPartition,
@@ -144,6 +147,41 @@ def test_overcubic_dp_c1_is_overpartition():
 def test_overcubic_brute_cap():
     with pytest.raises(ValueError, match="capped"):
         count_gen_overcubic_brute(2, BRUTE_FORCE_CAP + 1)
+    with pytest.raises(ValueError, match="capped"):
+        iter_overcubic_partitions(2, BRUTE_FORCE_CAP + 1)  # on the call, not at next()
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_brute_folds_match_dp(c):
+    # every fold over the one enumerator against its DP counter
+    for n in range(19):
+        assert count_gen_cubic_brute(c, n) == count_gen_cubic(c, n)
+        overlined = count_gen_overcubic_dp(c, n)
+        assert count_gen_overcubic_brute(c, n) == overlined
+        if n:
+            assert decompose(c, n).total == overlined
+        if n <= 10:
+            assert len(list(iter_overcubic_partitions(c, n))) == overlined
+        if c == 1:
+            assert count_partitions_brute(n) == count_partitions(n)
+
+
+def test_overcubic_generator_is_lazy(monkeypatch):
+    # 71 118 608 overlined partitions of 30 at c = 4: the first five must
+    # come from the first few colored partitions, not from a full walk
+    walk = counting_module._colored_partitions
+
+    def bounded(c, n):
+        for drawn, classes in enumerate(walk(c, n)):
+            assert drawn < 5, "the enumeration ran ahead of its consumer"
+            yield classes
+
+    monkeypatch.setattr(counting_module, "_colored_partitions", bounded)
+    got = list(islice(iter_overcubic_partitions(4, BRUTE_FORCE_CAP), 5))
+    assert len(got) == len(set(got)) == 5
+    for op in got:
+        op.validate_colors(4)
+        assert op.weight == BRUTE_FORCE_CAP
 
 
 def test_overcubic_generator_matches_counts():

@@ -362,9 +362,11 @@ def test_gen_overcubic_constant_term():
 
 def test_gen_overcubic_modulus_matches_reduction():
     order = 50
-    for c in (2, 3, 5):
-        exact = gen_overcubic_gf(c, order)
-        assert gen_overcubic_gf(c, order, modulus=6) == exact.reduce_mod(6)
+    for builder in (gen_overcubic_gf, gen_cubic_gf):
+        for c in (1, 2, 3, 5):
+            exact = builder(c, order)
+            for m in (4, 6):
+                assert builder(c, order, modulus=m) == exact.reduce_mod(m)
 
 
 def test_gf_color_validation():
