@@ -2,10 +2,18 @@
 
 Output is machine readable (JSON by default, CSV on request) and contains
 no timestamps, so identical invocations produce byte-identical output.
+
+The CLI owns flag syntax and nothing else. The four kinds are two series
+at a color count: ``partition`` and ``overpartition`` are ``cubic`` and
+``overcubic`` at c = 1. Every domain rule (color count, weight, modulus,
+brute-force bounds, verification order) belongs to the library, which
+raises ``ValueError``; :func:`main` maps that to exit status 2.
+
 Exit status: 0 when every requested check passes, 1 on a verification
-failure, 2 on a usage error (bad flags, parse errors, insufficient order,
-brute-force cap or DP work-bound violations), 3 when two routes through
-the engine disagree, in the composite-modulus cross-check or the
+failure, 2 on a usage error (bad flags, parse errors, a request outside
+the library's domain such as an insufficient order or a brute-force walk
+over its bounds, or a DP count over its work bound), 3 when two routes
+through the engine disagree, in the composite-modulus cross-check or the
 brute-force self-check (an internal inconsistency, not a verdict on the
 claim checked).
 """
@@ -19,18 +27,15 @@ import json
 import os
 import shlex
 import sys
+from collections import namedtuple
 from typing import List, Optional
 
 from . import __version__
 from .counting import (
-    BRUTE_FORCE_CAP,
     count_gen_cubic,
     count_gen_cubic_brute,
     count_gen_overcubic_brute,
     count_gen_overcubic_dp,
-    count_overpartitions,
-    count_partitions,
-    count_partitions_brute,
 )
 from .eta import EtaQuotientParseError, gen_cubic_gf, gen_overcubic_gf, parse_eta_quotient
 from .verify import (
@@ -40,9 +45,8 @@ from .verify import (
     EngineInconsistencyError,
     VerificationReport,
     check_named_identity,
-    verify_conjectured_families,
+    verify_family,
     verify_mod4_classification,
-    verify_proved_families,
 )
 
 ENGINE_INCONSISTENCY = 3
@@ -87,33 +91,38 @@ def _emit(record: dict, csv_rows: List[List], csv_header: List[str], fmt: str) -
         sys.stdout.write(buf.getvalue())
 
 
-# -- expand -------------------------------------------------------------------
+# -- expand and count ---------------------------------------------------------
 
-_GF_BUILDERS = {
-    "partition": lambda c, order, modulus: gen_cubic_gf(1, order, modulus),
-    "overpartition": lambda c, order, modulus: gen_overcubic_gf(1, order, modulus),
-    "cubic": gen_cubic_gf,
-    "overcubic": gen_overcubic_gf,
+# Partitions and overpartitions are the cubic and overcubic kinds at c = 1.
+_Kind = namedtuple("_Kind", "overlined takes_c")
+_KINDS = {
+    "partition": _Kind(overlined=False, takes_c=False),
+    "overpartition": _Kind(overlined=True, takes_c=False),
+    "cubic": _Kind(overlined=False, takes_c=True),
+    "overcubic": _Kind(overlined=True, takes_c=True),
 }
+
+
+def _colors(kind: str, flag: str, c: Optional[int]) -> int:
+    """The color count of ``kind``: ``--c`` where the kind takes it, else 1."""
+    takes_c = _KINDS[kind].takes_c
+    if takes_c and c is None:
+        raise UsageError(f"{flag} {kind} requires --c")
+    if not takes_c and c is not None:
+        raise UsageError(f"--c is meaningless with {flag} {kind}")
+    return c if takes_c else 1
 
 
 def _cmd_expand(args, command: str) -> int:
     order = args.order if args.order is not None else _default_order()
     if order <= 0:
         raise UsageError(f"order must be positive, got {order}")
-    if args.modulus is not None and args.modulus < 2:
-        raise UsageError(f"modulus must be at least 2, got {args.modulus}")
     if (args.gf is None) == (args.eta is None):
         raise UsageError("exactly one of --gf and --eta is required")
     if args.gf is not None:
-        if args.gf in ("cubic", "overcubic"):
-            if args.c is None:
-                raise UsageError(f"--gf {args.gf} requires --c")
-            if args.c < 1:
-                raise UsageError(f"--c must be at least 1, got {args.c}")
-        elif args.c is not None:
-            raise UsageError(f"--c is meaningless with --gf {args.gf}")
-        series = _GF_BUILDERS[args.gf](args.c, order, args.modulus)
+        c = _colors(args.gf, "--gf", args.c)
+        build = gen_overcubic_gf if _KINDS[args.gf].overlined else gen_cubic_gf
+        series = build(c, order, args.modulus)
         spec = {"gf": args.gf, "c": args.c}
     else:
         if args.c is not None:
@@ -134,53 +143,36 @@ def _cmd_expand(args, command: str) -> int:
     return 0
 
 
-# -- count --------------------------------------------------------------------
-
 # A DP count needing more inner-loop additions is refused: about 10 s at 8e6/s.
 DP_ADDITIONS_CAP = 8 * 10**7
 
 
 def _dp_additions(kind: str, c: int, n: int) -> int:
     """Sum over sizes s <= n of colors(s) * (n - s + 1), doubled for overlines."""
+    n = max(n, 0)  # an empty sum below weight 0
     half = n // 2
     additions = n * (n + 1) // 2 + (c - 1) * half * (n - half)
-    return 2 * additions if kind in ("overpartition", "overcubic") else additions
+    return 2 * additions if _KINDS[kind].overlined else additions
 
 
 def _cmd_count(args, command: str) -> int:
     kind, engine, n = args.kind, args.engine, args.n
-    if n < 0:
-        raise UsageError(f"--n must be non-negative, got {n}")
-    needs_c = kind in ("cubic", "overcubic")
-    if needs_c and args.c is None:
-        raise UsageError(f"--kind {kind} requires --c")
-    if not needs_c and args.c is not None:
-        raise UsageError(f"--c is meaningless with --kind {kind}")
-    c = args.c if needs_c else 1
-    if c < 1:
-        raise UsageError(f"--c must be at least 1, got {c}")
-    if engine == "brute" and n > BRUTE_FORCE_CAP:
-        raise UsageError(
-            f"brute-force counting is capped at n <= {BRUTE_FORCE_CAP} (got {n}); "
-            "use --engine dp"
-        )
+    c = _colors(kind, "--kind", args.c)
     if engine == "dp" and _dp_additions(kind, c, n) > DP_ADDITIONS_CAP:
-        c_flag = f" --c {c}" if needs_c else ""
+        c_flag = "" if args.c is None else f" --c {c}"
         raise UsageError(
             f"the {kind} DP at n = {n} needs over {DP_ADDITIONS_CAP:.0e} additions; "
             f"expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         )
-    counters = {
-        ("partition", "dp"): lambda: count_partitions(n),
-        ("partition", "brute"): lambda: count_partitions_brute(n),
-        ("overpartition", "dp"): lambda: count_overpartitions(n),
-        ("overpartition", "brute"): lambda: count_gen_overcubic_brute(1, n),
-        ("cubic", "dp"): lambda: count_gen_cubic(c, n),
-        ("cubic", "brute"): lambda: count_gen_cubic_brute(c, n),
-        ("overcubic", "dp"): lambda: count_gen_overcubic_dp(c, n),
-        ("overcubic", "brute"): lambda: count_gen_overcubic_brute(c, n),
-    }
-    value = counters[(kind, engine)]()
+    # built on each call, so that a wrapper installed on these names (a
+    # tracer, a test double) is the one called
+    counter = {
+        (False, "dp"): count_gen_cubic,
+        (False, "brute"): count_gen_cubic_brute,
+        (True, "dp"): count_gen_overcubic_dp,
+        (True, "brute"): count_gen_overcubic_brute,
+    }[_KINDS[kind].overlined, engine]
+    value = counter(c, n)
     record = _record(
         command,
         {"kind": kind, "c": args.c, "n": n, "engine": engine},
@@ -237,44 +229,30 @@ _VERIFY_CSV_HEADER = [
 
 def _cmd_verify(args, command: str) -> int:
     target = args.target
-    try:
-        if target == "thm14":
-            c_max = args.c_max if args.c_max is not None else 10
-            n_max = args.n_max if args.n_max is not None else 2000
-            order = args.order if args.order is not None else n_max
-            reports = [verify_mod4_classification(c_max, n_max, order)]
-            params = {"target": target, "c_max": c_max, "n_max": n_max, "order": order}
-        elif target in ("thm15", "conj73"):
-            i_max = args.i_max if args.i_max is not None else 3
-            n_max = args.n_max if args.n_max is not None else 100
-            if target == "thm15":
-                runner, families = verify_proved_families, PROVED_FAMILIES
-            else:
-                runner, families = verify_conjectured_families, CONJECTURED_FAMILIES
-            if args.order is not None:
-                order = args.order
-            else:
-                order = max(
-                    f.prog_slope * n_max + f.prog_intercept for f in families
-                )
-            reports = runner(i_max, n_max, order)
-            params = {"target": target, "i_max": i_max, "n_max": n_max, "order": order}
-        elif target == "identity":
-            if args.name is None:
-                raise UsageError(
-                    "--target identity requires --name; known names: "
-                    + ", ".join(sorted(IDENTITIES))
-                )
-            reports = [check_named_identity(args.name, args.order)]
-            params = {
-                "target": target,
-                "name": args.name,
-                "order": reports[0].order,
-            }
-        else:  # unreachable: argparse restricts choices
-            raise UsageError(f"unknown target {target!r}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if target == "thm14":
+        c_max = args.c_max if args.c_max is not None else 10
+        n_max = args.n_max if args.n_max is not None else 2000
+        order = args.order if args.order is not None else n_max
+        reports = [verify_mod4_classification(c_max, n_max, order)]
+        params = {"target": target, "c_max": c_max, "n_max": n_max, "order": order}
+    elif target in ("thm15", "conj73"):
+        i_max = args.i_max if args.i_max is not None else 3
+        n_max = args.n_max if args.n_max is not None else 100
+        families = PROVED_FAMILIES if target == "thm15" else CONJECTURED_FAMILIES
+        if args.order is not None:
+            order = args.order
+        else:
+            order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
+        reports = [verify_family(f, i_max, n_max, order) for f in families]
+        params = {"target": target, "i_max": i_max, "n_max": n_max, "order": order}
+    else:  # identity
+        if args.name is None:
+            raise UsageError(
+                "--target identity requires --name; known names: "
+                + ", ".join(sorted(IDENTITIES))
+            )
+        reports = [check_named_identity(args.name, args.order)]
+        params = {"target": target, "name": args.name, "order": reports[0].order}
     all_pass = all(r.passed for r in reports)
     record = _record(
         command,
@@ -307,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_expand = sub.add_parser("expand", help="expand a generating function")
-    p_expand.add_argument("--gf", choices=tuple(_GF_BUILDERS))
+    p_expand.add_argument("--gf", choices=tuple(_KINDS))
     p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
     p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
     p_expand.add_argument("--order", type=int, help=f"truncation order (default {FALLBACK_ORDER} or ${DEFAULT_ORDER_ENV})")
@@ -315,11 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_expand)
 
     p_count = sub.add_parser("count", help="count partitions of one weight")
-    p_count.add_argument(
-        "--kind",
-        required=True,
-        choices=("partition", "overpartition", "cubic", "overcubic"),
-    )
+    p_count.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p_count.add_argument("--c", type=int, help="color count for cubic/overcubic")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--engine", choices=("dp", "brute"), default="dp")
@@ -351,7 +325,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"expand": _cmd_expand, "count": _cmd_count, "verify": _cmd_verify}
     try:
         return handlers[args.subcommand](args, command)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError for every request outside its domain
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except EngineInconsistencyError as exc:

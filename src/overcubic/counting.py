@@ -14,9 +14,11 @@ it. ``count_gen_overcubic_brute`` folds each partition twice, as ``2^r``
 for its ``r`` classes and as a product of the two first-copy choices per
 class, and raises :class:`EngineInconsistencyError` if the totals differ.
 
-Brute-force routines are capped at weight 30: the object counts grow fast
-enough beyond that to make exhaustive enumeration pointless when the DP
-and the generating function are available.
+Brute-force routines are capped at weight 30 and at 10^7 colored
+partitions walked (about 10 s): the object counts grow fast enough beyond
+that to make exhaustive enumeration pointless when the DP and the
+generating function are available. The walk size is checked on the call, in
+closed form where c alone decides it and by the DP count otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 30
+# A brute-force walk over more colored partitions is refused: about 10 s.
+_BRUTE_WALK_CAP = 10**7
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -68,6 +72,20 @@ def _check_brute(c: int, n: int) -> None:
         raise ValueError(
             f"brute-force enumeration is capped at weight {BRUTE_FORCE_CAP} "
             f"(got {n}); use the DP counter instead"
+        )
+    # The walk has 1 partition below n = 2, c + n - 1 at n = 2 and 3, and at
+    # least c(c+1)/2 from n = 4 (two parts of size 2), so a large c is
+    # refused in closed form before the DP or _part_types sees it.
+    if n < 4:
+        walk = c + n - 1 if n >= 2 else 1
+    else:
+        walk = c * (c + 1) // 2
+        if walk <= _BRUTE_WALK_CAP:
+            walk = _colored_dp(c, n, overlined=False)
+    if walk > _BRUTE_WALK_CAP:
+        raise ValueError(
+            f"brute-force enumeration is capped at {_BRUTE_WALK_CAP:.0e} colored "
+            f"partitions (c={c}, n={n} has more); use the DP counter instead"
         )
 
 

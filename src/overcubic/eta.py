@@ -10,8 +10,10 @@ route; every named series and :func:`expand_f` call it.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
-   ``p^a``, every exponent with ``|k| > p^a/2`` is rewritten by
-   ``f(n)^(p^a) == f(pn)^(p^(a-1)) (mod p^a)``. Proof sketch:
+   ``p^a``, one ascending pass over the subscripts rewrites each exponent
+   with ``|k| > p^a/2`` by ``f(n)^(p^a) == f(pn)^(p^(a-1)) (mod p^a)``,
+   unless the rewrite adds passes (mod 8, ``f1^5`` is kept rather than
+   turned into ``f1^-3*f2^4``). Proof sketch:
    ``(1-x)^p == 1-x^p (mod p)`` because the inner binomial coefficients
    are multiples of p, and ``A == B (mod p^j)`` implies
    ``A^p == B^p (mod p^(j+1))`` (write ``A = B + p^j C`` and expand).
@@ -195,10 +197,13 @@ def _normalized_factors(
     """The factors that matter at ``order``, exponents reduced mod a prime power.
 
     Factors with a subscript above ``order`` are dropped: ``f(n) = 1 +
-    O(q^n)``. Under a prime-power modulus ``p^a``, every ``f(n)^k`` with
-    ``|k| > p^a/2`` becomes ``f(n)^r * f(pn)^((k-r)/p)``, where ``r`` is the
-    symmetric remainder of ``k`` mod ``p^a``, until no exponent is that
-    large (see the module docstring for why this is exact).
+    O(q^n)``. Under a prime-power modulus ``p^a``, one ascending pass over
+    the subscripts rewrites ``f(n)^k`` with ``|k| > p^a/2`` as ``f(n)^r *
+    f(pn)^((k-r)/p)``, where ``r`` is the symmetric remainder of ``k`` mod
+    ``p^a``, unless that adds passes: the total ``|exponent|`` may not grow.
+    A rewrite only changes the exponent at ``pn > n``, so one pass sees every
+    exponent after its last change (see the module docstring for why the
+    rewrite is exact).
     """
     exps = {n: k for n, k in quotient.factors if n <= order}
     # No exponent above m/2 leaves nothing to rewrite; checking that first
@@ -209,20 +214,24 @@ def _normalized_factors(
     if len(primes) != 1:
         return sorted(exps.items())
     (p,) = primes
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(exps):
-            k = exps[n]
-            if 2 * abs(k) <= modulus:
-                continue
-            r = k % modulus
-            if 2 * r > modulus:
-                r -= modulus
+    subscripts = set()
+    for n in exps:
+        while n <= order:
+            subscripts.add(n)
+            n *= p
+    for n in sorted(subscripts):
+        k = exps.get(n, 0)
+        if 2 * abs(k) <= modulus:
+            continue
+        r = k % modulus
+        if 2 * r > modulus:
+            r -= modulus
+        up = exps.get(p * n, 0)
+        # past the order f(pn) is 1, so the pushed exponent costs nothing
+        pushed = up + (k - r) // p if p * n <= order else 0
+        if abs(r) + abs(pushed) <= abs(k) + abs(up):
             exps[n] = r
-            if p * n <= order:
-                exps[p * n] = exps.get(p * n, 0) + (k - r) // p
-            changed = True
+            exps[p * n] = pushed
     return [(n, k) for n, k in sorted(exps.items()) if k]
 
 

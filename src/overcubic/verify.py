@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
 from .eta import (
@@ -314,18 +314,12 @@ CONJECTURED_FAMILIES = (
 )
 
 
-def _verify_many(
-    families: Sequence[CongruenceFamily], i_max: int, n_max: int, order: int
-) -> List[VerificationReport]:
-    return [verify_family(f, i_max, n_max, order) for f in families]
-
-
 def verify_proved_families(i_max: int, n_max: int, order: int) -> List[VerificationReport]:
-    return _verify_many(PROVED_FAMILIES, i_max, n_max, order)
+    return [verify_family(f, i_max, n_max, order) for f in PROVED_FAMILIES]
 
 
 def verify_conjectured_families(i_max: int, n_max: int, order: int) -> List[VerificationReport]:
-    return _verify_many(CONJECTURED_FAMILIES, i_max, n_max, order)
+    return [verify_family(f, i_max, n_max, order) for f in CONJECTURED_FAMILIES]
 
 
 def check_identity(
@@ -370,11 +364,10 @@ class IdentityCheck:
     description: str
     default_order: int
     build: Callable[[int], Tuple[Series, Series]] = field(repr=False)
-    modulus: Optional[int] = None
 
     def run(self, order: Optional[int] = None) -> VerificationReport:
         lhs, rhs = self.build(self.default_order if order is None else order)
-        return check_identity(lhs, rhs, modulus=self.modulus, description=self.description)
+        return check_identity(lhs, rhs, description=self.description)
 
 
 def _build_psi(order):
@@ -483,7 +476,6 @@ IDENTITIES = {
             "5-color overlined series vs f12^2/f6^3*(f2/(f1*f4))^2, mod 3",
             300,
             _build_overcubic_mod3_c5,
-            modulus=3,
         ),
         IdentityCheck(
             "negative-control",

@@ -7,6 +7,10 @@ error), JSON-vs-CSV numeric agreement, and byte-level idempotence.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def assert_refused(capsys, *argv):
+    """Exit 2, nothing on stdout, one ``error:`` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 # -- expand -------------------------------------------------------------------
@@ -88,6 +101,17 @@ def test_expand_gf_c_validation(capsys):
     assert code == 2 and "--c" in err
     code, _, err = run(capsys, "expand", "--gf", "partition", "--c", "2", "--order", "3")
     assert code == 2
+    # domain rules the library owns
+    assert "color count" in assert_refused(
+        capsys, "expand", "--gf", "overcubic", "--c", "0", "--order", "3"
+    )
+    for gf in ("partition", "overcubic --c 2"):
+        assert "modulus" in assert_refused(
+            capsys, "expand", "--gf", *gf.split(), "--order", "3", "--modulus", "1"
+        )
+    assert "modulus" in assert_refused(
+        capsys, "expand", "--eta", "f2/f1^2", "--order", "3", "--modulus", "1"
+    )
 
 
 def test_expand_env_default_order(capsys, monkeypatch):
@@ -128,6 +152,11 @@ def test_count_brute_cap_is_usage_error(capsys):
     )
     assert code == 2
     assert "capped" in err
+    # n = 30 is within the weight cap, but c = 10 would walk 395 589 359
+    # colored partitions
+    assert "capped" in assert_refused(
+        capsys, "count", "--kind", "cubic", "--c", "10", "--n", "30", "--engine", "brute"
+    )
 
 
 def test_count_brute_self_check_has_engine_exit_status(capsys, monkeypatch):
@@ -174,6 +203,31 @@ def test_count_c_validation(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--kind", "partition", "--c", "2", "--n", "3")
     assert code == 2
+    # domain rules the library owns, under both engines
+    for engine in ("dp", "brute"):
+        assert "color count" in assert_refused(
+            capsys, "count", "--kind", "cubic", "--c", "0", "--n", "3", "--engine", engine
+        )
+        for kind in ("partition", "overcubic --c 2"):
+            for n in ("-1", "-100000"):  # not priced as a DP over |n|
+                assert "weight" in assert_refused(
+                    capsys, "count", "--kind", *kind.split(), "--n", n, "--engine", engine
+                )
+
+
+@pytest.mark.parametrize("kind,colored", [("partition", "cubic"), ("overpartition", "overcubic")])
+def test_one_color_kinds_are_the_colored_kinds_at_c_1(capsys, kind, colored):
+    # partition and overpartition are the cubic and overcubic series at c = 1
+    _, plain = run_json(capsys, "expand", "--gf", kind, "--order", "25")
+    _, at_one = run_json(capsys, "expand", "--gf", colored, "--c", "1", "--order", "25")
+    assert plain["rows"] == at_one["rows"]
+    for engine in ("dp", "brute"):
+        for n in ("0", "1", "9", "17"):
+            _, plain = run_json(capsys, "count", "--kind", kind, "--n", n, "--engine", engine)
+            _, at_one = run_json(
+                capsys, "count", "--kind", colored, "--c", "1", "--n", n, "--engine", engine
+            )
+            assert plain["count"] == at_one["count"]
 
 
 # -- verify -------------------------------------------------------------------
@@ -269,6 +323,28 @@ def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
 def test_verify_bad_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--target", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["verify", "--target", "identity", "--name", "negative-control"], 1),
+        (["count", "--kind", "cubic", "--c", "10", "--n", "30", "--engine", "brute"], 2),
+    ],
+)
+def test_module_exit_status(argv, status):
+    # the exit status of a real process, not only the return value of main
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "overcubic.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == status
+    assert proc.stderr.count("error:") == (status == 2)
 
 
 # -- output formats --------------------------------------------------------------

@@ -149,6 +149,13 @@ def test_overcubic_brute_cap():
         count_gen_overcubic_brute(2, BRUTE_FORCE_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         iter_overcubic_partitions(2, BRUTE_FORCE_CAP + 1)  # on the call, not at next()
+    # a large c is refused by the walk size (395 589 359 colored partitions
+    # at c = 10), on the call and before anything of size c is built
+    for entry in (count_gen_cubic_brute, count_gen_overcubic_brute,
+                  iter_overcubic_partitions, decompose):
+        for c in (10, 10**9):
+            with pytest.raises(ValueError, match="capped"):
+                entry(c, BRUTE_FORCE_CAP)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])

@@ -185,6 +185,14 @@ def test_exponent_reduction_mod_4():
     assert _normalized_factors(c10, 3, 4) == [(1, -2), (2, -1)]
 
 
+@pytest.mark.parametrize("m,k", [(m, k) for m in (8, 9) for k in range(1 - m, m)])
+def test_exponent_reduction_never_adds_passes(m, k):
+    # mod 8, f1^5 must not become f1^-3*f2^4: 7 passes in place of 5
+    factors = _normalized_factors(EtaQuotient([(1, k)]), 60, m)
+    assert sum(abs(e) for _, e in factors) <= abs(k)
+    assert expand_eta_quotient([(1, k)], 60, modulus=m) == expand_f(1, k, 60).reduce_mod(m)
+
+
 def test_large_prime_modulus_expands_promptly():
     # 2**61 - 1 is prime: factorizing it by trial division would not finish
     got = expand_eta_quotient([(2, 1), (1, -2)], 30, modulus=2**61 - 1)
