@@ -3,19 +3,21 @@
 Output is machine readable (JSON by default, CSV on request) and contains
 no timestamps, so identical invocations produce byte-identical output.
 
-The CLI owns flag syntax and nothing else. The four kinds are two series
-at a color count: ``partition`` and ``overpartition`` are ``cubic`` and
-``overcubic`` at c = 1. Every domain rule (color count, weight, modulus,
-brute-force bounds, verification order) belongs to the library, which
-raises ``ValueError``; :func:`main` maps that to exit status 2.
+The CLI owns flag syntax and two work bounds, one on a DP count and one
+on an expansion, which refuse up front a request that would run for
+minutes; library calls are not bound by them. The four kinds are two
+series at a color count: ``partition`` and ``overpartition`` are ``cubic``
+and ``overcubic`` at c = 1. Every domain rule (color count, weight,
+modulus, brute-force bounds, verification order) belongs to the library,
+which raises ``ValueError``; :func:`main` maps that to exit status 2.
 
 Exit status: 0 when every requested check passes, 1 on a verification
 failure, 2 on a usage error (bad flags, parse errors, a request outside
 the library's domain such as an insufficient order or a brute-force walk
-over its bounds, or a DP count over its work bound), 3 when two routes
-through the engine disagree, in the composite-modulus cross-check or the
-brute-force self-check (an internal inconsistency, not a verdict on the
-claim checked).
+over its bounds, or a DP count or an expansion over its work bound), 3
+when two routes through the engine disagree, in the composite-modulus
+cross-check or the brute-force self-check (an internal inconsistency, not
+a verdict on the claim checked).
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from .counting import (
     count_gen_overcubic_brute,
     count_gen_overcubic_dp,
 )
-from .eta import EtaQuotientParseError, gen_cubic_gf, gen_overcubic_gf, parse_eta_quotient
+from .eta import (
+    EtaQuotientParseError,
+    _colored_quotient,
+    _expansion_work,
+    parse_eta_quotient,
+)
 from .verify import (
     CONJECTURED_FAMILIES,
     IDENTITIES,
@@ -113,6 +120,11 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
+# An expansion estimated to need more coefficient updates is refused: about
+# 10 s over Z at 1.5e7/s, less under a modulus.
+EXPAND_WORK_CAP = 15 * 10**7
+
+
 def _cmd_expand(args, command: str) -> int:
     order = args.order if args.order is not None else _default_order()
     if order <= 0:
@@ -121,8 +133,7 @@ def _cmd_expand(args, command: str) -> int:
         raise UsageError("exactly one of --gf and --eta is required")
     if args.gf is not None:
         c = _colors(args.gf, "--gf", args.c)
-        build = gen_overcubic_gf if _KINDS[args.gf].overlined else gen_cubic_gf
-        series = build(c, order, args.modulus)
+        quotient = _colored_quotient(c, _KINDS[args.gf].overlined)
         spec = {"gf": args.gf, "c": args.c}
     else:
         if args.c is not None:
@@ -131,8 +142,13 @@ def _cmd_expand(args, command: str) -> int:
             quotient = parse_eta_quotient(args.eta)
         except EtaQuotientParseError as exc:
             raise UsageError(f"bad eta quotient: {exc}")
-        series = quotient.expand(order, args.modulus)
         spec = {"eta": str(quotient)}
+    if _expansion_work(quotient, order, args.modulus) > EXPAND_WORK_CAP:
+        raise UsageError(
+            f"expanding {quotient} to order {order} needs over "
+            f"{EXPAND_WORK_CAP:.2g} coefficient updates; lower --order"
+        )
+    series = quotient.expand(order, args.modulus)
     rows = [[n, series[n]] for n in range(order + 1)]
     record = _record(
         command,

@@ -49,6 +49,9 @@ __all__ = [
 BRUTE_FORCE_CAP = 30
 # A brute-force walk over more colored partitions is refused: about 10 s.
 _BRUTE_WALK_CAP = 10**7
+# A walk over more (size, color) classes is refused too: its type list
+# alone would take about 100 MB.
+_BRUTE_TYPES_CAP = 10**6
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -86,6 +89,12 @@ def _check_brute(c: int, n: int) -> None:
         raise ValueError(
             f"brute-force enumeration is capped at {_BRUTE_WALK_CAP:.0e} colored "
             f"partitions (c={c}, n={n} has more); use the DP counter instead"
+        )
+    # _part_types lists c classes per even size and one per odd size
+    if c * (n // 2) + (n + 1) // 2 > _BRUTE_TYPES_CAP:
+        raise ValueError(
+            f"brute-force enumeration is capped at {_BRUTE_TYPES_CAP:.0e} "
+            f"(size, color) classes (c={c}, n={n} has more); use the DP counter instead"
         )
 
 

@@ -8,6 +8,14 @@ phi, chi are quotients of that shape as well.
 Expansion strategy: :func:`expand_eta_quotient` is the one expansion
 route; every named series and :func:`expand_f` call it.
 
+0. Look up the memo. The last 32 expansions are kept, keyed on the
+   normalized factors of step 1, the order and the modulus, so quotients
+   that normalize alike are expanded once: mod 4 the overlined series is
+   ``f2/f1^2`` for every odd c. The modulus stays in the key, so an entry is
+   never reduced to serve another modulus and the prime-power route of the
+   congruence-family cross-check stays independent of the composite one.
+   An entry never serves a smaller order either: no caller asks for one
+   quotient at two orders.
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
    ``p^a``, one ascending pass over the subscripts rewrites each exponent
@@ -36,11 +44,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from operator import add, itemgetter, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .counting import _factorize
-from .series import Series, _validate_modulus
+from .series import Series, _slot_width, _validate_modulus
 
 __all__ = [
     "EtaQuotient",
@@ -279,13 +289,33 @@ def expand_eta_quotient(
     expanded once, raised to ``|k|`` densely, and multiplied in. Reducing
     after every pass keeps coefficients bounded; by the homomorphism
     property the result matches reduce-at-the-end.
+
+    Results are memoized on the normalized factors, the order and the
+    modulus, so quotients that normalize alike share one expansion.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    quotient = _coerce_factors(e)
     m = _validate_modulus(modulus)
+    factors = tuple(_normalized_factors(_coerce_factors(e), order, m))
+    return _expand_normalized(factors, order, m)
+
+
+# thm15 and conj73 at i <= 3 expand 21 distinct quotients each: nine values
+# of c under a composite modulus and its prime powers, less the repeats.
+_EXPANSION_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
+def _expand_normalized(
+    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int]
+) -> Series:
+    """The expansion of already normalized factors; memoized, and safe to
+    share because a :class:`Series` is immutable. The modulus stays in the
+    key: an entry is never reduced to serve another modulus, which keeps
+    the prime-power route of ``verify_family`` independent of the composite
+    one."""
     coeffs = [1] + [0] * order
-    for n, k in _normalized_factors(quotient, order, m):
+    for n, k in factors:
         if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
             power = _single_factor(n, k, order, m) ** abs(k)
             coeffs = list((Series._canonical(tuple(coeffs), m) * power).coeffs)
@@ -295,6 +325,28 @@ def expand_eta_quotient(
         for _ in range(abs(k)):
             coeffs = apply_pass(coeffs, terms, m)
     return Series._canonical(tuple(coeffs), m)
+
+
+def _expansion_work(quotient: EtaQuotient, order: int, modulus: Optional[int] = None) -> int:
+    """Estimated cost of ``expand_eta_quotient(quotient, order, modulus)``,
+    in coefficient updates of a sparse pass.
+
+    A sparse pass updates ``order + 1`` coefficients per pentagonal term. A
+    densely powered factor costs one pass and its Kronecker products, about
+    ``bits(|k|) + popcount(|k|) - 1`` of them; a product of operands packed
+    into ``B`` bytes costs about ``B * sqrt(B) / 16`` updates (Karatsuba).
+    """
+    m = _validate_modulus(modulus)
+    work = 0
+    for n, k in _normalized_factors(quotient, order, m):
+        one_pass = (order + 1) * len(_pentagonal_terms(n, order))
+        if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
+            packed = (order + 1) * _slot_width((m - 1) ** 2 * (order + 1))
+            products = abs(k).bit_length() + bin(abs(k)).count("1") - 1
+            work += one_pass + products * packed * isqrt(packed) // 16
+        else:
+            work += abs(k) * one_pass
+    return work
 
 
 @dataclass(frozen=True)
@@ -380,15 +432,23 @@ def chi(order: int) -> Series:
     return expand_eta_quotient([(2, 2), (1, -1), (4, -1)], order)
 
 
+def _colored_quotient(c: int, overlined: bool) -> EtaQuotient:
+    """The eta quotient of the ``c``-colored counting series, with or
+    without overlining."""
+    if c < 1:
+        raise ValueError(f"color count must be at least 1, got {c}")
+    if overlined:
+        return EtaQuotient([(4, c - 1), (1, -2), (2, -(2 * c - 3))])
+    return EtaQuotient([(1, -1), (2, -(c - 1))])
+
+
 def gen_cubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Series:
     """Counting series for partitions whose even parts carry ``c`` colors.
 
     Expansion of ``1 / (f1 * f2^(c-1))``; at ``c = 1`` this is the ordinary
     partition generating function.
     """
-    if c < 1:
-        raise ValueError(f"color count must be at least 1, got {c}")
-    return expand_eta_quotient([(1, -1), (2, -(c - 1))], order, modulus)
+    return expand_eta_quotient(_colored_quotient(c, False), order, modulus)
 
 
 def gen_overcubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Series:
@@ -397,11 +457,7 @@ def gen_overcubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Serie
     Expansion of ``f4^(c-1) / (f1^2 * f2^(2c-3))``; at ``c = 1`` it reduces
     to the overpartition series ``f2 / f1^2``.
     """
-    if c < 1:
-        raise ValueError(f"color count must be at least 1, got {c}")
-    return expand_eta_quotient(
-        [(4, c - 1), (1, -2), (2, -(2 * c - 3))], order, modulus
-    )
+    return expand_eta_quotient(_colored_quotient(c, True), order, modulus)
 
 
 # The 3-dissection of f2/(f1*f4): the residue-0, -1, -2 components of the

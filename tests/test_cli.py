@@ -16,7 +16,8 @@ import pytest
 
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
-from overcubic.cli import DP_ADDITIONS_CAP, _dp_additions, main
+from overcubic.cli import DP_ADDITIONS_CAP, EXPAND_WORK_CAP, _dp_additions, main
+from overcubic.eta import _colored_quotient, _expansion_work
 
 
 def run(capsys, *argv):
@@ -114,6 +115,19 @@ def test_expand_gf_c_validation(capsys):
     )
 
 
+def test_expand_beyond_work_bound_is_usage_error(capsys):
+    # about 2e8 coefficient updates: well over 10 s over Z
+    err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "100000")
+    assert "lower --order" in err
+    # a large modulus makes the dense powers slow (about 15 s measured)
+    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "20000",
+                   "--modulus", str(2**61 - 1))
+    # the expansion a refused DP count suggests, and the benchmark's largest
+    # expansion over Z, stay below the bound
+    for c, order in [(2, 20000), (3, 1200)]:
+        assert _expansion_work(_colored_quotient(c, True), order) < EXPAND_WORK_CAP
+
+
 def test_expand_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("OVERCUBIC_DEFAULT_ORDER", "7")
     code, record = run_json(capsys, "expand", "--gf", "partition")
@@ -156,6 +170,10 @@ def test_count_brute_cap_is_usage_error(capsys):
     # colored partitions
     assert "capped" in assert_refused(
         capsys, "count", "--kind", "cubic", "--c", "10", "--n", "30", "--engine", "brute"
+    )
+    # n = 2 walks only c + 1 partitions, but lists c + 1 (size, color) classes
+    assert "capped" in assert_refused(
+        capsys, "count", "--kind", "cubic", "--c", "9999999", "--n", "2", "--engine", "brute"
     )
 
 

@@ -158,6 +158,18 @@ def test_overcubic_brute_cap():
                 entry(c, BRUTE_FORCE_CAP)
 
 
+def test_brute_type_list_is_bounded():
+    # c + 1 = 10**7 colored partitions of 2 are within the walk bound, but
+    # the (size, color) class list would hold 10**7 tuples, about 1 GB
+    for entry in (count_gen_cubic_brute, count_gen_overcubic_brute,
+                  iter_overcubic_partitions, decompose):
+        with pytest.raises(ValueError, match=r"\(size, color\) classes"):
+            entry(10**7 - 1, 2)
+    # the benchmark's brute-force points stay admitted
+    for c, n in [(1, 30), (2, 28), (3, 24), (4, 22), (4, 30)]:
+        counting_module._check_brute(c, n)
+
+
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
 def test_brute_folds_match_dp(c):
     # every fold over the one enumerator against its DP counter

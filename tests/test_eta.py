@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from overcubic.counting import count_overpartitions, count_partitions_brute
 from overcubic.eta import (
+    _expand_normalized,
     _normalized_factors,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
@@ -207,6 +208,47 @@ def test_exponent_reduction_mod_3_chain():
     assert _normalized_factors(c29, 1000, 3) == [
         (1, 1), (2, -1), (3, -1), (4, 1), (54, 1), (108, 1), (162, -1),
     ]
+
+
+# -- the expansion memo ------------------------------------------------------------
+
+_memo_requests = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 40),
+        st.sampled_from([None, 2, 3, 4, 6, 8, 9, 12]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_quotients, min_size=1, max_size=3), _memo_requests)
+def test_memoized_expansion_matches_uncached(quotients, requests):
+    # a few quotients requested at several orders and moduli, each twice, so
+    # the second is a hit and an entry served under the wrong key would show
+    for idx, order, m in requests:
+        factors = quotients[idx % len(quotients)]
+        key = tuple(_normalized_factors(EtaQuotient(factors), order, m))
+        fresh = _expand_normalized.__wrapped__(key, order, m)
+        for _ in range(2):
+            assert expand_eta_quotient(factors, order, modulus=m) == fresh
+
+
+def test_memo_keeps_moduli_apart():
+    # f2/f1^2 normalizes to the same factors over Z, mod 4 and mod 12: only
+    # the modulus tells the requests apart, and no entry is reduced to serve
+    # another modulus
+    _expand_normalized.cache_clear()
+    exact = expand_eta_quotient([(2, 1), (1, -2)], 60)
+    mod12 = expand_eta_quotient([(2, 1), (1, -2)], 60, modulus=12)
+    mod4 = expand_eta_quotient([(2, 1), (1, -2)], 60, modulus=4)
+    assert (exact.modulus, mod12.modulus, mod4.modulus) == (None, 12, 4)
+    assert mod4 == mod12.reduce_mod(4) == exact.reduce_mod(4)
+    assert gen_overcubic_gf(1, 60, modulus=4) is mod4
+    info = _expand_normalized.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
 
 
 # -- grammar ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from overcubic.eta import expand_eta_quotient, gen_overcubic_gf, psi
+import overcubic.verify as verify_module
+from overcubic.eta import _expand_normalized, expand_eta_quotient, gen_overcubic_gf, psi
 from overcubic.series import Series
 from overcubic.verify import (
     CONJECTURED_FAMILIES,
@@ -14,6 +15,7 @@ from overcubic.verify import (
     SQUARE,
     TWICE_SQUARE,
     CongruenceFamily,
+    Counterexample,
     Mod4Class,
     VerificationReport,
     check_identity,
@@ -97,6 +99,45 @@ def test_mod4_sweep_overpartition_case():
 def test_mod4_sweep_order_too_small():
     with pytest.raises(ValueError):
         verify_mod4_classification(2, 50, 49)
+
+
+def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
+    # residues the classification rules out, at (c, n); n = 60 lies past
+    # n_max and n = 0 before the range, so neither may be reported
+    wrong = {(1, 60): 1, (2, 9): 1, (2, 10): 3, (3, 0): 3, (3, 1): 0, (3, 50): 2}
+    genuine = gen_overcubic_gf
+
+    def corrupted(c, order, modulus=None):
+        coeffs = list(genuine(c, order, modulus).coeffs)
+        for (cc, n), residue in wrong.items():
+            if cc == c:
+                coeffs[n] = residue
+        return Series(coeffs, modulus)
+
+    monkeypatch.setattr(verify_module, "gen_overcubic_gf", corrupted)
+    report = verify_mod4_classification(3, 50, 60)
+    assert list(report.counterexamples) == [
+        Counterexample(c, n, residue, expected_mod4_residue(c, n))
+        for (c, n), residue in sorted(wrong.items())
+        if 1 <= n <= 50
+    ]
+
+
+def test_sweeps_expand_each_distinct_quotient_once():
+    # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
+    # even c
+    _expand_normalized.cache_clear()
+    verify_mod4_classification(10, 200, 200)
+    info = _expand_normalized.cache_info()
+    assert (info.misses, info.hits) == (2, 8)
+    # 27 expansions: c = 5, 8, 11 mod 6, 2, 3 and c = 14, ..., 35 mod 12, 4,
+    # 3. The series is 1 mod 2 and takes two forms mod 4, which gives the 6
+    # hits; serving mod 4 or mod 3 from a mod-12 entry would show as fewer
+    # misses
+    _expand_normalized.cache_clear()
+    verify_proved_families(3, 21, 200)
+    info = _expand_normalized.cache_info()
+    assert (info.misses, info.hits) == (21, 6)
 
 
 # -- congruence families -----------------------------------------------------------
