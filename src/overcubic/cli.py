@@ -16,8 +16,13 @@ failure, 2 on a usage error (bad flags, parse errors, a request outside
 the library's domain such as an insufficient order or a brute-force walk
 over its bounds, or a DP count or an expansion over its work bound), 3
 when two routes through the engine disagree, in the composite-modulus
-cross-check or the brute-force self-check (an internal inconsistency, not
-a verdict on the claim checked).
+cross-check or the brute-force self-check, or when a DP step does not
+divide exactly (an internal inconsistency, not a verdict on the claim
+checked).
+
+The DP work bound prices the divisor-sum recurrence: n(n+1)/2 products,
+each weighted by the bits of the count ``a(n)``, which a saddle-point
+bound gives. It refuses at about 10 s whatever c is.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ import os
 import shlex
 import sys
 from collections import namedtuple
+from math import log
 from typing import List, Optional
 
 from . import __version__
 from .counting import (
+    _log_count_bound,
     count_gen_cubic,
     count_gen_cubic_brute,
     count_gen_overcubic_brute,
@@ -159,16 +166,24 @@ def _cmd_expand(args, command: str) -> int:
     return 0
 
 
-# A DP count needing more inner-loop additions is refused: about 10 s at 8e6/s.
-DP_ADDITIONS_CAP = 8 * 10**7
+# A DP count estimated to need more work is refused: about 10 s at 1.6e7
+# word-size multiply-adds per second.
+DP_ADDITIONS_CAP = 16 * 10**7
+# A multiply-add into the sum of a b-bit count costs about 1 + b/1650
+# word-size ones (measured over c = 1..10^6).
+_DP_BITS_PER_ADDITION = 1650
 
 
 def _dp_additions(kind: str, c: int, n: int) -> int:
-    """Sum over sizes s <= n of colors(s) * (n - s + 1), doubled for overlines."""
+    """Word-size multiply-adds of the DP count: its n(n+1)/2 products, each
+    weighted by the size of the largest count, ``a(n)``, whose bits
+    :func:`~overcubic.counting._log_count_bound` bounds."""
     n = max(n, 0)  # an empty sum below weight 0
-    half = n // 2
-    additions = n * (n + 1) // 2 + (c - 1) * half * (n - half)
-    return 2 * additions if _KINDS[kind].overlined else additions
+    products = n * (n + 1) // 2
+    if products > DP_ADDITIONS_CAP:  # refused whatever the size of a(n)
+        return products
+    bits = _log_count_bound(c, n, _KINDS[kind].overlined) / log(2)
+    return int(products * (1 + bits / _DP_BITS_PER_ADDITION))
 
 
 def _cmd_count(args, command: str) -> int:
@@ -177,7 +192,7 @@ def _cmd_count(args, command: str) -> int:
     if engine == "dp" and _dp_additions(kind, c, n) > DP_ADDITIONS_CAP:
         c_flag = "" if args.c is None else f" --c {c}"
         raise UsageError(
-            f"the {kind} DP at n = {n} needs over {DP_ADDITIONS_CAP:.0e} additions; "
+            f"the {kind} DP at n = {n} needs over {DP_ADDITIONS_CAP:.1e} multiply-adds; "
             f"expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         )
     # built on each call, so that a wrapper installed on these names (a

@@ -7,6 +7,14 @@ construction, with the coefficient streams produced by
 :mod:`overcubic.eta`; the brute-force enumerators exist precisely so that
 agreement can be *checked* rather than assumed.
 
+The DP counters of colored partitions share one recurrence,
+``n a(n) = sum_{k<=n} sigma(k) a(n-k)``, with ``sigma(k)`` a weighted
+divisor sum of ``k``: ``n(n+1)/2`` products whatever ``c`` is, and no eta
+quotient, so the DP stays independent of the series route. Every step must
+divide exactly; a remainder raises :class:`EngineInconsistencyError`.
+``count_overpartitions`` takes a third route, a convolution of
+distinct-part and unrestricted counts.
+
 One non-recursive walk, ``_colored_partitions``, lists every colored
 partition as its (size, color, multiplicity) classes. The brute-force
 counters, ``iter_overcubic_partitions`` and ``decompose`` are folds over
@@ -25,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
+from math import exp, inf, log, log1p, pi, sqrt
+from operator import mul
 from typing import Iterator, List, Tuple
 
 __all__ = [
@@ -90,12 +100,16 @@ def _check_brute(c: int, n: int) -> None:
             f"brute-force enumeration is capped at {_BRUTE_WALK_CAP:.0e} colored "
             f"partitions (c={c}, n={n} has more); use the DP counter instead"
         )
-    # _part_types lists c classes per even size and one per odd size
-    if c * (n // 2) + (n + 1) // 2 > _BRUTE_TYPES_CAP:
+    if _type_count(c, n) > _BRUTE_TYPES_CAP:
         raise ValueError(
             f"brute-force enumeration is capped at {_BRUTE_TYPES_CAP:.0e} "
             f"(size, color) classes (c={c}, n={n} has more); use the DP counter instead"
         )
+
+
+def _type_count(c: int, n: int) -> int:
+    """Length of ``_part_types(c, n)``: c classes per even size, one per odd."""
+    return c * (n // 2) + (n + 1) // 2
 
 
 def _color_count(size: int, c: int) -> int:
@@ -189,24 +203,109 @@ def count_gen_overcubic_dp(c: int, n: int) -> int:
 
     Each (size, color) class contributes the factor
     ``(1 + q^s) / (1 - q^s)``: an optional overlined copy plus unboundedly
-    many plain copies.
+    many plain copies. The count comes from the divisor-sum recurrence of
+    the product of these factors (see :func:`_colored_dp`).
     """
     return _colored_dp(c, n, overlined=True)
 
 
+def _divisor_sums(c: int, n: int, overlined: bool) -> List[int]:
+    """``sigma[k - 1]`` for ``k = 1..n``: the coefficients of ``q F'/F``.
+
+    Each (size, color) class of size ``s`` contributes ``s`` at every
+    multiple of ``s`` through ``1/(1-q^s)``. With overlines its factor is
+    ``(1+q^s)/(1-q^s)``, whose log-derivative is ``2s * sum_{j odd} q^(sj)``,
+    so it contributes ``2s`` at the odd multiples only.
+    """
+    sigma = [0] * (n + 1)
+    for s in range(1, n + 1):
+        weight = s * _color_count(s, c)
+        if overlined:
+            weight *= 2
+        for k in range(s, n + 1, 2 * s if overlined else s):
+            sigma[k] += weight
+    return sigma[1:]
+
+
 def _colored_dp(c: int, n: int, overlined: bool) -> int:
+    """The ``n``-th coefficient of the colored counting series ``F``, by
+    ``w a(w) = sum_{k=1..w} sigma(k) a(w-k)`` (from ``q F' = (q F'/F) F``;
+    Apostol, *Introduction to Analytic Number Theory*, ch. 14). It costs
+    ``n(n+1)/2`` products whatever ``c`` is; a step whose sum ``w`` does not
+    divide raises :class:`EngineInconsistencyError`."""
     _check_colors(c)
     _check_weight(n)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for s in range(1, n + 1):
-        for _ in range(_color_count(s, c)):
-            for w in range(s, n + 1):  # 1/(1-q^s), unbounded copies
-                dp[w] += dp[w - s]
-            if overlined:
-                for w in range(n, s - 1, -1):  # (1+q^s), the overline choice
-                    dp[w] += dp[w - s]
-    return dp[n]
+    sigma = _divisor_sums(c, n, overlined)
+    a = [1]
+    for w in range(1, n + 1):
+        value, rest = divmod(sum(map(mul, sigma, reversed(a))), w)
+        if rest:
+            raise EngineInconsistencyError(
+                f"colored DP step is not integral for c={c}, n={w}: "
+                f"remainder {rest} mod {w}"
+            )
+        a.append(value)
+    return a[n]
+
+
+def _log_euler(u: float) -> float:
+    """``-log prod_{j>=1} (1 - e^(-ju))`` for ``u > 0``.
+
+    Below ``u = 2 pi`` the modular transformation of Dedekind's eta maps it
+    to the same sum at ``4 pi^2 / u``, where a few terms suffice.
+    """
+    if u < 2 * pi:
+        dual = 4 * pi * pi / u
+        return pi * pi / (6 * u) - u / 24 + log(u / (2 * pi)) / 2 + _log_euler(dual)
+    total, j = 0.0, 1
+    while True:
+        term = -log1p(-exp(-j * u))
+        if total + term == total:
+            return total
+        total += term
+        j += 1
+
+
+def _log_count_bound(c: int, n: int, overlined: bool) -> float:
+    """An upper bound on ``log`` of the colored count of ``n``:
+    ``min_t log F(e^-t) + n t``, which holds because ``F`` has non-negative
+    coefficients (the saddle-point bound). It exceeds the log by a few bits,
+    and by up to ``log2(c)/2`` more where the odd parts of a small odd ``n``
+    cost it a factor of c. ``log F`` is ``one_color + (c-1) extra_color``:
+    the one-color series and the classes of one more color, in closed form
+    through :func:`_log_euler`. The second term is formed from ``log(c-1)``,
+    so any ``c`` stays in float range. ``log F + n t`` is convex in ``t``,
+    so a golden-section search finds its minimum.
+    """
+    _check_colors(c)
+    _check_weight(n)
+    if not n:
+        return 0.0
+    log_extra = log(c - 1) if c > 1 else -inf
+
+    def exponent(t: float) -> float:
+        l1, l2 = _log_euler(t), _log_euler(2 * t)
+        if overlined:  # f2/f1^2, times (1+q^s)/(1-q^s) per extra color of an even s
+            one_color, extra_color = 2 * l1 - l2, 2 * l2 - _log_euler(4 * t)
+        else:  # 1/f1, times 1/(1-q^s) per extra color of an even size s
+            one_color, extra_color = l1, l2
+        # past t = 20, extra_color is e^-2t (twice that overlined) to double
+        # precision; its logarithm is taken in closed form, as it underflows
+        # long before (c-1) * extra_color does
+        x = log_extra + (log(extra_color) if t < 20 else log(1 + overlined) - 2 * t)
+        # exp overflows past 709; such a t is far from the minimum
+        return inf if x > 700 else one_color + exp(x) + n * t
+
+    # past t = 50 + log(c) every class contributes under e^-50
+    lo, hi = 0.0, 50.0 + max(log_extra, 0.0)
+    shrink = (sqrt(5) - 1) / 2
+    for _ in range(60):
+        t1, t2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if exponent(t1) < exponent(t2):
+            hi = t2
+        else:
+            lo = t1
+    return exponent((lo + hi) / 2)
 
 
 # -- brute-force enumeration -------------------------------------------------
@@ -409,6 +508,11 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     if r < 0:
         raise ValueError(f"class count must be non-negative, got {r}")
     _check_colors(c)
+    if _type_count(c, n) > _BRUTE_TYPES_CAP:
+        raise ValueError(
+            f"chi_distinct is capped at {_BRUTE_TYPES_CAP:.0e} (size, color) "
+            f"classes (c={c}, n={n} has more)"
+        )
     profile = _distinct_class_profile(n, c)
     return profile[r] if r < len(profile) else 0
 

@@ -29,7 +29,10 @@ route; every named series and :func:`expand_f` call it.
    take the product over ``x = q^(jn)``. Both sides are units, so the
    congruence holds for negative multiples too. For example the c = 10
    overcubic series ``f4^9/(f1^2*f2^17)`` becomes ``f4/(f1^2*f2)`` mod 4.
-   Over Z or a composite modulus the exponents are left alone.
+   Over Z or a composite modulus the exponents are left alone. A prime
+   power is recognized by integer roots and Miller-Rabin, not by
+   factorizing, so a large prime modulus costs nothing; from 3.3e24 on
+   no modulus is rewritten.
 2. Apply each factor ``f(n)^k`` to one coefficient list as ``|k|`` sparse
    passes over the pentagonal terms of ``f(n)`` (Euler's pentagonal number
    theorem: O(sqrt(order/n)) terms). A pass multiplies for ``k > 0`` and
@@ -49,7 +52,6 @@ from math import isqrt
 from operator import add, itemgetter, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .counting import _factorize
 from .series import Series, _slot_width, _validate_modulus
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "PHI_SPEC",
     "F_MINUS_Q_Q2",
     "F_Q3_Q6",
-    "F_MINUS_Q3_Q6",
     "TOH_TERMS",
     "expand_f",
     "expand_eta_quotient",
@@ -201,6 +202,59 @@ def _over_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
     return out[1:]
 
 
+# Miller-Rabin with the first 13 prime bases decides primality below
+# _PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017), the value
+# psi_13); the first 12 bases are proven only below 3.2e23.
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for ``n < _PRIME_TEST_LIMIT``."""
+    if n < 2:
+        return False
+    for b in _PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_power_base(m: int) -> Optional[int]:
+    """``p`` when ``m = p^a`` for a prime ``p``, else ``None``.
+
+    Tries the integer ``a``-th root of ``m`` for every ``a <= log2(m)``.
+    From ``_PRIME_TEST_LIMIT`` on it answers ``None`` without deciding,
+    which only skips the exponent rewrite: never a rewrite on a probable
+    prime.
+    """
+    if m >= _PRIME_TEST_LIMIT:
+        return None
+    if _is_prime(m):
+        return m
+    for a in range(2, m.bit_length()):
+        root = round(m ** (1 / a))  # m < 2^82, so the root is near exact
+        while root**a > m:
+            root -= 1
+        while (root + 1) ** a <= m:
+            root += 1
+        if root**a == m and _is_prime(root):
+            return root
+    return None
+
+
 def _normalized_factors(
     quotient: EtaQuotient, order: int, modulus: Optional[int]
 ) -> List[Tuple[int, int]]:
@@ -220,10 +274,9 @@ def _normalized_factors(
     # keeps a large modulus from ever being factorized.
     if modulus is None or all(2 * abs(k) <= modulus for k in exps.values()):
         return sorted(exps.items())
-    primes = _factorize(modulus)
-    if len(primes) != 1:
+    p = _prime_power_base(modulus)
+    if p is None:
         return sorted(exps.items())
-    (p,) = primes
     subscripts = set()
     for n in exps:
         while n <= order:
@@ -376,7 +429,6 @@ PSI_NEG_SPEC = ThetaSpec(-1, 1, -1, 3)  # f(-q, -q^3)
 PHI_SPEC = ThetaSpec(1, 1, 1, 1)  # f(q, q)
 F_MINUS_Q_Q2 = ThetaSpec(-1, 1, 1, 2)  # f(-q, q^2)
 F_Q3_Q6 = ThetaSpec(1, 3, 1, 6)  # f(q^3, q^6)
-F_MINUS_Q3_Q6 = ThetaSpec(-1, 3, 1, 6)  # f(-q^3, q^6)
 
 
 def theta_sum(spec: ThetaSpec, order: int) -> Series:

@@ -298,7 +298,7 @@ class Series:
             if e > target:
                 break
             out[e] = c
-        return Series(out, self._modulus)
+        return Series._canonical(tuple(out), self._modulus)
 
     def extract_progression(self, k: int, r: int) -> "Series":
         """Coefficients along ``k*n + r``: result ``[n] == self[k*n + r]``."""
@@ -310,7 +310,7 @@ class Series:
             raise ValueError(
                 f"progression start {r} beyond truncation order {self.order}"
             )
-        return Series(self._coeffs[r :: k], self._modulus)
+        return Series._canonical(self._coeffs[r :: k], self._modulus)
 
     def shift(self, s: int, order: Optional[int] = None) -> "Series":
         """Multiply by ``q**s``. Keeps ``self.order`` unless ``order`` given."""
@@ -324,12 +324,12 @@ class Series:
                 f"shift by {s} to order {target} needs coefficients beyond "
                 f"order {self.order}"
             )
-        return Series((0,) * s + self._coeffs[: target - s + 1], self._modulus)
+        return Series._canonical((0,) * s + self._coeffs[: target - s + 1], self._modulus)
 
     def truncate(self, order: int) -> "Series":
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        return Series(self._coeffs[: order + 1], self._modulus)
+        return Series._canonical(self._coeffs[: order + 1], self._modulus)
 
     def reduce_mod(self, m: int) -> "Series":
         """Reduce every coefficient to its canonical residue in ``[0, m)``.

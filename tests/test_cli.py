@@ -17,7 +17,14 @@ import pytest
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
 from overcubic.cli import DP_ADDITIONS_CAP, EXPAND_WORK_CAP, _dp_additions, main
-from overcubic.eta import _colored_quotient, _expansion_work
+from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
+
+
+def _src_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run(capsys, *argv):
@@ -128,6 +135,25 @@ def test_expand_beyond_work_bound_is_usage_error(capsys):
         assert _expansion_work(_colored_quotient(c, True), order) < EXPAND_WORK_CAP
 
 
+def test_expand_large_prime_modulus_finishes():
+    # the exponents exceed m/2, so normalization asks whether m is a prime
+    # power; trial division of 2^61 - 1 would run for minutes
+    m = 2**61 - 1
+    c = 10**19
+    proc = subprocess.run(
+        [sys.executable, "-m", "overcubic.cli", "expand", "--gf", "overcubic", "--c", str(c),
+         "--order", "10", "--modulus", str(m)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    # a(2) and a(3) count 2c + 2 and 4c + 4 overlined partitions
+    assert [v for _, v in rows[:4]] == [1, 2, (2 * c + 2) % m, (4 * c + 4) % m]
+
+
 def test_expand_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("OVERCUBIC_DEFAULT_ORDER", "7")
     code, record = run_json(capsys, "expand", "--gf", "partition")
@@ -195,8 +221,35 @@ def test_count_dp_beyond_work_bound_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "overcubic expand --gf overcubic --c 2 --order 20000" in err
+    # a large c makes every product long: 12.5e6 products, about 12 s
+    assert "multiply-adds" in assert_refused(
+        capsys, "count", "--kind", "overcubic", "--c", "1000000", "--n", "5000"
+    )
     # the largest DP requests of the benchmark stay below the bound
     assert _dp_additions("overcubic", 4, 1000) < DP_ADDITIONS_CAP
+    # the recurrence's cost hardly grows with c: 0.06 s here, where
+    # multiplying in the classes one by one takes about 44 s
+    code, record = run_json(capsys, "count", "--kind", "overcubic", "--c", "1000", "--n", "1000")
+    assert code == 0
+    for m in (8, 9, 25):  # prime powers reduce the series' exponents mod m
+        assert record["count"] % m == gen_overcubic_gf(1000, 1000, m)[1000]
+
+
+def test_count_dp_inconsistency_has_engine_exit_status(capsys, monkeypatch):
+    # sigma(2) one too large leaves a remainder at the step n = 2
+    sums = counting_module._divisor_sums
+
+    def corrupted(*args):
+        sigma = sums(*args)
+        sigma[1] += 1
+        return sigma
+
+    monkeypatch.setattr(counting_module, "_divisor_sums", corrupted)
+    code, out, err = run(capsys, "count", "--kind", "overcubic", "--c", "2", "--n", "6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: colored DP step is not integral")
+    assert err.count("\n") == 1
 
 
 def test_count_engines_agree(capsys):
@@ -352,14 +405,12 @@ def test_verify_bad_flag_is_usage_error(capsys):
 )
 def test_module_exit_status(argv, status):
     # the exit status of a real process, not only the return value of main
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "overcubic.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_src_env(),
     )
     assert proc.returncode == status
     assert proc.stderr.count("error:") == (status == 2)

@@ -5,15 +5,19 @@ assertions here are (a) brute force against hand-checked and frozen
 values, and (b) the DP and generating-function routes against brute force.
 """
 
+import math
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overcubic.counting as counting_module
 from overcubic.counting import (
     BRUTE_FORCE_CAP,
     ColoredOverPartition,
     ColoredPart,
+    EngineInconsistencyError,
     chi_distinct,
     count_gen_cubic,
     count_gen_cubic_brute,
@@ -117,6 +121,62 @@ def test_gen_cubic_matches_series():
 def test_chan_congruence_small():
     for n in range(9):
         assert count_gen_cubic(2, 3 * n + 2) % 3 == 0
+
+
+def per_class_dp(c, n, overlined):
+    """Reference for the divisor-sum recurrence: multiply in the factor of
+    each (size, color) class, about (c+1)/2 * n^2 additions."""
+    dp = [0] * (n + 1)
+    dp[0] = 1
+    for s in range(1, n + 1):
+        for _ in range(1 if s % 2 else c):
+            for w in range(s, n + 1):  # 1/(1-q^s), unbounded copies
+                dp[w] += dp[w - s]
+            if overlined:
+                for w in range(n, s - 1, -1):  # (1+q^s), the overline choice
+                    dp[w] += dp[w - s]
+    return dp[n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 60), st.integers(0, 150)),
+        st.tuples(st.integers(1, 10**4), st.integers(0, 12)),
+    ),
+    st.booleans(),
+)
+def test_colored_dp_matches_per_class_loop(case, overlined):
+    c, n = case
+    expected = per_class_dp(c, n, overlined)
+    assert counting_module._colored_dp(c, n, overlined) == expected
+    counter = count_gen_overcubic_dp if overlined else count_gen_cubic
+    assert counter(c, n) == expected
+
+
+@pytest.mark.parametrize("overlined", [False, True])
+def test_log_count_bound_is_a_tight_upper_bound(overlined):
+    # the DP work bound prices products by the bits of a(n) through it
+    for c in (1, 2, 10, 1000, 10**6, 10**100, 10**400):
+        for n in (0, 1, 2, 3, 10, 101, 600) if c <= 10**6 else (2, 3, 10, 101):
+            exact = math.log(counting_module._colored_dp(c, n, overlined))
+            bound = counting_module._log_count_bound(c, n, overlined)
+            assert exact * (1 - 1e-12) <= bound <= exact + 16 * math.log(2) + math.log(c) / 2
+
+
+def test_colored_dp_step_must_divide(monkeypatch):
+    # one more at sigma(2) makes 2 a(2) odd: the step cannot divide
+    sums = counting_module._divisor_sums
+
+    def corrupted(c, n, overlined):
+        sigma = sums(c, n, overlined)
+        sigma[1] += 1
+        return sigma
+
+    monkeypatch.setattr(counting_module, "_divisor_sums", corrupted)
+    for counter in (count_gen_cubic, count_gen_overcubic_dp):
+        with pytest.raises(EngineInconsistencyError, match="not integral"):
+            counter(3, 2)
 
 
 # -- overlined colored partitions -----------------------------------------------------
@@ -296,6 +356,9 @@ def test_chi_distinct_validation():
         chi_distinct(0, 1)
     with pytest.raises(ValueError):
         chi_distinct(3, -1)
+    # 10**7 + 1 (size, color) classes of weight 2, refused before listing them
+    with pytest.raises(ValueError, match=r"\(size, color\) classes"):
+        chi_distinct(2, 1, 10**7)
 
 
 # -- divisor counts ----------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overcubic.counting import count_overpartitions, count_partitions_brute
+from overcubic.counting import _factorize, count_overpartitions, count_partitions_brute
 from overcubic.eta import (
     _expand_normalized,
     _normalized_factors,
+    _prime_power_base,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -196,8 +197,31 @@ def test_exponent_reduction_never_adds_passes(m, k):
 
 def test_large_prime_modulus_expands_promptly():
     # 2**61 - 1 is prime: factorizing it by trial division would not finish
-    got = expand_eta_quotient([(2, 1), (1, -2)], 30, modulus=2**61 - 1)
-    assert got == expand_eta_quotient([(2, 1), (1, -2)], 30).reduce_mod(2**61 - 1)
+    m = 2**61 - 1
+    got = expand_eta_quotient([(2, 1), (1, -2)], 30, modulus=m)
+    assert got == expand_eta_quotient([(2, 1), (1, -2)], 30).reduce_mod(m)
+    # an exponent above m/2 makes normalization ask whether m is a prime
+    # power: f1^(-2^61) is f1^-1 * f(m)^-1, and f(m) is 1 at order 30
+    got = expand_eta_quotient([(1, -(2**61))], 30, modulus=m)
+    assert got == expand_f(1, -1, 30).reduce_mod(m)
+
+
+def test_prime_power_base_matches_factorization():
+    for m in range(2, 5000):
+        primes = _factorize(m)
+        expected = next(iter(primes)) if len(primes) == 1 else None
+        assert _prime_power_base(m) == expected
+    # strong pseudoprimes to the bases up to 7 and up to 23, and their powers
+    for pseudo in (3215031751, 3825123056546413051):
+        assert _prime_power_base(pseudo) is None
+        assert _prime_power_base(pseudo**2) is None
+    assert _prime_power_base(2**61 - 1) == 2**61 - 1
+    assert _prime_power_base(3**40) == 3
+    assert _prime_power_base(2**81) == 2
+    assert _prime_power_base((2**31 - 1) ** 2) == 2**31 - 1
+    assert _prime_power_base(6**20) is None
+    # past the deterministic range nothing is decided, so nothing is rewritten
+    assert _prime_power_base(2**89 - 1) is None
 
 
 def test_exponent_reduction_mod_3_chain():

@@ -274,7 +274,13 @@ def test_extract_after_substitute_is_truncated_identity(s, k):
     assert back == s.truncate(s.order // k)
 
 
-@given(_series(), st.integers(1, 6))
+def _assert_canonical(s):
+    # the reindexing operators skip re-reducing: their results must still
+    # equal a series built and reduced from scratch
+    assert s == Series(list(s.coeffs), s.modulus)
+
+
+@given(st.sampled_from([None, 4, 12]).flatmap(lambda m: _series(modulus=m)), st.integers(1, 6))
 def test_dissection_completeness(s, k):
     # the k progression extracts jointly determine the series: reassemble
     # with substitution and monomial shifts and compare exactly
@@ -282,7 +288,11 @@ def test_dissection_completeness(s, k):
     total = Series.zero(n, s.modulus)
     for r in range(min(k, n + 1)):
         piece = s.extract_progression(k, r)
-        total = total + piece.substitute_power(k, order=n - r).shift(r, order=n)
+        spread = piece.substitute_power(k, order=n - r)
+        shifted = spread.shift(r, order=n)
+        for part in (piece, spread, shifted, s.truncate(n // k)):
+            _assert_canonical(part)
+        total = total + shifted
     assert total == s
 
 
