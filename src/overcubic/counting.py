@@ -37,6 +37,8 @@ from math import exp, inf, log, log1p, pi, sqrt
 from operator import mul
 from typing import Iterator, List, Tuple
 
+from .eta import _PRIME_TEST_LIMIT, _is_prime
+
 __all__ = [
     "BRUTE_FORCE_CAP",
     "ColoredPart",
@@ -62,6 +64,9 @@ _BRUTE_WALK_CAP = 10**7
 # A walk over more (size, color) classes is refused too: its type list
 # alone would take about 100 MB.
 _BRUTE_TYPES_CAP = 10**6
+# chi_distinct's DP runs 1.5e7 to 2.5e7 of its steps a second for n <= 600
+# and c <= 1000, so more steps are refused: about 10 s.
+_CHI_WORK_CAP = 1.5e8
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -513,8 +518,21 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
             f"chi_distinct is capped at {_BRUTE_TYPES_CAP:.0e} (size, color) "
             f"classes (c={c}, n={n} has more)"
         )
+    work = _distinct_class_work(n, c)
+    if work > _CHI_WORK_CAP:
+        raise ValueError(
+            f"chi_distinct is capped at {_CHI_WORK_CAP:.1e} DP steps, about 10 s "
+            f"(c={c}, n={n} needs {work:.1e})"
+        )
     profile = _distinct_class_profile(n, c)
     return profile[r] if r < len(profile) else 0
+
+
+def _distinct_class_work(n: int, c: int) -> int:
+    """Steps of ``_distinct_class_profile(n, c)``: each (size, color) class
+    of size ``s`` scans ``n - s + 1`` weights times ``n + 1`` class counts."""
+    h = n // 2
+    return (n * (n + 1) // 2 + (c - 1) * h * (n - h)) * (n + 1)
 
 
 def _distinct_class_profile(n: int, c: int) -> List[int]:
@@ -538,19 +556,35 @@ def _distinct_class_profile(n: int, c: int) -> List[int]:
 # -- divisor counting --------------------------------------------------------
 
 
+# Trial division stops here: about 0.1 s. A cofactor with no prime factor
+# up to the bound must be a prime that eta._is_prime can decide.
+_TRIAL_DIVISION_BOUND = 10**6
+
+
 def _factorize(n: int) -> dict:
-    """Prime factorization by trial division; fine for the sizes used here."""
+    """Prime factorization by trial division, which stops as soon as the
+    cofactor left is 1 or prime (Miller-Rabin, ``eta._is_prime``).
+
+    A cofactor with no prime factor up to ``_TRIAL_DIVISION_BOUND`` that is
+    not prime, or that is too large for the deterministic test, raises
+    ``ValueError``: factorizing it could take hours.
+    """
     if n < 1:
         raise ValueError(f"can only factorize positive integers, got {n}")
     factors: dict = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    while n > 1:
+        if n < _PRIME_TEST_LIMIT and _is_prime(n):
+            d = n
+        while n % d:
+            d += 1 if d == 2 else 2
+            if d > _TRIAL_DIVISION_BOUND:
+                raise ValueError(
+                    f"cannot factorize the cofactor {n}: it has no prime factor "
+                    f"up to {_TRIAL_DIVISION_BOUND:.0e} and is not provably prime"
+                )
+        factors[d] = factors.get(d, 0) + 1
+        n //= d
     return factors
 
 

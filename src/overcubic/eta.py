@@ -35,12 +35,14 @@ route; every named series and :func:`expand_f` call it.
    no modulus is rewritten.
 2. Apply each factor ``f(n)^k`` to one coefficient list as ``|k|`` sparse
    passes over the pentagonal terms of ``f(n)`` (Euler's pentagonal number
-   theorem: O(sqrt(order/n)) terms). A pass multiplies for ``k > 0`` and
-   runs the division recurrence for ``k < 0``. Under a modulus, a factor
-   with a large ``|k|`` is instead expanded once, raised to ``|k|`` by
-   binary powering with the Kronecker product of :class:`Series`, and
-   multiplied in. Over Z every factor takes sparse passes: coefficient
-   growth makes dense powering lose there.
+   theorem: O(sqrt(order/n)) terms). A pass multiplies for ``k > 0``; for
+   ``k < 0`` it runs the sparse division kernel of :mod:`overcubic.series`,
+   the one recurrence that divides by a series in this package. Under a
+   modulus, a factor with a large ``|k|`` is instead built from its
+   pentagonal terms as a :class:`Series`, raised to ``k`` by binary
+   powering with the Kronecker product (a negative ``k`` inverts it first,
+   through the same kernel), and multiplied in. Over Z every factor takes
+   sparse passes: coefficient growth makes dense powering lose there.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .series import Series, _slot_width, _validate_modulus
+from .series import Series, _divide_sparse, _slot_width, _validate_modulus
 
 __all__ = [
     "EtaQuotient",
@@ -178,30 +180,6 @@ def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
     return out if modulus is None else [c % modulus for c in out]
 
 
-def _over_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
-    """One sparse pass: ``coeffs`` divided by the factor whose terms are given.
-
-    Walking up, ``out[e] = coeffs[e] - sum(sign * out[e - t])`` over the
-    terms with ``t <= e``. ``out`` grows by one entry per step, so while
-    exponent ``e`` is computed, ``out[-t]`` is ``out[e - t]``. One
-    ``itemgetter`` per stretch of exponents with the same active terms
-    gathers them. ``out[0]`` is a zero sentinel that keeps every gather a
-    tuple, even of one term.
-    """
-    first = terms[0][0] if terms else len(coeffs)
-    out = [0] + coeffs[:first]
-    added, subtracted = [], []
-    ends = [t for t, _ in terms[1:]] + [len(coeffs)]
-    for (t, sign), end in zip(terms, ends):
-        (added if sign < 0 else subtracted).append(-t)
-        plus = itemgetter(0, 0, *added)
-        minus = itemgetter(0, 0, *subtracted)
-        for e in range(t, end):
-            acc = coeffs[e] + sum(plus(out)) - sum(minus(out))
-            out.append(acc if modulus is None else acc % modulus)
-    return out[1:]
-
-
 # Miller-Rabin with the first 13 prime bases decides primality below
 # _PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017), the value
 # psi_13); the first 12 bases are proven only below 3.2e23.
@@ -298,26 +276,11 @@ def _normalized_factors(
     return [(n, k) for n, k in sorted(exps.items()) if k]
 
 
-# Under a modulus, a factor with |k| above this many passes is expanded once
-# by a sparse pass and raised to |k| by binary powering with the Kronecker
+# Under a modulus, a factor with |k| above this many passes is built from its
+# pentagonal terms and raised to k by binary powering with the Kronecker
 # product instead. Over Z, coefficient growth makes dense powering lose, so
 # there every factor is applied as |k| sparse passes.
 _SPARSE_PASS_LIMIT = 2
-
-
-def _single_factor(n: int, sign: int, order: int, modulus: Optional[int]) -> Series:
-    """``f(n)`` from its pentagonal terms, or ``1/f(n)`` by one division
-    pass on 1, run in ``q^n`` so that it walks ``order // n`` exponents."""
-    if sign > 0:
-        coeffs = [1] + [0] * order
-        for t, s in _pentagonal_terms(n, order):
-            coeffs[t] = s
-        return Series(coeffs, modulus)
-    reduced = order // n
-    base = _over_f([1] + [0] * reduced, _pentagonal_terms(1, reduced), modulus)
-    coeffs = [0] * (order + 1)
-    coeffs[::n] = base
-    return Series._canonical(tuple(coeffs), modulus)
 
 
 def expand_f(n: int, k: int, order: int, modulus: Optional[int] = None) -> Series:
@@ -337,11 +300,11 @@ def expand_eta_quotient(
     """Expand a product of eta factors into one coefficient list.
 
     Each factor ``f(n)^k`` is applied in place as ``|k|`` sparse passes
-    (multiply for ``k > 0``, the division recurrence for ``k < 0``), except
+    (multiply for ``k > 0``, the division kernel for ``k < 0``), except
     that under a modulus a factor with ``|k| > _SPARSE_PASS_LIMIT`` is
-    expanded once, raised to ``|k|`` densely, and multiplied in. Reducing
-    after every pass keeps coefficients bounded; by the homomorphism
-    property the result matches reduce-at-the-end.
+    built from its pentagonal terms, raised to ``k`` densely, and
+    multiplied in. Reducing after every pass keeps coefficients bounded;
+    by the homomorphism property the result matches reduce-at-the-end.
 
     Results are memoized on the normalized factors, the order and the
     modulus, so quotients that normalize alike share one expansion.
@@ -369,12 +332,15 @@ def _expand_normalized(
     one."""
     coeffs = [1] + [0] * order
     for n, k in factors:
+        terms = _pentagonal_terms(n, order)
         if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
-            power = _single_factor(n, k, order, m) ** abs(k)
+            f = [1] + [0] * order
+            for t, sign in terms:
+                f[t] = sign
+            power = Series(f, m) ** k
             coeffs = list((Series._canonical(tuple(coeffs), m) * power).coeffs)
             continue
-        terms = _pentagonal_terms(n, order)
-        apply_pass = _times_f if k > 0 else _over_f
+        apply_pass = _times_f if k > 0 else _divide_sparse
         for _ in range(abs(k)):
             coeffs = apply_pass(coeffs, terms, m)
     return Series._canonical(tuple(coeffs), m)

@@ -15,12 +15,18 @@ single big integer, one coefficient per fixed-width slot, the two integers
 are multiplied by CPython's big-int arithmetic, and the product is read back
 slot by slot. Slots are wide enough that no coefficient of the product
 carries into the next one, so the result is exact.
+
+Division is one sparse recurrence, :func:`_divide_sparse`, which walks up
+``coeffs / (1 + sum w*q^t)`` over the nonzero terms only. :meth:`Series.invert`
+and every pass of :mod:`overcubic.eta` that divides by a series run it.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from math import gcd
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Series", "NonInvertibleError"]
@@ -226,9 +232,15 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse, valid whenever the constant term is a unit.
 
-        The recurrence walks only the nonzero coefficients of ``self``, so
-        inverting a sparse series (an Euler product, say) costs far less
-        than a dense convolution.
+        The constant term is factored out and the rest divided through
+        :func:`_divide_sparse`, which walks only the nonzero coefficients of
+        ``self``. Under a modulus their weights stay residues in ``[0, m)``,
+        except that ``m - 1`` is taken as -1 so that it joins the kernel's
+        unweighted gathers; the other weights stay non-negative because
+        sums of non-negative products run 10-30 % faster than signed ones.
+        The walk runs in ``q^g``, ``g`` the gcd of the exponents of those
+        terms: inverting ``f(n) = prod (1 - q^(jn))`` walks ``order // n``
+        exponents.
         """
         c0 = self._coeffs[0]
         m = self._modulus
@@ -247,17 +259,18 @@ class Series:
                 ) from exc
         n = self.order
         nz = [(i, c) for i, c in enumerate(self._coeffs) if c and i > 0]
+        g = gcd(*(i for i, _ in nz)) or 1
+        terms = []
+        for i, c in nz:
+            w = c * inv0
+            if m is not None:
+                w %= m
+                if w == m - 1:
+                    w = -1
+            terms.append((i // g, w))
         out = [0] * (n + 1)
-        out[0] = inv0 if m is None else inv0 % m
-        for j in range(1, n + 1):
-            acc = 0
-            for i, c in nz:
-                if i > j:
-                    break
-                acc += c * out[j - i]
-            val = -inv0 * acc
-            out[j] = val if m is None else val % m
-        return Series(out, m)
+        out[::g] = _divide_sparse([inv0] + [0] * (n // g), terms, m)
+        return Series._canonical(tuple(out), m)
 
     def __pow__(self, exponent: int) -> "Series":
         if not isinstance(exponent, int):
@@ -412,3 +425,44 @@ def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:
     x = _pack([c + half for c in a], width) - offsets
     y = _pack([c + half for c in b], width) - offsets
     return [v - half for v in _unpack(x * y + offsets, width, count)]
+
+
+def _divide_sparse(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
+    """``coeffs / (1 + sum w*q^t)`` over ``(t, w)`` terms of increasing
+    ``t`` in ``[1, len(coeffs))`` and nonzero weight, reduced mod
+    ``modulus`` when one is given (``coeffs`` must be reduced already).
+
+    Walking up, ``out[e] = coeffs[e] - sum(w * out[e - t])`` over the terms
+    with ``t <= e``. ``out`` grows by one entry per step, so while exponent
+    ``e`` is computed, ``out[-t]`` is ``out[e - t]``. Three ``itemgetter``
+    gather the active terms: one for the weights -1, one for +1, and one for
+    any other weight, whose values are multiplied by their weights. Each is
+    rebuilt when a term joins it, at the start of the stretch of exponents
+    where that term is active. ``out[0]`` is a zero sentinel that keeps
+    every gather a tuple, even of one term. While no term of another weight
+    is active the weighted sum is skipped: gathering +-1 weights through it
+    too made a pentagonal pass 1.7 to 2.7 times slower.
+    """
+    first = terms[0][0] if terms else len(coeffs)
+    out = [0] + coeffs[:first]
+    added, subtracted, scaled, weights = [], [], [], [0]
+    plus = minus = itemgetter(0, 0)
+    gather = None
+    ends = [t for t, _ in terms[1:]] + [len(coeffs)]
+    for (t, w), end in zip(terms, ends):
+        if w == -1:
+            added.append(-t)
+            plus = itemgetter(0, 0, *added)
+        elif w == 1:
+            subtracted.append(-t)
+            minus = itemgetter(0, 0, *subtracted)
+        else:
+            scaled.append(-t)
+            weights.append(w)
+            gather = itemgetter(0, *scaled)
+        for e in range(t, end):
+            acc = coeffs[e] + sum(plus(out)) - sum(minus(out))
+            if gather:
+                acc -= sum(map(mul, weights, gather(out)))
+            out.append(acc if modulus is None else acc % modulus)
+    return out[1:]

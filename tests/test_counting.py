@@ -361,6 +361,15 @@ def test_chi_distinct_validation():
         chi_distinct(2, 1, 10**7)
 
 
+def test_chi_distinct_work_is_bounded():
+    # both are admitted by the class cap and would run for minutes to hours
+    for args in [(2000, 2), (1000, 2, 100)]:
+        with pytest.raises(ValueError, match="DP steps"):
+            chi_distinct(*args)
+    with pytest.raises(ValueError):
+        chi_distinct(2000, 2, 1000)
+
+
 # -- divisor counts ----------------------------------------------------------------------
 
 
@@ -385,6 +394,24 @@ def test_tau_even_of_odd_is_zero():
 def test_tau_odd_of_squares_is_odd():
     for k in range(1, 51):
         assert tau_odd(k * k) % 2 == 1
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    # trial division of 2**61 - 1 would take hours; Miller-Rabin ends it
+    assert tau_odd(2**61 - 1) == 2
+    assert tau_even(2 * (2**61 - 1)) == 2
+    assert counting_module._factorize(3**5 * (2**61 - 1)) == {3: 5, 2**61 - 1: 1}
+
+
+def test_factorize_refuses_an_unsplit_composite():
+    bound = counting_module._TRIAL_DIVISION_BOUND
+    p, q = bound + 3, bound + 33  # the two primes just above 10**6
+    assert all(counting_module._is_prime(x) for x in (p, q))
+    with pytest.raises(ValueError, match="no prime factor"):
+        tau_odd(p * q)
+    # a prime too large for the deterministic test is refused too
+    with pytest.raises(ValueError, match="no prime factor"):
+        tau_odd(2**89 - 1)
 
 
 def test_tau_validation():

@@ -1,12 +1,13 @@
 """Contract and property tests for the truncated power-series ring."""
 
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overcubic.series import NonInvertibleError, Series
+from overcubic.series import NonInvertibleError, Series, _divide_sparse
 
 
 # -- construction -------------------------------------------------------------
@@ -159,6 +160,96 @@ def test_pow_negative_matches_invert():
     s = Series([1, -1, 0, 0])
     assert s**-1 == s.invert()
     assert s**-3 == (s.invert() * s.invert()) * s.invert()
+
+
+# -- the sparse division kernel against the quadratic recurrence ----------------
+
+
+def invert_reference(s):
+    """``1/s`` by the O(order * nonzero terms) recurrence ``Series.invert``
+    ran before the sparse kernel replaced it."""
+    c0 = s.coeffs[0]
+    m = s.modulus
+    inv0 = c0 if m is None else pow(c0, -1, m)
+    n = s.order
+    nz = [(i, c) for i, c in enumerate(s.coeffs) if c and i > 0]
+    out = [0] * (n + 1)
+    out[0] = inv0 if m is None else inv0 % m
+    for j in range(1, n + 1):
+        acc = 0
+        for i, c in nz:
+            if i > j:
+                break
+            acc += c * out[j - i]
+        val = -inv0 * acc
+        out[j] = val if m is None else val % m
+    return Series(out, m)
+
+
+@st.composite
+def _unit_series(draw, modulus, values):
+    """A unit series of order 0..40 whose support lies on the multiples of
+    a drawn step, so that steps above 1 take the q^g walk of ``invert``."""
+    order = draw(st.integers(0, 40))
+    step = draw(st.sampled_from([1, 2, 3, 7]))
+    if modulus is None:
+        c0 = draw(st.sampled_from([1, -1]))
+    else:
+        c0 = draw(st.integers(1, modulus - 1).filter(lambda c: gcd(c, modulus) == 1))
+    rest = draw(st.lists(st.one_of(st.just(0), values), min_size=order, max_size=order))
+    return Series([c0] + [c if i % step == 0 else 0 for i, c in enumerate(rest, 1)], modulus)
+
+
+# Coefficients of 3, 40 and 200 bits, signed.
+@given(
+    st.sampled_from([3, 40, 200]).flatmap(
+        lambda bits: _unit_series(None, st.integers(-(2**bits), 2**bits))
+    )
+)
+@example(Series([1]))
+@example(Series([-1]))
+@example(Series([-1, 0, 5, 0, 0, 0, -2**70]))
+def test_invert_matches_reference_over_z(s):
+    inv = s.invert()
+    assert inv == invert_reference(s)
+    assert s * inv == Series.one(s.order)
+
+
+# A prime, a large prime, prime powers and the composite 12.
+@given(
+    st.sampled_from([7, 97, 2**61 - 1, 8, 27, 12]).flatmap(
+        lambda m: _unit_series(m, st.integers(0, m - 1))
+    )
+)
+@example(Series([5], 12))
+@example(Series([7, 0, 0, 11, 0, 0, 6], 12))
+def test_invert_matches_reference_mod_m(s):
+    inv = s.invert()
+    assert inv == invert_reference(s)
+    assert s * inv == Series.one(s.order, s.modulus)
+
+
+@st.composite
+def _division_case(draw):
+    """Coefficients, a divisor's ``(t, w)`` terms and a modulus: weights
+    are +-1 or any other nonzero integer."""
+    m = draw(st.sampled_from([None, 4, 12, 97]))
+    order = draw(st.integers(0, 40))
+    values = st.integers(-(2**80), 2**80) if m is None else st.integers(0, m - 1)
+    coeffs = draw(st.lists(values, min_size=order + 1, max_size=order + 1))
+    exponents = sorted(draw(st.sets(st.integers(1, order), max_size=12))) if order else []
+    weights = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**40), 2**40).filter(bool))
+    return coeffs, [(t, draw(weights)) for t in exponents], m
+
+
+@given(_division_case())
+def test_divide_sparse_times_divisor_is_input(case):
+    coeffs, terms, m = case
+    divisor = [1] + [0] * (len(coeffs) - 1)
+    for t, w in terms:
+        divisor[t] = w
+    quotient = Series(_divide_sparse(coeffs, terms, m), m)
+    assert quotient * Series(divisor, m) == Series(coeffs, m)
 
 
 # -- substitution / extraction --------------------------------------------------

@@ -218,6 +218,13 @@ def test_prime_power_components():
     assert _prime_power_components(4) == [4]
 
 
+def test_family_with_a_large_prime_modulus_finishes():
+    # the prime-power split of 2**61 - 1 stops at the Miller-Rabin test
+    report = verify_family(CongruenceFamily(1, 1, 2, 0, 2**61 - 1), 1, 5, 20)
+    assert report.n_range == (0, 5)
+    assert _prime_power_components(2 * (2**61 - 1)) == [2, 2**61 - 1]
+
+
 def test_conjectured_families_small_sweep():
     reports = verify_conjectured_families(1, 10, 100)
     assert len(reports) == 5
