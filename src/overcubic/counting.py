@@ -599,9 +599,6 @@ def tau_odd(n: int) -> int:
 
 
 def tau_even(n: int) -> int:
-    """Number of even divisors of ``n``."""
-    factors = _factorize(n)
-    total = 1
-    for a in factors.values():
-        total *= a + 1
-    return total - tau_odd(n)
+    """Number of even divisors of ``n``: ``2^i * d`` for ``1 <= i <= v2(n)``
+    and ``d`` an odd divisor, so ``v2(n) * tau_odd(n)``."""
+    return ((n & -n).bit_length() - 1) * tau_odd(n)

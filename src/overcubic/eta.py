@@ -34,10 +34,12 @@ route; every named series and :func:`expand_f` call it.
    factorizing, so a large prime modulus costs nothing; from 3.3e24 on
    no modulus is rewritten.
 2. Apply each factor ``f(n)^k`` to one coefficient list as ``|k|`` sparse
-   passes over the pentagonal terms of ``f(n)`` (Euler's pentagonal number
-   theorem: O(sqrt(order/n)) terms). A pass multiplies for ``k > 0``; for
-   ``k < 0`` it runs the sparse division kernel of :mod:`overcubic.series`,
-   the one recurrence that divides by a series in this package. Under a
+   passes over the pentagonal terms of ``f(n)``: by Euler's pentagonal
+   number theorem ``f(n)`` is the theta series ``f(-q^n, -q^(2n))``, so its
+   O(sqrt(order/n)) terms come from the same bilateral walk as
+   :func:`theta_sum`. A pass multiplies for ``k > 0``; for ``k < 0`` it
+   runs the sparse division kernel of :mod:`overcubic.series`, the one
+   recurrence that divides by a series in this package. Under a
    modulus, a factor with a large ``|k|`` is instead built from its
    pentagonal terms as a :class:`Series`, raised to ``k`` by binary
    powering with the Kronecker product (a negative ``k`` inverts it first,
@@ -155,20 +157,10 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
 
 
 def _pentagonal_terms(step: int, order: int) -> List[Tuple[int, int]]:
-    """Terms ``(exponent, sign)`` of ``prod_{j>=1} (1 - q^(j*step))`` past the
-    constant 1, by increasing exponent (Euler's pentagonal number theorem)."""
-    terms = []
-    j = 1
-    while True:
-        e1 = step * (j * (3 * j - 1) // 2)
-        if e1 > order:
-            return terms
-        sign = -1 if j % 2 else 1
-        terms.append((e1, sign))
-        e2 = step * (j * (3 * j + 1) // 2)
-        if e2 <= order:
-            terms.append((e2, sign))
-        j += 1
+    """Terms ``(exponent, sign)`` of ``f(step)`` past the constant 1, by
+    increasing exponent: by Euler's pentagonal number theorem ``f(n)`` is the
+    theta series ``f(-q^n, -q^(2n))``."""
+    return _theta_terms(ThetaSpec(-1, step, -1, 2 * step), order)[1:]
 
 
 def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
@@ -249,7 +241,7 @@ def _normalized_factors(
     """
     exps = {n: k for n, k in quotient.factors if n <= order}
     # No exponent above m/2 leaves nothing to rewrite; checking that first
-    # keeps a large modulus from ever being factorized.
+    # keeps _prime_power_base from running on a modulus it cannot help.
     if modulus is None or all(2 * abs(k) <= modulus for k in exps.values()):
         return sorted(exps.items())
     p = _prime_power_base(modulus)
@@ -397,36 +389,39 @@ F_MINUS_Q_Q2 = ThetaSpec(-1, 1, 1, 2)  # f(-q, q^2)
 F_Q3_Q6 = ThetaSpec(1, 3, 1, 6)  # f(q^3, q^6)
 
 
-def theta_sum(spec: ThetaSpec, order: int) -> Series:
-    """Bilateral sum ``sum_k a^(k(k+1)/2) * b^(k(k-1)/2)`` truncated at order.
+def _theta_terms(spec: ThetaSpec, order: int) -> List[Tuple[int, int]]:
+    """Nonzero terms ``(exponent, coefficient)`` of ``f(a, b)`` up to
+    ``order``, by increasing exponent, with the terms of colliding ``k``
+    merged: phi's ``k`` and ``-k`` become one term of weight 2.
 
     The exponent is a positive-definite quadratic in ``k``, so walking
     ``k = 0, 1, -1, 2, -2, ...`` and stopping once both directions overshoot
     the order is exhaustive.
     """
+    coeffs = {0: 1}  # k = 0 contributes q^0 with sign +1
+    k = 1
+    while True:
+        inside = False
+        for j in (k, -k):
+            tp = j * (j + 1) // 2
+            tm = j * (j - 1) // 2
+            exponent = spec.a_exp * tp + spec.b_exp * tm
+            if exponent <= order:
+                sign = (spec.a_sign ** (tp & 1)) * (spec.b_sign ** (tm & 1))
+                coeffs[exponent] = coeffs.get(exponent, 0) + sign
+                inside = True
+        if not inside:
+            return [(e, w) for e, w in sorted(coeffs.items()) if w]
+        k += 1
+
+
+def theta_sum(spec: ThetaSpec, order: int) -> Series:
+    """Bilateral sum ``sum_k a^(k(k+1)/2) * b^(k(k-1)/2)`` truncated at order."""
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     coeffs = [0] * (order + 1)
-
-    def term(k: int) -> Tuple[int, int]:
-        tp = k * (k + 1) // 2
-        tm = k * (k - 1) // 2
-        exponent = spec.a_exp * tp + spec.b_exp * tm
-        sign = (spec.a_sign ** (tp & 1)) * (spec.b_sign ** (tm & 1))
-        return exponent, sign
-
-    coeffs[0] += 1  # k = 0 contributes q^0 with sign +1
-    k = 1
-    while True:
-        e_pos, s_pos = term(k)
-        e_neg, s_neg = term(-k)
-        if e_pos > order and e_neg > order:
-            break
-        if e_pos <= order:
-            coeffs[e_pos] += s_pos
-        if e_neg <= order:
-            coeffs[e_neg] += s_neg
-        k += 1
+    for e, w in _theta_terms(spec, order):
+        coeffs[e] = w
     return Series(coeffs)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
@@ -380,16 +381,10 @@ class IdentityCheck:
         return check_identity(lhs, rhs, description=self.description)
 
 
-def _build_psi(order):
-    return theta_sum(PSI_SPEC, order), psi(order)
-
-
-def _build_psi_neg(order):
-    return theta_sum(PSI_NEG_SPEC, order), psi_neg(order)
-
-
-def _build_phi(order):
-    return theta_sum(PHI_SPEC, order), phi(order)
+def _build_theta_vs_quotient(spec, quotient, order):
+    """A theta sum against its eta quotient. The two sides stay independent:
+    one walks ``spec``, the other the pentagonal specs of Euler factors."""
+    return theta_sum(spec, order), quotient(order)
 
 
 def _build_psi_3dissection(order):
@@ -437,19 +432,19 @@ IDENTITIES = {
             "psi",
             "psi: theta sum vs f2^2/f1",
             500,
-            _build_psi,
+            partial(_build_theta_vs_quotient, PSI_SPEC, psi),
         ),
         IdentityCheck(
             "psi-neg",
             "psi(-q): theta sum vs f1*f4/f2",
             500,
-            _build_psi_neg,
+            partial(_build_theta_vs_quotient, PSI_NEG_SPEC, psi_neg),
         ),
         IdentityCheck(
             "phi",
             "phi: theta sum vs f2^5/(f1^2*f4^2)",
             500,
-            _build_phi,
+            partial(_build_theta_vs_quotient, PHI_SPEC, phi),
         ),
         IdentityCheck(
             "psi-3dissection",

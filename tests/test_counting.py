@@ -391,6 +391,22 @@ def test_tau_even_of_odd_is_zero():
         assert tau_even(n) == 0
 
 
+def test_decompose_factorizes_each_weight_twice(monkeypatch):
+    # tau_odd and tau_even factorize once each; tau_even does not redo
+    # tau_odd's work
+    calls = []
+    factorize = counting_module._factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(counting_module, "_factorize", counted)
+    dec = decompose(2, 12)
+    assert (dec.tau_odd, dec.tau_even) == (2, 4)
+    assert calls == [12, 12]
+
+
 def test_tau_odd_of_squares_is_odd():
     for k in range(1, 51):
         assert tau_odd(k * k) % 2 == 1

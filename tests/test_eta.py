@@ -14,6 +14,7 @@ from overcubic.eta import (
     _expand_normalized,
     _normalized_factors,
     _prime_power_base,
+    _theta_terms,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -350,6 +351,40 @@ def test_theta_bilateral_signs():
         if e <= 7:
             expected[e] += (-1) ** ((k * (k + 1) // 2) % 2)
     assert list(got.coeffs) == expected
+
+
+# -- the theta walker ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PSI_SPEC, PSI_NEG_SPEC, PHI_SPEC, F_MINUS_Q_Q2, F_Q3_Q6, ThetaSpec(1, 1, 1, 0)],
+)
+@pytest.mark.parametrize("order", [0, 1, 2, 37, 300])
+def test_theta_terms_are_the_nonzero_coefficients_of_theta_sum(spec, order):
+    coeffs = theta_sum(spec, order).coeffs
+    assert _theta_terms(spec, order) == [(e, c) for e, c in enumerate(coeffs) if c]
+
+
+def test_theta_terms_merge_colliding_exponents():
+    # k = 0 and k = -1 of f(q, 1) both land on q^0
+    assert _theta_terms(ThetaSpec(1, 1, 1, 0), 3) == [(0, 2), (1, 2), (3, 2)]
+    # phi's k and -k share the exponent k^2
+    assert _theta_terms(PHI_SPEC, 30) == [(0, 1)] + [(k * k, 2) for k in range(1, 6)]
+    # in f(q, -q) they cancel for odd k, and no zero term is kept
+    assert _theta_terms(ThetaSpec(1, 1, -1, 1), 40) == [(0, 1), (4, -2), (16, 2), (36, -2)]
+
+
+@pytest.mark.parametrize("step", range(1, 8))
+def test_euler_factor_terms_match_naive_product(step):
+    # f(n) = f(-q^n, -q^(2n)); a truncated product is a prefix of a longer
+    # one, so one naive product at order 300 serves every smaller order
+    naive = naive_euler_power(step, 1, 300)
+    spec = ThetaSpec(-1, step, -1, 2 * step)
+    for order in range(301):
+        terms = _theta_terms(spec, order)
+        assert terms[0] == (0, 1)
+        assert terms[1:] == [(e, c) for e, c in enumerate(naive[1 : order + 1], 1) if c]
 
 
 # -- named quotients vs theta sums --------------------------------------------------
