@@ -127,8 +127,9 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
-# An expansion estimated to need more coefficient updates is refused: about
-# 10 s over Z at 1.5e7/s, less under a modulus.
+# An expansion priced above this, each factor by its route, is refused. At the
+# bound: 13-17 s over Z, 3-6 s mod 4 and 12, 9-12 s mod 2^61 - 1 and 6-7 s
+# mod 10^1000 + 7 (2-vCPU x86 host).
 EXPAND_WORK_CAP = 15 * 10**7
 
 

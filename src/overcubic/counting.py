@@ -32,7 +32,7 @@ closed form where c alone decides it and by the DP count otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import exp, inf, log, log1p, pi, sqrt
 from operator import mul
 from typing import Iterator, List, Tuple
@@ -64,9 +64,11 @@ _BRUTE_WALK_CAP = 10**7
 # A walk over more (size, color) classes is refused too: its type list
 # alone would take about 100 MB.
 _BRUTE_TYPES_CAP = 10**6
-# chi_distinct's DP runs 1.5e7 to 2.5e7 of its steps a second for n <= 600
-# and c <= 1000, so more steps are refused: about 10 s.
-_CHI_WORK_CAP = 1.5e8
+# chi_distinct's DP scans 1.7e6 to 4e6 class counts a second (most are
+# reachable, and each adds along its stride), so more scans are refused:
+# at the cap it runs 12 s at c = 1 (n = 1229) down to 5 s at c = 1000
+# (2-vCPU x86 host).
+_CHI_WORK_CAP = 2e7
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -528,21 +530,45 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     return profile[r] if r < len(profile) else 0
 
 
+def _class_count_limits(n: int, c: int) -> List[int]:
+    """``limits[w]``, for ``w <= n``: the most distinct (size, color) classes
+    a colored partition of ``w`` can use, the largest ``r`` whose ``r``
+    smallest classes weigh at most ``w``."""
+    limits = []
+    r = weight = 0
+    size, left = 1, 1  # the next smallest class, and classes of its size left
+    for w in range(n + 1):
+        while weight + size <= w:
+            weight, r, left = weight + size, r + 1, left - 1
+            if not left:
+                size += 1
+                left = _color_count(size, c)
+        limits.append(r)
+    return limits
+
+
 def _distinct_class_work(n: int, c: int) -> int:
     """Steps of ``_distinct_class_profile(n, c)``: each (size, color) class
-    of size ``s`` scans ``n - s + 1`` weights times ``n + 1`` class counts."""
-    h = n // 2
-    return (n * (n + 1) // 2 + (c - 1) * h * (n - h)) * (n + 1)
+    of size ``s`` scans the ``limits[w] + 1`` class counts of every weight
+    ``w <= n - s``."""
+    scanned = list(accumulate(limit + 1 for limit in _class_count_limits(n, c)))
+    return sum(_color_count(s, c) * scanned[n - s] for s in range(1, n + 1))
 
 
 def _distinct_class_profile(n: int, c: int) -> List[int]:
-    """``profile[r]`` = colored partitions of ``n`` with ``r`` classes used."""
-    dp = [[0] * (n + 2) for _ in range(n + 1)]
+    """``profile[r]`` = colored partitions of ``n`` with ``r`` classes used,
+    for ``r`` up to the most classes a partition of ``n`` can use.
+
+    ``dp[w]`` holds one count per reachable ``r``: adding a new class to a
+    partition of ``w`` with ``r`` classes reaches a weight that fits
+    ``r + 1`` classes, so no write leaves its row.
+    """
+    dp = [[0] * (limit + 1) for limit in _class_count_limits(n, c)]
     dp[0][0] = 1
     for size, _color in _part_types(c, n):
         for w in range(n - size, -1, -1):
             row = dp[w]
-            for r in range(n, -1, -1):
+            for r in range(len(row) - 1, -1, -1):
                 ways = row[r]
                 if not ways:
                     continue

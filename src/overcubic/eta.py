@@ -33,18 +33,15 @@ route; every named series and :func:`expand_f` call it.
    power is recognized by integer roots and Miller-Rabin, not by
    factorizing, so a large prime modulus costs nothing; from 3.3e24 on
    no modulus is rewritten.
-2. Apply each factor ``f(n)^k`` to one coefficient list as ``|k|`` sparse
-   passes over the pentagonal terms of ``f(n)``: by Euler's pentagonal
-   number theorem ``f(n)`` is the theta series ``f(-q^n, -q^(2n))``, so its
-   O(sqrt(order/n)) terms come from the same bilateral walk as
-   :func:`theta_sum`. A pass multiplies for ``k > 0``; for ``k < 0`` it
-   runs the sparse division kernel of :mod:`overcubic.series`, the one
-   recurrence that divides by a series in this package. Under a
-   modulus, a factor with a large ``|k|`` is instead built from its
-   pentagonal terms as a :class:`Series`, raised to ``k`` by binary
-   powering with the Kronecker product (a negative ``k`` inverts it first,
-   through the same kernel), and multiplied in. Over Z every factor takes
-   sparse passes: coefficient growth makes dense powering lose there.
+2. Apply each factor ``f(n)^k`` to one coefficient list by the route that
+   :func:`_factor_plan` prices cheaper. By Euler's pentagonal number theorem
+   ``f(n)`` is the theta series ``f(-q^n, -q^(2n))``, so its O(sqrt(order/n))
+   terms come from the same bilateral walk as :func:`theta_sum`. The sparse
+   route runs ``|k|`` passes over them: a multiply for ``k > 0``, for
+   ``k < 0`` the one division kernel of :mod:`overcubic.series`. The dense
+   route, under a modulus only, raises ``f(n)`` to ``k`` by binary powering
+   with the Kronecker product (a negative ``k`` inverts it first, through
+   the same kernel) and multiplies it in.
 """
 
 from __future__ import annotations
@@ -52,11 +49,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .series import Series, _divide_sparse, _slot_width, _validate_modulus
+from .series import Series, _divide_sparse, _kronecker_mod_price, _validate_modulus
 
 __all__ = [
     "EtaQuotient",
@@ -156,11 +152,14 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-def _pentagonal_terms(step: int, order: int) -> List[Tuple[int, int]]:
+# One sweep asks for a few subscripts at one or two orders, so each (n, order)
+# is walked once: the families sweep at i <= 3 needs 11 of them.
+@lru_cache(maxsize=64)
+def _pentagonal_terms(step: int, order: int) -> Tuple[Tuple[int, int], ...]:
     """Terms ``(exponent, sign)`` of ``f(step)`` past the constant 1, by
     increasing exponent: by Euler's pentagonal number theorem ``f(n)`` is the
     theta series ``f(-q^n, -q^(2n))``."""
-    return _theta_terms(ThetaSpec(-1, step, -1, 2 * step), order)[1:]
+    return tuple(_theta_terms(ThetaSpec(-1, step, -1, 2 * step), order)[1:])
 
 
 def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
@@ -268,13 +267,6 @@ def _normalized_factors(
     return [(n, k) for n, k in sorted(exps.items()) if k]
 
 
-# Under a modulus, a factor with |k| above this many passes is built from its
-# pentagonal terms and raised to k by binary powering with the Kronecker
-# product instead. Over Z, coefficient growth makes dense powering lose, so
-# there every factor is applied as |k| sparse passes.
-_SPARSE_PASS_LIMIT = 2
-
-
 def expand_f(n: int, k: int, order: int, modulus: Optional[int] = None) -> Series:
     """Truncated expansion of ``f(n)^k`` for any integer exponent ``k``."""
     return expand_eta_quotient([(n, k)], order, modulus)
@@ -291,12 +283,11 @@ def expand_eta_quotient(
 ) -> Series:
     """Expand a product of eta factors into one coefficient list.
 
-    Each factor ``f(n)^k`` is applied in place as ``|k|`` sparse passes
-    (multiply for ``k > 0``, the division kernel for ``k < 0``), except
-    that under a modulus a factor with ``|k| > _SPARSE_PASS_LIMIT`` is
-    built from its pentagonal terms, raised to ``k`` densely, and
-    multiplied in. Reducing after every pass keeps coefficients bounded;
-    by the homomorphism property the result matches reduce-at-the-end.
+    Each factor ``f(n)^k`` takes the route :func:`_factor_plan` prices
+    cheaper: ``|k|`` sparse passes (multiply for ``k > 0``, the division
+    kernel for ``k < 0``), or, under a modulus, dense powering of ``f(n)``.
+    Reducing after every step keeps coefficients bounded; by the
+    homomorphism property the result matches reduce-at-the-end.
 
     Results are memoized on the normalized factors, the order and the
     modulus, so quotients that normalize alike share one expansion.
@@ -323,14 +314,14 @@ def _expand_normalized(
     the prime-power route of ``verify_family`` independent of the composite
     one."""
     coeffs = [1] + [0] * order
-    for n, k in factors:
+    for i, (n, k) in enumerate(factors):
         terms = _pentagonal_terms(n, order)
-        if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
+        if _factor_plan(n, k, order, m, not i)[0]:
             f = [1] + [0] * order
             for t, sign in terms:
                 f[t] = sign
             power = Series(f, m) ** k
-            coeffs = list((Series._canonical(tuple(coeffs), m) * power).coeffs)
+            coeffs = list((Series._canonical(tuple(coeffs), m) * power if i else power).coeffs)
             continue
         apply_pass = _times_f if k > 0 else _divide_sparse
         for _ in range(abs(k)):
@@ -338,26 +329,30 @@ def _expand_normalized(
     return Series._canonical(tuple(coeffs), m)
 
 
-def _expansion_work(quotient: EtaQuotient, order: int, modulus: Optional[int] = None) -> int:
-    """Estimated cost of ``expand_eta_quotient(quotient, order, modulus)``,
-    in coefficient updates of a sparse pass.
+def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> Tuple[bool, int]:
+    """``(dense, price)`` of the cheaper route of ``f(n)^k``, in updates of a
+    sparse pass. Sparse: ``|k|`` passes of ``(order + 1) * terms``; an update
+    on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per coefficient,
+    the inverting walk if ``k < 0``, ``bits(|k|) + popcount(|k|) - 2``
+    Kronecker products to power, and one to multiply in unless ``first``.
+    Over Z only sparse passes: dense slots must hold coefficient growth."""
+    terms = len(_pentagonal_terms(n, order))
+    update = 1 if m is None else 1 + m.bit_length() // 2000
+    sparse = abs(k) * (order + 1) * terms * update
+    if m is None:
+        return False, sparse
+    walk = (order // n + 1) * terms * update if k < 0 else 0
+    products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - first
+    dense = 3 * (order + 1) + walk + products * _kronecker_mod_price(order + 1, m)
+    return (True, dense) if dense < sparse else (False, sparse)
 
-    A sparse pass updates ``order + 1`` coefficients per pentagonal term. A
-    densely powered factor costs one pass and its Kronecker products, about
-    ``bits(|k|) + popcount(|k|) - 1`` of them; a product of operands packed
-    into ``B`` bytes costs about ``B * sqrt(B) / 16`` updates (Karatsuba).
-    """
+
+def _expansion_work(quotient: EtaQuotient, order: int, modulus: Optional[int] = None) -> int:
+    """Price of ``expand_eta_quotient(quotient, order, modulus)``: the sum of
+    the plan prices of the factors that :func:`_expand_normalized` runs."""
     m = _validate_modulus(modulus)
-    work = 0
-    for n, k in _normalized_factors(quotient, order, m):
-        one_pass = (order + 1) * len(_pentagonal_terms(n, order))
-        if m is not None and abs(k) > _SPARSE_PASS_LIMIT:
-            packed = (order + 1) * _slot_width((m - 1) ** 2 * (order + 1))
-            products = abs(k).bit_length() + bin(abs(k)).count("1") - 1
-            work += one_pass + products * packed * isqrt(packed) // 16
-        else:
-            work += abs(k) * one_pass
-    return work
+    factors = _normalized_factors(quotient, order, m)
+    return sum(_factor_plan(n, k, order, m, not i)[1] for i, (n, k) in enumerate(factors))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from math import gcd
+from math import gcd, log2
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -404,6 +404,14 @@ def _kronecker_mod(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     width = _slot_width((m - 1) * (m - 1) * count)
     slots = _unpack(_pack(a, width) * _pack(b, width), width, count)
     return [v % m for v in slots]
+
+
+def _kronecker_mod_price(count: int, m: int) -> int:
+    """Cost of ``_kronecker_mod`` on ``count`` residues in updates of an eta
+    sparse pass: 2 per coefficient to pack, unpack and reduce, and
+    ``B**log2(3) / 25`` for the Karatsuba product of two ``B``-byte integers."""
+    packed = count * _slot_width((m - 1) * (m - 1) * count)
+    return 2 * count + int(packed ** log2(3)) // 25
 
 
 def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:

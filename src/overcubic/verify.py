@@ -267,13 +267,12 @@ def verify_family(
     For a composite modulus the sweep also runs each prime-power component
     separately and insists the two routes agree on exactly which (i, n)
     fail. Both routes divide through the one sparse division kernel of
-    :mod:`overcubic.series`; they differ in how they raise the factors to
-    their exponents. Under a prime power the engine first reduces the
-    exponents and applies them as sparse passes over the pentagonal terms;
-    under the composite modulus it cannot reduce them and raises the large
-    ones by dense binary powering with the Kronecker product. A
-    disagreement means the engine itself is broken and raises
-    :class:`EngineInconsistencyError`.
+    :mod:`overcubic.series`, and one cost model picks sparse passes or dense
+    powering for each factor on either side. They differ in exponent
+    reduction and modulus: under a prime power the engine first reduces the
+    exponents, under the composite modulus it cannot, and each side expands
+    under its own modulus. A disagreement means the engine itself is broken
+    and raises :class:`EngineInconsistencyError`.
     """
     needed = family.prog_slope * n_max + family.prog_intercept
     if order < needed:

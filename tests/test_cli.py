@@ -123,11 +123,12 @@ def test_expand_gf_c_validation(capsys):
 
 
 def test_expand_beyond_work_bound_is_usage_error(capsys):
-    # about 2e8 coefficient updates: well over 10 s over Z
+    # about 1e9 coefficient updates: well over 10 s over Z
     err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "100000")
     assert "lower --order" in err
-    # a large modulus makes the dense powers slow (about 15 s measured)
-    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "20000",
+    # sparse passes under a 61-bit modulus, priced at 2.4e8 updates: about
+    # 20 s (order 20 000, priced at 8.5e7, takes about 6 s)
+    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "40000",
                    "--modulus", str(2**61 - 1))
     # the expansion a refused DP count suggests, and the benchmark's largest
     # expansion over Z, stay below the bound
@@ -152,6 +153,25 @@ def test_expand_large_prime_modulus_finishes():
     rows = json.loads(proc.stdout)["rows"]
     # a(2) and a(3) count 2c + 2 and 4c + 4 overlined partitions
     assert [v for _, v in rows[:4]] == [1, 2, (2 * c + 2) % m, (4 * c + 4) % m]
+
+
+def test_expand_huge_modulus_takes_sparse_passes():
+    # dense powering would pack each coefficient into 840-byte slots and run
+    # for about a minute; the plan prices that and takes sparse passes
+    m = 10**1000 + 7
+    proc = subprocess.run(
+        [sys.executable, "-m", "overcubic.cli", "expand", "--gf", "overcubic", "--c", "10",
+         "--order", "2000", "--modulus", str(m)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert len(rows) == 2001
+    exact = gen_overcubic_gf(10, 60)
+    assert [v for _, v in rows[:61]] == [c % m for c in exact.coeffs]
 
 
 def test_expand_env_default_order(capsys, monkeypatch):

@@ -5,7 +5,9 @@ assertions here are (a) brute force against hand-checked and frozen
 values, and (b) the DP and generating-function routes against brute force.
 """
 
+import inspect
 import math
+import sys
 from itertools import islice
 
 import pytest
@@ -361,8 +363,74 @@ def test_chi_distinct_validation():
         chi_distinct(2, 1, 10**7)
 
 
+def reference_distinct_class_profile(n, c):
+    """The distinct-class DP as first written: every weight scans all
+    ``n + 1`` class counts. ``profile[r]`` for ``r <= n + 1``."""
+    dp = [[0] * (n + 2) for _ in range(n + 1)]
+    dp[0][0] = 1
+    types = [(s, col) for s in range(n, 0, -1) for col in range(1, (1 if s % 2 else c) + 1)]
+    for size, _color in types:
+        for w in range(n - size, -1, -1):
+            row = dp[w]
+            for r in range(n, -1, -1):
+                ways = row[r]
+                if not ways:
+                    continue
+                total = w + size
+                while total <= n:
+                    dp[total][r + 1] += ways
+                    total += size
+    return dp[n]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_distinct_class_profile_matches_full_scan(c):
+    # every r up to n + 1: the profile stops at the largest reachable r
+    for n in range(1, 81):
+        profile = counting_module._distinct_class_profile(n, c)
+        want = reference_distinct_class_profile(n, c)
+        assert profile + [0] * (n + 2 - len(profile)) == want
+    for n in (1, 7, 30):
+        want = reference_distinct_class_profile(n, c)
+        assert [chi_distinct(n, r, c) for r in range(n + 2)] == want
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_class_count_limits_are_the_largest_reachable(c):
+    # limits[w] is the largest r with a partition of w into r distinct classes
+    limits = counting_module._class_count_limits(40, c)
+    for w in range(41):
+        profile = reference_distinct_class_profile(w, c) if w else [1]
+        assert limits[w] == max(r for r, ways in enumerate(profile) if ways)
+
+
+@pytest.mark.parametrize("n,c", [(1, 1), (2, 5), (17, 1), (40, 3), (60, 2)])
+def test_distinct_class_work_counts_every_scan(n, c):
+    # trace the DP and count the executions of its scan line
+    profile_fn = counting_module._distinct_class_profile
+    lines, first = inspect.getsourcelines(profile_fn)
+    scan_line = first + next(i for i, line in enumerate(lines) if "ways = row[r]" in line)
+    scans = 0
+
+    def tracer(frame, event, arg):
+        nonlocal scans
+        if frame.f_code is not profile_fn.__code__:
+            return None
+        if event == "line" and frame.f_lineno == scan_line:
+            scans += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        profile_fn(n, c)
+    finally:
+        sys.settrace(previous)
+    assert scans == counting_module._distinct_class_work(n, c)
+
+
 def test_chi_distinct_work_is_bounded():
-    # both are admitted by the class cap and would run for minutes to hours
+    # both are admitted by the class cap and would run for a minute to hours
     for args in [(2000, 2), (1000, 2, 100)]:
         with pytest.raises(ValueError, match="DP steps"):
             chi_distinct(*args)

@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overcubic.eta as eta_module
 from overcubic.counting import _factorize, count_overpartitions, count_partitions_brute
 from overcubic.eta import (
+    _colored_quotient,
     _expand_normalized,
+    _expansion_work,
+    _factor_plan,
     _normalized_factors,
+    _pentagonal_terms,
     _prime_power_base,
     _theta_terms,
     F_MINUS_Q_Q2,
@@ -37,6 +42,7 @@ from overcubic.eta import (
     TOH_TERMS,
 )
 from overcubic.series import Series
+from overcubic.verify import verify_conjectured_families, verify_proved_families
 
 
 def naive_euler_power(step, k, order, poly=None):
@@ -274,6 +280,94 @@ def test_memo_keeps_moduli_apart():
     assert gen_overcubic_gf(1, 60, modulus=4) is mod4
     info = _expand_normalized.cache_info()
     assert (info.misses, info.hits) == (3, 1)
+
+
+# -- the per-factor plan: routes and prices ---------------------------------------
+
+_ROUTE_MODULI = [None, 2, 4, 6, 8, 12, 97, 2**61 - 1, 10**30 + 57]
+_wide_quotients = st.lists(st.tuples(st.integers(1, 12), st.integers(-40, 40)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_quotients, st.integers(0, 60), st.sampled_from(_ROUTE_MODULI), st.booleans())
+def test_each_route_matches_naive_product(factors, order, m, dense):
+    # force one route for every factor, whichever the plan would pick; over
+    # Z the plan never picks dense powering, but it must still be exact
+    want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eta_module, "_factor_plan", lambda n, k, order, m, first: (dense, 0))
+        _expand_normalized.cache_clear()
+        try:
+            got = expand_eta_quotient(factors, order, modulus=m)
+        finally:
+            _expand_normalized.cache_clear()
+    assert list(got.coeffs) == want
+
+
+@pytest.mark.parametrize("m", [None, 4, 12, 97, 2**61 - 1, 10**1000 + 7])
+@pytest.mark.parametrize(
+    "quotient",
+    [_colored_quotient(10, True), _colored_quotient(3, False), EtaQuotient([(1, -40), (3, 7)])],
+)
+def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
+    order = 300
+    prices = []
+
+    def recording_plan(n, k, order, m, first):
+        plan = _factor_plan(n, k, order, m, first)
+        prices.append(plan[1])
+        return plan
+
+    monkeypatch.setattr(eta_module, "_factor_plan", recording_plan)
+    _expand_normalized.cache_clear()
+    expand_eta_quotient(quotient, order, modulus=m)
+    _expand_normalized.cache_clear()
+    monkeypatch.undo()
+    assert prices and _expansion_work(quotient, order, m) == sum(prices)
+
+
+def test_plan_prices_the_cheaper_route():
+    # over Z only sparse passes are offered, whatever the exponent
+    terms = len(_pentagonal_terms(2, 548))
+    assert _factor_plan(2, -67, 548, None, True) == (False, 67 * 549 * terms)
+    # a large exponent under a small modulus is powered densely
+    assert _factor_plan(2, -67, 548, 12, False)[0]
+    # under a 1000-digit modulus the packed slots are wide: the c = 10
+    # overlined series takes sparse passes for every factor
+    m = 10**1000 + 7
+    c10 = _normalized_factors(_colored_quotient(10, True), 2000, m)
+    assert not any(_factor_plan(n, k, 2000, m, not i)[0] for i, (n, k) in enumerate(c10))
+    for n, k in [(1, -2), (2, -17), (4, 9), (1, 1), (36, -1)]:
+        for m in (4, 12, 2**61 - 1):
+            sparse_price = abs(k) * 549 * len(_pentagonal_terms(n, 548))
+            later = _factor_plan(n, k, 548, m, False)
+            first = _factor_plan(n, k, 548, m, True)
+            assert later[1] <= sparse_price and later[0] == (later[1] < sparse_price)
+            # the first factor's power needs no multiply into the product
+            assert first[1] <= later[1] and (first[0] or not later[0])
+
+
+def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
+    # the proved and conjectured families expand many quotients over a few
+    # subscripts at one order; each (n, order) pair is walked once
+    walks = []
+    real_walk = eta_module._theta_terms
+
+    def counting_walk(spec, order):
+        walks.append((spec, order))
+        return real_walk(spec, order)
+
+    monkeypatch.setattr(eta_module, "_theta_terms", counting_walk)
+    _expand_normalized.cache_clear()
+    _pentagonal_terms.cache_clear()
+    try:
+        verify_proved_families(3, 60, 548)
+        verify_conjectured_families(3, 60, 548)
+    finally:
+        _expand_normalized.cache_clear()
+        _pentagonal_terms.cache_clear()
+    assert len(walks) == len(set(walks)) == 11
+    assert isinstance(_pentagonal_terms(1, 10), tuple)
 
 
 # -- grammar ---------------------------------------------------------------------
