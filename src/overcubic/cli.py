@@ -35,6 +35,7 @@ import os
 import shlex
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from math import log
 from typing import List, Optional
 
@@ -127,9 +128,11 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
-# An expansion priced above this, each factor by its route, is refused. At the
-# bound: 13-17 s over Z, 3-6 s mod 4 and 12, 9-12 s mod 2^61 - 1 and 6-7 s
-# mod 10^1000 + 7 (2-vCPU x86 host).
+# An expansion priced above this, each factor by its route at its step of the
+# q^g walk, is refused. At the bound the whole call, JSON included, takes
+# 6.6-9.8 s over Z, 2.3-4.1 s mod 4 and 12, 4.7-6.0 s mod 2^61 - 1 and
+# 3.7-4.5 s mod 10^1000 + 7, and up to 240 MB, most of it the 572 508 rows
+# of f1^-40 mod 4 (2-vCPU x86 host).
 EXPAND_WORK_CAP = 15 * 10**7
 
 
@@ -345,7 +348,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _exact_int_strings():
+    """Lift CPython's limit on the digits of an int <-> str conversion, and
+    restore it on exit: a count, a residue or a flag may run past the
+    default 4300 digits, and the output is exact. Python before 3.10.7 has
+    no such limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    with _exact_int_strings():
+        return _main(argv)
+
+
+def _main(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:

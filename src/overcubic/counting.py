@@ -64,11 +64,10 @@ _BRUTE_WALK_CAP = 10**7
 # A walk over more (size, color) classes is refused too: its type list
 # alone would take about 100 MB.
 _BRUTE_TYPES_CAP = 10**6
-# chi_distinct's DP scans 1.7e6 to 4e6 class counts a second (most are
-# reachable, and each adds along its stride), so more scans are refused:
-# at the cap it runs 12 s at c = 1 (n = 1229) down to 5 s at c = 1000
-# (2-vCPU x86 host).
-_CHI_WORK_CAP = 2e7
+# chi_distinct's DP takes 1.1e7 to 2.1e7 of the steps _distinct_class_work
+# counts a second, so more are refused: at the cap it runs 10.5 s at c = 1
+# (n = 1123) down to 5.7 s at c = 100 (n = 177; 2-vCPU x86 host).
+_CHI_WORK_CAP = 12 * 10**7
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -548,11 +547,25 @@ def _class_count_limits(n: int, c: int) -> List[int]:
 
 
 def _distinct_class_work(n: int, c: int) -> int:
-    """Steps of ``_distinct_class_profile(n, c)``: each (size, color) class
-    of size ``s`` scans the ``limits[w] + 1`` class counts of every weight
-    ``w <= n - s``."""
+    """Steps of ``_distinct_class_profile(n, c)``: its scans, and a bound on
+    its stride additions.
+
+    Each (size, color) class of size ``s`` scans the ``limits[w] + 1`` class
+    counts of every weight ``w <= n - s``, ``scanned[n - s]`` of them, and
+    each nonzero count adds along the stride ``(n - w) // s`` times. Taking
+    every scanned count as nonzero bounds the additions by the sum of
+    ``scanned[n - j*s]`` over ``j >= 1``, the counts of the weights that add
+    a ``j``-th time. The bound is 2 to 2.6 times the additions made for
+    n <= 600 and c <= 1000.
+    """
+    # each class of size s scans the counts of at least n - s + 1 weights
+    if n * (n + 1) // 2 > _CHI_WORK_CAP:  # refused whatever the strides add
+        return n * (n + 1) // 2
     scanned = list(accumulate(limit + 1 for limit in _class_count_limits(n, c)))
-    return sum(_color_count(s, c) * scanned[n - s] for s in range(1, n + 1))
+    return sum(
+        _color_count(s, c) * (scanned[n - s] + sum(scanned[n - s :: -s]))
+        for s in range(1, n + 1)
+    )
 
 
 def _distinct_class_profile(n: int, c: int) -> List[int]:

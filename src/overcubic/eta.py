@@ -33,15 +33,22 @@ route; every named series and :func:`expand_f` call it.
    power is recognized by integer roots and Miller-Rabin, not by
    factorizing, so a large prime modulus costs nothing; from 3.3e24 on
    no modulus is rewritten.
-2. Apply each factor ``f(n)^k`` to one coefficient list by the route that
-   :func:`_factor_plan` prices cheaper. By Euler's pentagonal number theorem
-   ``f(n)`` is the theta series ``f(-q^n, -q^(2n))``, so its O(sqrt(order/n))
-   terms come from the same bilateral walk as :func:`theta_sum`. The sparse
-   route runs ``|k|`` passes over them: a multiply for ``k > 0``, for
-   ``k < 0`` the one division kernel of :mod:`overcubic.series`. The dense
-   route, under a modulus only, raises ``f(n)`` to ``k`` by binary powering
-   with the Kronecker product (a negative ``k`` inverts it first, through
-   the same kernel) and multiplies it in.
+2. Apply the factors by descending subscript to one coefficient list, a
+   series in ``q^g`` for ``g`` the gcd of the subscripts applied so far,
+   stored as its ``order // g + 1`` coefficients of ``q^0, q^g, ...``: a
+   factor ``f(n)^k`` is applied as ``f(n // g)^k`` at order ``order // g``.
+   When ``g`` drops to ``h`` the list is spread by ``g // h``, and it is
+   spread to ``q^1`` once, at the end: in ``f4^9/(f1^2*f2^17)``, ``f4^9``
+   works on a quarter of the coefficients and ``f2^-17`` on half. Each
+   factor takes the route that :func:`_factor_plan` prices cheaper at its
+   step. By Euler's pentagonal number theorem ``f(n)`` is the theta series
+   ``f(-q^n, -q^(2n))``, so its O(sqrt(order/n)) terms come from the same
+   bilateral walk as :func:`theta_sum`. The sparse route runs ``|k|``
+   passes over them: a multiply for ``k > 0``, for ``k < 0`` the one
+   division kernel of :mod:`overcubic.series`. The dense route, under a
+   modulus only, raises ``f(n)`` to ``k`` by binary powering with the
+   Kronecker product (a negative ``k`` inverts it first, through the same
+   kernel) and multiplies it in.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -152,8 +160,8 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-# One sweep asks for a few subscripts at one or two orders, so each (n, order)
-# is walked once: the families sweep at i <= 3 needs 11 of them.
+# One sweep asks for a few compressed steps (n // g, order // g), so each is
+# walked once: the families sweep at i <= 3 needs 15 of them.
 @lru_cache(maxsize=64)
 def _pentagonal_terms(step: int, order: int) -> Tuple[Tuple[int, int], ...]:
     """Terms ``(exponent, sign)`` of ``f(step)`` past the constant 1, by
@@ -283,9 +291,11 @@ def expand_eta_quotient(
 ) -> Series:
     """Expand a product of eta factors into one coefficient list.
 
-    Each factor ``f(n)^k`` takes the route :func:`_factor_plan` prices
-    cheaper: ``|k|`` sparse passes (multiply for ``k > 0``, the division
-    kernel for ``k < 0``), or, under a modulus, dense powering of ``f(n)``.
+    The factors are applied by descending subscript to a series in ``q^g``
+    (step 2 of the module docstring). Each factor ``f(n)^k`` takes the route
+    :func:`_factor_plan` prices cheaper: ``|k|`` sparse passes (multiply for
+    ``k > 0``, the division kernel for ``k < 0``), or, under a modulus,
+    dense powering of ``f(n)``.
     Reducing after every step keeps coefficients bounded; by the
     homomorphism property the result matches reduce-at-the-end.
 
@@ -312,21 +322,47 @@ def _expand_normalized(
     share because a :class:`Series` is immutable. The modulus stays in the
     key: an entry is never reduced to serve another modulus, which keeps
     the prime-power route of ``verify_family`` independent of the composite
-    one."""
-    coeffs = [1] + [0] * order
-    for i, (n, k) in enumerate(factors):
-        terms = _pentagonal_terms(n, order)
-        if _factor_plan(n, k, order, m, not i)[0]:
-            f = [1] + [0] * order
+    one.
+
+    The running product is a series in ``q^g`` holding only its
+    ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step of
+    :func:`_compressed_walk` applies ``f(n)^k`` to it as ``f(n // g)^k``
+    (step 2 of the module docstring)."""
+    g = factors[-1][0] if factors else 1
+    coeffs = [1] + [0] * (order // g)
+    for i, (h, step, k, top) in enumerate(_compressed_walk(factors, order)):
+        if h < g:
+            coeffs, g = _spread(coeffs, g // h, top + 1), h
+        terms = _pentagonal_terms(step, top)
+        if _factor_plan(step, k, top, m, not i)[0]:
+            f = [1] + [0] * top
             for t, sign in terms:
-                f[t] = sign
-            power = Series(f, m) ** k
+                f[t] = sign if m is None else sign % m
+            power = Series._canonical(tuple(f), m) ** k
             coeffs = list((Series._canonical(tuple(coeffs), m) * power if i else power).coeffs)
             continue
         apply_pass = _times_f if k > 0 else _divide_sparse
         for _ in range(abs(k)):
             coeffs = apply_pass(coeffs, terms, m)
-    return Series._canonical(tuple(coeffs), m)
+    return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
+
+
+def _compressed_walk(factors: FactorList, order: int):
+    """The steps ``(g, n // g, k, order // g)`` of :func:`_expand_normalized`,
+    one per factor ``f(n)^k`` by descending subscript, ``g`` the gcd of the
+    subscripts seen so far: a product of factors whose subscripts are
+    multiples of ``g`` is a series in ``q^g``."""
+    g = 0
+    for n, k in reversed(factors):
+        g = gcd(g, n)
+        yield g, n // g, k, order // g
+
+
+def _spread(coeffs: List[int], step: int, size: int) -> List[int]:
+    """``coeffs`` under ``q -> q^step``, zero-filled to ``size`` entries."""
+    out = [0] * size
+    out[::step] = coeffs
+    return out
 
 
 def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> Tuple[bool, int]:
@@ -335,7 +371,9 @@ def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> T
     on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per coefficient,
     the inverting walk if ``k < 0``, ``bits(|k|) + popcount(|k|) - 2``
     Kronecker products to power, and one to multiply in unless ``first``.
-    Over Z only sparse passes: dense slots must hold coefficient growth."""
+    Over Z only sparse passes: dense slots must hold coefficient growth.
+    :func:`_expand_normalized` asks it at the compressed step: ``f(n // g)``
+    at ``order // g``."""
     terms = len(_pentagonal_terms(n, order))
     update = 1 if m is None else 1 + m.bit_length() // 2000
     sparse = abs(k) * (order + 1) * terms * update
@@ -349,10 +387,12 @@ def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> T
 
 def _expansion_work(quotient: EtaQuotient, order: int, modulus: Optional[int] = None) -> int:
     """Price of ``expand_eta_quotient(quotient, order, modulus)``: the sum of
-    the plan prices of the factors that :func:`_expand_normalized` runs."""
+    the plan prices of the steps of :func:`_compressed_walk` that
+    :func:`_expand_normalized` runs."""
     m = _validate_modulus(modulus)
     factors = _normalized_factors(quotient, order, m)
-    return sum(_factor_plan(n, k, order, m, not i)[1] for i, (n, k) in enumerate(factors))
+    steps = _compressed_walk(factors, order)
+    return sum(_factor_plan(step, k, top, m, not i)[1] for i, (_, step, k, top) in enumerate(steps))
 
 
 @dataclass(frozen=True)

@@ -266,9 +266,10 @@ def verify_family(
 
     For a composite modulus the sweep also runs each prime-power component
     separately and insists the two routes agree on exactly which (i, n)
-    fail. Both routes divide through the one sparse division kernel of
-    :mod:`overcubic.series`, and one cost model picks sparse passes or dense
-    powering for each factor on either side. They differ in exponent
+    fail. Both routes share the expansion walk: the factors applied by
+    descending subscript to a series in ``q^g``, the one sparse division
+    kernel of :mod:`overcubic.series`, and one cost model picking sparse
+    passes or dense powering for each factor. They differ in exponent
     reduction and modulus: under a prime power the engine first reduces the
     exponents, under the composite modulus it cannot, and each side expands
     under its own modulus. A disagreement means the engine itself is broken

@@ -123,12 +123,12 @@ def test_expand_gf_c_validation(capsys):
 
 
 def test_expand_beyond_work_bound_is_usage_error(capsys):
-    # about 1e9 coefficient updates: well over 10 s over Z
+    # about 4.7e8 coefficient updates: well over 10 s over Z
     err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "100000")
     assert "lower --order" in err
-    # sparse passes under a 61-bit modulus, priced at 2.4e8 updates: about
-    # 20 s (order 20 000, priced at 8.5e7, takes about 6 s)
-    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "40000",
+    # sparse passes under a 61-bit modulus, priced at 3.4e8 updates (order
+    # 40 000, priced at 1.2e8, takes about 6 s)
+    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "80000",
                    "--modulus", str(2**61 - 1))
     # the expansion a refused DP count suggests, and the benchmark's largest
     # expansion over Z, stay below the bound
@@ -462,6 +462,43 @@ def test_count_csv_matches_json(capsys):
     rows = _csv_rows(out)
     assert rows[0] == ["c", "n", "count"]
     assert int(rows[1][2]) == record["count"]
+
+
+def _parse_without_digit_limit(parse, text):
+    """``parse(text)`` with CPython's int <-> str digit limit lifted (Python
+    before 3.10.7 has none), so the test reads the long counts itself."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return parse(text)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "kind,counter",
+    [("cubic", counting_module.count_gen_cubic), ("overcubic", counting_module.count_gen_overcubic_dp)],
+)
+def test_count_prints_counts_over_4300_digits(capsys, kind, counter):
+    # at c = 10^100 the count of weight 100 has over 4300 digits, past the
+    # default limit of CPython's int -> str conversion
+    c = 10**100
+    want = counter(c, 100)
+    assert want > 10**4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    args = ("count", "--kind", kind, "--c", str(c), "--n", "100")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert _parse_without_digit_limit(json.loads, out)["count"] == want
+    code, out, err = run(capsys, *args, "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = _csv_rows(out)
+    assert _parse_without_digit_limit(int, rows[1][2]) == want
+    # main restores the limit it lifted
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_verify_csv_matches_json(capsys):

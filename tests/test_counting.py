@@ -406,18 +406,24 @@ def test_class_count_limits_are_the_largest_reachable(c):
 
 @pytest.mark.parametrize("n,c", [(1, 1), (2, 5), (17, 1), (40, 3), (60, 2)])
 def test_distinct_class_work_counts_every_scan(n, c):
-    # trace the DP and count the executions of its scan line
+    # trace the DP: every execution of its scan line counts one step and the
+    # (n - w) // size additions the count would make if it were nonzero;
+    # the additions actually made stay within that bound
     profile_fn = counting_module._distinct_class_profile
     lines, first = inspect.getsourcelines(profile_fn)
     scan_line = first + next(i for i, line in enumerate(lines) if "ways = row[r]" in line)
-    scans = 0
+    add_line = first + next(i for i, line in enumerate(lines) if "+= ways" in line)
+    scans = bound = additions = 0
 
     def tracer(frame, event, arg):
-        nonlocal scans
+        nonlocal scans, bound, additions
         if frame.f_code is not profile_fn.__code__:
             return None
         if event == "line" and frame.f_lineno == scan_line:
             scans += 1
+            bound += (n - frame.f_locals["w"]) // frame.f_locals["size"]
+        elif event == "line" and frame.f_lineno == add_line:
+            additions += 1
         return tracer
 
     previous = sys.gettrace()
@@ -426,7 +432,8 @@ def test_distinct_class_work_counts_every_scan(n, c):
         profile_fn(n, c)
     finally:
         sys.settrace(previous)
-    assert scans == counting_module._distinct_class_work(n, c)
+    assert 0 < additions <= bound
+    assert scans + bound == counting_module._distinct_class_work(n, c)
 
 
 def test_chi_distinct_work_is_bounded():

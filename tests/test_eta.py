@@ -41,7 +41,7 @@ from overcubic.eta import (
     toh_rhs,
     TOH_TERMS,
 )
-from overcubic.series import Series
+from overcubic.series import Series, _divide_sparse
 from overcubic.verify import verify_conjectured_families, verify_proved_families
 
 
@@ -304,6 +304,73 @@ def test_each_route_matches_naive_product(factors, order, m, dense):
     assert list(got.coeffs) == want
 
 
+def reference_full_length_expansion(factors, order, m, dense):
+    """The expansion loop as first written: normalized factors by ascending
+    subscript, each applied at full length, ``order + 1`` coefficients, by
+    the route ``dense`` names."""
+    coeffs = [1] + [0] * order
+    for i, (n, k) in enumerate(factors):
+        terms = _pentagonal_terms(n, order)
+        if dense:
+            f = [1] + [0] * order
+            for t, sign in terms:
+                f[t] = sign
+            power = Series(f, m) ** k
+            coeffs = list((Series(coeffs, m) * power if i else power).coeffs)
+            continue
+        apply_pass = eta_module._times_f if k > 0 else _divide_sparse
+        for _ in range(abs(k)):
+            coeffs = apply_pass(coeffs, terms, m)
+    return coeffs
+
+
+# subscripts that share a factor, multiples of 2, 3 or 6 up to 72, so some
+# lie above the order, mixed with f1
+_shared_subscript_quotients = st.sampled_from([2, 3, 6]).flatmap(
+    lambda d: st.lists(
+        st.tuples(st.one_of(st.just(1), st.integers(1, 12).map(lambda j: d * j)),
+                  st.integers(-12, 12)),
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _shared_subscript_quotients,
+    st.integers(0, 60),
+    st.sampled_from([None, 4, 12, 97, 2**61 - 1, 10**1000 + 7]),
+    st.booleans(),
+)
+def test_compressed_walk_matches_full_length_loop(factors, order, m, dense):
+    # the walk in q^g against the naive product and against the loop that
+    # applied every factor to order + 1 coefficients, each route forced
+    want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
+    normalized = _normalized_factors(EtaQuotient(factors), order, m)
+    assert reference_full_length_expansion(normalized, order, m, dense) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eta_module, "_factor_plan", lambda n, k, order, m, first: (dense, 0))
+        _expand_normalized.cache_clear()
+        try:
+            got = expand_eta_quotient(factors, order, modulus=m)
+        finally:
+            _expand_normalized.cache_clear()
+    assert list(got.coeffs) == want
+
+
+def test_compressed_walk_steps():
+    # f4^9/(f1^2*f2^17) by descending subscript: f4 walks a quarter of the
+    # coefficients, f2 half, f1 all of them
+    factors = [(1, -2), (2, -17), (4, 9)]
+    assert list(eta_module._compressed_walk(factors, 548)) == [
+        (4, 1, 9, 137), (2, 1, -17, 274), (1, 1, -2, 548),
+    ]
+    # f6 and f9 share 3: f9 is f3 in q^3, and f6 is f2 in q^3
+    assert list(eta_module._compressed_walk([(6, 1), (9, -1)], 100)) == [
+        (9, 1, -1, 11), (3, 2, 1, 33),
+    ]
+
+
 @pytest.mark.parametrize("m", [None, 4, 12, 97, 2**61 - 1, 10**1000 + 7])
 @pytest.mark.parametrize(
     "quotient",
@@ -349,7 +416,8 @@ def test_plan_prices_the_cheaper_route():
 
 def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
     # the proved and conjectured families expand many quotients over a few
-    # subscripts at one order; each (n, order) pair is walked once
+    # subscripts at one order; each compressed step (n // g, order // g) is
+    # walked once
     walks = []
     real_walk = eta_module._theta_terms
 
@@ -366,7 +434,7 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
     finally:
         _expand_normalized.cache_clear()
         _pentagonal_terms.cache_clear()
-    assert len(walks) == len(set(walks)) == 11
+    assert len(walks) == len(set(walks)) == 15
     assert isinstance(_pentagonal_terms(1, 10), tuple)
 
 
