@@ -128,11 +128,12 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
-# An expansion priced above this, each factor by its route at its step of the
-# q^g walk, is refused. At the bound the whole call, JSON included, takes
-# 6.6-9.8 s over Z, 2.3-4.1 s mod 4 and 12, 4.7-6.0 s mod 2^61 - 1 and
-# 3.7-4.5 s mod 10^1000 + 7, and up to 240 MB, most of it the 572 508 rows
-# of f1^-40 mod 4 (2-vCPU x86 host).
+# An expansion priced above this, each step by its route at its place in the
+# q^g walk of the cheaper walk, is refused. At the bound the whole call, JSON
+# included, takes 19-25 s over Z, 2.6-5.0 s mod 4 and 12, 6.3-8.7 s mod
+# 2^61 - 1 and 6.6-10.0 s mod 10^1000 + 7, and up to 100 MB (2-vCPU x86
+# host). The price does not grow with the coefficients, and over Z an update
+# on them costs the most.
 EXPAND_WORK_CAP = 15 * 10**7
 
 
@@ -160,14 +161,37 @@ def _cmd_expand(args, command: str) -> int:
             f"{EXPAND_WORK_CAP:.2g} coefficient updates; lower --order"
         )
     series = quotient.expand(order, args.modulus)
-    rows = [[n, series[n]] for n in range(order + 1)]
-    record = _record(
-        command,
-        {**spec, "order": order, "modulus": args.modulus},
-        {"order": order, "rows": rows},
-    )
-    _emit(record, rows, ["n", "coefficient"], args.format)
+    record = _record(command, {**spec, "order": order, "modulus": args.modulus}, {"order": order})
+    _emit_rows(record, series.coeffs, args.format)
     return 0
+
+
+# Rows are formatted and written this many at a time, so that the output
+# never exists whole: at the work bound its string and the row lists behind
+# it took several times the memory of the expansion.
+_ROW_CHUNK = 4096
+
+
+def _emit_rows(record: dict, values, fmt: str) -> None:
+    """Write what :func:`_emit` writes for ``record`` with a last field
+    ``rows`` of the pairs ``[n, values[n]]``, byte for byte, in chunks of
+    rows: ``json.dumps(record, indent=2)`` and a newline, or the CSV rows
+    ``n,coefficient``."""
+    if fmt == "json":
+        head = json.dumps({**record, "rows": []}, indent=2)
+        if not values:
+            sys.stdout.write(head + "\n")
+            return
+        sys.stdout.write(head[: -len("[]\n}")] + "[\n")
+        row, sep, end = "    [\n      {},\n      {}\n    ]", ",\n", "\n  ]\n}\n"
+    else:
+        sys.stdout.write("n,coefficient\n")
+        row, sep, end = "{},{}\n", "", ""
+    for lo in range(0, len(values), _ROW_CHUNK):
+        chunk = values[lo : lo + _ROW_CHUNK]
+        body = sep.join(map(row.format, range(lo, lo + len(chunk)), chunk))
+        sys.stdout.write(sep + body if lo else body)
+    sys.stdout.write(end)
 
 
 # A DP count estimated to need more work is refused: about 10 s at 1.6e7

@@ -9,13 +9,14 @@ Expansion strategy: :func:`expand_eta_quotient` is the one expansion
 route; every named series and :func:`expand_f` call it.
 
 0. Look up the memo. The last 32 expansions are kept, keyed on the
-   normalized factors of step 1, the order and the modulus, so quotients
-   that normalize alike are expanded once: mod 4 the overlined series is
-   ``f2/f1^2`` for every odd c. The modulus stays in the key, so an entry is
-   never reduced to serve another modulus and the prime-power route of the
-   congruence-family cross-check stays independent of the composite one.
-   An entry never serves a smaller order either: no caller asks for one
-   quotient at two orders.
+   normalized factors of step 1, the order, the modulus and the list of
+   step 2 the caller named, if any, so quotients that normalize alike are
+   expanded once: mod 4 the overlined series is ``f2/f1^2`` for every odd
+   c. The modulus and the named list stay in the key, so an entry is never
+   reduced to serve another modulus nor served for the other list, and the
+   prime-power route of the congruence-family cross-check stays
+   independent of the composite one. An entry never serves a smaller order
+   either: no caller asks for one quotient at two orders.
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
    ``p^a``, one ascending pass over the subscripts rewrites each exponent
@@ -39,16 +40,25 @@ route; every named series and :func:`expand_f` call it.
    factor ``f(n)^k`` is applied as ``f(n // g)^k`` at order ``order // g``.
    When ``g`` drops to ``h`` the list is spread by ``g // h``, and it is
    spread to ``q^1`` once, at the end: in ``f4^9/(f1^2*f2^17)``, ``f4^9``
-   works on a quarter of the coefficients and ``f2^-17`` on half. Each
-   factor takes the route that :func:`_factor_plan` prices cheaper at its
-   step. By Euler's pentagonal number theorem ``f(n)`` is the theta series
-   ``f(-q^n, -q^(2n))``, so its O(sqrt(order/n)) terms come from the same
-   bilateral walk as :func:`theta_sum`. The sparse route runs ``|k|``
-   passes over them: a multiply for ``k > 0``, for ``k < 0`` the one
-   division kernel of :mod:`overcubic.series`. The dense route, under a
-   modulus only, raises ``f(n)`` to ``k`` by binary powering with the
-   Kronecker product (a negative ``k`` inverts it first, through the same
-   kernel) and multiplies it in.
+   works on a quarter of the coefficients and ``f2^-17`` on half. The walk
+   runs over one of two lists of steps. The pentagonal list is the Euler
+   factors themselves. The theta list takes ``phi(-q^n)^j`` in place of
+   every ``f(n)^(2j)``, since ``phi(-q^n) = f(n)^2 / f(2n)``, and adds
+   ``j`` to the exponent at ``2n`` (:func:`_theta_rewrite`): the overlined
+   series ``f4^9/(f1^2*f2^17)`` becomes ``1/(phi(-q) * phi(-q^2)^9)``.
+   Each step takes the route that :func:`_factor_plan` prices cheaper, and
+   the list whose steps are cheaper in sum runs, the pentagonal one on a
+   tie, unless the caller names one. Both bases are theta series, so
+   their terms come from the same bilateral walk as :func:`theta_sum`: by
+   Euler's pentagonal number theorem ``f(n)`` is ``f(-q^n, -q^(2n))``,
+   with O(sqrt(order/n)) terms of weight +-1, and ``phi(-q^n)`` is
+   ``f(-q^n, -q^n)``, with about 0.6 times as many terms, of weight +-2.
+   The sparse route runs ``|k|`` passes over them: a multiply for
+   ``k > 0``, for ``k < 0`` the one division kernel of
+   :mod:`overcubic.series`. The dense route, under a modulus only, raises
+   the base to ``k`` by binary powering with the Kronecker product (a
+   negative ``k`` inverts it first, through the same kernel) and
+   multiplies it in.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from .series import Series, _divide_sparse, _kronecker_mod_price, _validate_modu
 __all__ = [
     "EtaQuotient",
     "EtaQuotientParseError",
+    "ROUTES",
     "ThetaSpec",
     "PSI_SPEC",
     "PSI_NEG_SPEC",
@@ -160,22 +171,28 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-# One sweep asks for a few compressed steps (n // g, order // g), so each is
-# walked once: the families sweep at i <= 3 needs 15 of them.
+# One sweep asks for a few compressed steps (n // g, order // g) of one or two
+# bases each, so each is walked once: the families sweep at i <= 3 needs 17.
 @lru_cache(maxsize=64)
-def _pentagonal_terms(step: int, order: int) -> Tuple[Tuple[int, int], ...]:
-    """Terms ``(exponent, sign)`` of ``f(step)`` past the constant 1, by
-    increasing exponent: by Euler's pentagonal number theorem ``f(n)`` is the
-    theta series ``f(-q^n, -q^(2n))``."""
-    return tuple(_theta_terms(ThetaSpec(-1, step, -1, 2 * step), order)[1:])
+def _factor_terms(step: int, order: int, theta: bool = False) -> Tuple[Tuple[int, int], ...]:
+    """Terms ``(exponent, weight)`` of ``f(step)``, or of ``phi(-q^step)``
+    when ``theta``, past the constant 1, by increasing exponent. Both are
+    theta series: by Euler's pentagonal number theorem ``f(n)`` is
+    ``f(-q^n, -q^(2n))``, with weights +-1, and ``phi(-q^n) = f(-q^n, -q^n)
+    = f(n)^2 / f(2n)`` has the weights ``2 * (-1)^j`` at ``j^2 * n``."""
+    spec = ThetaSpec(-1, step, -1, step if theta else 2 * step)
+    return tuple(_theta_terms(spec, order)[1:])
 
 
 def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
     """One sparse pass: ``coeffs`` times the factor whose terms are given."""
     size = len(coeffs)
     out = coeffs[:]
-    for t, sign in terms:
-        out[t:] = map(add if sign > 0 else sub, out[t:], coeffs[: size - t])
+    scaled = {1: coeffs}
+    for t, w in terms:
+        if abs(w) not in scaled:
+            scaled[abs(w)] = [abs(w) * c for c in coeffs]
+        out[t:] = map(add if w > 0 else sub, out[t:], scaled[abs(w)][: size - t])
     return out if modulus is None else [c % modulus for c in out]
 
 
@@ -284,29 +301,39 @@ def _coerce_factors(e: Union[EtaQuotient, FactorList]) -> EtaQuotient:
     return e if isinstance(e, EtaQuotient) else EtaQuotient(e)
 
 
+# The two walks a request may name; with none, the plan prices both.
+ROUTES = ("pentagonal", "theta")
+
+
 def expand_eta_quotient(
     e: Union[EtaQuotient, FactorList],
     order: int,
     modulus: Optional[int] = None,
+    route: Optional[str] = None,
 ) -> Series:
     """Expand a product of eta factors into one coefficient list.
 
     The factors are applied by descending subscript to a series in ``q^g``
-    (step 2 of the module docstring). Each factor ``f(n)^k`` takes the route
-    :func:`_factor_plan` prices cheaper: ``|k|`` sparse passes (multiply for
-    ``k > 0``, the division kernel for ``k < 0``), or, under a modulus,
-    dense powering of ``f(n)``.
-    Reducing after every step keeps coefficients bounded; by the
-    homomorphism property the result matches reduce-at-the-end.
+    (step 2 of the module docstring), either as Euler factors ``f(n)^k``
+    (``route="pentagonal"``) or with ``phi(-q^n)^j`` in place of every
+    ``f(n)^(2j)`` (``route="theta"``); by default the walk that
+    :func:`_factor_plan` prices cheaper in sum. Each step takes the route
+    the plan prices cheaper: ``|k|`` sparse passes (multiply for ``k > 0``,
+    the division kernel for ``k < 0``), or, under a modulus, dense powering
+    of its base. Reducing after every step keeps coefficients bounded; by
+    the homomorphism property the result matches reduce-at-the-end.
 
-    Results are memoized on the normalized factors, the order and the
-    modulus, so quotients that normalize alike share one expansion.
+    Results are memoized on the normalized factors, the order, the modulus
+    and the route asked for, so quotients that normalize alike share one
+    expansion.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
+    if route is not None and route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
     factors = tuple(_normalized_factors(_coerce_factors(e), order, m))
-    return _expand_normalized(factors, order, m)
+    return _expand_normalized(factors, order, m, route)
 
 
 # thm15 and conj73 at i <= 3 expand 21 distinct quotients each: nine values
@@ -316,28 +343,29 @@ _EXPANSION_CACHE_SIZE = 32
 
 @lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
 def _expand_normalized(
-    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int]
+    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str]
 ) -> Series:
     """The expansion of already normalized factors; memoized, and safe to
-    share because a :class:`Series` is immutable. The modulus stays in the
-    key: an entry is never reduced to serve another modulus, which keeps
-    the prime-power route of ``verify_family`` independent of the composite
-    one.
+    share because a :class:`Series` is immutable. The modulus and the route
+    stay in the key: an entry is never reduced to serve another modulus,
+    nor served to a request for the other walk, which keeps the prime-power
+    route of ``verify_family`` independent of the composite one.
 
     The running product is a series in ``q^g`` holding only its
     ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step of
-    :func:`_compressed_walk` applies ``f(n)^k`` to it as ``f(n // g)^k``
-    (step 2 of the module docstring)."""
-    g = factors[-1][0] if factors else 1
+    :func:`_planned_steps` applies its base, ``f(n)`` or ``phi(-q^n)``, to
+    it as the same base at ``n // g`` (step 2 of the module docstring)."""
+    steps = _planned_steps(factors, order, m, route)
+    g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)
-    for i, (h, step, k, top) in enumerate(_compressed_walk(factors, order)):
+    for i, (h, step, k, top, theta, dense, _) in enumerate(steps):
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
-        terms = _pentagonal_terms(step, top)
-        if _factor_plan(step, k, top, m, not i)[0]:
+        terms = _factor_terms(step, top, theta)
+        if dense:
             f = [1] + [0] * top
-            for t, sign in terms:
-                f[t] = sign if m is None else sign % m
+            for t, w in terms:
+                f[t] = w if m is None else w % m
             power = Series._canonical(tuple(f), m) ** k
             coeffs = list((Series._canonical(tuple(coeffs), m) * power if i else power).coeffs)
             continue
@@ -347,15 +375,61 @@ def _expand_normalized(
     return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
 
 
-def _compressed_walk(factors: FactorList, order: int):
-    """The steps ``(g, n // g, k, order // g)`` of :func:`_expand_normalized`,
-    one per factor ``f(n)^k`` by descending subscript, ``g`` the gcd of the
-    subscripts seen so far: a product of factors whose subscripts are
-    multiples of ``g`` is a series in ``q^g``."""
+def _theta_rewrite(factors: FactorList, order: int) -> List[Tuple[int, int, bool]]:
+    """The factors as ``(n, k, theta)`` steps, with ``phi(-q^n)^j`` in place
+    of every ``f(n)^(2j)``: since ``phi(-q^n) = f(n)^2 / f(2n)``,
+    ``f(n)^(2j) = phi(-q^n)^j * f(2n)^j``, and past the order ``f(2n)`` is 1.
+    A rewrite only changes the exponent at ``2n > n``, so one ascending pass
+    sees every exponent after its last change. The overlined series
+    ``f4^(c-1)/(f1^2*f2^(2c-3))`` becomes ``1/(phi(-q) * phi(-q^2)^(c-1))``."""
+    exps = dict(factors)
+    steps = []
+    while exps:
+        n = min(exps)
+        k = exps.pop(n)
+        theta = k % 2 == 0
+        if theta:
+            k //= 2
+            up = exps.get(2 * n, 0) + k
+            if 2 * n <= order and up:
+                exps[2 * n] = up
+            else:
+                exps.pop(2 * n, None)
+        steps.append((n, k, theta))
+    return steps
+
+
+def _planned_steps(factors: FactorList, order: int, m: Optional[int], route: Optional[str]):
+    """The steps ``(g, n // g, k, order // g, theta, dense, price)`` that
+    :func:`_expand_normalized` runs: the walk of the Euler factors or of
+    their :func:`_theta_rewrite`, as ``route`` names, or with no route the
+    one whose :func:`_factor_plan` prices are cheaper in sum, the Euler
+    factors on a tie."""
+    walks = []
+    if route != "theta":
+        walks.append([(n, k, False) for n, k in factors])
+    if route != "pentagonal":
+        walks.append(_theta_rewrite(factors, order))
+    priced = [
+        [
+            (g, step, k, top, theta) + _factor_plan(step, k, top, m, not i, theta)
+            for i, (g, step, k, top, theta) in enumerate(_compressed_walk(walk, order))
+        ]
+        for walk in walks
+    ]
+    # min keeps the first of equal prices: the Euler factors
+    return min(priced, key=lambda steps: sum(s[-1] for s in steps))
+
+
+def _compressed_walk(factors, order: int):
+    """The steps ``(g, n // g, k, order // g, theta)``, one per ``(n, k,
+    theta)`` factor by descending subscript, ``g`` the gcd of the subscripts
+    seen so far: a product of factors whose subscripts are multiples of
+    ``g`` is a series in ``q^g``."""
     g = 0
-    for n, k in reversed(factors):
+    for n, k, theta in sorted(factors, reverse=True):
         g = gcd(g, n)
-        yield g, n // g, k, order // g
+        yield g, n // g, k, order // g, theta
 
 
 def _spread(coeffs: List[int], step: int, size: int) -> List[int]:
@@ -365,16 +439,20 @@ def _spread(coeffs: List[int], step: int, size: int) -> List[int]:
     return out
 
 
-def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> Tuple[bool, int]:
-    """``(dense, price)`` of the cheaper route of ``f(n)^k``, in updates of a
-    sparse pass. Sparse: ``|k|`` passes of ``(order + 1) * terms``; an update
-    on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per coefficient,
-    the inverting walk if ``k < 0``, ``bits(|k|) + popcount(|k|) - 2``
-    Kronecker products to power, and one to multiply in unless ``first``.
-    Over Z only sparse passes: dense slots must hold coefficient growth.
-    :func:`_expand_normalized` asks it at the compressed step: ``f(n // g)``
-    at ``order // g``."""
-    terms = len(_pentagonal_terms(n, order))
+def _factor_plan(
+    n: int, k: int, order: int, m: Optional[int], first: bool, theta: bool = False
+) -> Tuple[bool, int]:
+    """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
+    ``phi(-q^n)^k`` when ``theta``, in updates of a sparse pass. Sparse:
+    ``|k|`` passes of ``(order + 1) * terms``, whatever the weights, since
+    the division kernel scales a sum of weight-2 terms once per exponent; an
+    update on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per
+    coefficient, the inverting walk if ``k < 0``, ``bits(|k|) +
+    popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
+    unless ``first``. Over Z only sparse passes: dense slots must hold
+    coefficient growth. :func:`_planned_steps` asks it at the compressed
+    step: the base at ``n // g`` and ``order // g``."""
+    terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else 1 + m.bit_length() // 2000
     sparse = abs(k) * (order + 1) * terms * update
     if m is None:
@@ -385,14 +463,18 @@ def _factor_plan(n: int, k: int, order: int, m: Optional[int], first: bool) -> T
     return (True, dense) if dense < sparse else (False, sparse)
 
 
-def _expansion_work(quotient: EtaQuotient, order: int, modulus: Optional[int] = None) -> int:
-    """Price of ``expand_eta_quotient(quotient, order, modulus)``: the sum of
-    the plan prices of the steps of :func:`_compressed_walk` that
+def _expansion_work(
+    quotient: EtaQuotient,
+    order: int,
+    modulus: Optional[int] = None,
+    route: Optional[str] = None,
+) -> int:
+    """Price of ``expand_eta_quotient(quotient, order, modulus, route)``:
+    the sum of the plan prices of the steps of :func:`_planned_steps`, which
     :func:`_expand_normalized` runs."""
     m = _validate_modulus(modulus)
     factors = _normalized_factors(quotient, order, m)
-    steps = _compressed_walk(factors, order)
-    return sum(_factor_plan(step, k, top, m, not i)[1] for i, (_, step, k, top) in enumerate(steps))
+    return sum(step[-1] for step in _planned_steps(factors, order, m, route))
 
 
 @dataclass(frozen=True)
@@ -461,19 +543,21 @@ def theta_sum(spec: ThetaSpec, order: int) -> Series:
 
 
 # Named theta quotients: psi = f2^2/f1, psi(-q) = f1*f4/f2,
-# phi = f2^5/(f1^2*f4^2), chi = f2^2/(f1*f4).
+# phi = f2^5/(f1^2*f4^2), chi = f2^2/(f1*f4). psi, psi(-q) and phi take the
+# pentagonal route, so that the identity registry checks it against
+# theta_sum: the theta route would expand phi from phi-terms.
 
 
 def psi(order: int) -> Series:
-    return expand_eta_quotient([(2, 2), (1, -1)], order)
+    return expand_eta_quotient([(2, 2), (1, -1)], order, route="pentagonal")
 
 
 def psi_neg(order: int) -> Series:
-    return expand_eta_quotient([(1, 1), (4, 1), (2, -1)], order)
+    return expand_eta_quotient([(1, 1), (4, 1), (2, -1)], order, route="pentagonal")
 
 
 def phi(order: int) -> Series:
-    return expand_eta_quotient([(2, 5), (1, -2), (4, -2)], order)
+    return expand_eta_quotient([(2, 5), (1, -2), (4, -2)], order, route="pentagonal")
 
 
 def chi(order: int) -> Series:

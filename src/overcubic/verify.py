@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
 from .eta import (
+    _colored_quotient,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -247,11 +248,15 @@ def _prime_power_components(m: int) -> List[int]:
 def _family_failures(
     family: CongruenceFamily, i_max: int, n_max: int, order: int, modulus: int
 ) -> dict:
-    """Maps (i, n) to the offending residue, taken mod ``modulus``."""
+    """Maps (i, n) to the offending residue, taken mod ``modulus``. The
+    family's own modulus takes the theta route, a prime-power part of it
+    the pentagonal one (see :func:`verify_family`)."""
     want = family.residue % modulus
+    route = "theta" if modulus == family.modulus else "pentagonal"
     failures = {}
     for i in range(1, i_max + 1):
-        series = gen_overcubic_gf(family.c_for(i), order, modulus=modulus)
+        quotient = _colored_quotient(family.c_for(i), True)
+        series = expand_eta_quotient(quotient, order, modulus=modulus, route=route)
         prog = series.extract_progression(family.prog_slope, family.prog_intercept)
         for n in range(n_max + 1):
             if prog[n] != want:
@@ -266,14 +271,14 @@ def verify_family(
 
     For a composite modulus the sweep also runs each prime-power component
     separately and insists the two routes agree on exactly which (i, n)
-    fail. Both routes share the expansion walk: the factors applied by
-    descending subscript to a series in ``q^g``, the one sparse division
-    kernel of :mod:`overcubic.series`, and one cost model picking sparse
-    passes or dense powering for each factor. They differ in exponent
-    reduction and modulus: under a prime power the engine first reduces the
-    exponents, under the composite modulus it cannot, and each side expands
-    under its own modulus. A disagreement means the engine itself is broken
-    and raises :class:`EngineInconsistencyError`.
+    fail. The composite side expands ``1/(phi(-q) * phi(-q^2)^(c-1))``,
+    the theta route; each prime-power side expands the Euler factors
+    ``f4^(c-1)/(f1^2*f2^(2c-3))`` after reducing their exponents, the
+    pentagonal route. Both share the walk by descending subscript in
+    ``q^g``, the one sparse division kernel of :mod:`overcubic.series` and
+    one cost model picking sparse passes or dense powering for each step,
+    and each side expands under its own modulus. A disagreement means the
+    engine itself is broken and raises :class:`EngineInconsistencyError`.
     """
     needed = family.prog_slope * n_max + family.prog_intercept
     if order < needed:

@@ -16,7 +16,7 @@ import pytest
 
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
-from overcubic.cli import DP_ADDITIONS_CAP, EXPAND_WORK_CAP, _dp_additions, main
+from overcubic.cli import DP_ADDITIONS_CAP, EXPAND_WORK_CAP, _dp_additions, _emit_rows, main
 from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
 
 
@@ -123,12 +123,13 @@ def test_expand_gf_c_validation(capsys):
 
 
 def test_expand_beyond_work_bound_is_usage_error(capsys):
-    # about 4.7e8 coefficient updates: well over 10 s over Z
-    err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "100000")
+    # about 3.7e8 coefficient updates along the theta walk: well over 10 s
+    # over Z (order 100 000, priced at 1.3e8, expands in about 16 s)
+    err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "200000")
     assert "lower --order" in err
-    # sparse passes under a 61-bit modulus, priced at 3.4e8 updates (order
-    # 40 000, priced at 1.2e8, takes about 6 s)
-    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "80000",
+    # sparse passes under a 61-bit modulus, priced at 2.4e8 updates (order
+    # 80 000, priced at 0.95e8, takes about 5 s)
+    assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "150000",
                    "--modulus", str(2**61 - 1))
     # the expansion a refused DP count suggests, and the benchmark's largest
     # expansion over Z, stay below the bound
@@ -452,6 +453,69 @@ def test_expand_csv_matches_json(capsys):
     assert rows[0] == ["n", "coefficient"]
     numeric = [[int(x) for x in row] for row in rows[1:]]
     assert numeric == record["rows"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gf", "overcubic", "--c", "3", "--order", "300"),
+        ("--eta", "f2/f1^2", "--order", "1"),
+        ("--gf", "cubic", "--c", "2", "--order", "300", "--modulus", "12"),
+        # more rows than one chunk
+        ("--gf", "overcubic", "--c", "10", "--order", "9000", "--modulus", "97"),
+        # residues, and a modulus in the header, past 4300 digits
+        ("--eta", "f1", "--order", "5", "--modulus", "1" + "0" * 5000),
+    ],
+)
+def test_expand_streams_the_record_byte_for_byte(capsys, argv):
+    # the rows are written in chunks; the output is still exactly the whole
+    # record dumped at once, and its CSV rows those of csv.writer
+    code, out, err = run(capsys, "expand", *argv)
+    assert (code, err) == (0, "")
+    record = _parse_without_digit_limit(json.loads, out)
+    assert out == _parse_without_digit_limit(lambda r: json.dumps(r, indent=2), record) + "\n"
+    assert [n for n, _ in record["rows"]] == list(range(record["order"] + 1))
+    code, out, err = run(capsys, "expand", *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    buf = io.StringIO()
+    _parse_without_digit_limit(
+        csv.writer(buf, lineterminator="\n").writerows, [["n", "coefficient"]] + record["rows"]
+    )
+    assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("values", [(), (1,)])
+def test_emit_rows_of_order_zero_and_none(capsys, values):
+    # the CLI asks for order >= 1; the writer still matches json.dumps and
+    # csv.writer on one row and on none
+    record = {"command": "overcubic expand", "order": len(values) - 1}
+    rows = [[n, v] for n, v in enumerate(values)]
+    _emit_rows(record, values, "json")
+    assert capsys.readouterr().out == json.dumps({**record, "rows": rows}, indent=2) + "\n"
+    _emit_rows(record, values, "csv")
+    assert capsys.readouterr().out == "n,coefficient\n" + "".join(f"{n},{v}\n" for n, v in rows)
+
+
+def test_expand_at_the_work_bound_streams_its_rows():
+    # f1^-40 mod 4 at order 572 507 is priced under the bound, and the
+    # expansion needs about 31 MB; holding its 572 508 rows as lists and one
+    # JSON string took 238 MB, and formatting them all in one chunk 99 MB
+    script = (
+        "import os, resource, sys\n"
+        "from overcubic.cli import main\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    code = main(sys.argv[1:])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    argv = ["expand", "--eta", "f1^-40", "--order", "572507", "--modulus", "4"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 64 * 1024
 
 
 def test_count_csv_matches_json(capsys):

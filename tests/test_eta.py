@@ -16,9 +16,11 @@ from overcubic.eta import (
     _expand_normalized,
     _expansion_work,
     _factor_plan,
+    _factor_terms,
     _normalized_factors,
-    _pentagonal_terms,
+    _planned_steps,
     _prime_power_base,
+    _theta_rewrite,
     _theta_terms,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
@@ -39,6 +41,7 @@ from overcubic.eta import (
     psi_neg,
     theta_sum,
     toh_rhs,
+    ROUTES,
     TOH_TERMS,
 )
 from overcubic.series import Series, _divide_sparse
@@ -262,7 +265,7 @@ def test_memoized_expansion_matches_uncached(quotients, requests):
     for idx, order, m in requests:
         factors = quotients[idx % len(quotients)]
         key = tuple(_normalized_factors(EtaQuotient(factors), order, m))
-        fresh = _expand_normalized.__wrapped__(key, order, m)
+        fresh = _expand_normalized.__wrapped__(key, order, m, None)
         for _ in range(2):
             assert expand_eta_quotient(factors, order, modulus=m) == fresh
 
@@ -288,33 +291,45 @@ _ROUTE_MODULI = [None, 2, 4, 6, 8, 12, 97, 2**61 - 1, 10**30 + 57]
 _wide_quotients = st.lists(st.tuples(st.integers(1, 12), st.integers(-40, 40)), max_size=4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_wide_quotients, st.integers(0, 60), st.sampled_from(_ROUTE_MODULI), st.booleans())
-def test_each_route_matches_naive_product(factors, order, m, dense):
-    # force one route for every factor, whichever the plan would pick; over
-    # Z the plan never picks dense powering, but it must still be exact
-    want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
+def forced_expansion(factors, order, m, route, dense):
+    """``expand_eta_quotient`` along the walk ``route`` names, every step
+    by sparse passes or by dense powering as ``dense`` says, whichever the
+    plan would pick."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eta_module, "_factor_plan", lambda n, k, order, m, first: (dense, 0))
+        mp.setattr(eta_module, "_factor_plan", lambda *step: (dense, 0))
         _expand_normalized.cache_clear()
         try:
-            got = expand_eta_quotient(factors, order, modulus=m)
+            return expand_eta_quotient(factors, order, modulus=m, route=route)
         finally:
             _expand_normalized.cache_clear()
-    assert list(got.coeffs) == want
 
 
-def reference_full_length_expansion(factors, order, m, dense):
-    """The expansion loop as first written: normalized factors by ascending
-    subscript, each applied at full length, ``order + 1`` coefficients, by
-    the route ``dense`` names."""
+@settings(max_examples=150, deadline=None)
+@given(
+    _wide_quotients,
+    st.integers(0, 60),
+    st.sampled_from(_ROUTE_MODULI),
+    st.sampled_from(ROUTES),
+    st.booleans(),
+)
+def test_each_route_matches_naive_product(factors, order, m, route, dense):
+    # over Z the plan never picks dense powering, but it must still be exact
+    want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
+    assert list(forced_expansion(factors, order, m, route, dense).coeffs) == want
+
+
+def reference_full_length_expansion(steps, order, m, dense):
+    """The expansion loop as first written: ``(n, k, theta)`` steps by
+    ascending subscript, each applied at full length, ``order + 1``
+    coefficients, by the route ``dense`` names. A step's base is ``f(n)``,
+    or ``phi(-q^n)`` when ``theta``."""
     coeffs = [1] + [0] * order
-    for i, (n, k) in enumerate(factors):
-        terms = _pentagonal_terms(n, order)
+    for i, (n, k, theta) in enumerate(steps):
+        terms = _factor_terms(n, order, theta)
         if dense:
             f = [1] + [0] * order
-            for t, sign in terms:
-                f[t] = sign
+            for t, w in terms:
+                f[t] = w
             power = Series(f, m) ** k
             coeffs = list((Series(coeffs, m) * power if i else power).coeffs)
             continue
@@ -340,35 +355,53 @@ _shared_subscript_quotients = st.sampled_from([2, 3, 6]).flatmap(
     _shared_subscript_quotients,
     st.integers(0, 60),
     st.sampled_from([None, 4, 12, 97, 2**61 - 1, 10**1000 + 7]),
+    st.sampled_from(ROUTES),
     st.booleans(),
 )
-def test_compressed_walk_matches_full_length_loop(factors, order, m, dense):
+def test_compressed_walk_matches_full_length_loop(factors, order, m, route, dense):
     # the walk in q^g against the naive product and against the loop that
-    # applied every factor to order + 1 coefficients, each route forced
+    # applied every step to order + 1 coefficients, each route forced
     want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
     normalized = _normalized_factors(EtaQuotient(factors), order, m)
-    assert reference_full_length_expansion(normalized, order, m, dense) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eta_module, "_factor_plan", lambda n, k, order, m, first: (dense, 0))
-        _expand_normalized.cache_clear()
-        try:
-            got = expand_eta_quotient(factors, order, modulus=m)
-        finally:
-            _expand_normalized.cache_clear()
-    assert list(got.coeffs) == want
+    if route == "theta":
+        steps = _theta_rewrite(normalized, order)
+    else:
+        steps = [(n, k, False) for n, k in normalized]
+    assert reference_full_length_expansion(steps, order, m, dense) == want
+    assert list(forced_expansion(factors, order, m, route, dense).coeffs) == want
 
 
 def test_compressed_walk_steps():
     # f4^9/(f1^2*f2^17) by descending subscript: f4 walks a quarter of the
     # coefficients, f2 half, f1 all of them
     factors = [(1, -2), (2, -17), (4, 9)]
-    assert list(eta_module._compressed_walk(factors, 548)) == [
-        (4, 1, 9, 137), (2, 1, -17, 274), (1, 1, -2, 548),
+    assert list(eta_module._compressed_walk([(n, k, False) for n, k in factors], 548)) == [
+        (4, 1, 9, 137, False), (2, 1, -17, 274, False), (1, 1, -2, 548, False),
+    ]
+    # its theta walk is 1/(phi(-q^2)^9 * phi(-q)): phi(-q^2) walks half
+    assert list(eta_module._compressed_walk(_theta_rewrite(factors, 548), 548)) == [
+        (2, 1, -9, 274, True), (1, 1, -1, 548, True),
     ]
     # f6 and f9 share 3: f9 is f3 in q^3, and f6 is f2 in q^3
-    assert list(eta_module._compressed_walk([(6, 1), (9, -1)], 100)) == [
-        (9, 1, -1, 11), (3, 2, 1, 33),
+    assert list(eta_module._compressed_walk([(6, 1, False), (9, -1, False)], 100)) == [
+        (9, 1, -1, 11, False), (3, 2, 1, 33, False),
     ]
+
+
+def test_theta_rewrite():
+    # the overlined series f4^(c-1)/(f1^2*f2^(2c-3)) is
+    # 1/(phi(-q) * phi(-q^2)^(c-1))
+    for c in (1, 2, 3, 10, 35):
+        factors = _normalized_factors(_colored_quotient(c, True), 1000, None)
+        tail = [(2, 1 - c, True)] if c > 1 else []
+        assert _theta_rewrite(factors, 1000) == [(1, -1, True)] + tail
+    # an odd exponent stays an Euler factor, and a rewrite cascades: f2^-4
+    # is phi(-q^2)^-2 * f4^-2, and f4^-2 is phi(-q^4)^-1 * f8^-1
+    assert _theta_rewrite([(1, -1), (2, -4)], 100) == [
+        (1, -1, False), (2, -2, True), (4, -1, True), (8, -1, False),
+    ]
+    # past the order f(2n) is 1, so f3^2 is phi(-q^3) alone
+    assert _theta_rewrite([(3, 2)], 5) == [(3, 1, True)]
 
 
 @pytest.mark.parametrize("m", [None, 4, 12, 97, 2**61 - 1, 10**1000 + 7])
@@ -377,25 +410,48 @@ def test_compressed_walk_steps():
     [_colored_quotient(10, True), _colored_quotient(3, False), EtaQuotient([(1, -40), (3, 7)])],
 )
 def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
+    # the steps the expansion runs, along the walk the plan picks and along
+    # each walk named, are priced step by step by the plan, and their sum is
+    # the price of the request
     order = 300
-    prices = []
+    for route in (None, *ROUTES):
+        ran = []
 
-    def recording_plan(n, k, order, m, first):
-        plan = _factor_plan(n, k, order, m, first)
-        prices.append(plan[1])
-        return plan
+        def recording_steps(*args):
+            steps = _planned_steps(*args)
+            ran.append(steps)
+            return steps
 
-    monkeypatch.setattr(eta_module, "_factor_plan", recording_plan)
-    _expand_normalized.cache_clear()
-    expand_eta_quotient(quotient, order, modulus=m)
-    _expand_normalized.cache_clear()
-    monkeypatch.undo()
-    assert prices and _expansion_work(quotient, order, m) == sum(prices)
+        monkeypatch.setattr(eta_module, "_planned_steps", recording_steps)
+        _expand_normalized.cache_clear()
+        expand_eta_quotient(quotient, order, modulus=m, route=route)
+        _expand_normalized.cache_clear()
+        monkeypatch.undo()
+        [steps] = ran
+        for i, (_, step, k, top, theta, dense, price) in enumerate(steps):
+            assert _factor_plan(step, k, top, m, not i, theta) == (dense, price)
+        assert steps and _expansion_work(quotient, order, m, route) == sum(s[-1] for s in steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _wide_quotients,
+    st.integers(0, 3000),
+    st.sampled_from(_ROUTE_MODULI + [10**1000 + 7]),
+)
+def test_theta_walk_never_raises_the_price(factors, order, m):
+    # the plan runs the cheaper walk, so its price is never above that of
+    # the Euler factors alone: a request priced under the CLI's work bound
+    # by the pentagonal walk stays under it
+    quotient = EtaQuotient(factors)
+    pentagonal = _expansion_work(quotient, order, m, "pentagonal")
+    theta = _expansion_work(quotient, order, m, "theta")
+    assert _expansion_work(quotient, order, m) == min(pentagonal, theta)
 
 
 def test_plan_prices_the_cheaper_route():
     # over Z only sparse passes are offered, whatever the exponent
-    terms = len(_pentagonal_terms(2, 548))
+    terms = len(_factor_terms(2, 548))
     assert _factor_plan(2, -67, 548, None, True) == (False, 67 * 549 * terms)
     # a large exponent under a small modulus is powered densely
     assert _factor_plan(2, -67, 548, 12, False)[0]
@@ -406,18 +462,35 @@ def test_plan_prices_the_cheaper_route():
     assert not any(_factor_plan(n, k, 2000, m, not i)[0] for i, (n, k) in enumerate(c10))
     for n, k in [(1, -2), (2, -17), (4, 9), (1, 1), (36, -1)]:
         for m in (4, 12, 2**61 - 1):
-            sparse_price = abs(k) * 549 * len(_pentagonal_terms(n, 548))
+            sparse_price = abs(k) * 549 * len(_factor_terms(n, 548))
             later = _factor_plan(n, k, 548, m, False)
             first = _factor_plan(n, k, 548, m, True)
             assert later[1] <= sparse_price and later[0] == (later[1] < sparse_price)
             # the first factor's power needs no multiply into the product
             assert first[1] <= later[1] and (first[0] or not later[0])
+    # the colored series takes the theta walk over Z and mod 4 and 12; mod
+    # 12 at c = 35, 34 sparse passes of 1/phi(-q^2) would cost more than
+    # powering it densely, and one sparse division by phi(-q) follows
+    for c, m, dense in [(1, None, [False]), (10, 4, [False, False]), (35, 12, [True, False])]:
+        factors = tuple(_normalized_factors(_colored_quotient(c, True), 548, m))
+        steps = _planned_steps(factors, 548, m, None)
+        assert [(s[4], s[5]) for s in steps] == [(True, d) for d in dense]
+
+
+def test_phi_terms_match_naive_quotient():
+    # phi(-q^n) = f(n)^2/f(2n), with the weights 2*(-1)^j at j^2*n
+    for step in range(1, 5):
+        naive = naive_eta_quotient([(step, 2), (2 * step, -1)], 300)
+        for order in (0, 1, step, 4 * step, 299, 300):
+            want = [(e, c) for e, c in enumerate(naive[1 : order + 1], 1) if c]
+            assert list(_factor_terms(step, order, True)) == want
 
 
 def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
     # the proved and conjectured families expand many quotients over a few
-    # subscripts at one order; each compressed step (n // g, order // g) is
-    # walked once
+    # subscripts at one order; each compressed step (n // g, order // g) of
+    # each base, f(n) on the prime-power sides and phi(-q^n) on the
+    # composite ones, is walked once
     walks = []
     real_walk = eta_module._theta_terms
 
@@ -427,15 +500,28 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
 
     monkeypatch.setattr(eta_module, "_theta_terms", counting_walk)
     _expand_normalized.cache_clear()
-    _pentagonal_terms.cache_clear()
+    _factor_terms.cache_clear()
     try:
         verify_proved_families(3, 60, 548)
         verify_conjectured_families(3, 60, 548)
     finally:
         _expand_normalized.cache_clear()
-        _pentagonal_terms.cache_clear()
-    assert len(walks) == len(set(walks)) == 15
-    assert isinstance(_pentagonal_terms(1, 10), tuple)
+        _factor_terms.cache_clear()
+    assert len(walks) == len(set(walks)) == 17
+    assert isinstance(_factor_terms(1, 10), tuple)
+
+
+def test_routes_are_distinct_memo_entries():
+    # one quotient, order and modulus along each walk: two entries, equal
+    # series, and a repeat of either is a hit
+    _expand_normalized.cache_clear()
+    got = [expand_eta_quotient(_colored_quotient(10, True), 200, 12, route) for route in ROUTES]
+    assert got[0] == got[1] and got[0] is not got[1]
+    assert expand_eta_quotient(_colored_quotient(10, True), 200, 12, "theta") is got[1]
+    info = _expand_normalized.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    with pytest.raises(ValueError):
+        expand_eta_quotient(_colored_quotient(10, True), 200, 12, "dense")
 
 
 # -- grammar ---------------------------------------------------------------------

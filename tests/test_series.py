@@ -252,6 +252,37 @@ def test_divide_sparse_times_divisor_is_input(case):
     assert quotient * Series(divisor, m) == Series(coeffs, m)
 
 
+def schoolbook_divide(coeffs, terms, m):
+    """``coeffs / (1 + sum w*q^t)``, one exponent at a time, every term
+    multiplied by its weight: ``out[e] = coeffs[e] - sum(w * out[e - t])``."""
+    out = []
+    for e, c in enumerate(coeffs):
+        acc = c - sum(w * out[e - t] for t, w in terms if t <= e)
+        out.append(acc if m is None else acc % m)
+    return out
+
+
+# the weights of a pentagonal factor, of a theta factor phi(-q^n), and a mix
+# in which the kernel's gather pair takes the first term's magnitude and
+# the weighted gather every other weight
+_WEIGHT_SETS = [(1, -1), (2, -2), (1, -1, 2, -2, 3, -7, 2**40)]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([None, 4, 12, 97, 2**61 - 1]),
+    st.sampled_from(_WEIGHT_SETS),
+    st.integers(0, 60),
+    st.data(),
+)
+def test_divide_sparse_matches_schoolbook_division(m, weights, order, data):
+    values = st.integers(-(2**80), 2**80) if m is None else st.integers(0, m - 1)
+    coeffs = data.draw(st.lists(values, min_size=order + 1, max_size=order + 1))
+    exponents = sorted(data.draw(st.sets(st.integers(1, order), max_size=15))) if order else []
+    terms = [(t, data.draw(st.sampled_from(weights))) for t in exponents]
+    assert _divide_sparse(coeffs, terms, m) == schoolbook_divide(coeffs, terms, m)
+
+
 # -- substitution / extraction --------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import overcubic.eta as eta_module
 import overcubic.verify as verify_module
 from overcubic.eta import _expand_normalized, expand_eta_quotient, gen_overcubic_gf, psi
 from overcubic.series import Series
@@ -138,6 +139,38 @@ def test_sweeps_expand_each_distinct_quotient_once():
     verify_proved_families(3, 21, 200)
     info = _expand_normalized.cache_info()
     assert (info.misses, info.hits) == (21, 6)
+
+
+def recorded_expansions(monkeypatch):
+    """The ``(factors, order, modulus, route)`` key of every expansion
+    requested through ``expand_eta_quotient`` while the test runs."""
+    keys = []
+    real = eta_module._expand_normalized
+
+    def recording(*key):
+        keys.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(eta_module, "_expand_normalized", recording)
+    return keys
+
+
+def test_family_sides_take_independent_routes(monkeypatch):
+    # the composite side expands the theta walk, each prime-power side the
+    # Euler factors: distinct memo entries, even for one quotient
+    keys = recorded_expansions(monkeypatch)
+    verify_family(PROVED_FAMILIES[1], 2, 10, 93)
+    routes = {(m, route) for _, _, m, route in keys}
+    assert routes == {(12, "theta"), (4, "pentagonal"), (3, "pentagonal")}
+
+
+@pytest.mark.parametrize("name", ["psi", "psi-neg", "phi"])
+def test_theta_registry_checks_the_pentagonal_route(name, monkeypatch):
+    # these identities check Euler-factor expansions against theta_sum; a
+    # theta walk of phi would read phi's terms off the same walker
+    keys = recorded_expansions(monkeypatch)
+    assert check_named_identity(name, 60).passed
+    assert keys and all(route == "pentagonal" for *_, route in keys)
 
 
 # -- congruence families -----------------------------------------------------------
