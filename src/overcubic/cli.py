@@ -16,8 +16,8 @@ failure, 2 on a usage error (bad flags, parse errors, a request outside
 the library's domain such as an insufficient order or a brute-force walk
 over its bounds, or a DP count or an expansion over its work bound), 3
 when two routes through the engine disagree, in the composite-modulus
-cross-check or the brute-force self-check, or when a DP step does not
-divide exactly (an internal inconsistency, not a verdict on the claim
+cross-check or a brute-force count against the DP, or when a DP step does
+not divide exactly (an internal inconsistency, not a verdict on the claim
 checked).
 
 The DP work bound prices the divisor-sum recurrence: n(n+1)/2 products,
@@ -28,8 +28,6 @@ bound gives. It refuses at about 10 s whatever c is.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import shlex
@@ -98,12 +96,8 @@ def _record(command: str, parameters: dict, payload: dict) -> dict:
 def _emit(record: dict, csv_rows: List[List], csv_header: List[str], fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(record, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        sys.stdout.write(buf.getvalue())
+    else:  # no field holds a comma, a quote or a newline
+        sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in [csv_header, *csv_rows]))
 
 
 # -- expand and count ---------------------------------------------------------

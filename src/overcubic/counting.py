@@ -18,15 +18,17 @@ distinct-part and unrestricted counts.
 One non-recursive walk, ``_colored_partitions``, lists every colored
 partition as its (size, color, multiplicity) classes. The brute-force
 counters, ``iter_overcubic_partitions`` and ``decompose`` are folds over
-it. ``count_gen_overcubic_brute`` folds each partition twice, as ``2^r``
-for its ``r`` classes and as a product of the two first-copy choices per
-class, and raises :class:`EngineInconsistencyError` if the totals differ.
+it: a colored partition with ``r`` classes has ``2^r`` overlinings. Each
+brute-force count is checked against the DP count of the same weight, an
+independent route, and a disagreement raises
+:class:`EngineInconsistencyError`.
 
-Brute-force routines are capped at weight 30 and at 10^7 colored
-partitions walked (about 10 s): the object counts grow fast enough beyond
-that to make exhaustive enumeration pointless when the DP and the
-generating function are available. The walk size is checked on the call, in
-closed form where c alone decides it and by the DP count otherwise.
+Brute-force routines are capped at weight 30, at 10^6 (size, color)
+classes and at 10^7 colored partitions walked (about 10 s): the object
+counts grow fast enough beyond that to make exhaustive enumeration
+pointless when the DP and the generating function are available. The caps
+are checked on the call, the class count first, so the DP that counts the
+walk never sees a large c with work to do.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def _check_weight(n: int) -> None:
         raise ValueError(f"weight must be non-negative, got {n}")
 
 
-def _check_brute(c: int, n: int) -> None:
+def _check_brute(c: int, n: int) -> int:
+    """Refuse a brute-force walk over its caps; return the number of colored
+    partitions it lists, by the DP."""
     _check_colors(c)
     _check_weight(n)
     if n > BRUTE_FORCE_CAP:
@@ -92,30 +96,36 @@ def _check_brute(c: int, n: int) -> None:
             f"brute-force enumeration is capped at weight {BRUTE_FORCE_CAP} "
             f"(got {n}); use the DP counter instead"
         )
-    # The walk has 1 partition below n = 2, c + n - 1 at n = 2 and 3, and at
-    # least c(c+1)/2 from n = 4 (two parts of size 2), so a large c is
-    # refused in closed form before the DP or _part_types sees it.
-    if n < 4:
-        walk = c + n - 1 if n >= 2 else 1
-    else:
-        walk = c * (c + 1) // 2
-        if walk <= _BRUTE_WALK_CAP:
-            walk = _colored_dp(c, n, overlined=False)
+    # bounds c from n = 2 on; below, the DP's work does not grow with c
+    _check_class_count(c, n, "brute-force enumeration", "; use the DP counter instead")
+    walk = _colored_dp(c, n, overlined=False)
     if walk > _BRUTE_WALK_CAP:
         raise ValueError(
             f"brute-force enumeration is capped at {_BRUTE_WALK_CAP:.0e} colored "
             f"partitions (c={c}, n={n} has more); use the DP counter instead"
         )
-    if _type_count(c, n) > _BRUTE_TYPES_CAP:
+    return walk
+
+
+def _check_class_count(c: int, n: int, what: str, advice: str = "") -> None:
+    """Refuse ``what`` over more than ``_BRUTE_TYPES_CAP`` (size, color)
+    classes of weight at most ``n``: c per even size, one per odd size."""
+    if c * (n // 2) + (n + 1) // 2 > _BRUTE_TYPES_CAP:
         raise ValueError(
-            f"brute-force enumeration is capped at {_BRUTE_TYPES_CAP:.0e} "
-            f"(size, color) classes (c={c}, n={n} has more); use the DP counter instead"
+            f"{what} is capped at {_BRUTE_TYPES_CAP:.0e} (size, color) classes "
+            f"(c={c}, n={n} has more){advice}"
         )
 
 
-def _type_count(c: int, n: int) -> int:
-    """Length of ``_part_types(c, n)``: c classes per even size, one per odd."""
-    return c * (n // 2) + (n + 1) // 2
+def _check_fold(count: int, dp: int, c: int, n: int) -> int:
+    """Return the brute-force ``count`` if it equals ``dp``, the DP count of
+    the same objects; raise :class:`EngineInconsistencyError` otherwise."""
+    if count != dp:
+        raise EngineInconsistencyError(
+            f"brute-force count disagrees with the DP for c={c}, n={n}: "
+            f"{count} by enumeration, {dp} by the DP"
+        )
+    return count
 
 
 def _color_count(size: int, c: int) -> int:
@@ -376,50 +386,29 @@ def _colored_partitions(c: int, n: int) -> Iterator[List[Tuple[int, int, int]]]:
             return
 
 
-def _overlinings_by_weight(classes: List[Tuple[int, int, int]]) -> int:
-    """``2^r`` overlinings of a colored partition with ``r`` classes."""
-    return 1 << len(classes)
-
-
-def _overlinings_by_choices(classes: List[Tuple[int, int, int]]) -> int:
-    """Overlinings as a product over the classes of the two first-copy
-    choices, plain or overlined."""
-    ways = 1
-    for _class in classes:
-        ways *= 2
-    return ways
-
-
 def count_partitions_brute(n: int) -> int:
     """Partitions of ``n`` by explicit enumeration (oracle)."""
     return count_gen_cubic_brute(1, n)
 
 
 def count_gen_cubic_brute(c: int, n: int) -> int:
-    """Colored partitions of ``n`` by explicit enumeration (oracle)."""
-    _check_brute(c, n)
-    return sum(1 for _ in _colored_partitions(c, n))
+    """Colored partitions of ``n`` by explicit enumeration (oracle), checked
+    against the DP count."""
+    walk = _check_brute(c, n)
+    return _check_fold(sum(1 for _ in _colored_partitions(c, n)), walk, c, n)
 
 
 def count_gen_overcubic_brute(c: int, n: int) -> int:
     """Overlined colored partitions of ``n`` by exhaustive enumeration.
 
-    Folds every colored partition twice and insists the totals agree:
-    ``2^r`` for its ``r`` classes, and the product over its classes of the
-    two first-copy choices. A disagreement raises
+    Folds every colored partition as its ``2^r`` overlinings, one plain or
+    overlined first copy per class, and checks the total against
+    :func:`count_gen_overcubic_dp`'s recurrence; a disagreement raises
     :class:`EngineInconsistencyError`.
     """
     _check_brute(c, n)
-    weighted = subsets = 0
-    for classes in _colored_partitions(c, n):
-        weighted += _overlinings_by_weight(classes)
-        subsets += _overlinings_by_choices(classes)
-    if weighted != subsets:
-        raise EngineInconsistencyError(
-            f"enumeration self-check failed for c={c}, n={n}: "
-            f"{weighted} != {subsets}"
-        )
-    return weighted
+    total = sum(1 << len(classes) for classes in _colored_partitions(c, n))
+    return _check_fold(total, _colored_dp(c, n, overlined=True), c, n)
 
 
 def _first_copy_choices(cls: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
@@ -482,7 +471,7 @@ def decompose(c: int, n: int) -> DecompositionCounts:
     _check_brute(c, n)
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
     for classes in _colored_partitions(c, n):
-        overlined = _overlinings_by_weight(classes)
+        overlined = 1 << len(classes)
         size = classes[0][0]
         if size != classes[-1][0]:  # classes are size-sorted
             tallies["p_geq2"] += overlined
@@ -494,6 +483,7 @@ def decompose(c: int, n: int) -> DecompositionCounts:
             tallies["kappa21"] += 1
         else:
             tallies["kappa22"] += overlined
+    _check_fold(tallies["p1"] + tallies["p_geq2"], _colored_dp(c, n, overlined=True), c, n)
     return DecompositionCounts(
         c=c,
         n=n,
@@ -514,11 +504,7 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     if r < 0:
         raise ValueError(f"class count must be non-negative, got {r}")
     _check_colors(c)
-    if _type_count(c, n) > _BRUTE_TYPES_CAP:
-        raise ValueError(
-            f"chi_distinct is capped at {_BRUTE_TYPES_CAP:.0e} (size, color) "
-            f"classes (c={c}, n={n} has more)"
-        )
+    _check_class_count(c, n, "chi_distinct")
     work = _distinct_class_work(n, c)
     if work > _CHI_WORK_CAP:
         raise ValueError(

@@ -16,7 +16,14 @@ import pytest
 
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
-from overcubic.cli import DP_ADDITIONS_CAP, EXPAND_WORK_CAP, _dp_additions, _emit_rows, main
+from overcubic.cli import (
+    DP_ADDITIONS_CAP,
+    EXPAND_WORK_CAP,
+    _VERIFY_CSV_HEADER,
+    _dp_additions,
+    _emit_rows,
+    main,
+)
 from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
 
 
@@ -224,16 +231,58 @@ def test_count_brute_cap_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize("kind", ["cubic", "overcubic"])
+def test_count_brute_of_huge_c(capsys, kind):
+    # below weight 2 there is one (size, color) class whatever c is; at
+    # n = 30 the class cap refuses the same c, though it is also over the
+    # walk cap
+    c = "1" + "0" * 5000
+    for n in (0, 1):
+        code, out, err = run(capsys, "count", "--kind", kind, "--c", c, "--n", str(n),
+                             "--engine", "brute")
+        assert (code, err) == (0, "")
+        count = _parse_without_digit_limit(json.loads, out)["count"]
+        assert count == (2**n if kind == "overcubic" else 1)
+    assert "(size, color) classes" in assert_refused(
+        capsys, "count", "--kind", kind, "--c", c, "--n", "30", "--engine", "brute"
+    )
+
+
+_DP = counting_module._colored_dp
+
+
 def test_count_brute_self_check_has_engine_exit_status(capsys, monkeypatch):
-    # make one of the two overline folds disagree with the other
-    monkeypatch.setattr(counting_module, "_overlinings_by_choices", lambda classes: 0)
+    # make the DP, which the brute-force count is checked against, one too large
+    monkeypatch.setattr(counting_module, "_colored_dp",
+                        lambda c, n, overlined: _DP(c, n, overlined) + 1)
     code, out, err = run(
         capsys, "count", "--kind", "overcubic", "--c", "2", "--n", "6", "--engine", "brute"
     )
     assert code == 3
     assert out == ""
-    assert err.startswith("error: enumeration self-check failed")
+    assert err.startswith("error: brute-force count disagrees with the DP")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda c, n, overlined: _DP(c, n, overlined) + 1,
+     lambda c, n, overlined: _DP(c, n + 1, overlined)],
+    ids=["count", "weight"],
+)
+def test_off_by_one_dp_fails_every_brute_fold(capsys, monkeypatch, wrong):
+    # each brute-force fold is checked against the DP, an independent route:
+    # a DP one off, in its value or in its weight, fails all of them
+    monkeypatch.setattr(counting_module, "_colored_dp", wrong)
+    for fold in (counting_module.count_gen_cubic_brute, counting_module.count_gen_overcubic_brute,
+                 counting_module.decompose):
+        with pytest.raises(counting_module.EngineInconsistencyError, match="disagrees with the DP"):
+            fold(2, 6)
+    for kind in ("partition", "cubic", "overpartition", "overcubic"):
+        c = ("--c", "2") if kind.endswith("cubic") else ()
+        code, out, err = run(capsys, "count", "--kind", kind, *c, "--n", "6", "--engine", "brute")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: brute-force count disagrees with the DP")
 
 
 def test_count_dp_beyond_work_bound_is_usage_error(capsys):
@@ -563,6 +612,48 @@ def test_count_prints_counts_over_4300_digits(capsys, kind, counter):
     assert _parse_without_digit_limit(int, rows[1][2]) == want
     # main restores the limit it lifted
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _csv_rows_of_record(record):
+    """The header and rows of the CSV form of a ``count`` or ``verify``
+    record, read back from its JSON form; an absent value is None, which
+    csv.writer writes as an empty field."""
+    if "count" in record:
+        params = record["parameters"]
+        return [["c", "n", "count"], [params["c"], params["n"], record["count"]]]
+    rows = [_VERIFY_CSV_HEADER]
+    for idx, rep in enumerate(record["reports"]):
+        first = rep["counterexamples"][0] if rep["counterexamples"] else {}
+        rows.append([
+            idx, int(rep["status"] == "pass"), int(rep["vacuous"]), rep["order"],
+            *(rep["i_range"] or [None, None]), *rep["n_range"], len(rep["counterexamples"]),
+            first.get("i"), first.get("n"), first.get("observed"), first.get("expected"),
+        ])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (("count", "--kind", "partition", "--n", "10"), 0),
+        (("count", "--kind", "overcubic", "--c", "2", "--n", "6", "--engine", "brute"), 0),
+        # a count past 4300 digits
+        (("count", "--kind", "cubic", "--c", "1" + "0" * 5000, "--n", "2"), 0),
+        (("verify", "--target", "identity", "--name", "toh", "--order", "40"), 0),
+        (("verify", "--target", "thm15", "--i-max", "1", "--n-max", "5"), 0),
+        (("verify", "--target", "identity", "--name", "negative-control", "--order", "20"), 1),
+    ],
+)
+def test_csv_output_is_that_of_csv_writer(capsys, argv, status):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (status, "")
+    record = _parse_without_digit_limit(json.loads, out)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (status, "")
+    buf = io.StringIO()
+    _parse_without_digit_limit(csv.writer(buf, lineterminator="\n").writerows,
+                               _csv_rows_of_record(record))
+    assert out == buf.getvalue()
 
 
 def test_verify_csv_matches_json(capsys):

@@ -211,8 +211,9 @@ def test_overcubic_brute_cap():
         count_gen_overcubic_brute(2, BRUTE_FORCE_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         iter_overcubic_partitions(2, BRUTE_FORCE_CAP + 1)  # on the call, not at next()
-    # a large c is refused by the walk size (395 589 359 colored partitions
-    # at c = 10), on the call and before anything of size c is built
+    # a large c is refused on the call, before anything of size c is built:
+    # by the walk size at c = 10 (395 589 359 colored partitions), by the
+    # class count at c = 10^9
     for entry in (count_gen_cubic_brute, count_gen_overcubic_brute,
                   iter_overcubic_partitions, decompose):
         for c in (10, 10**9):
@@ -230,6 +231,28 @@ def test_brute_type_list_is_bounded():
     # the benchmark's brute-force points stay admitted
     for c, n in [(1, 30), (2, 28), (3, 24), (4, 22), (4, 30)]:
         counting_module._check_brute(c, n)
+
+
+@pytest.mark.parametrize(
+    "n,c", [(2, 999_999), (3, 999_998), (4, 4469), (5, 4468), (10, 58), (20, 12), (30, 5)]
+)
+def test_brute_admission_edges(n, c):
+    # the largest c admitted at each weight: the class cap decides at n = 2
+    # and 3, the walk cap from n = 4 on
+    assert counting_module._check_brute(c, n) <= counting_module._BRUTE_WALK_CAP
+    with pytest.raises(ValueError, match="capped"):
+        counting_module._check_brute(c + 1, n)
+
+
+def test_brute_admits_any_c_below_weight_2():
+    # one (size, color) class, so no cap grows with c, and neither does the
+    # DP's work
+    c = 10**5000
+    for n in (0, 1):
+        assert count_gen_cubic_brute(c, n) == 1
+        assert count_gen_overcubic_brute(c, n) == 2**n
+        assert len(list(iter_overcubic_partitions(c, n))) == 2**n
+    assert decompose(c, 1).total == 2
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
