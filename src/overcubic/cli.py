@@ -20,9 +20,12 @@ cross-check or a brute-force count against the DP, or when a DP step does
 not divide exactly (an internal inconsistency, not a verdict on the claim
 checked).
 
-The DP work bound prices the divisor-sum recurrence: n(n+1)/2 products,
-each weighted by the bits of the count ``a(n)``, which a saddle-point
-bound gives. It refuses at about 10 s whatever c is.
+The DP work bound prices the divisor-sum recurrence as it runs: over the
+DP's tree of weights, each block product by the cheaper of its Kronecker
+and schoolbook prices, with every count at the bits of ``a(n)``, which a
+saddle-point bound gives from above. It refuses at about 10 s whatever c
+is; the bits of ``a(n)`` overprice the smaller counts, so at its edges
+the requests it admits ran in 6.6-8.7 s (c = 2 to 10^6, 2-vCPU x86 host).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import List, Optional
 
 from . import __version__
 from .counting import (
+    _dp_price,
     _log_count_bound,
     count_gen_cubic,
     count_gen_cubic_brute,
@@ -188,24 +192,24 @@ def _emit_rows(record: dict, values, fmt: str) -> None:
     sys.stdout.write(end)
 
 
-# A DP count estimated to need more work is refused: about 10 s at 1.6e7
-# word-size multiply-adds per second.
+# A DP count priced higher is refused: about 10 s at 1.6e7 word-size
+# multiply-adds a second, the unit of counting._dp_block_prices.
 DP_ADDITIONS_CAP = 16 * 10**7
-# A multiply-add into the sum of a b-bit count costs about 1 + b/1650
-# word-size ones (measured over c = 1..10^6).
-_DP_BITS_PER_ADDITION = 1650
 
 
 def _dp_additions(kind: str, c: int, n: int) -> int:
-    """Word-size multiply-adds of the DP count: its n(n+1)/2 products, each
-    weighted by the size of the largest count, ``a(n)``, whose bits
-    :func:`~overcubic.counting._log_count_bound` bounds."""
+    """The price of the DP count in word-size multiply-adds, by
+    :func:`~overcubic.counting._dp_price`. Every count is priced at the bits
+    of the largest, ``a(n)``, which
+    :func:`~overcubic.counting._log_count_bound` bounds, and every divisor
+    sum at the bits of ``2cn(1 + n.bit_length())``, over
+    ``2c sigma_1(k) <= 2ck(1 + ln k)`` for ``k <= n``."""
     n = max(n, 0)  # an empty sum below weight 0
-    products = n * (n + 1) // 2
-    if products > DP_ADDITIONS_CAP:  # refused whatever the size of a(n)
-        return products
-    bits = _log_count_bound(c, n, _KINDS[kind].overlined) / log(2)
-    return int(products * (1 + bits / _DP_BITS_PER_ADDITION))
+    if n > DP_ADDITIONS_CAP:  # refused whatever the counts: a step per weight
+        return n
+    a_bits = int(_log_count_bound(c, n, _KINDS[kind].overlined) / log(2)) + 1
+    sigma_bits = (2 * c * n * (n.bit_length() + 1)).bit_length()
+    return int(_dp_price(n, a_bits, sigma_bits))
 
 
 def _cmd_count(args, command: str) -> int:

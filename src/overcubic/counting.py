@@ -9,9 +9,15 @@ agreement can be *checked* rather than assumed.
 
 The DP counters of colored partitions share one recurrence,
 ``n a(n) = sum_{k<=n} sigma(k) a(n-k)``, with ``sigma(k)`` a weighted
-divisor sum of ``k``: ``n(n+1)/2`` products whatever ``c`` is, and no eta
-quotient, so the DP stays independent of the series route. Every step must
-divide exactly; a remainder raises :class:`EngineInconsistencyError`.
+divisor sum of ``k``. Its sums are built by divide and conquer over the
+weights, each block of them by a Kronecker product or by the schoolbook,
+whichever is priced cheaper; the cost grows with ``c`` only through the
+bits of the counts. The DP shares the packing kernel of
+:mod:`overcubic.series` with ``Series.__mul__`` but not the route: it
+multiplies divisor sums, not eta factors, so it stays independent of the
+series route. Every step must divide exactly; a remainder, which a slot
+or carry fault in a block product would leave, raises
+:class:`EngineInconsistencyError`.
 ``count_overpartitions`` takes a third route, a convolution of
 distinct-part and unrestricted counts.
 
@@ -35,11 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, product
-from math import exp, inf, log, log1p, pi, sqrt
-from operator import mul
+from math import exp, inf, log, log1p, log2, pi, sqrt
+from operator import add, mul
 from typing import Iterator, List, Tuple
 
 from .eta import _PRIME_TEST_LIMIT, _is_prime
+from .series import _pack, _slot_width, _unpack
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -76,14 +83,24 @@ class EngineInconsistencyError(RuntimeError):
     """Two routes through the engine disagree on the same question."""
 
 
+def _show(x: int) -> str:
+    """``x`` in decimal, or by its sign and bit length where CPython's limit
+    on the digits of an int -> str conversion refuses the decimal: a
+    refusal must not fail on the number it refuses."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+
+
 def _check_colors(c: int) -> None:
     if c < 1:
-        raise ValueError(f"color count must be at least 1, got {c}")
+        raise ValueError(f"color count must be at least 1, got {_show(c)}")
 
 
 def _check_weight(n: int) -> None:
     if n < 0:
-        raise ValueError(f"weight must be non-negative, got {n}")
+        raise ValueError(f"weight must be non-negative, got {_show(n)}")
 
 
 def _check_brute(c: int, n: int) -> int:
@@ -94,7 +111,7 @@ def _check_brute(c: int, n: int) -> int:
     if n > BRUTE_FORCE_CAP:
         raise ValueError(
             f"brute-force enumeration is capped at weight {BRUTE_FORCE_CAP} "
-            f"(got {n}); use the DP counter instead"
+            f"(got {_show(n)}); use the DP counter instead"
         )
     # bounds c from n = 2 on; below, the DP's work does not grow with c
     _check_class_count(c, n, "brute-force enumeration", "; use the DP counter instead")
@@ -113,7 +130,7 @@ def _check_class_count(c: int, n: int, what: str, advice: str = "") -> None:
     if c * (n // 2) + (n + 1) // 2 > _BRUTE_TYPES_CAP:
         raise ValueError(
             f"{what} is capped at {_BRUTE_TYPES_CAP:.0e} (size, color) classes "
-            f"(c={c}, n={n} has more){advice}"
+            f"(c={_show(c)}, n={_show(n)} has more){advice}"
         )
 
 
@@ -122,7 +139,7 @@ def _check_fold(count: int, dp: int, c: int, n: int) -> int:
     the same objects; raise :class:`EngineInconsistencyError` otherwise."""
     if count != dp:
         raise EngineInconsistencyError(
-            f"brute-force count disagrees with the DP for c={c}, n={n}: "
+            f"brute-force count disagrees with the DP for c={_show(c)}, n={n}: "
             f"{count} by enumeration, {dp} by the DP"
         )
     return count
@@ -145,11 +162,11 @@ class ColoredPart:
 
     def __post_init__(self):
         if self.size < 1:
-            raise ValueError(f"part size must be positive, got {self.size}")
+            raise ValueError(f"part size must be positive, got {_show(self.size)}")
         if self.color < 1:
-            raise ValueError(f"color index must be positive, got {self.color}")
+            raise ValueError(f"color index must be positive, got {_show(self.color)}")
         if self.size % 2 and self.color != 1:
-            raise ValueError(f"odd part {self.size} only admits color 1")
+            raise ValueError(f"odd part {_show(self.size)} only admits color 1")
 
     def sort_key(self) -> Tuple[int, int, int]:
         # size descending, color ascending, overlined copy first
@@ -243,24 +260,113 @@ def _divisor_sums(c: int, n: int, overlined: bool) -> List[int]:
     return sigma[1:]
 
 
+# A node of the DP's tree over at most this many weights runs the quadratic
+# step directly.
+_DP_LEAF = 32
+
+
+def _dp_block_prices(
+    length: int, count: int, a_bits: int, sigma_bits: int
+) -> Tuple[float, float]:
+    """The prices, schoolbook and Kronecker, of adding ``length`` counts of at
+    most ``a_bits`` bits, times divisor sums of at most ``sigma_bits`` bits,
+    into the sums of the next ``count`` weights.
+
+    The unit is a multiply-add of a machine word into a sum, about 62.5 ns
+    (1.6e7 a second; fitted on blocks of 32-2500 weights, 2-vCPU x86 host,
+    Python 3.11). A product of a count of ``b`` bits and a divisor sum,
+    added into a sum, costs about ``1.45 * (1 + b/1040)``. A Kronecker
+    product costs about ``B**log2(3) / 200`` for the Karatsuba product of
+    ``B`` bytes, plus 2.4 per slot packed or read back.
+    """
+    schoolbook = length * count * 1.45 * (1 + a_bits / 1040)
+    # bytes per slot, as _slot_width rounds a slot of over 4 bytes
+    width = 8 * -(-(a_bits + sigma_bits + length.bit_length()) // 64)
+    packed = (2 * length + count) * width  # bytes of the product
+    return schoolbook, packed ** log2(3) / 200 + 2.4 * (length + count)
+
+
+def _dp_price(n: int, a_bits: int, sigma_bits: int) -> float:
+    """The price of :func:`_colored_dp` at weight ``n`` with counts of at most
+    ``a_bits`` bits and divisor sums of at most ``sigma_bits`` bits: over
+    its tree of weights ``[0, n]``, each node's block product at the cheaper
+    of its two prices, and each leaf's steps by the schoolbook."""
+    prices = {}  # span of a node: its price; a tree level has at most two spans
+
+    def price(span: int) -> float:
+        if span not in prices:
+            if span <= _DP_LEAF:
+                products = span * (span + 1) // 2
+                prices[span] = _dp_block_prices(1, products, a_bits, sigma_bits)[0]
+            else:
+                half = span // 2  # the split of _colored_dp's solve
+                block = min(_dp_block_prices(half, span - half, a_bits, sigma_bits))
+                prices[span] = price(half) + block + price(span - half)
+        return prices[span]
+
+    return price(n + 1)
+
+
 def _colored_dp(c: int, n: int, overlined: bool) -> int:
     """The ``n``-th coefficient of the colored counting series ``F``, by
     ``w a(w) = sum_{k=1..w} sigma(k) a(w-k)`` (from ``q F' = (q F'/F) F``;
-    Apostol, *Introduction to Analytic Number Theory*, ch. 14). It costs
-    ``n(n+1)/2`` products whatever ``c`` is; a step whose sum ``w`` does not
-    divide raises :class:`EngineInconsistencyError`."""
+    Apostol, *Introduction to Analytic Number Theory*, ch. 14); a step whose
+    sum ``w`` does not divide raises :class:`EngineInconsistencyError`.
+
+    The sums are built online, by divide and conquer over the weights
+    ``[0, n]`` (van der Hoeven, "Relaxed multiplication using the middle
+    product", ISSAC 2003). A node over ``[l, r)`` solves ``[l, m)``, adds
+    the terms of ``a[l:m]`` into the sums of ``[m, r)`` with one block
+    product, and solves ``[m, r)``; a node over at most ``_DP_LEAF`` weights
+    takes each step's remaining terms directly. A block product runs as a
+    Kronecker product (unsigned slots; see :mod:`overcubic.series`) or as
+    the schoolbook, whichever :func:`_dp_block_prices` prices cheaper: the
+    slots are as wide as the counts, so from counts of a few hundred bits
+    on the schoolbook wins.
+    """
     _check_colors(c)
     _check_weight(n)
     sigma = _divisor_sums(c, n, overlined)
+    top = max(sigma, default=0)
     a = [1]
-    for w in range(1, n + 1):
-        value, rest = divmod(sum(map(mul, sigma, reversed(a))), w)
-        if rest:
-            raise EngineInconsistencyError(
-                f"colored DP step is not integral for c={c}, n={w}: "
-                f"remainder {rest} mod {w}"
-            )
-        a.append(value)
+    sums = [0] * (n + 1)  # sums[w]: the terms sigma(w-j) a(j) added so far
+    packed = {}  # (span, width): the divisor sums sigma(0..span-1), packed
+
+    def add_block(l: int, m: int, r: int) -> None:
+        block = a[l:m]
+        most = max(block)
+        schoolbook, kronecker = _dp_block_prices(
+            m - l, r - m, most.bit_length(), top.bit_length()
+        )
+        if kronecker < schoolbook:
+            width = _slot_width(most * top * (m - l))
+            key = (r - l, width)
+            if key not in packed:
+                packed[key] = _pack([0] + sigma[: r - l - 1], width)
+            product = _pack(block, width) * packed[key]
+            terms = _unpack(product >> (8 * width * (m - l)), width, r - m)
+        else:
+            block.reverse()
+            terms = [sum(map(mul, sigma[w - m : w - l], block)) for w in range(m, r)]
+        sums[m:r] = map(add, sums[m:r], terms)
+
+    def solve(l: int, r: int) -> None:
+        if r - l > _DP_LEAF:
+            m = (l + r) // 2
+            solve(l, m)
+            add_block(l, m, r)
+            solve(m, r)
+            return
+        for w in range(max(l, 1), r):
+            value, rest = divmod(sums[w] + sum(map(mul, sigma, reversed(a[l:]))), w)
+            if rest:
+                raise EngineInconsistencyError(
+                    f"colored DP step is not integral for c={_show(c)}, n={w}: "
+                    f"remainder {rest} mod {w}"
+                )
+            a.append(value)
+
+    solve(0, n + 1)
     return a[n]
 
 
@@ -467,7 +573,7 @@ class DecompositionCounts:
 def decompose(c: int, n: int) -> DecompositionCounts:
     """Enumerate and classify every overlined colored partition of ``n``."""
     if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
+        raise ValueError(f"weight must be positive, got {_show(n)}")
     _check_brute(c, n)
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
     for classes in _colored_partitions(c, n):
@@ -500,9 +606,9 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     ``r`` distinct part sizes.
     """
     if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
+        raise ValueError(f"weight must be positive, got {_show(n)}")
     if r < 0:
-        raise ValueError(f"class count must be non-negative, got {r}")
+        raise ValueError(f"class count must be non-negative, got {_show(r)}")
     _check_colors(c)
     _check_class_count(c, n, "chi_distinct")
     work = _distinct_class_work(n, c)
@@ -595,7 +701,7 @@ def _factorize(n: int) -> dict:
     ``ValueError``: factorizing it could take hours.
     """
     if n < 1:
-        raise ValueError(f"can only factorize positive integers, got {n}")
+        raise ValueError(f"can only factorize positive integers, got {_show(n)}")
     factors: dict = {}
     d = 2
     while n > 1:
@@ -605,7 +711,7 @@ def _factorize(n: int) -> dict:
             d += 1 if d == 2 else 2
             if d > _TRIAL_DIVISION_BOUND:
                 raise ValueError(
-                    f"cannot factorize the cofactor {n}: it has no prime factor "
+                    f"cannot factorize the cofactor {_show(n)}: it has no prime factor "
                     f"up to {_TRIAL_DIVISION_BOUND:.0e} and is not provably prime"
                 )
         factors[d] = factors.get(d, 0) + 1

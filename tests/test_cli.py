@@ -305,6 +305,39 @@ def test_count_dp_beyond_work_bound_is_usage_error(capsys):
         assert record["count"] % m == gen_overcubic_gf(1000, 1000, m)[1000]
 
 
+def test_dp_price_walks_the_dp_tree(monkeypatch):
+    # the CLI prices the block products of the DP's own tree; a leaf's steps
+    # are priced as one count against its products
+    prices = counting_module._dp_block_prices
+    for n in (31, 32, 100, 1000, 4097):
+        shapes = []
+
+        def record(length, count, a_bits, sigma_bits):
+            shapes.append((length, count))
+            return prices(length, count, a_bits, sigma_bits)
+
+        monkeypatch.setattr(counting_module, "_dp_block_prices", record)
+        _DP(2, n, True)
+        by_dp = set(shapes)
+        shapes.clear()
+        _dp_additions("overcubic", 2, n)
+        assert by_dp == {shape for shape in shapes if shape[0] > 1}
+
+
+@pytest.mark.parametrize("kind,c,edge", [("overcubic", 2, 15666), ("overcubic", 1000, 5791),
+                                         ("cubic", 1000000, 3443)])
+def test_dp_admission_edges(kind, c, edge):
+    # the largest admitted weights, bisected; 6.6-8.7 s each on a 2-vCPU x86 host
+    assert _dp_additions(kind, c, edge) <= DP_ADDITIONS_CAP < _dp_additions(kind, c, edge + 1)
+
+
+def test_dp_price_of_a_huge_weight_is_immediate():
+    # every weight takes a step, so a weight past the cap is refused unpriced
+    for n in (DP_ADDITIONS_CAP + 1, 10**12, 10**5000):
+        assert _dp_additions("overcubic", 10**6, n) > DP_ADDITIONS_CAP
+    assert _dp_additions("cubic", 10**5000, 10**4) > DP_ADDITIONS_CAP
+
+
 def test_count_dp_inconsistency_has_engine_exit_status(capsys, monkeypatch):
     # sigma(2) one too large leaves a remainder at the step n = 2
     sums = counting_module._divisor_sums

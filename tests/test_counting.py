@@ -9,6 +9,7 @@ import inspect
 import math
 import sys
 from itertools import islice
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,94 @@ def test_colored_dp_step_must_divide(monkeypatch):
             counter(3, 2)
 
 
+def quadratic_dp(c, n, overlined):
+    """Reference for the divide-and-conquer DP: the same recurrence, each
+    step's whole sum taken directly, n(n+1)/2 products."""
+    sigma = counting_module._divisor_sums(c, n, overlined)
+    a = [1]
+    for w in range(1, n + 1):
+        value, rest = divmod(sum(map(mul, sigma, reversed(a))), w)
+        assert rest == 0
+        a.append(value)
+    return a[n]
+
+
+# a price helper that makes every block product take one route
+FORCED_ROUTES = {
+    "kronecker": lambda length, count, a_bits, sigma_bits: (1.0, 0.0),
+    "schoolbook": lambda length, count, a_bits, sigma_bits: (0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FORCED_ROUTES))
+@pytest.mark.parametrize("overlined", [False, True])
+def test_colored_dp_matches_quadratic_on_each_route(monkeypatch, route, overlined):
+    shapes = []
+
+    def forced(length, count, a_bits, sigma_bits):
+        shapes.append((length, count))
+        return FORCED_ROUTES[route](length, count, a_bits, sigma_bits)
+
+    monkeypatch.setattr(counting_module, "_dp_block_prices", forced)
+    for n in (31, 32, 33, 63, 64, 65, 127, 128, 129, 300):
+        for c in (1, 2, 7, 1000):
+            shapes.clear()
+            assert counting_module._colored_dp(c, n, overlined) == quadratic_dp(c, n, overlined)
+            # n + 1 weights: a single leaf up to 32 of them, block products past that
+            assert bool(shapes) == (n + 1 > counting_module._DP_LEAF)
+
+
+@pytest.mark.parametrize("route", sorted(FORCED_ROUTES))
+def test_colored_dp_block_product_must_divide(monkeypatch, route):
+    # one more at sigma(60): a(0) sigma(60) enters the sum of weight 60
+    # through the root's block product, a(0..49) into the sums of 50..100
+    sums = counting_module._divisor_sums
+
+    def corrupted(c, n, overlined):
+        sigma = sums(c, n, overlined)
+        sigma[59] += 1
+        return sigma
+
+    monkeypatch.setattr(counting_module, "_divisor_sums", corrupted)
+    monkeypatch.setattr(counting_module, "_dp_block_prices", FORCED_ROUTES[route])
+    for overlined in (False, True):
+        with pytest.raises(EngineInconsistencyError,
+                           match="not integral for c=3, n=60: remainder 1 mod 60"):
+            counting_module._colored_dp(3, 100, overlined)
+
+
+def test_colored_dp_routes_by_the_bits_of_its_counts(monkeypatch):
+    # counts of up to 131 bits take Kronecker block products, counts of up
+    # to 6699 bits the schoolbook: each route ran 3 and 7 times faster there
+    widths = []
+    pack = counting_module._pack
+
+    def recording_pack(values, width):
+        widths.append(width)
+        return pack(values, width)
+
+    monkeypatch.setattr(counting_module, "_pack", recording_pack)
+    counting_module._colored_dp(1, 1000, True)
+    assert widths
+    widths.clear()
+    counting_module._colored_dp(10**6, 1000, True)
+    assert not widths
+
+
+def test_block_prices_route_by_count_bits():
+    # measured on blocks of 32-512 weights: the Kronecker product won 1.4-11x
+    # on counts of up to 64 bits, and on 256 bits from 256 weights on; the
+    # schoolbook won 2-25x from 1024 bits on
+    prices = counting_module._dp_block_prices
+    for length, bits in [(32, 16), (32, 64), (128, 64), (512, 64), (256, 256), (512, 256)]:
+        schoolbook, kronecker = prices(length, length, bits, 20)
+        assert kronecker < schoolbook
+    for length in (32, 128, 512):
+        for bits in (1024, 4096, 16384):
+            schoolbook, kronecker = prices(length, length, bits, 20)
+            assert schoolbook < kronecker
+
+
 # -- overlined colored partitions -----------------------------------------------------
 
 
@@ -253,6 +342,33 @@ def test_brute_admits_any_c_below_weight_2():
         assert count_gen_overcubic_brute(c, n) == 2**n
         assert len(list(iter_overcubic_partitions(c, n))) == 2**n
     assert decompose(c, 1).total == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.10.7")
+def test_refusals_of_a_huge_c_name_their_cap():
+    # under CPython's default digit limit a c of 5001 digits has no decimal
+    # string: each refusal names it by its bit length, not by a conversion error
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as brute:
+            count_gen_cubic_brute(10**5000, 30)
+        with pytest.raises(ValueError) as chi:
+            chi_distinct(30, 2, 10**5000)
+        with pytest.raises(ValueError) as dp:
+            count_gen_overcubic_dp(-(10**5000), 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(brute.value) == (
+        "brute-force enumeration is capped at 1e+06 (size, color) classes "
+        "(c=an integer of 16610 bits, n=30 has more); use the DP counter instead"
+    )
+    assert str(chi.value) == (
+        "chi_distinct is capped at 1e+06 (size, color) classes "
+        "(c=an integer of 16610 bits, n=30 has more)"
+    )
+    assert str(dp.value) == "color count must be at least 1, got a negative integer of 16610 bits"
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
