@@ -20,12 +20,12 @@ cross-check or a brute-force count against the DP, or when a DP step does
 not divide exactly (an internal inconsistency, not a verdict on the claim
 checked).
 
-The DP work bound prices the divisor-sum recurrence as it runs: over the
-DP's tree of weights, each block product by the cheaper of its Kronecker
-and schoolbook prices, with every count at the bits of ``a(n)``, which a
-saddle-point bound gives from above. It refuses at about 10 s whatever c
-is; the bits of ``a(n)`` overprice the smaller counts, so at its edges
-the requests it admits ran in 6.6-8.7 s (c = 2 to 10^6, 2-vCPU x86 host).
+Each engine prices its own request in one unit, an update of a sparse
+pass (about 24 ns), with one price of a Kronecker product
+(``series._kronecker_price``): ``eta._expansion_work`` sums the plan's
+steps, ``counting._dp_work`` the DP's block products over its tree. The
+caps, ``EXPAND_WORK_CAP`` and ``DP_WORK_CAP``, stay apart until updates
+over Z are priced by coefficient size.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ import shlex
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from math import log
 from typing import List, Optional
 
 from . import __version__
 from .counting import (
-    _dp_price,
-    _log_count_bound,
+    _dp_work,
     count_gen_cubic,
     count_gen_cubic_brute,
     count_gen_overcubic_brute,
@@ -126,12 +124,12 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
-# An expansion priced above this, each step by its route at its place in the
-# q^g walk of the cheaper walk, is refused. At the bound the whole call, JSON
-# included, takes 19-25 s over Z, 2.6-5.0 s mod 4 and 12, 6.3-8.7 s mod
-# 2^61 - 1 and 6.6-10.0 s mod 10^1000 + 7, and up to 100 MB (2-vCPU x86
-# host). The price does not grow with the coefficients, and over Z an update
-# on them costs the most.
+# An expansion priced above this many updates of a sparse pass, the unit of
+# DP_WORK_CAP, each step by its route at its place in the q^g walk of the
+# cheaper walk, is refused. At the bound the whole call, JSON included, takes
+# about 22 s over Z, 4.0-4.9 s mod 4 and 12, 9.5-11.0 s mod 2^61 - 1 and up
+# to 100 MB (2-vCPU x86 host). The price does not grow with the coefficients,
+# and over Z an update on them costs the most.
 EXPAND_WORK_CAP = 15 * 10**7
 
 
@@ -192,33 +190,20 @@ def _emit_rows(record: dict, values, fmt: str) -> None:
     sys.stdout.write(end)
 
 
-# A DP count priced higher is refused: about 10 s at 1.6e7 word-size
-# multiply-adds a second, the unit of counting._dp_block_prices.
-DP_ADDITIONS_CAP = 16 * 10**7
-
-
-def _dp_additions(kind: str, c: int, n: int) -> int:
-    """The price of the DP count in word-size multiply-adds, by
-    :func:`~overcubic.counting._dp_price`. Every count is priced at the bits
-    of the largest, ``a(n)``, which
-    :func:`~overcubic.counting._log_count_bound` bounds, and every divisor
-    sum at the bits of ``2cn(1 + n.bit_length())``, over
-    ``2c sigma_1(k) <= 2ck(1 + ln k)`` for ``k <= n``."""
-    n = max(n, 0)  # an empty sum below weight 0
-    if n > DP_ADDITIONS_CAP:  # refused whatever the counts: a step per weight
-        return n
-    a_bits = int(_log_count_bound(c, n, _KINDS[kind].overlined) / log(2)) + 1
-    sigma_bits = (2 * c * n * (n.bit_length() + 1)).bit_length()
-    return int(_dp_price(n, a_bits, sigma_bits))
+# A DP count priced higher, in the expansion's unit, is refused: about 10 s,
+# the 1.6e8 word-size multiply-adds of 62.5 ns the DP was fitted in, at 3.35
+# updates each. At the bound the whole call takes 7.5-11.0 s from c = 1 to
+# 10^6 (2-vCPU x86 host): the bits of a(n) overprice the smaller counts.
+DP_WORK_CAP = 536 * 10**6
 
 
 def _cmd_count(args, command: str) -> int:
     kind, engine, n = args.kind, args.engine, args.n
     c = _colors(kind, "--kind", args.c)
-    if engine == "dp" and _dp_additions(kind, c, n) > DP_ADDITIONS_CAP:
+    if engine == "dp" and _dp_work(c, n, _KINDS[kind].overlined) > DP_WORK_CAP:
         c_flag = "" if args.c is None else f" --c {c}"
         raise UsageError(
-            f"the {kind} DP at n = {n} needs over {DP_ADDITIONS_CAP:.1e} multiply-adds; "
+            f"the {kind} DP at n = {n} needs over {DP_WORK_CAP:.2g} coefficient updates; "
             f"expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         )
     # built on each call, so that a wrapper installed on these names (a

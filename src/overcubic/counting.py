@@ -11,8 +11,9 @@ The DP counters of colored partitions share one recurrence,
 ``n a(n) = sum_{k<=n} sigma(k) a(n-k)``, with ``sigma(k)`` a weighted
 divisor sum of ``k``. Its sums are built by divide and conquer over the
 weights, each block of them by a Kronecker product or by the schoolbook,
-whichever is priced cheaper; the cost grows with ``c`` only through the
-bits of the counts. The DP shares the packing kernel of
+whichever is priced cheaper in the expansion plan's unit and at its price
+of a Kronecker product; ``_dp_work`` sums those prices for the CLI's work
+bound. The cost grows with ``c`` only through the bits of the counts. The DP shares the packing kernel of
 :mod:`overcubic.series` with ``Series.__mul__`` but not the route: it
 multiplies divisor sums, not eta factors, so it stays independent of the
 series route. Every step must divide exactly; a remainder, which a slot
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, product
-from math import exp, inf, log, log1p, log2, pi, sqrt
+from math import exp, inf, log, log1p, pi, sqrt
 from operator import add, mul
 from typing import Iterator, List, Tuple
 
-from .eta import _PRIME_TEST_LIMIT, _is_prime
-from .series import _pack, _slot_width, _unpack
+from .eta import _prime_power_base
+from .series import _kronecker_price, _pack, _show, _slot_width, _unpack
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -81,16 +82,6 @@ _CHI_WORK_CAP = 12 * 10**7
 
 class EngineInconsistencyError(RuntimeError):
     """Two routes through the engine disagree on the same question."""
-
-
-def _show(x: int) -> str:
-    """``x`` in decimal, or by its sign and bit length where CPython's limit
-    on the digits of an int -> str conversion refuses the decimal: a
-    refusal must not fail on the number it refuses."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
 
 
 def _check_colors(c: int) -> None:
@@ -192,8 +183,8 @@ class ColoredOverPartition:
         for p in self.parts:
             if p.color > _color_count(p.size, c):
                 raise ValueError(
-                    f"part {p} uses color {p.color} but only "
-                    f"{_color_count(p.size, c)} colors are available"
+                    f"part of size {_show(p.size)} uses color {_show(p.color)} but "
+                    f"only {_show(_color_count(p.size, c))} colors are available"
                 )
 
 
@@ -272,25 +263,35 @@ def _dp_block_prices(
     most ``a_bits`` bits, times divisor sums of at most ``sigma_bits`` bits,
     into the sums of the next ``count`` weights.
 
-    The unit is a multiply-add of a machine word into a sum, about 62.5 ns
-    (1.6e7 a second; fitted on blocks of 32-2500 weights, 2-vCPU x86 host,
-    Python 3.11). A product of a count of ``b`` bits and a divisor sum,
-    added into a sum, costs about ``1.45 * (1 + b/1040)``. A Kronecker
-    product costs about ``B**log2(3) / 200`` for the Karatsuba product of
-    ``B`` bytes, plus 2.4 per slot packed or read back.
+    In updates of a sparse pass, the plan's unit: a product of a count of
+    ``b`` bits by a divisor sum, added into a sum, costs ``1.45 * (1 +
+    b/1040)`` word multiply-adds (fitted on blocks of 32-2500 weights) of
+    3.35 updates, the median of 2.2-4.5 timed at 24-1000 bits between
+    sparse passes (2-vCPU x86 host). The Kronecker product packs the block
+    and ``length + count`` divisor sums, at ``series._kronecker_price``.
     """
-    schoolbook = length * count * 1.45 * (1 + a_bits / 1040)
-    # bytes per slot, as _slot_width rounds a slot of over 4 bytes
-    width = 8 * -(-(a_bits + sigma_bits + length.bit_length()) // 64)
-    packed = (2 * length + count) * width  # bytes of the product
-    return schoolbook, packed ** log2(3) / 200 + 2.4 * (length + count)
+    schoolbook = length * count * 1.45 * 3.35 * (1 + a_bits / 1040)
+    width = _dp_slot_width(length, a_bits, sigma_bits)
+    return schoolbook, _kronecker_price(2 * length + count, count, width)
 
 
-def _dp_price(n: int, a_bits: int, sigma_bits: int) -> float:
-    """The price of :func:`_colored_dp` at weight ``n`` with counts of at most
-    ``a_bits`` bits and divisor sums of at most ``sigma_bits`` bits: over
-    its tree of weights ``[0, n]``, each node's block product at the cheaper
-    of its two prices, and each leaf's steps by the schoolbook."""
+def _dp_slot_width(length: int, a_bits: int, sigma_bits: int) -> int:
+    """Bytes per slot for sums of ``length`` products of ``a_bits`` by ``sigma_bits`` bits."""
+    return _slot_width(a_bits + sigma_bits + length.bit_length())
+
+
+def _dp_work(c: int, n: int, overlined: bool) -> float:
+    """The price of :func:`_colored_dp` at weight ``n``: over its tree of
+    weights ``[0, n]``, each node's block product at the cheaper of its two
+    prices and each leaf's steps by the schoolbook, every count at the bits
+    of ``a(n)`` by :func:`_log_count_bound`, every divisor sum at those of
+    ``2cn(1 + n.bit_length())``, as ``2c sigma_1(k) <= 2ck(1 + ln k)``. Past
+    ``2**53`` weights, beyond floats, it is ``n``: each costs an update."""
+    n = max(n, 0)  # an empty sum below weight 0
+    if n > 2**53:
+        return n
+    a_bits = int(_log_count_bound(c, n, overlined) / log(2)) + 1
+    sigma_bits = (2 * c * n * (n.bit_length() + 1)).bit_length()
     prices = {}  # span of a node: its price; a tree level has at most two spans
 
     def price(span: int) -> float:
@@ -327,19 +328,17 @@ def _colored_dp(c: int, n: int, overlined: bool) -> int:
     _check_colors(c)
     _check_weight(n)
     sigma = _divisor_sums(c, n, overlined)
-    top = max(sigma, default=0)
+    sigma_bits = max(sigma, default=0).bit_length()
     a = [1]
     sums = [0] * (n + 1)  # sums[w]: the terms sigma(w-j) a(j) added so far
     packed = {}  # (span, width): the divisor sums sigma(0..span-1), packed
 
     def add_block(l: int, m: int, r: int) -> None:
         block = a[l:m]
-        most = max(block)
-        schoolbook, kronecker = _dp_block_prices(
-            m - l, r - m, most.bit_length(), top.bit_length()
-        )
+        a_bits = max(block).bit_length()
+        schoolbook, kronecker = _dp_block_prices(m - l, r - m, a_bits, sigma_bits)
         if kronecker < schoolbook:
-            width = _slot_width(most * top * (m - l))
+            width = _dp_slot_width(m - l, a_bits, sigma_bits)
             key = (r - l, width)
             if key not in packed:
                 packed[key] = _pack([0] + sigma[: r - l - 1], width)
@@ -688,31 +687,30 @@ def _distinct_class_profile(n: int, c: int) -> List[int]:
 
 
 # Trial division stops here: about 0.1 s. A cofactor with no prime factor
-# up to the bound must be a prime that eta._is_prime can decide.
+# up to the bound must be a prime power that eta._prime_power_base decides.
 _TRIAL_DIVISION_BOUND = 10**6
 
 
 def _factorize(n: int) -> dict:
     """Prime factorization by trial division, which stops as soon as the
-    cofactor left is 1 or prime (Miller-Rabin, ``eta._is_prime``).
+    cofactor left is 1 or a prime power (``eta._prime_power_base``).
 
     A cofactor with no prime factor up to ``_TRIAL_DIVISION_BOUND`` that is
-    not prime, or that is too large for the deterministic test, raises
-    ``ValueError``: factorizing it could take hours.
+    not a prime power, or that is too large for the deterministic test,
+    raises ``ValueError``: factorizing it could take hours.
     """
     if n < 1:
         raise ValueError(f"can only factorize positive integers, got {_show(n)}")
     factors: dict = {}
     d = 2
     while n > 1:
-        if n < _PRIME_TEST_LIMIT and _is_prime(n):
-            d = n
+        d = _prime_power_base(n) or d
         while n % d:
             d += 1 if d == 2 else 2
             if d > _TRIAL_DIVISION_BOUND:
                 raise ValueError(
                     f"cannot factorize the cofactor {_show(n)}: it has no prime factor "
-                    f"up to {_TRIAL_DIVISION_BOUND:.0e} and is not provably prime"
+                    f"up to {_TRIAL_DIVISION_BOUND:.0e} and is not provably a prime power"
                 )
         factors[d] = factors.get(d, 0) + 1
         n //= d

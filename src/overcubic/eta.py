@@ -70,7 +70,7 @@ from math import gcd
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .series import Series, _divide_sparse, _kronecker_mod_price, _validate_modulus
+from .series import Series, _divide_sparse, _kronecker_price, _show, _slot_width, _validate_modulus
 
 __all__ = [
     "EtaQuotient",
@@ -441,7 +441,7 @@ def _spread(coeffs: List[int], step: int, size: int) -> List[int]:
 
 def _factor_plan(
     n: int, k: int, order: int, m: Optional[int], first: bool, theta: bool = False
-) -> Tuple[bool, int]:
+) -> Tuple[bool, float]:
     """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
     ``phi(-q^n)^k`` when ``theta``, in updates of a sparse pass. Sparse:
     ``|k|`` passes of ``(order + 1) * terms``, whatever the weights, since
@@ -449,9 +449,10 @@ def _factor_plan(
     update on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per
     coefficient, the inverting walk if ``k < 0``, ``bits(|k|) +
     popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
-    unless ``first``. Over Z only sparse passes: dense slots must hold
-    coefficient growth. :func:`_planned_steps` asks it at the compressed
-    step: the base at ``n // g`` and ``order // g``."""
+    unless ``first``, each at :func:`~overcubic.series._kronecker_price`.
+    Over Z only sparse passes: dense slots must hold coefficient growth.
+    :func:`_planned_steps` asks it at the compressed step: the base at
+    ``n // g`` and ``order // g``."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else 1 + m.bit_length() // 2000
     sparse = abs(k) * (order + 1) * terms * update
@@ -459,7 +460,9 @@ def _factor_plan(
         return False, sparse
     walk = (order // n + 1) * terms * update if k < 0 else 0
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - first
-    dense = 3 * (order + 1) + walk + products * _kronecker_mod_price(order + 1, m)
+    width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
+    product = _kronecker_price(2 * (order + 1), order + 1, width)  # two operands
+    dense = 3 * (order + 1) + walk + products * product
     return (True, dense) if dense < sparse else (False, sparse)
 
 
@@ -468,7 +471,7 @@ def _expansion_work(
     order: int,
     modulus: Optional[int] = None,
     route: Optional[str] = None,
-) -> int:
+) -> float:
     """Price of ``expand_eta_quotient(quotient, order, modulus, route)``:
     the sum of the plan prices of the steps of :func:`_planned_steps`, which
     :func:`_expand_normalized` runs."""
@@ -568,7 +571,7 @@ def _colored_quotient(c: int, overlined: bool) -> EtaQuotient:
     """The eta quotient of the ``c``-colored counting series, with or
     without overlining."""
     if c < 1:
-        raise ValueError(f"color count must be at least 1, got {c}")
+        raise ValueError(f"color count must be at least 1, got {_show(c)}")
     if overlined:
         return EtaQuotient([(4, c - 1), (1, -2), (2, -(2 * c - 3))])
     return EtaQuotient([(1, -1), (2, -(c - 1))])

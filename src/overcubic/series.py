@@ -39,12 +39,22 @@ class NonInvertibleError(ValueError):
     """The constant term is not a unit, so no series inverse exists."""
 
 
+def _show(x: int) -> str:
+    """``x`` in decimal, or by its sign and bit length where CPython's limit
+    on the digits of an int -> str conversion refuses the decimal: a
+    refusal must not fail on the number it refuses."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+
+
 def _validate_modulus(modulus: Optional[int]) -> Optional[int]:
     if modulus is None:
         return None
     m = int(modulus)
     if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
+        raise ValueError(f"modulus must be at least 2, got {_show(modulus)}")
     return m
 
 
@@ -355,9 +365,9 @@ class Series:
         return Series(self._coeffs, m)
 
 
-def _slot_width(bound: int) -> int:
-    """Bytes per slot for values in ``[0, bound]``: 1, 2, 4, or a multiple of 8."""
-    nbytes = (bound.bit_length() + 7) // 8
+def _slot_width(bits: int) -> int:
+    """Bytes per slot for values of ``bits`` bits: 1, 2, 4, or a multiple of 8."""
+    nbytes = (bits + 7) // 8
     for width in (1, 2, 4):
         if nbytes <= width:
             return width
@@ -397,17 +407,21 @@ def _kronecker_mod(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     ``(m-1)**2``, which bounds the slot.
     """
     count = len(a)
-    width = _slot_width((m - 1) * (m - 1) * count)
+    width = _slot_width(((m - 1) * (m - 1) * count).bit_length())
     slots = _unpack(_pack(a, width) * _pack(b, width), width, count)
     return [v % m for v in slots]
 
 
-def _kronecker_mod_price(count: int, m: int) -> int:
-    """Cost of ``_kronecker_mod`` on ``count`` residues in updates of an eta
-    sparse pass: 2 per coefficient to pack, unpack and reduce, and
-    ``B**log2(3) / 25`` for the Karatsuba product of two ``B``-byte integers."""
-    packed = count * _slot_width((m - 1) * (m - 1) * count)
-    return 2 * count + int(packed ** log2(3)) // 25
+def _kronecker_price(packed: int, read: int, width: int) -> float:
+    """Price of a Kronecker product, in updates of a sparse pass (about 24
+    ns): ``packed`` slots of ``width`` bytes in its two operands, ``read``
+    of them read back. The Karatsuba product of ``B = packed * width``
+    bytes costs ``B**1.585 / 60``, a slot packed or read 3 through an
+    array of 1-8 bytes, 14 through a wider slot's bytes. Fitted on eta's
+    dense products (10^2-10^5 residues mod 4 to 10^1000 + 7) and the DP's
+    block products (31-2048 weights of 16-1024 bits; 2-vCPU x86 host)."""
+    slot = 3 if width <= 8 else 14
+    return (packed * width) ** log2(3) / 60 + slot * (packed + read)
 
 
 def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -423,7 +437,7 @@ def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * count
     if not bound:
         return [0] * count
-    width = _slot_width(2 * bound)
+    width = _slot_width((2 * bound).bit_length())
     half = 1 << (8 * width - 1)
     offsets = int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
     x = _pack([c + half for c in a], width) - offsets

@@ -33,7 +33,7 @@ from .eta import (
     theta_sum,
     toh_rhs,
 )
-from .series import Series
+from .series import Series, _show
 
 __all__ = [
     "SQUARE",
@@ -83,7 +83,7 @@ class Mod4Class:
 
 def classify_n(n: int) -> Mod4Class:
     if n < 1:
-        raise ValueError(f"classification needs n >= 1, got {n}")
+        raise ValueError(f"classification needs n >= 1, got {_show(n)}")
     k = math.isqrt(n)
     if k * k == n:
         return Mod4Class(SQUARE, k)
@@ -100,7 +100,7 @@ def expected_mod4_residue(c: int, n: int) -> int:
     0 otherwise.
     """
     if c < 1:
-        raise ValueError(f"color count must be at least 1, got {c}")
+        raise ValueError(f"color count must be at least 1, got {_show(c)}")
     return _mod4_residue(c, classify_n(n).tag)
 
 
@@ -211,9 +211,9 @@ def verify_mod4_classification(c_max: int, n_max: int, order: int) -> Verificati
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max."""
     if c_max < 1:
-        raise ValueError(f"c_max must be at least 1, got {c_max}")
+        raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
     if order < n_max:
-        raise ValueError(f"order {order} is below n_max {n_max}; coefficients unknown")
+        raise ValueError(f"order {_show(order)} is below n_max {_show(n_max)}; coefficients unknown")
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
         i_range=(1, c_max),

@@ -17,13 +17,13 @@ import pytest
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
 from overcubic.cli import (
-    DP_ADDITIONS_CAP,
+    DP_WORK_CAP,
     EXPAND_WORK_CAP,
     _VERIFY_CSV_HEADER,
-    _dp_additions,
     _emit_rows,
     main,
 )
+from overcubic.counting import _dp_work
 from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
 
 
@@ -292,11 +292,11 @@ def test_count_dp_beyond_work_bound_is_usage_error(capsys):
     assert out == ""
     assert "overcubic expand --gf overcubic --c 2 --order 20000" in err
     # a large c makes every product long: 12.5e6 products, about 12 s
-    assert "multiply-adds" in assert_refused(
+    assert "coefficient updates" in assert_refused(
         capsys, "count", "--kind", "overcubic", "--c", "1000000", "--n", "5000"
     )
     # the largest DP requests of the benchmark stay below the bound
-    assert _dp_additions("overcubic", 4, 1000) < DP_ADDITIONS_CAP
+    assert _dp_work(4, 1000, True) < DP_WORK_CAP
     # the recurrence's cost hardly grows with c: 0.06 s here, where
     # multiplying in the classes one by one takes about 44 s
     code, record = run_json(capsys, "count", "--kind", "overcubic", "--c", "1000", "--n", "1000")
@@ -320,22 +320,36 @@ def test_dp_price_walks_the_dp_tree(monkeypatch):
         _DP(2, n, True)
         by_dp = set(shapes)
         shapes.clear()
-        _dp_additions("overcubic", 2, n)
+        _dp_work(2, n, True)
         assert by_dp == {shape for shape in shapes if shape[0] > 1}
 
 
-@pytest.mark.parametrize("kind,c,edge", [("overcubic", 2, 15666), ("overcubic", 1000, 5791),
+@pytest.mark.parametrize("kind,c,edge", [("overcubic", 2, 15686), ("overcubic", 1000, 5791),
                                          ("cubic", 1000000, 3443)])
 def test_dp_admission_edges(kind, c, edge):
-    # the largest admitted weights, bisected; 6.6-8.7 s each on a 2-vCPU x86 host
-    assert _dp_additions(kind, c, edge) <= DP_ADDITIONS_CAP < _dp_additions(kind, c, edge + 1)
+    # the largest admitted weights, bisected; 7.5-8.4 s each on a 2-vCPU x86 host
+    overlined = kind == "overcubic"
+    assert _dp_work(c, edge, overlined) <= DP_WORK_CAP < _dp_work(c, edge + 1, overlined)
+
+
+@pytest.mark.parametrize("c,m,edge", [
+    (1, None, 282484), (1, 4, 282484), (1, 12, 282484), (1, 2**61 - 1, 282484),
+    (10, None, 108891), (10, 4, 230945), (10, 12, 134507), (10, 2**61 - 1, 108891),
+])
+def test_expand_admission_edges(c, m, edge):
+    # the largest admitted orders of the overlined series, f2/f1^2 at c = 1,
+    # bisected; on a 2-vCPU x86 host 21.6-21.7 s over Z, 4.0-4.9 s mod 4 and
+    # 12 and 9.5-11.0 s mod 2^61 - 1
+    quotient = _colored_quotient(c, True)
+    assert _expansion_work(quotient, edge, m) <= EXPAND_WORK_CAP < _expansion_work(quotient, edge + 1, m)
 
 
 def test_dp_price_of_a_huge_weight_is_immediate():
-    # every weight takes a step, so a weight past the cap is refused unpriced
-    for n in (DP_ADDITIONS_CAP + 1, 10**12, 10**5000):
-        assert _dp_additions("overcubic", 10**6, n) > DP_ADDITIONS_CAP
-    assert _dp_additions("cubic", 10**5000, 10**4) > DP_ADDITIONS_CAP
+    # a weight past the cap is refused at once: the tree is priced per span,
+    # and past 2**53 weights, where every weight still takes a step, unwalked
+    for n in (DP_WORK_CAP + 1, 10**12, 10**5000):
+        assert _dp_work(10**6, n, True) > DP_WORK_CAP
+    assert _dp_work(10**5000, 10**4, False) > DP_WORK_CAP
 
 
 def test_count_dp_inconsistency_has_engine_exit_status(capsys, monkeypatch):

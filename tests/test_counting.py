@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import overcubic.counting as counting_module
+import overcubic.eta as eta_module
 from overcubic.counting import (
     BRUTE_FORCE_CAP,
     ColoredOverPartition,
@@ -633,10 +634,18 @@ def test_factorize_stops_at_a_prime_cofactor():
     assert counting_module._factorize(3**5 * (2**61 - 1)) == {3: 5, 2**61 - 1: 1}
 
 
+def test_factorize_stops_at_a_prime_power_cofactor():
+    # 1000003 is past the trial-division bound; an integer square root of
+    # the cofactor ends the walk instead of a refusal
+    assert tau_odd(1000003**2) == 3
+    assert tau_even(2 * 1000003**2) == 3
+    assert counting_module._factorize(4 * 3 * 1000003**3) == {2: 2, 3: 1, 1000003: 3}
+
+
 def test_factorize_refuses_an_unsplit_composite():
     bound = counting_module._TRIAL_DIVISION_BOUND
     p, q = bound + 3, bound + 33  # the two primes just above 10**6
-    assert all(counting_module._is_prime(x) for x in (p, q))
+    assert all(eta_module._is_prime(x) for x in (p, q))
     with pytest.raises(ValueError, match="no prime factor"):
         tau_odd(p * q)
     # a prime too large for the deterministic test is refused too

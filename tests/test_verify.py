@@ -1,11 +1,13 @@
 """Tests for classification, congruence sweeps, and identity checking."""
 
 import math
+import sys
 
 import pytest
 
 import overcubic.eta as eta_module
 import overcubic.verify as verify_module
+from overcubic.counting import ColoredOverPartition, ColoredPart
 from overcubic.eta import _expand_normalized, expand_eta_quotient, gen_overcubic_gf, psi
 from overcubic.series import Series
 from overcubic.verify import (
@@ -410,3 +412,41 @@ def test_negative_control_identity_fails():
 def test_unknown_identity_name():
     with pytest.raises(ValueError, match="unknown identity"):
         check_named_identity("nope")
+
+
+def test_family_modulus_with_a_large_prime_power_part():
+    # the prime-power part 1000003**2 lies past trial division; the
+    # composite-vs-component cross-check still splits the modulus
+    assert _prime_power_components(4 * 1000003**2) == [4, 1000003**2]
+    report = verify_family(CongruenceFamily(1, 1, 2, 0, 4 * 1000003**2), 1, 3, 20)
+    assert isinstance(report, VerificationReport)
+    assert (report.i_range, report.n_range, report.order) == ((1, 1), (0, 3), 20)
+
+
+HUGE = 10**5000  # 16610 bits, past CPython's default limit of 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("refused", [
+    lambda: ColoredOverPartition((ColoredPart(2, HUGE + 1),), 2).validate_colors(HUGE),
+    lambda: ColoredOverPartition((ColoredPart(2 * HUGE, 2),), 2 * HUGE).validate_colors(1),
+    lambda: gen_overcubic_gf(-HUGE, 10),
+    lambda: classify_n(-HUGE),
+    lambda: expected_mod4_residue(-HUGE, 5),
+    lambda: verify_mod4_classification(-HUGE, 10, 10),
+    lambda: verify_mod4_classification(1, HUGE, 10),
+    lambda: Series([1, 2], modulus=-HUGE),
+], ids=["validate_colors", "validate_colors_size", "colored_quotient", "classify_n",
+        "expected_mod4_residue", "mod4_c_max", "mod4_order", "validate_modulus"])
+def test_refusals_of_a_huge_integer_name_it_by_its_bits(refused):
+    # each refusal prints an integer past the digit limit by its bit length,
+    # not CPython's int -> str conversion error
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=r"integer of 1661[01] bits") as info:
+            refused()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "Exceeds the limit" not in str(info.value)
