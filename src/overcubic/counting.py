@@ -22,26 +22,34 @@ or carry fault in a block product would leave, raises
 ``count_overpartitions`` takes a third route, a convolution of
 distinct-part and unrestricted counts.
 
-One non-recursive walk, ``_colored_partitions``, lists every colored
-partition as its (size, color, multiplicity) classes. The brute-force
-counters, ``iter_overcubic_partitions`` and ``decompose`` are folds over
-it: a colored partition with ``r`` classes has ``2^r`` overlinings. Each
-brute-force count is checked against the DP count of the same weight, an
-independent route, and a disagreement raises
+The brute-force counters, ``iter_overcubic_partitions`` and ``decompose``
+share one non-recursive walk, ``_walk``, over the partitions of ``n`` into
+sizes: ``p(n)`` of them, whatever ``c`` is. An odd size, and every size at
+``c = 1``, has one coloring and adds one (size, color) class. An even size
+of multiplicity ``m`` takes any multiset of ``m`` colors out of ``c``; its
+pool, enumerated once per call, holds each multiset's number of distinct
+colors, the classes it makes. A colored partition is one element of its
+single pool or of the product of its pools, so the counters and
+``decompose`` visit each colored partition once and weigh it by its class
+count ``r`` (``2^r`` overlinings, or 1), with the work per object done in
+C through ``map``, ``sum`` and :mod:`itertools`. ``iter_overcubic_partitions``
+builds its objects lazily from the same walk, drawing each size's
+colorings as it goes. Each brute-force count is checked against the DP
+count of the same weight, an independent route, and a disagreement raises
 :class:`EngineInconsistencyError`.
 
 Brute-force routines are capped at weight 30, at 10^6 (size, color)
-classes and at 10^7 colored partitions walked (about 10 s): the object
-counts grow fast enough beyond that to make exhaustive enumeration
-pointless when the DP and the generating function are available. The caps
-are checked on the call, the class count first, so the DP that counts the
-walk never sees a large c with work to do.
+classes and at 10^7 colored partitions visited (at most about 3.5 s):
+the object counts grow fast enough beyond that to make exhaustive
+enumeration pointless when the DP and the generating function are
+available. The caps are checked on the call, the class count first, so
+the DP that counts the walk never sees a large c with work to do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product, starmap
 from math import exp, inf, log, log1p, pi, sqrt
 from operator import add, mul
 from typing import Iterator, List, Tuple
@@ -69,10 +77,14 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 30
-# A brute-force walk over more colored partitions is refused: about 10 s.
+# A brute-force call over more colored partitions is refused. At the edges
+# the caps admit it takes 0.25 s (c = 5, n = 30) to 3.5 s (c = 58, n = 10),
+# mostly in building the pools there (2-vCPU x86 host).
 _BRUTE_WALK_CAP = 10**7
-# A walk over more (size, color) classes is refused too: its type list
-# alone would take about 100 MB.
+# A call over more (size, color) classes is refused too. chi_distinct's type
+# list, a tuple per class, would take about 100 MB past it. The brute-force
+# walk keeps the cap: at n = 2 and 3 the walk cap admits c up to 10^7, and
+# combinations_with_replacement copies the c colors, about 40 bytes each.
 _BRUTE_TYPES_CAP = 10**6
 # chi_distinct's DP takes 1.1e7 to 2.1e7 of the steps _distinct_class_work
 # counts a second, so more are refused: at the cap it runs 10.5 s at c = 1
@@ -432,63 +444,100 @@ def _log_count_bound(c: int, n: int, overlined: bool) -> float:
 # -- brute-force enumeration -------------------------------------------------
 
 
-def _part_types(c: int, n: int) -> List[Tuple[int, int]]:
-    """All (size, color) classes of weight at most ``n``: size descending,
-    color ascending, so the last one is ``(1, 1)``."""
-    return [
-        (s, col)
-        for s in range(n, 0, -1)
-        for col in range(1, _color_count(s, c) + 1)
-    ]
+def _walk(
+    n: int, pools: List[bytes]
+) -> Iterator[Tuple[List[Tuple[int, int, int]], int, List[bytes]]]:
+    """Yield every partition of ``n`` into sizes once, as its ``(size,
+    multiplicity, weight left before it)`` triples, size descending, with
+    its colorings: the class count ``fixed`` of its sizes with one
+    coloring, and the pools of its other sizes. The same lists are mutated
+    between yields; copy them to keep them.
 
+    ``pools[m]`` is the pool of an even size of multiplicity ``m``; with no
+    pools every size has one coloring and one class, as an odd size always
+    has. A colored partition is one element of the product of its
+    partition's pools, and has ``fixed`` plus that element's entries as its
+    number of (size, color) classes.
 
-def _colored_partitions(c: int, n: int) -> Iterator[List[Tuple[int, int, int]]]:
-    """Yield every ``c``-colored partition of ``n`` once, as the list of
-    its ``(size, color, multiplicity)`` classes in canonical order. The same
-    list is mutated between yields; copy it to keep it.
-
-    The walk does not recurse (Knuth, TAOCP 4A, 7.2.1.4). ``frames`` holds
-    a ``(type index, weight left before it)`` pair per class. A new class
-    takes the first type that fits at its largest multiplicity; a step
-    lowers the multiplicity, then moves to the next type. The last type,
-    ``(1, 1)``, always takes all the weight left, so no branch dead-ends.
+    The walk does not recurse (Knuth, TAOCP 4A, 7.2.1.4). A new triple
+    takes the largest size that fits, below the previous one, at its
+    largest multiplicity; a step lowers the multiplicity, then the size.
+    Size 1 always takes all the weight left, so no branch dead-ends.
     """
-    types = _part_types(c, n)
-    last = len(types) - 1
-    first = [0] * (n + 1)  # first[w]: index of the first type of size <= w
-    for j in range(last, -1, -1):
-        first[types[j][0]] = j
-    classes: List[Tuple[int, int, int]] = []
-    frames: List[Tuple[int, int]] = []
-    idx, left = 0, n
+    colored = [bool(pools) and not s % 2 for s in range(n + 1)]
+    stack: List[Tuple[int, int, int]] = []
+    drawn: List[bytes] = []
+    fixed = 0
+    top = left = n  # the largest size the next triple may take; weight left
     while True:
         while left:
-            j = max(idx, first[left])
-            size, color = types[j]
+            size = top if top < left else left
             mult = left // size
-            frames.append((j, left))
-            classes.append((size, color, mult))
-            idx, left = j + 1, left - mult * size
-        yield classes
-        while frames:
-            j, before = frames[-1]
-            if j == last:
-                frames.pop()
-                classes.pop()
+            stack.append((size, mult, left))
+            if colored[size]:
+                drawn.append(pools[mult])
+            else:
+                fixed += 1
+            top, left = size - 1, left - mult * size
+        yield stack, fixed, drawn
+        while stack:
+            size, mult, before = stack.pop()
+            if colored[size]:
+                drawn.pop()
+            else:
+                fixed -= 1
+            if size == 1:
                 continue
-            size, color, mult = classes[-1]
             if mult > 1:
                 mult -= 1
             else:
-                j += 1
-                size, color = types[j]
+                size -= 1
                 mult = before // size
-                frames[-1] = (j, before)
-            classes[-1] = (size, color, mult)
-            idx, left = j + 1, before - mult * size
+            stack.append((size, mult, before))
+            if colored[size]:
+                drawn.append(pools[mult])
+            else:
+                fixed += 1
+            top, left = size - 1, before - mult * size
             break
         else:
             return
+
+
+def _pools(c: int, n: int) -> List[bytes]:
+    """``pools[m]``, for ``m <= n // 2``: per multiset of ``m`` colors out of
+    ``c``, the number of distinct colors in it, the classes that an even
+    size of multiplicity ``m`` colored by it makes. Empty at ``c = 1``."""
+    if c == 1:
+        return []
+    return [b""] + [
+        bytes(map(len, map(set, combinations_with_replacement(range(c), m))))
+        for m in range(1, n // 2 + 1)
+    ]
+
+
+def _weigh(weights: List[int], fixed: int, drawn: List[bytes]) -> int:
+    """The sum of ``weights[r]`` over the colorings of one partition into
+    sizes, ``r`` their number of classes: ``fixed`` plus, per element of its
+    single pool or of the product of its two or more pools, the element's
+    entries. Each coloring is visited once."""
+    if not drawn:
+        return weights[fixed]
+    counts = drawn[0]
+    for pool in drawn[1:]:
+        counts = starmap(add, product(counts, pool))
+    return sum(map(weights[fixed:].__getitem__, counts))
+
+
+def _fold(c: int, n: int, weights: List[int]) -> int:
+    """The sum of ``weights[r]`` over every ``c``-colored partition of ``n``,
+    ``r`` its number of (size, color) classes; ``weights`` covers ``r <= n``."""
+    total = 0
+    for _stack, fixed, drawn in _walk(n, _pools(c, n)):
+        # inline for a partition with no pools, every one at c = 1: a call
+        # per partition is about a tenth of that walk
+        total += _weigh(weights, fixed, drawn) if drawn else weights[fixed]
+    return total
 
 
 def count_partitions_brute(n: int) -> int:
@@ -500,7 +549,7 @@ def count_gen_cubic_brute(c: int, n: int) -> int:
     """Colored partitions of ``n`` by explicit enumeration (oracle), checked
     against the DP count."""
     walk = _check_brute(c, n)
-    return _check_fold(sum(1 for _ in _colored_partitions(c, n)), walk, c, n)
+    return _check_fold(_fold(c, n, [1] * (n + 1)), walk, c, n)
 
 
 def count_gen_overcubic_brute(c: int, n: int) -> int:
@@ -512,7 +561,7 @@ def count_gen_overcubic_brute(c: int, n: int) -> int:
     :class:`EngineInconsistencyError`.
     """
     _check_brute(c, n)
-    total = sum(1 << len(classes) for classes in _colored_partitions(c, n))
+    total = _fold(c, n, [1 << r for r in range(n + 1)])
     return _check_fold(total, _colored_dp(c, n, overlined=True), c, n)
 
 
@@ -521,6 +570,27 @@ def _first_copy_choices(cls: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
     size, color, mult = cls
     plain = (ColoredPart(size, color),) * mult
     return plain, (ColoredPart(size, color, True),) + plain[1:]
+
+
+def _extend(prefixes: Iterator[tuple], size: int, mult: int, colors: int) -> Iterator[tuple]:
+    """Each prefix followed by the ``mult`` parts of one size, in every
+    coloring out of ``colors`` and every overlining, in canonical order.
+    The colorings are drawn anew under each prefix, so only the current
+    one is held."""
+    for prefix in prefixes:
+        for coloring in combinations_with_replacement(range(1, colors + 1), mult):
+            classes = [(size, color, len(tuple(run))) for color, run in groupby(coloring)]
+            for choice in product(*map(_first_copy_choices, classes)):
+                yield prefix + tuple(chain.from_iterable(choice))
+
+
+def _partition_parts(stack: List[Tuple[int, int, int]], c: int) -> Iterator[tuple]:
+    """The parts of every overlined colored partition of one partition into
+    sizes, drawn lazily, size by size."""
+    parts: Iterator[tuple] = iter([()])
+    for size, mult, _before in stack:
+        parts = _extend(parts, size, mult, _color_count(size, c))
+    return parts
 
 
 def iter_overcubic_partitions(c: int, n: int) -> Iterator[ColoredOverPartition]:
@@ -532,9 +602,9 @@ def iter_overcubic_partitions(c: int, n: int) -> Iterator[ColoredOverPartition]:
     """
     _check_brute(c, n)
     return (
-        ColoredOverPartition(parts=tuple(chain.from_iterable(choice)), weight=n)
-        for classes in _colored_partitions(c, n)
-        for choice in product(*map(_first_copy_choices, classes))
+        ColoredOverPartition(parts=parts, weight=n)
+        for stack, _fixed, _drawn in _walk(n, [])
+        for parts in _partition_parts(stack, c)
     )
 
 
@@ -574,20 +644,19 @@ def decompose(c: int, n: int) -> DecompositionCounts:
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
     _check_brute(c, n)
+    # weights by class count r: overlinings, and the two single-size kinds
+    overlined = [1 << r for r in range(n + 1)]
+    one_class = [int(r == 1) for r in range(n + 1)]
+    many_classes = [(1 << r) * (r >= 2) for r in range(n + 1)]
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
-    for classes in _colored_partitions(c, n):
-        overlined = 1 << len(classes)
-        size = classes[0][0]
-        if size != classes[-1][0]:  # classes are size-sorted
-            tallies["p_geq2"] += overlined
+    for stack, fixed, drawn in _walk(n, _pools(c, n)):
+        if len(stack) > 1:
+            tallies["p_geq2"] += _weigh(overlined, fixed, drawn)
             continue
-        tallies["p1"] += overlined
-        if size % 2:
-            tallies["kappa1"] += 1
-        elif len(classes) == 1:
-            tallies["kappa21"] += 1
-        else:
-            tallies["kappa22"] += overlined
+        tallies["p1"] += _weigh(overlined, fixed, drawn)
+        kind = "kappa1" if stack[0][0] % 2 else "kappa21"
+        tallies[kind] += _weigh(one_class, fixed, drawn)
+        tallies["kappa22"] += _weigh(many_classes, fixed, drawn)
     _check_fold(tallies["p1"] + tallies["p_geq2"], _colored_dp(c, n, overlined=True), c, n)
     return DecompositionCounts(
         c=c,
@@ -657,6 +726,16 @@ def _distinct_class_work(n: int, c: int) -> int:
         _color_count(s, c) * (scanned[n - s] + sum(scanned[n - s :: -s]))
         for s in range(1, n + 1)
     )
+
+
+def _part_types(c: int, n: int) -> List[Tuple[int, int]]:
+    """All (size, color) classes of weight at most ``n``: size descending,
+    color ascending."""
+    return [
+        (s, col)
+        for s in range(n, 0, -1)
+        for col in range(1, _color_count(s, c) + 1)
+    ]
 
 
 def _distinct_class_profile(n: int, c: int) -> List[int]:

@@ -8,7 +8,7 @@ values, and (b) the DP and generating-function routes against brute force.
 import inspect
 import math
 import sys
-from itertools import islice
+from itertools import islice, product
 from operator import mul
 
 import pytest
@@ -313,7 +313,7 @@ def test_overcubic_brute_cap():
 
 def test_brute_type_list_is_bounded():
     # c + 1 = 10**7 colored partitions of 2 are within the walk bound, but
-    # the (size, color) class list would hold 10**7 tuples, about 1 GB
+    # the walk's copy of the c colors would take about 400 MB
     for entry in (count_gen_cubic_brute, count_gen_overcubic_brute,
                   iter_overcubic_partitions, decompose):
         with pytest.raises(ValueError, match=r"\(size, color\) classes"):
@@ -389,20 +389,37 @@ def test_brute_folds_match_dp(c):
 
 def test_overcubic_generator_is_lazy(monkeypatch):
     # 71 118 608 overlined partitions of 30 at c = 4: the first five must
-    # come from the first few colored partitions, not from a full walk
-    walk = counting_module._colored_partitions
+    # come from the first two partitions into sizes, (30) with two
+    # overlinings and (29, 1) with four, not from a full walk
+    walk = counting_module._walk
 
-    def bounded(c, n):
-        for drawn, classes in enumerate(walk(c, n)):
-            assert drawn < 5, "the enumeration ran ahead of its consumer"
-            yield classes
+    def bounded(n, pools):
+        for drawn, item in enumerate(walk(n, pools)):
+            assert drawn < 2, "the enumeration ran ahead of its consumer"
+            yield item
 
-    monkeypatch.setattr(counting_module, "_colored_partitions", bounded)
+    monkeypatch.setattr(counting_module, "_walk", bounded)
     got = list(islice(iter_overcubic_partitions(4, BRUTE_FORCE_CAP), 5))
     assert len(got) == len(set(got)) == 5
     for op in got:
         op.validate_colors(4)
         assert op.weight == BRUTE_FORCE_CAP
+
+
+def test_overcubic_generator_streams_the_colorings_of_a_part(monkeypatch):
+    # 999 999 colorings of the part 2: the first object needs only one
+    drawn = []
+    multisets = counting_module.combinations_with_replacement
+
+    def counted(colors, m):
+        for item in multisets(colors, m):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(counting_module, "combinations_with_replacement", counted)
+    first = next(iter_overcubic_partitions(999_999, 2))
+    assert first == ColoredOverPartition(parts=(ColoredPart(2, 1),), weight=2)
+    assert len(drawn) == 1
 
 
 def test_overcubic_generator_matches_counts():
@@ -656,3 +673,132 @@ def test_factorize_refuses_an_unsplit_composite():
 def test_tau_validation():
     with pytest.raises(ValueError):
         tau_odd(0)
+
+
+# -- the walk against the enumerator it replaced -------------------------------
+
+
+def reference_colored_partitions(c, n):
+    """Reference for the brute-force walk: every c-colored partition of n
+    once, as its (size, color, multiplicity) classes in canonical order, one
+    interpreted step per colored partition. The same list is mutated
+    between yields.
+
+    A class takes the first (size, color) type that fits at its largest
+    multiplicity; a step lowers the multiplicity, then moves to the next
+    type. The last type, (1, 1), takes all the weight left."""
+    types = [(s, col) for s in range(n, 0, -1) for col in range(1, (1 if s % 2 else c) + 1)]
+    last = len(types) - 1
+    first = [0] * (n + 1)  # first[w]: index of the first type of size <= w
+    for j in range(last, -1, -1):
+        first[types[j][0]] = j
+    classes, frames = [], []
+    idx, left = 0, n
+    while True:
+        while left:
+            j = max(idx, first[left])
+            size, color = types[j]
+            mult = left // size
+            frames.append((j, left))
+            classes.append((size, color, mult))
+            idx, left = j + 1, left - mult * size
+        yield classes
+        while frames:
+            j, before = frames[-1]
+            if j == last:
+                frames.pop()
+                classes.pop()
+                continue
+            size, color, mult = classes[-1]
+            if mult > 1:
+                mult -= 1
+            else:
+                j += 1
+                size, color = types[j]
+                mult = before // size
+                frames[-1] = (j, before)
+            classes[-1] = (size, color, mult)
+            idx, left = j + 1, before - mult * size
+            break
+        else:
+            return
+
+
+def reference_histogram(c, n):
+    """hist[r]: the colored partitions of n with r (size, color) classes."""
+    hist = [0] * (n + 1)
+    for classes in reference_colored_partitions(c, n):
+        hist[len(classes)] += 1
+    return hist
+
+
+def walk_histogram(c, n):
+    """The same histogram by the brute-force fold, one class count at a time."""
+    return [counting_module._fold(c, n, [int(r == k) for r in range(n + 1)]) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize(
+    "c,n_max", [(1, 16), (2, 16), (3, 16), (4, 16), (5, 16), (7, 10), (10, 10)]
+)
+def test_walk_class_counts_match_reference(c, n_max):
+    for n in range(n_max + 1):
+        assert walk_histogram(c, n) == reference_histogram(c, n), (c, n)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_walk_class_counts_are_chi_distinct(c):
+    # the overlining lemma's class counts: colored partitions of n with
+    # exactly r classes, by enumeration against chi_distinct's DP
+    for n in range(1, 21):
+        assert walk_histogram(c, n) == [chi_distinct(n, r, c) for r in range(n + 1)], (c, n)
+
+
+def reference_decompose(c, n):
+    tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
+    for classes in reference_colored_partitions(c, n):
+        overlined = 1 << len(classes)
+        size = classes[0][0]
+        if size != classes[-1][0]:
+            tallies["p_geq2"] += overlined
+            continue
+        tallies["p1"] += overlined
+        if size % 2:
+            tallies["kappa1"] += 1
+        elif len(classes) == 1:
+            tallies["kappa21"] += 1
+        else:
+            tallies["kappa22"] += overlined
+    return tallies
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_decompose_matches_reference(c):
+    for n in range(1, 19):
+        dec = decompose(c, n)
+        assert {key: getattr(dec, key) for key in ("p1", "p_geq2", "kappa1", "kappa21",
+                                                   "kappa22")} == reference_decompose(c, n)
+        assert (dec.c, dec.n, dec.tau_odd, dec.tau_even) == (c, n, tau_odd(n), tau_even(n))
+
+
+def reference_overcubic_partitions(c, n):
+    for classes in reference_colored_partitions(c, n):
+        choices = []
+        for size, color, mult in classes:
+            plain = (ColoredPart(size, color),) * mult
+            choices.append((plain, (ColoredPart(size, color, True),) + plain[1:]))
+        for choice in product(*choices):
+            yield ColoredOverPartition(parts=sum(choice, ()), weight=n)
+
+
+def test_overcubic_generator_matches_reference():
+    for c in (1, 2, 3):
+        for n in range(9):
+            listed = list(iter_overcubic_partitions(c, n))
+            assert len(listed) == len(set(listed))
+            assert set(listed) == set(reference_overcubic_partitions(c, n)), (c, n)
+
+
+def test_brute_counts_at_the_class_cap():
+    # the largest c admitted at n = 2: (1, 1) and the part 2 in any color
+    assert count_gen_cubic_brute(999_999, 2) == 1_000_000
+    assert count_gen_overcubic_brute(999_999, 2) == count_gen_overcubic_dp(999_999, 2)
