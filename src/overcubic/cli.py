@@ -1,7 +1,7 @@
 """Command-line front end: expand, count, and verify as batch commands.
 
-Output is machine readable (JSON by default, CSV on request) and contains
-no timestamps, so identical invocations produce byte-identical output.
+Output is machine readable (JSON by default, CSV on request) and depends
+on the arguments alone, so identical invocations print identical bytes.
 
 The CLI owns flag syntax and two work bounds, one on a DP count and one
 on an expansion, which refuse up front a request that would run for
@@ -10,15 +10,17 @@ series at a color count: ``partition`` and ``overpartition`` are ``cubic``
 and ``overcubic`` at c = 1. Every domain rule (color count, weight,
 modulus, brute-force bounds, verification order) belongs to the library,
 which raises ``ValueError``; :func:`main` maps that to exit status 2.
+A verify target reads only its flags (``_TARGET_FLAGS``) and, without
+``--order``, runs at the library's least covering order.
 
 Exit status: 0 when every requested check passes, 1 on a verification
-failure, 2 on a usage error (bad flags, parse errors, a request outside
-the library's domain such as an insufficient order or a brute-force walk
-over its bounds, or a DP count or an expansion over its work bound), 3
-when two routes through the engine disagree, in the composite-modulus
-cross-check or a brute-force count against the DP, or when a DP step does
-not divide exactly (an internal inconsistency, not a verdict on the claim
-checked).
+failure, 2 on a usage error (bad flags, a flag its verify target does not
+read, parse errors, a request outside the library's domain such as an
+insufficient order or a brute-force walk over its bounds, or a DP count or
+an expansion over its work bound), 3 when two routes through the engine
+disagree, in the composite-modulus cross-check or a brute-force count
+against the DP, or when a DP step does not divide exactly (an internal
+inconsistency, not a verdict on the claim checked).
 
 Each engine prices its own request in one unit, an update of a sparse
 pass (about 24 ns), with one price of a Kronecker product
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shlex
 import sys
 from collections import namedtuple
@@ -54,35 +55,18 @@ from .eta import (
     parse_eta_quotient,
 )
 from .verify import (
-    CONJECTURED_FAMILIES,
     IDENTITIES,
-    PROVED_FAMILIES,
     EngineInconsistencyError,
     VerificationReport,
     check_named_identity,
-    verify_family,
+    verify_conjectured_families,
     verify_mod4_classification,
+    verify_proved_families,
 )
 
 ENGINE_INCONSISTENCY = 3
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
-
-DEFAULT_ORDER_ENV = "OVERCUBIC_DEFAULT_ORDER"
-FALLBACK_ORDER = 500
-
-
-def _default_order() -> int:
-    raw = os.environ.get(DEFAULT_ORDER_ENV)
-    if raw is None:
-        return FALLBACK_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{DEFAULT_ORDER_ENV} must be an integer, got {raw!r}")
-    if value < 0:
-        raise UsageError(f"{DEFAULT_ORDER_ENV} must be non-negative, got {value}")
-    return value
 
 
 class UsageError(Exception):
@@ -134,7 +118,7 @@ EXPAND_WORK_CAP = 15 * 10**7
 
 
 def _cmd_expand(args, command: str) -> int:
-    order = args.order if args.order is not None else _default_order()
+    order = args.order
     if order <= 0:
         raise UsageError(f"order must be positive, got {order}")
     if (args.gf is None) == (args.eta is None):
@@ -269,32 +253,38 @@ _VERIFY_CSV_HEADER = [
 ]
 
 
+# The flags each verify target reads besides --order and --format, with
+# their defaults; a target refuses the others.
+_TARGET_FLAGS = {
+    "thm14": {"c_max": 10, "n_max": 2000},
+    "thm15": {"i_max": 3, "n_max": 100},
+    "conj73": {"i_max": 3, "n_max": 100},
+    "identity": {"name": None},
+}
+
+
 def _cmd_verify(args, command: str) -> int:
-    target = args.target
+    target, reads = args.target, _TARGET_FLAGS[args.target]
+    params = {"target": target}
+    for dest in ("c_max", "i_max", "n_max", "name"):
+        value = getattr(args, dest)
+        if dest in reads:
+            params[dest] = reads[dest] if value is None else value
+        elif value is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} is meaningless with --target {target}")
     if target == "thm14":
-        c_max = args.c_max if args.c_max is not None else 10
-        n_max = args.n_max if args.n_max is not None else 2000
-        order = args.order if args.order is not None else n_max
-        reports = [verify_mod4_classification(c_max, n_max, order)]
-        params = {"target": target, "c_max": c_max, "n_max": n_max, "order": order}
-    elif target in ("thm15", "conj73"):
-        i_max = args.i_max if args.i_max is not None else 3
-        n_max = args.n_max if args.n_max is not None else 100
-        families = PROVED_FAMILIES if target == "thm15" else CONJECTURED_FAMILIES
-        if args.order is not None:
-            order = args.order
-        else:
-            order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
-        reports = [verify_family(f, i_max, n_max, order) for f in families]
-        params = {"target": target, "i_max": i_max, "n_max": n_max, "order": order}
-    else:  # identity
+        reports = [verify_mod4_classification(params["c_max"], params["n_max"], args.order)]
+    elif target == "identity":
         if args.name is None:
             raise UsageError(
                 "--target identity requires --name; known names: "
                 + ", ".join(sorted(IDENTITIES))
             )
         reports = [check_named_identity(args.name, args.order)]
-        params = {"target": target, "name": args.name, "order": reports[0].order}
+    else:
+        sweep = verify_proved_families if target == "thm15" else verify_conjectured_families
+        reports = sweep(params["i_max"], params["n_max"], args.order)
+    params["order"] = reports[0].order
     all_pass = all(r.passed for r in reports)
     record = _record(
         command,
@@ -330,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--gf", choices=tuple(_KINDS))
     p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
     p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
-    p_expand.add_argument("--order", type=int, help=f"truncation order (default {FALLBACK_ORDER} or ${DEFAULT_ORDER_ENV})")
+    p_expand.add_argument("--order", type=int, default=500, help="truncation order (default 500)")
     p_expand.add_argument("--modulus", type=int, help="reduce coefficients mod this")
     add_common(p_expand)
 
@@ -348,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c-max", type=int, dest="c_max")
     p_verify.add_argument("--n-max", type=int, dest="n_max")
     p_verify.add_argument("--i-max", type=int, dest="i_max")
-    p_verify.add_argument("--order", type=int)
+    p_verify.add_argument("--order", type=int, help="truncation order (default: the least covering one)")
     p_verify.add_argument("--name", help="identity name for --target identity")
     add_common(p_verify)
 

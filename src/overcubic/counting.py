@@ -81,8 +81,9 @@ BRUTE_FORCE_CAP = 30
 # the caps admit it takes 0.25 s (c = 5, n = 30) to 3.5 s (c = 58, n = 10),
 # mostly in building the pools there (2-vCPU x86 host).
 _BRUTE_WALK_CAP = 10**7
-# A call over more (size, color) classes is refused too. chi_distinct's type
-# list, a tuple per class, would take about 100 MB past it. The brute-force
+# A call over more (size, color) classes is refused too. chi_distinct makes
+# one pass per class, which at n = 2 and 3 costs up to ten times the steps
+# its work cap counts; at this cap it takes 0.5-1.1 s there. The brute-force
 # walk keeps the cap: at n = 2 and 3 the walk cap admits c up to 10^7, and
 # combinations_with_replacement copies the c colors, about 40 bytes each.
 _BRUTE_TYPES_CAP = 10**6
@@ -728,16 +729,6 @@ def _distinct_class_work(n: int, c: int) -> int:
     )
 
 
-def _part_types(c: int, n: int) -> List[Tuple[int, int]]:
-    """All (size, color) classes of weight at most ``n``: size descending,
-    color ascending."""
-    return [
-        (s, col)
-        for s in range(n, 0, -1)
-        for col in range(1, _color_count(s, c) + 1)
-    ]
-
-
 def _distinct_class_profile(n: int, c: int) -> List[int]:
     """``profile[r]`` = colored partitions of ``n`` with ``r`` classes used,
     for ``r`` up to the most classes a partition of ``n`` can use.
@@ -748,17 +739,18 @@ def _distinct_class_profile(n: int, c: int) -> List[int]:
     """
     dp = [[0] * (limit + 1) for limit in _class_count_limits(n, c)]
     dp[0][0] = 1
-    for size, _color in _part_types(c, n):
-        for w in range(n - size, -1, -1):
-            row = dp[w]
-            for r in range(len(row) - 1, -1, -1):
-                ways = row[r]
-                if not ways:
-                    continue
-                total = w + size
-                while total <= n:
-                    dp[total][r + 1] += ways
-                    total += size
+    for size in range(n, 0, -1):
+        for _ in range(_color_count(size, c)):
+            for w in range(n - size, -1, -1):
+                row = dp[w]
+                for r in range(len(row) - 1, -1, -1):
+                    ways = row[r]
+                    if not ways:
+                        continue
+                    total = w + size
+                    while total <= n:
+                        dp[total][r + 1] += ways
+                        total += size
     return dp[n]
 
 

@@ -207,11 +207,15 @@ class VerificationReport:
         }
 
 
-def verify_mod4_classification(c_max: int, n_max: int, order: int) -> VerificationReport:
+def verify_mod4_classification(
+    c_max: int, n_max: int, order: Optional[int] = None
+) -> VerificationReport:
     """Compare series coefficients mod 4 against the square / twice-square /
-    other prediction for every c <= c_max and 1 <= n <= n_max."""
+    other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
+    by default the least that covers them, ``n_max``."""
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
+    order = n_max if order is None else order
     if order < n_max:
         raise ValueError(f"order {_show(order)} is below n_max {_show(n_max)}; coefficients unknown")
     report = VerificationReport(
@@ -252,16 +256,22 @@ def _family_failures(
     family's own modulus takes the theta route, a prime-power part of it
     the pentagonal one (see :func:`verify_family`)."""
     want = family.residue % modulus
+    expected = (want,) * (n_max + 1)
     route = "theta" if modulus == family.modulus else "pentagonal"
     failures = {}
     for i in range(1, i_max + 1):
         quotient = _colored_quotient(family.c_for(i), True)
         series = expand_eta_quotient(quotient, order, modulus=modulus, route=route)
         prog = series.extract_progression(family.prog_slope, family.prog_intercept)
-        for n in range(n_max + 1):
-            if prog[n] != want:
-                failures[(i, n)] = prog[n]
+        observed = prog.coeffs[: n_max + 1]
+        if observed != expected:
+            failures.update(((i, n), got) for n, got in enumerate(observed) if got != want)
     return failures
+
+
+def _covering_order(families, n_max: int) -> int:
+    """The least order that covers every family's progression at n <= n_max."""
+    return max(f.prog_slope * n_max + f.prog_intercept for f in families)
 
 
 def verify_family(
@@ -280,7 +290,7 @@ def verify_family(
     and each side expands under its own modulus. A disagreement means the
     engine itself is broken and raises :class:`EngineInconsistencyError`.
     """
-    needed = family.prog_slope * n_max + family.prog_intercept
+    needed = _covering_order([family], n_max)
     if order < needed:
         raise ValueError(
             f"order {order} is insufficient: progression "
@@ -330,12 +340,23 @@ CONJECTURED_FAMILIES = (
 )
 
 
-def verify_proved_families(i_max: int, n_max: int, order: int) -> List[VerificationReport]:
-    return [verify_family(f, i_max, n_max, order) for f in PROVED_FAMILIES]
+def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
+    """One report per family, all at ``order``: by default the least that
+    covers every family, so families along one series share its expansion."""
+    order = _covering_order(families, n_max) if order is None else order
+    return [verify_family(f, i_max, n_max, order) for f in families]
 
 
-def verify_conjectured_families(i_max: int, n_max: int, order: int) -> List[VerificationReport]:
-    return [verify_family(f, i_max, n_max, order) for f in CONJECTURED_FAMILIES]
+def verify_proved_families(
+    i_max: int, n_max: int, order: Optional[int] = None
+) -> List[VerificationReport]:
+    return _verify_families(PROVED_FAMILIES, i_max, n_max, order)
+
+
+def verify_conjectured_families(
+    i_max: int, n_max: int, order: Optional[int] = None
+) -> List[VerificationReport]:
+    return _verify_families(CONJECTURED_FAMILIES, i_max, n_max, order)
 
 
 def check_identity(
@@ -352,16 +373,11 @@ def check_identity(
     if modulus is not None:
         lhs = lhs.reduce_mod(modulus)
         rhs = rhs.reduce_mod(modulus)
-    elif lhs.modulus != rhs.modulus:
-        raise ValueError(
-            f"cannot compare series with moduli {lhs.modulus} and {rhs.modulus}"
-        )
     n = min(lhs.order, rhs.order)
     bad = ()
-    for e in range(n + 1):
-        if lhs[e] != rhs[e]:
-            bad = (Counterexample(None, e, lhs[e], rhs[e]),)
-            break
+    if not lhs.agrees(rhs):
+        e = next(e for e, pair in enumerate(zip(lhs.coeffs, rhs.coeffs)) if pair[0] != pair[1])
+        bad = (Counterexample(None, e, lhs.coeffs[e], rhs.coeffs[e]),)
     return VerificationReport(
         description=description,
         i_range=None,

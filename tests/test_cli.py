@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import overcubic.cli as cli_module
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
 from overcubic.cli import (
@@ -116,6 +117,9 @@ def test_expand_gf_c_validation(capsys):
     assert code == 2 and "--c" in err
     code, _, err = run(capsys, "expand", "--gf", "partition", "--c", "2", "--order", "3")
     assert code == 2
+    assert "--c is meaningless with --eta" in assert_refused(
+        capsys, "expand", "--eta", "f2/f1", "--c", "2"
+    )
     # domain rules the library owns
     assert "color count" in assert_refused(
         capsys, "expand", "--gf", "overcubic", "--c", "0", "--order", "3"
@@ -183,11 +187,17 @@ def test_expand_huge_modulus_takes_sparse_passes():
 
 
 def test_expand_env_default_order(capsys, monkeypatch):
+    # expand without --order runs at order 500, whatever the environment
+    # holds: the variable that once set the default is not read
+    monkeypatch.delenv("OVERCUBIC_DEFAULT_ORDER", raising=False)
+    _, unset, _ = run(capsys, "expand", "--gf", "partition")
     monkeypatch.setenv("OVERCUBIC_DEFAULT_ORDER", "7")
-    code, record = run_json(capsys, "expand", "--gf", "partition")
+    code, out, _ = run(capsys, "expand", "--gf", "partition")
     assert code == 0
-    assert record["order"] == 7
-    assert len(record["rows"]) == 8
+    assert out == unset
+    record = json.loads(out)
+    assert record["order"] == record["parameters"]["order"] == 500
+    assert len(record["rows"]) == 501
 
 
 # -- count --------------------------------------------------------------------
@@ -511,6 +521,25 @@ def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
 def test_verify_bad_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--target", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["thm14", "--i-max", "3"], "--i-max"),
+        (["thm15", "--c-max", "2"], "--c-max"),
+        (["conj73", "--name", "psi"], "--name"),
+        (["identity", "--name", "toh", "--n-max", "5"], "--n-max"),
+        (["thm14", "--c-max", "2", "--n-max", "5", "--i-max", "7", "--name", "psi"], "--i-max"),
+    ],
+)
+def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv, flag):
+    # refused before the library is called: a call would raise TypeError
+    for name in ("verify_mod4_classification", "verify_proved_families",
+                 "verify_conjectured_families", "check_named_identity"):
+        monkeypatch.setattr(cli_module, name, None)
+    err = assert_refused(capsys, "verify", "--target", *argv)
+    assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"
 
 
 @pytest.mark.parametrize(

@@ -443,6 +443,8 @@ def test_colored_part_validation():
         ColoredPart(3, color=2)  # odd sizes are single-colored
     with pytest.raises(ValueError):
         ColoredPart(0)
+    with pytest.raises(ValueError, match="color index"):
+        ColoredPart(2, color=0)
     with pytest.raises(ValueError):
         ColoredOverPartition(
             parts=(ColoredPart(2, 1, True), ColoredPart(2, 1, True)), weight=4
@@ -594,8 +596,9 @@ def test_distinct_class_work_counts_every_scan(n, c):
 
 
 def test_chi_distinct_work_is_bounded():
-    # both are admitted by the class cap and would run for a minute to hours
-    for args in [(2000, 2), (1000, 2, 100)]:
+    # all are admitted by the class cap and would run for a minute to hours;
+    # n = 20000 is refused on its scans alone, before the strides are priced
+    for args in [(2000, 2), (1000, 2, 100), (20000, 2)]:
         with pytest.raises(ValueError, match="DP steps"):
             chi_distinct(*args)
     with pytest.raises(ValueError):

@@ -545,7 +545,8 @@ def test_parse_zero_power():
 
 @pytest.mark.parametrize(
     "text,pos",
-    [("", 0), ("g2", 0), ("*f2", 0), ("f2//f1", 2), ("f2^", 2), ("f2 f3", 2), ("f2/x", 2)],
+    [("", 0), ("g2", 0), ("*f2", 0), ("f2//f1", 2), ("f2^", 2), ("f2 f3", 2), ("f2/x", 2),
+     ("f1f2", 2)],
 )
 def test_parse_errors_carry_position(text, pos):
     with pytest.raises(EtaQuotientParseError) as exc_info:
@@ -583,6 +584,8 @@ def test_theta_spec_validation():
 
 def test_theta_order_zero():
     assert theta_sum(PSI_SPEC, 0).coeffs == (1,)
+    with pytest.raises(ValueError, match="non-negative"):
+        theta_sum(PSI_SPEC, -1)
 
 
 def test_psi_has_no_exponents_two_mod_three():

@@ -28,6 +28,8 @@ def test_constant_reduces_mod():
 def test_zero_series():
     assert Series.constant(0, 2).coeffs == (0, 0, 0)
     assert Series.zero(2).is_zero()
+    with pytest.raises(ValueError, match="constant coefficient"):
+        Series([])
 
 
 def test_modulus_below_two_rejected():
@@ -62,6 +64,34 @@ def test_coefficient_past_order_is_error():
         s.coefficient(2)
     with pytest.raises(IndexError):
         s[-1]
+
+
+def test_nonzero_terms_and_str():
+    s = Series([3, 1, 0, -2])
+    assert list(s.nonzero_terms()) == [(0, 3), (1, 1), (3, -2)]
+    assert str(s) == "3 + q + -2*q^3 + O(q^4)"
+    assert str(Series.zero(2)) == "0 + O(q^3)"
+    # eight terms at most, then an ellipsis
+    assert str(Series([1] * 12)) == (
+        "1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + ... + O(q^12)"
+    )
+
+
+def test_agrees_on_the_common_window():
+    a, b = Series([1, 2, 3, 4]), Series([1, 2, 5])
+    assert a.agrees(b, up_to=1)
+    assert not a.agrees(b)
+    assert a.agrees(Series([1, 2, 3]))
+    with pytest.raises(ValueError, match="beyond common order 2"):
+        a.agrees(b, up_to=3)
+    with pytest.raises(ValueError):
+        a.agrees(Series([1, 2, 3, 4], modulus=5))
+
+
+def test_equal_series_hash_alike():
+    a, b = Series([1, 2, 3], modulus=5), Series([6, 7, 8], modulus=5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Series([1, 2, 3])}) == 2
 
 
 # -- add / mul ----------------------------------------------------------------

@@ -93,6 +93,8 @@ def test_mod4_sweep_small():
     assert report.passed
     assert report.i_range == (1, 2)
     assert report.n_range == (1, 60)
+    # without an order the sweep runs at n_max, the least that covers it
+    assert verify_mod4_classification(2, 60) == report
 
 
 def test_mod4_sweep_overpartition_case():
@@ -187,6 +189,10 @@ def test_family_validation():
         CongruenceFamily(3, 2, 3, 2, 1)
     with pytest.raises(ValueError):
         CongruenceFamily(3, 2, 3, 2, 6, residue=6)
+    with pytest.raises(ValueError, match="c_slope"):
+        CongruenceFamily(-1, 2, 3, 2, 6)
+    with pytest.raises(ValueError, match="prog_slope"):
+        CongruenceFamily(3, 2, 0, 0, 6)
 
 
 def test_family_describe():
@@ -264,12 +270,17 @@ def test_conjectured_families_small_sweep():
     reports = verify_conjectured_families(1, 10, 100)
     assert len(reports) == 5
     assert all(r.passed for r in reports)
+    # without an order every family runs at the largest 9n + r, 9*10 + 8
+    assert verify_conjectured_families(1, 10) == verify_conjectured_families(1, 10, order=98)
 
 
 def test_proved_families_small_sweep():
     reports = verify_proved_families(1, 10, 100)
     assert len(reports) == 3
     assert all(r.passed for r in reports)
+    # one order for all three, 9*10 + 3, where 3n + 2 alone needs 32
+    assert verify_proved_families(1, 10) == verify_proved_families(1, 10, order=93)
+    assert all(r.vacuous for r in verify_proved_families(1, -1))
 
 
 # -- reports --------------------------------------------------------------------------
@@ -318,6 +329,11 @@ def test_check_identity_reports_first_difference():
     assert not report.passed
     (ce,) = report.counterexamples
     assert (ce.i, ce.n, ce.observed, ce.expected) == (None, 1, 1, 2)
+    # the window is the shorter series; a difference past it is not read
+    window = check_identity(Series([1, 2, 3]), Series([1, 2, 3, 9]))
+    assert window.passed and window.n_range == (0, 2)
+    report = check_identity(Series([1, 2, 3]), Series([1, 2, 4, 9]))
+    assert report.counterexamples == (Counterexample(None, 2, 3, 4),)
 
 
 def test_check_identity_with_modulus():
