@@ -215,23 +215,14 @@ def _cmd_count(args, command: str) -> int:
 def _report_rows(reports: List[VerificationReport]) -> List[List]:
     rows = []
     for idx, rep in enumerate(reports):
-        first = rep.counterexamples[0] if rep.counterexamples else None
+        first = rep.counterexamples[0].to_dict() if rep.counterexamples else {}
         rows.append(
-            [
-                idx,
-                1 if rep.passed else 0,
-                1 if rep.vacuous else 0,
-                rep.order,
-                rep.i_range[0] if rep.i_range else "",
-                rep.i_range[1] if rep.i_range else "",
-                rep.n_range[0],
-                rep.n_range[1],
-                len(rep.counterexamples),
-                "" if first is None or first.i is None else first.i,
-                "" if first is None else first.n,
-                "" if first is None else first.observed,
-                "" if first is None else first.expected,
-            ]
+            [idx, int(rep.passed), int(rep.vacuous), rep.order]
+            + list(rep.i_range or ("", ""))
+            + list(rep.n_range)
+            + [len(rep.counterexamples)]
+            + ["" if first.get(key) is None else first[key]
+               for key in ("i", "n", "observed", "expected")]
         )
     return rows
 

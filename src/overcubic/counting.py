@@ -49,9 +49,11 @@ the DP that counts the walk never sees a large c with work to do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations_with_replacement, groupby, product, starmap
-from math import exp, inf, log, log1p, pi, sqrt
-from operator import add, mul
+from itertools import (
+    accumulate, chain, combinations_with_replacement, groupby, product, repeat, starmap, takewhile
+)
+from math import comb, exp, inf, log, log1p, pi, sqrt
+from operator import add, eq, mul, sub
 from typing import Iterator, List, Tuple
 
 from .eta import _prime_power_base
@@ -81,16 +83,16 @@ BRUTE_FORCE_CAP = 30
 # the caps admit it takes 0.25 s (c = 5, n = 30) to 3.5 s (c = 58, n = 10),
 # mostly in building the pools there (2-vCPU x86 host).
 _BRUTE_WALK_CAP = 10**7
-# A call over more (size, color) classes is refused too. chi_distinct makes
-# one pass per class, which at n = 2 and 3 costs up to ten times the steps
-# its work cap counts; at this cap it takes 0.5-1.1 s there. The brute-force
-# walk keeps the cap: at n = 2 and 3 the walk cap admits c up to 10^7, and
+# A call over more (size, color) classes is refused too. chi_distinct's work
+# cap counts row entries, not their bits, and its counts grow as c^r: at this
+# cap c = 9999 (n = 200) adds 800-bit counts. The brute-force walk keeps the
+# cap: at n = 2 and 3 the walk cap admits c up to 10^7, and
 # combinations_with_replacement copies the c colors, about 40 bytes each.
 _BRUTE_TYPES_CAP = 10**6
-# chi_distinct's DP takes 1.1e7 to 2.1e7 of the steps _distinct_class_work
-# counts a second, so more are refused: at the cap it runs 10.5 s at c = 1
-# (n = 1123) down to 5.7 s at c = 100 (n = 177; 2-vCPU x86 host).
-_CHI_WORK_CAP = 12 * 10**7
+# chi_distinct's DP adds 0.8e7 to 1.1e7 of the row entries _distinct_class_work
+# counts a second, so more are refused: at the cap it runs 8.7 s (c = 1000,
+# n = 606) to 11.3 s (c = 3000, n = 606; 2-vCPU x86 host).
+_CHI_WORK_CAP = 10**8
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -672,7 +674,8 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     """Colored partitions of ``n`` using exactly ``r`` distinct classes.
 
     At ``c = 1`` this is the classical count of partitions with exactly
-    ``r`` distinct part sizes.
+    ``r`` distinct part sizes. A DP of its own counts them, one step per
+    part size; its work cap counts the row entries it adds, exactly.
     """
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
@@ -683,8 +686,8 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     work = _distinct_class_work(n, c)
     if work > _CHI_WORK_CAP:
         raise ValueError(
-            f"chi_distinct is capped at {_CHI_WORK_CAP:.1e} DP steps, about 10 s "
-            f"(c={c}, n={n} needs {work:.1e})"
+            f"chi_distinct is capped at {_CHI_WORK_CAP:.1e} DP row entries, about "
+            f"10 s (c={c}, n={n} needs at least {work:.2e})"
         )
     profile = _distinct_class_profile(n, c)
     return profile[r] if r < len(profile) else 0
@@ -694,63 +697,63 @@ def _class_count_limits(n: int, c: int) -> List[int]:
     """``limits[w]``, for ``w <= n``: the most distinct (size, color) classes
     a colored partition of ``w`` can use, the largest ``r`` whose ``r``
     smallest classes weigh at most ``w``."""
-    limits = []
-    r = weight = 0
-    size, left = 1, 1  # the next smallest class, and classes of its size left
-    for w in range(n + 1):
-        while weight + size <= w:
-            weight, r, left = weight + size, r + 1, left - 1
-            if not left:
-                size += 1
-                left = _color_count(size, c)
-        limits.append(r)
-    return limits
+    sizes = chain.from_iterable(repeat(s, _color_count(s, c)) for s in range(1, n + 1))
+    starts = [0] * (n + 1)  # starts[w]: the r whose r smallest classes weigh w
+    for weight in takewhile(n.__ge__, accumulate(sizes)):
+        starts[weight] += 1
+    return list(accumulate(starts))
 
 
 def _distinct_class_work(n: int, c: int) -> int:
-    """Steps of ``_distinct_class_profile(n, c)``: its scans, and a bound on
-    its stride additions.
+    """The row entries ``_distinct_class_profile(n, c)`` adds, counted
+    exactly, or until the count passes ``_CHI_WORK_CAP``.
 
-    Each (size, color) class of size ``s`` scans the ``limits[w] + 1`` class
-    counts of every weight ``w <= n - s``, ``scanned[n - s]`` of them, and
-    each nonzero count adds along the stride ``(n - w) // s`` times. Taking
-    every scanned count as nonzero bounds the additions by the sum of
-    ``scanned[n - j*s]`` over ``j >= 1``, the counts of the weights that add
-    a ``j``-th time. The bound is 2 to 2.6 times the additions made for
-    n <= 600 and c <= 1000.
+    With ``length[w] = limits[w] + 1``, the ``j``-th stride sum of a size
+    ``s`` adds ``length[w - (j+1)s]`` entries at each ``w >= (j+1)s``, and
+    the DP then adds ``min(length[w] - j, length[w - js])`` at each
+    ``w >= js``.
     """
-    # each class of size s scans the counts of at least n - s + 1 weights
-    if n * (n + 1) // 2 > _CHI_WORK_CAP:  # refused whatever the strides add
-        return n * (n + 1) // 2
-    scanned = list(accumulate(limit + 1 for limit in _class_count_limits(n, c)))
-    return sum(
-        _color_count(s, c) * (scanned[n - s] + sum(scanned[n - s :: -s]))
-        for s in range(1, n + 1)
-    )
+    length = [limit + 1 for limit in _class_count_limits(n, c)]
+    reached = [0, *accumulate(length)]  # the entries of the rows of weights below w
+    work = 0
+    for size in range(1, n + 1):
+        # at j = 1, length[w - s], less one where length[w] equals it
+        work += reached[n - size + 1] - sum(map(eq, length[size:], length))
+        for j in range(1, min(_color_count(size, c), n // size) + 1):
+            work += reached[max(n - (j + 1) * size + 1, 0)]
+            if j > 1:
+                work += sum(map(min, map(sub, length[j * size :], repeat(j)), length))
+        if work > _CHI_WORK_CAP:
+            break
+    return work
 
 
 def _distinct_class_profile(n: int, c: int) -> List[int]:
     """``profile[r]`` = colored partitions of ``n`` with ``r`` classes used,
     for ``r`` up to the most classes a partition of ``n`` can use.
 
-    ``dp[w]`` holds one count per reachable ``r``: adding a new class to a
-    partition of ``w`` with ``r`` classes reaches a weight that fits
-    ``r + 1`` classes, so no write leaves its row.
+    ``dp[w]`` holds one count per reachable ``r``. The ``k`` classes of a
+    size ``s`` multiply the counts by ``(1 + y X)^k = sum_j C(k, j) y^j
+    X^j``, ``X = q^s / (1 - q^s)`` a class used, ``y`` counting classes:
+    ``min(k, n // s)`` stride sums, the ``j``-th ``X^j`` times the counts
+    before the size, each added ``j`` classes up times ``C(k, j)``.
     """
     dp = [[0] * (limit + 1) for limit in _class_count_limits(n, c)]
     dp[0][0] = 1
     for size in range(n, 0, -1):
-        for _ in range(_color_count(size, c)):
-            for w in range(n - size, -1, -1):
-                row = dp[w]
-                for r in range(len(row) - 1, -1, -1):
-                    ways = row[r]
-                    if not ways:
-                        continue
-                    total = w + size
-                    while total <= n:
-                        dp[total][r + 1] += ways
-                        total += size
+        colors = _color_count(size, c)
+        strided = dp
+        for j in range(1, min(colors, n // size) + 1):
+            lo = j * size
+            previous, strided = strided, [[]] * lo
+            for w in range(lo, n + 1):
+                t, u = previous[w - size], strided[w - size]
+                strided.append([*map(add, t, u), *t[len(u) :]])
+            ways = comb(colors, j)
+            for row, t in zip(dp[lo:], strided[lo:]):
+                # entries of t past the row's reachable r are zero
+                terms = map(mul, t, repeat(ways)) if ways > 1 else t
+                row[j : j + len(t)] = map(add, row[j:], terms)
     return dp[n]
 
 

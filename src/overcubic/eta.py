@@ -70,7 +70,9 @@ from math import gcd
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .series import Series, _divide_sparse, _kronecker_price, _show, _slot_width, _validate_modulus
+from .series import (
+    Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread, _validate_modulus
+)
 
 __all__ = [
     "EtaQuotient",
@@ -430,13 +432,6 @@ def _compressed_walk(factors, order: int):
     for n, k, theta in sorted(factors, reverse=True):
         g = gcd(g, n)
         yield g, n // g, k, order // g, theta
-
-
-def _spread(coeffs: List[int], step: int, size: int) -> List[int]:
-    """``coeffs`` under ``q -> q^step``, zero-filled to ``size`` entries."""
-    out = [0] * size
-    out[::step] = coeffs
-    return out
 
 
 def _factor_plan(

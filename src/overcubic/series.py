@@ -274,8 +274,7 @@ class Series:
         terms = []
         for i, c in nz:
             terms.append((i // g, c * inv0 if m is None else c * inv0 % m))
-        out = [0] * (n + 1)
-        out[::g] = _divide_sparse([inv0] + [0] * (n // g), terms, m)
+        out = _spread(_divide_sparse([inv0] + [0] * (n // g), terms, m), g, n + 1)
         return Series._canonical(tuple(out), m)
 
     def __pow__(self, exponent: int) -> "Series":
@@ -311,12 +310,7 @@ class Series:
                 f"target order {target} not determined by a series of order "
                 f"{self.order} under q -> q^{k}"
             )
-        out = [0] * (target + 1)
-        for i, c in enumerate(self._coeffs):
-            e = k * i
-            if e > target:
-                break
-            out[e] = c
+        out = _spread(self._coeffs[: target // k + 1], k, target + 1)
         return Series._canonical(tuple(out), self._modulus)
 
     def extract_progression(self, k: int, r: int) -> "Series":
@@ -363,6 +357,14 @@ class Series:
                 f"{m} does not divide {self._modulus}"
             )
         return Series(self._coeffs, m)
+
+
+def _spread(coeffs: Sequence[int], step: int, size: int) -> List[int]:
+    """``coeffs`` under ``q -> q^step``, zero-filled to ``size`` entries;
+    ``coeffs`` holds exactly the ``(size - 1) // step + 1`` that fit."""
+    out = [0] * size
+    out[::step] = coeffs
+    return out
 
 
 def _slot_width(bits: int) -> int:

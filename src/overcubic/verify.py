@@ -101,10 +101,7 @@ def expected_mod4_residue(c: int, n: int) -> int:
     """
     if c < 1:
         raise ValueError(f"color count must be at least 1, got {_show(c)}")
-    return _mod4_residue(c, classify_n(n).tag)
-
-
-def _mod4_residue(c: int, tag: str) -> int:
+    tag = classify_n(n).tag
     if tag == SQUARE:
         return 2
     if tag == TWICE_SQUARE:
@@ -212,12 +209,14 @@ def verify_mod4_classification(
 ) -> VerificationReport:
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
-    by default the least that covers them, ``n_max``."""
+    by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``."""
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
-    order = n_max if order is None else order
+    order = max(n_max, 0) if order is None else order
     if order < n_max:
         raise ValueError(f"order {_show(order)} is below n_max {_show(n_max)}; coefficients unknown")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {_show(order)}")
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
         i_range=(1, c_max),
@@ -226,15 +225,20 @@ def verify_mod4_classification(
     )
     if report.vacuous:
         return report
-    tags = [classify_n(n).tag for n in range(1, n_max + 1)]
-    # the prediction depends on c only through 2(c+1) mod 4
+    # the prediction depends on c only through 2(c+1) mod 4, its value at
+    # twice a square; it is 2 at a square and 0 elsewhere
     predictions = {}
     bad: List[Counterexample] = []
     for c in range(1, c_max + 1):
-        key = 2 * (c + 1) % 4
-        if key not in predictions:
-            predictions[key] = tuple(_mod4_residue(c, tag) for tag in tags)
-        expected = predictions[key]
+        twice_square = 2 * (c + 1) % 4
+        if twice_square not in predictions:
+            row = [0] * (n_max + 1)
+            for k in range(1, math.isqrt(n_max // 2) + 1):
+                row[2 * k * k] = twice_square
+            for k in range(1, math.isqrt(n_max) + 1):
+                row[k * k] = 2
+            predictions[twice_square] = tuple(row[1:])
+        expected = predictions[twice_square]
         observed = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
         if observed != expected:
             bad.extend(
@@ -297,6 +301,8 @@ def verify_family(
             f"{family.prog_slope}n+{family.prog_intercept} with n <= {n_max} "
             f"needs order >= {needed}"
         )
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {_show(order)}")
     report = VerificationReport(
         description=family.describe(),
         i_range=(1, i_max),
@@ -342,8 +348,9 @@ CONJECTURED_FAMILIES = (
 
 def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
-    covers every family, so families along one series share its expansion."""
-    order = _covering_order(families, n_max) if order is None else order
+    covers every family, or 0 for an empty range, so families along one
+    series share its expansion."""
+    order = max(_covering_order(families, n_max), 0) if order is None else order
     return [verify_family(f, i_max, n_max, order) for f in families]
 
 

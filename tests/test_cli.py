@@ -498,6 +498,19 @@ def test_verify_insufficient_order_is_usage_error(capsys):
     assert "insufficient" in err
 
 
+def test_vacuous_verify_reports_order_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--target", "thm14", "--c-max", "3", "--n-max", "-5")
+    assert code == 0
+    record = json.loads(out)
+    assert record["parameters"]["order"] == 0
+    assert [r["order"] for r in record["reports"]] == [0]
+    code, _, err = run(
+        capsys, "verify", "--target", "thm14", "--c-max", "3", "--n-max", "-5", "--order", "-5"
+    )
+    assert code == 2
+    assert err == "error: order must be non-negative, got -5\n"
+
+
 def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
     # make the prime-power route disagree with the direct mod-6 route
     real = verify_module._family_failures

@@ -5,6 +5,7 @@ assertions here are (a) brute force against hand-checked and frozen
 values, and (b) the DP and generating-function routes against brute force.
 """
 
+import hashlib
 import inspect
 import math
 import sys
@@ -522,9 +523,11 @@ def test_chi_distinct_validation():
         chi_distinct(2, 1, 10**7)
 
 
-def reference_distinct_class_profile(n, c):
+def reference_distinct_class_rows(n, c):
     """The distinct-class DP as first written: every weight scans all
-    ``n + 1`` class counts. ``profile[r]`` for ``r <= n + 1``."""
+    ``n + 1`` class counts. ``rows[w][r]`` for ``w <= n`` and ``r <= n + 1``:
+    a class larger than ``w`` adds nothing to weight ``w``, so every row is
+    that weight's whole profile."""
     dp = [[0] * (n + 2) for _ in range(n + 1)]
     dp[0][0] = 1
     types = [(s, col) for s in range(n, 0, -1) for col in range(1, (1 if s % 2 else c) + 1)]
@@ -539,69 +542,132 @@ def reference_distinct_class_profile(n, c):
                 while total <= n:
                     dp[total][r + 1] += ways
                     total += size
-    return dp[n]
+    return dp
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def reference_distinct_class_profile(n, c):
+    """``profile[r]`` for ``r <= n + 1``, by the full scan."""
+    return reference_distinct_class_rows(n, c)[n]
+
+
+def reference_per_class_rows(n, c):
+    """The distinct-class DP one pass per (size, color) class, over the
+    class counts a weight can reach: ``rows[w]`` is the profile of ``w``."""
+    dp = [[0] * (limit + 1) for limit in counting_module._class_count_limits(n, c)]
+    dp[0][0] = 1
+    for size in range(n, 0, -1):
+        for _ in range(1 if size % 2 else c):
+            for w in range(n - size, -1, -1):
+                row = dp[w]
+                for r in range(len(row) - 1, -1, -1):
+                    ways = row[r]
+                    if not ways:
+                        continue
+                    total = w + size
+                    while total <= n:
+                        dp[total][r + 1] += ways
+                        total += size
+    return dp
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 17])
 def test_distinct_class_profile_matches_full_scan(c):
     # every r up to n + 1: the profile stops at the largest reachable r
+    rows = reference_distinct_class_rows(80, c)
     for n in range(1, 81):
         profile = counting_module._distinct_class_profile(n, c)
-        want = reference_distinct_class_profile(n, c)
-        assert profile + [0] * (n + 2 - len(profile)) == want
+        assert profile + [0] * (82 - len(profile)) == rows[n], n
     for n in (1, 7, 30):
         want = reference_distinct_class_profile(n, c)
         assert [chi_distinct(n, r, c) for r in range(n + 2)] == want
+
+
+@pytest.mark.parametrize("c", [100, 1000])
+def test_distinct_class_profile_matches_one_pass_per_class(c):
+    rows = reference_per_class_rows(24, c)
+    for n in range(1, 25):
+        assert counting_module._distinct_class_profile(n, c) == rows[n], n
+
+
+@pytest.mark.parametrize(
+    "c,n,digest",
+    [
+        (1, 1123, "47590e636b56302107dcde24ab58e7153453f9a60a8b1592e6d3c527a84799df"),
+        (100, 177, "4032ac4558572b0d8ed1935e713eb4ae0c574480410ccb1aeee8e14e1e4269ec"),
+    ],
+)
+def test_distinct_class_profile_digests(c, n, digest):
+    # the sha256 of the profile's repr by reference_per_class_rows, which
+    # takes a few seconds at each of these points
+    profile = counting_module._distinct_class_profile(n, c)
+    assert hashlib.sha256(repr(profile).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4])
 def test_class_count_limits_are_the_largest_reachable(c):
     # limits[w] is the largest r with a partition of w into r distinct classes
     limits = counting_module._class_count_limits(40, c)
+    rows = reference_distinct_class_rows(40, c)
     for w in range(41):
-        profile = reference_distinct_class_profile(w, c) if w else [1]
-        assert limits[w] == max(r for r, ways in enumerate(profile) if ways)
+        assert limits[w] == max(r for r, ways in enumerate(rows[w]) if ways)
 
 
-@pytest.mark.parametrize("n,c", [(1, 1), (2, 5), (17, 1), (40, 3), (60, 2)])
-def test_distinct_class_work_counts_every_scan(n, c):
-    # trace the DP: every execution of its scan line counts one step and the
-    # (n - w) // size additions the count would make if it were nonzero;
-    # the additions actually made stay within that bound
+@pytest.mark.parametrize(
+    "n,c", [(1, 1), (2, 5), (17, 1), (40, 3), (60, 2), (24, 100), (24, 1000), (3, 10**5)]
+)
+def test_distinct_class_work_counts_every_scan(n, c, monkeypatch):
+    # count every row entry the DP adds, through the module's add, and trace
+    # its stride sums: a size of k classes takes min(k, n // size) of them,
+    # not one pass per class
+    added = 0
+
+    def counted_add(x, y):
+        nonlocal added
+        added += 1
+        return x + y
+
     profile_fn = counting_module._distinct_class_profile
     lines, first = inspect.getsourcelines(profile_fn)
-    scan_line = first + next(i for i, line in enumerate(lines) if "ways = row[r]" in line)
-    add_line = first + next(i for i, line in enumerate(lines) if "+= ways" in line)
-    scans = bound = additions = 0
+    stride_line = first + next(i for i, line in enumerate(lines) if "previous, strided =" in line)
+    strides = {}
 
     def tracer(frame, event, arg):
-        nonlocal scans, bound, additions
         if frame.f_code is not profile_fn.__code__:
             return None
-        if event == "line" and frame.f_lineno == scan_line:
-            scans += 1
-            bound += (n - frame.f_locals["w"]) // frame.f_locals["size"]
-        elif event == "line" and frame.f_lineno == add_line:
-            additions += 1
+        if event == "line" and frame.f_lineno == stride_line:
+            size = frame.f_locals["size"]
+            strides[size] = strides.get(size, 0) + 1
         return tracer
 
+    monkeypatch.setattr(counting_module, "add", counted_add)
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        profile_fn(n, c)
+        profile = profile_fn(n, c)
     finally:
         sys.settrace(previous)
-    assert 0 < additions <= bound
-    assert scans + bound == counting_module._distinct_class_work(n, c)
+    assert profile == reference_per_class_rows(n, c)[n]
+    assert strides == {s: min(1 if s % 2 else c, n // s) for s in range(1, n + 1)}
+    assert added == counting_module._distinct_class_work(n, c)
+
+
+# the largest weight the work cap admits, at c = 1, 2, 100 and 1000; one pass
+# per class was capped at 1123, 909, 177 and 85
+CHI_WORK_EDGES = {1: 1990, 2: 1673, 100: 657, 1000: 606}
 
 
 def test_chi_distinct_work_is_bounded():
-    # all are admitted by the class cap and would run for a minute to hours;
-    # n = 20000 is refused on its scans alone, before the strides are priced
+    cap = counting_module._CHI_WORK_CAP
+    for c, edge in CHI_WORK_EDGES.items():
+        assert counting_module._distinct_class_work(edge, c) <= cap, c
+        assert counting_module._distinct_class_work(edge + 1, c) > cap, c
+        with pytest.raises(ValueError, match="DP row entries"):
+            chi_distinct(edge + 1, 1, c)
+    # all are admitted by the class cap and would run for a minute to hours
     for args in [(2000, 2), (1000, 2, 100), (20000, 2)]:
-        with pytest.raises(ValueError, match="DP steps"):
+        with pytest.raises(ValueError, match="DP row entries"):
             chi_distinct(*args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(size, color\) classes"):
         chi_distinct(2000, 2, 1000)
 
 

@@ -42,6 +42,9 @@ def test_modulus_below_two_rejected():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         Series.constant(1, -1)
+    assert Series.monomial(2, 3, coeff=5).coeffs == (0, 0, 5, 0)
+    with pytest.raises(ValueError, match=r"exponent 4 outside \[0, 3\]"):
+        Series.monomial(4, 3)
 
 
 def test_canonical_residues():
@@ -75,6 +78,9 @@ def test_nonzero_terms_and_str():
     assert str(Series([1] * 12)) == (
         "1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + ... + O(q^12)"
     )
+    # repr shows eight coefficients, then an ellipsis from order 8 on
+    assert repr(Series([1, 2], modulus=5)) == "Series([1, 2], order=1, mod 5)"
+    assert repr(Series(range(9))) == "Series([0, 1, 2, 3, 4, 5, 6, 7, ...], order=8)"
 
 
 def test_agrees_on_the_common_window():
@@ -92,6 +98,8 @@ def test_equal_series_hash_alike():
     a, b = Series([1, 2, 3], modulus=5), Series([6, 7, 8], modulus=5)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, Series([1, 2, 3])}) == 2
+    # a series never equals a plain sequence of its coefficients
+    assert Series([1, 2, 3]) != (1, 2, 3)
 
 
 # -- add / mul ----------------------------------------------------------------
@@ -129,6 +137,10 @@ def test_mismatched_moduli_rejected():
             x + y
         with pytest.raises(ValueError):
             x * y
+    # an operand that is no series is left to Python, which refuses it
+    for operation in (lambda: c + 1, lambda: c - 1, lambda: c * 1.5, lambda: 1.5 * c):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_scalar_multiplication():
@@ -184,6 +196,8 @@ def test_pow_square():
 def test_pow_zero_is_one():
     s = Series([5, 3, 2])  # non-unit constant term is fine for k = 0
     assert s**0 == Series.one(2)
+    with pytest.raises(TypeError):
+        s**0.5
 
 
 def test_pow_negative_matches_invert():
@@ -324,6 +338,8 @@ def test_substitute_power_spreads_exponents():
 def test_substitute_power_identity():
     s = Series([4, 5, 6])
     assert s.substitute_power(1) == s
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        s.substitute_power(0)
 
 
 def test_substitute_power_explicit_order():
@@ -351,6 +367,8 @@ def test_extract_progression_bad_residue():
         s.extract_progression(3, -1)
     with pytest.raises(ValueError):
         Series([1]).extract_progression(2, 1)  # start beyond order
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        s.extract_progression(0, 0)
 
 
 def test_shift():
@@ -360,6 +378,10 @@ def test_shift():
     assert s.shift(1, order=3).coeffs == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         s.shift(1, order=4)  # would need self[3]
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        s.shift(-1)
+    with pytest.raises(ValueError, match="order 2 cannot hold a shift by 3"):
+        s.shift(3, order=2)
 
 
 def test_truncate():

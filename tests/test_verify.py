@@ -247,6 +247,21 @@ def test_mod4_sweep_empty_n_range_is_vacuous():
     assert report.to_dict()["vacuous"] is True
 
 
+def test_vacuous_sweeps_never_report_a_negative_order():
+    # an empty n range defaults to order 0; an explicit negative order that
+    # covers it is refused as expand_eta_quotient refuses it
+    assert verify_mod4_classification(3, -5).order == 0
+    assert {r.order for r in verify_proved_families(3, -1)} == {0}
+    assert {r.order for r in verify_conjectured_families(3, -1)} == {0}
+    with pytest.raises(ValueError, match="^order must be non-negative, got -5$"):
+        verify_mod4_classification(3, -5, -5)
+    with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+        verify_family(PROVED_FAMILIES[0], 3, -1, -1)
+    # an order below a non-empty range keeps its own message
+    with pytest.raises(ValueError, match="below n_max"):
+        verify_mod4_classification(3, 5, -1)
+
+
 def test_nonempty_ranges_are_not_vacuous():
     assert not verify_mod4_classification(2, 1, 1).vacuous
     assert not verify_family(PROVED_FAMILIES[0], 1, 0, 2).vacuous
