@@ -27,19 +27,19 @@ share one non-recursive walk, ``_walk``, over the partitions of ``n`` into
 sizes: ``p(n)`` of them, whatever ``c`` is. An odd size, and every size at
 ``c = 1``, has one coloring and adds one (size, color) class. An even size
 of multiplicity ``m`` takes any multiset of ``m`` colors out of ``c``; its
-pool, enumerated once per call, holds each multiset's number of distinct
-colors, the classes it makes. A colored partition is one element of its
-single pool or of the product of its pools, so the counters and
-``decompose`` visit each colored partition once and weigh it by its class
-count ``r`` (``2^r`` overlinings, or 1), with the work per object done in
-C through ``map``, ``sum`` and :mod:`itertools`. ``iter_overcubic_partitions``
-builds its objects lazily from the same walk, drawing each size's
-colorings as it goes. Each brute-force count is checked against the DP
-count of the same weight, an independent route, and a disagreement raises
-:class:`EngineInconsistencyError`.
+pool holds each multiset's number of distinct colors, the classes it makes,
+built once per call from the pool of ``m - 1`` by byte slices. A colored
+partition is one element of its single pool or of the product of its pools,
+so the counters and ``decompose`` visit each colored partition once and
+weigh it by its class count ``r`` (``2^r`` overlinings, or 1), with the
+work per object done in C through ``map``, ``sum`` and :mod:`itertools`.
+``iter_overcubic_partitions`` builds its objects lazily from the same walk,
+drawing each size's colorings as it goes. Each brute-force count is checked
+against the DP count of the same weight, an independent route, and a
+disagreement raises :class:`EngineInconsistencyError`.
 
 Brute-force routines are capped at weight 30, at 10^6 (size, color)
-classes and at 10^7 colored partitions visited (at most about 3.5 s):
+classes and at 10^7 colored partitions visited (0.2-0.4 s at the edges):
 the object counts grow fast enough beyond that to make exhaustive
 enumeration pointless when the DP and the generating function are
 available. The caps are checked on the call, the class count first, so
@@ -80,8 +80,8 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 30
 # A brute-force call over more colored partitions is refused. At the edges
-# the caps admit it takes 0.25 s (c = 5, n = 30) to 3.5 s (c = 58, n = 10),
-# mostly in building the pools there (2-vCPU x86 host).
+# the caps admit (c = 5 at n = 30, 12 at 20, 58 at 10, 4469 at 4) it takes
+# 0.2-0.4 s, nearly all in the fold (2-vCPU x86 host).
 _BRUTE_WALK_CAP = 10**7
 # A call over more (size, color) classes is refused too. chi_distinct's work
 # cap counts row entries, not their bits, and its counts grow as c^r: at this
@@ -93,6 +93,8 @@ _BRUTE_TYPES_CAP = 10**6
 # counts a second, so more are refused: at the cap it runs 8.7 s (c = 1000,
 # n = 606) to 11.3 s (c = 3000, n = 606; 2-vCPU x86 host).
 _CHI_WORK_CAP = 10**8
+# adds one to every byte below 255; a pool entry is at most BRUTE_FORCE_CAP // 2
+_RAISE = bytes(range(1, 256)) + b"\0"
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -510,13 +512,22 @@ def _walk(
 def _pools(c: int, n: int) -> List[bytes]:
     """``pools[m]``, for ``m <= n // 2``: per multiset of ``m`` colors out of
     ``c``, the number of distinct colors in it, the classes that an even
-    size of multiplicity ``m`` colored by it makes. Empty at ``c = 1``."""
+    size of multiplicity ``m`` colored by it makes. Empty at ``c = 1``.
+
+    In ``combinations_with_replacement`` order the multisets over the last
+    ``j`` colors end the list, so ``pools[m]`` joins, for ``j = c..1``, that
+    tail of ``pools[m-1]`` with the first of those colors added: its first
+    ``comb(j+m-3, m-2)`` entries hold that color already, the rest gain one."""
     if c == 1:
         return []
-    return [b""] + [
-        bytes(map(len, map(set, combinations_with_replacement(range(c), m))))
-        for m in range(1, n // 2 + 1)
-    ]
+    pools = [b"", b"\x01" * c] if n >= 2 else [b""]
+    for m in range(2, n // 2 + 1):
+        last, joined = pools[-1], []
+        for j in range(c, 0, -1):
+            tail, kept = len(last) - comb(j + m - 2, m - 1), comb(j + m - 3, m - 2)
+            joined += last[tail : tail + kept], last[tail + kept :].translate(_RAISE)
+        pools.append(b"".join(joined))
+    return pools
 
 
 def _weigh(weights: List[int], fixed: int, drawn: List[bytes]) -> int:

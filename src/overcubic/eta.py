@@ -338,8 +338,8 @@ def expand_eta_quotient(
     return _expand_normalized(factors, order, m, route)
 
 
-# thm15 and conj73 at i <= 3 expand 21 distinct quotients each: nine values
-# of c under a composite modulus and its prime powers, less the repeats.
+# A family sweep runs series that normalize alike back to back and thm14's two
+# mod-4 forms alternate, so a sweep needs two entries; the rest serve repeats.
 _EXPANSION_CACHE_SIZE = 32
 
 
@@ -600,8 +600,8 @@ TOH_TERMS = (
 
 
 def toh_rhs(order: int) -> Series:
-    """Sum of the three dissection terms, shifted by q^0, q^1, q^2."""
+    """Sum of the dissection terms shifted by q^0, q^1, q^2 that ``order`` holds."""
     total = TOH_TERMS[0].expand(order)
-    for shift_by, term in enumerate(TOH_TERMS[1:], start=1):
+    for shift_by, term in enumerate(TOH_TERMS[1 : order + 1], start=1):
         total = total + term.expand(order).shift(shift_by)
     return total

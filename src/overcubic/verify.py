@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Tuple
 from .counting import EngineInconsistencyError, _factorize
 from .eta import (
     _colored_quotient,
+    _normalized_factors,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -253,31 +254,6 @@ def _prime_power_components(m: int) -> List[int]:
     return [p**a for p, a in sorted(_factorize(m).items())]
 
 
-def _family_failures(
-    family: CongruenceFamily, i_max: int, n_max: int, order: int, modulus: int
-) -> dict:
-    """Maps (i, n) to the offending residue, taken mod ``modulus``. The
-    family's own modulus takes the theta route, a prime-power part of it
-    the pentagonal one (see :func:`verify_family`)."""
-    want = family.residue % modulus
-    expected = (want,) * (n_max + 1)
-    route = "theta" if modulus == family.modulus else "pentagonal"
-    failures = {}
-    for i in range(1, i_max + 1):
-        quotient = _colored_quotient(family.c_for(i), True)
-        series = expand_eta_quotient(quotient, order, modulus=modulus, route=route)
-        prog = series.extract_progression(family.prog_slope, family.prog_intercept)
-        observed = prog.coeffs[: n_max + 1]
-        if observed != expected:
-            failures.update(((i, n), got) for n, got in enumerate(observed) if got != want)
-    return failures
-
-
-def _covering_order(families, n_max: int) -> int:
-    """The least order that covers every family's progression at n <= n_max."""
-    return max(f.prog_slope * n_max + f.prog_intercept for f in families)
-
-
 def verify_family(
     family: CongruenceFamily, i_max: int, n_max: int, order: int
 ) -> VerificationReport:
@@ -294,39 +270,7 @@ def verify_family(
     and each side expands under its own modulus. A disagreement means the
     engine itself is broken and raises :class:`EngineInconsistencyError`.
     """
-    needed = _covering_order([family], n_max)
-    if order < needed:
-        raise ValueError(
-            f"order {order} is insufficient: progression "
-            f"{family.prog_slope}n+{family.prog_intercept} with n <= {n_max} "
-            f"needs order >= {needed}"
-        )
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {_show(order)}")
-    report = VerificationReport(
-        description=family.describe(),
-        i_range=(1, i_max),
-        n_range=(0, n_max),
-        order=order,
-    )
-    if report.vacuous:
-        return report
-    failures = _family_failures(family, i_max, n_max, order, family.modulus)
-    components = _prime_power_components(family.modulus)
-    if len(components) > 1:
-        component_failures = set()
-        for pe in components:
-            component_failures |= set(_family_failures(family, i_max, n_max, order, pe))
-        if component_failures != set(failures):
-            raise EngineInconsistencyError(
-                "prime-power decomposition disagrees with the direct check "
-                f"for {family.describe()}: this is an engine bug"
-            )
-    bad = [
-        Counterexample(i, n, observed, family.residue)
-        for (i, n), observed in sorted(failures.items())
-    ]
-    return replace(report, counterexamples=tuple(bad))
+    return _verify_families([family], i_max, n_max, order)[0]
 
 
 # The three families with elementary proofs, and the five conjectured ones
@@ -348,10 +292,53 @@ CONJECTURED_FAMILIES = (
 
 def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
-    covers every family, or 0 for an empty range, so families along one
-    series share its expansion."""
-    order = max(_covering_order(families, n_max), 0) if order is None else order
-    return [verify_family(f, i_max, n_max, order) for f in families]
+    covers every family, or 0 for an empty range. Each series ``(c,
+    modulus, route)`` that a side of :func:`verify_family` reads is
+    expanded once for all its readers, and series that normalize alike run
+    back to back, so each distinct one misses the memo once."""
+    needed = [f.prog_slope * n_max + f.prog_intercept for f in families]
+    order = max(*needed, 0) if order is None else order
+    for family, least in zip(families, needed):
+        if order < least:
+            raise ValueError(
+                f"order {order} is insufficient: progression "
+                f"{family.prog_slope}n+{family.prog_intercept} with n <= {n_max} "
+                f"needs order >= {least}"
+            )
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {_show(order)}")
+    reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
+    if reports[0].vacuous:  # every report covers the same ranges
+        return reports
+    # failures[j, route] maps (i, n) to the offending residue of family j
+    readers, failures = {}, {}
+    for j, family in enumerate(families):
+        parts = _prime_power_components(family.modulus)
+        sides = [(family.modulus, "theta")] + [(pe, "pentagonal") for pe in parts if len(parts) > 1]
+        for modulus, route in sides:
+            for i in range(1, i_max + 1):
+                c = family.c_for(i)
+                form = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
+                readers.setdefault((form, modulus, route, c), []).append((j, family, i))
+    for (_, modulus, route, c), reads in sorted(readers.items()):
+        series = expand_eta_quotient(_colored_quotient(c, True), order, modulus=modulus, route=route)
+        for j, family, i in reads:
+            want = family.residue % modulus
+            prog = series.extract_progression(family.prog_slope, family.prog_intercept)
+            failures.setdefault((j, route), {}).update(
+                ((i, n), got) for n, got in enumerate(prog.coeffs[: n_max + 1]) if got != want
+            )
+    for j, family in enumerate(families):
+        own = failures[j, "theta"]
+        # with no prime-power parts there is nothing to cross-check
+        if set(failures.get((j, "pentagonal"), own)) != set(own):
+            raise EngineInconsistencyError(
+                "prime-power decomposition disagrees with the direct check "
+                f"for {family.describe()}: this is an engine bug"
+            )
+        bad = [Counterexample(i, n, got, family.residue) for (i, n), got in sorted(own.items())]
+        reports[j] = replace(reports[j], counterexamples=tuple(bad))
+    return reports
 
 
 def verify_proved_families(
@@ -416,9 +403,10 @@ def _build_theta_vs_quotient(spec, quotient, order):
 
 
 def _build_psi_3dissection(order):
-    lhs = psi(order)
-    rhs = theta_sum(F_Q3_Q6, order) + psi(order).substitute_power(9).shift(1)
-    return lhs, rhs
+    rhs = theta_sum(F_Q3_Q6, order)
+    if order >= 1:
+        rhs = rhs + psi(order).substitute_power(9).shift(1)
+    return psi(order), rhs
 
 
 def _build_f_neg_q_q2(order):

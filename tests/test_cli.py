@@ -26,6 +26,7 @@ from overcubic.cli import (
 )
 from overcubic.counting import _dp_work
 from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
+from overcubic.series import Series
 
 
 def _src_env():
@@ -512,16 +513,19 @@ def test_vacuous_verify_reports_order_zero(capsys):
 
 
 def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
-    # make the prime-power route disagree with the direct mod-6 route
-    real = verify_module._family_failures
+    # make the prime-power route disagree with the direct mod-6 route: the
+    # first family reads q^2 at i = 1, n = 0
+    real = verify_module.expand_eta_quotient
 
-    def skewed(family, i_max, n_max, order, modulus):
-        failures = real(family, i_max, n_max, order, modulus)
-        if modulus != family.modulus:
-            failures[(1, 0)] = 1
-        return failures
+    def skewed(e, order, modulus=None, route=None):
+        series = real(e, order, modulus=modulus, route=route)
+        if route != "pentagonal":
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[2] = (coeffs[2] + 1) % modulus
+        return Series(coeffs, modulus)
 
-    monkeypatch.setattr(verify_module, "_family_failures", skewed)
+    monkeypatch.setattr(verify_module, "expand_eta_quotient", skewed)
     code, out, err = run(
         capsys, "verify", "--target", "thm15", "--i-max", "1", "--n-max", "5"
     )

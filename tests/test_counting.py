@@ -9,7 +9,7 @@ import hashlib
 import inspect
 import math
 import sys
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from operator import mul
 
 import pytest
@@ -386,6 +386,22 @@ def test_brute_folds_match_dp(c):
             assert len(list(iter_overcubic_partitions(c, n))) == overlined
         if c == 1:
             assert count_partitions_brute(n) == count_partitions(n)
+
+
+def reference_pools(c, n):
+    """``_pools`` by one ``set`` per multiset of colors: the reference."""
+    if c == 1:
+        return []
+    return [b""] + [
+        bytes(map(len, map(set, combinations_with_replacement(range(c), m))))
+        for m in range(1, n // 2 + 1)
+    ]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 7, 12, 58])
+def test_pools_match_one_set_per_multiset(c):
+    for n in range(BRUTE_FORCE_CAP + 1 if c <= 5 else 11):
+        assert counting_module._pools(c, n) == reference_pools(c, n), n
 
 
 def test_overcubic_generator_is_lazy(monkeypatch):

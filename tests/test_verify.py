@@ -128,7 +128,7 @@ def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
     ]
 
 
-def test_sweeps_expand_each_distinct_quotient_once():
+def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
     # even c
     _expand_normalized.cache_clear()
@@ -143,6 +143,18 @@ def test_sweeps_expand_each_distinct_quotient_once():
     verify_proved_families(3, 21, 200)
     info = _expand_normalized.cache_info()
     assert (info.misses, info.hits) == (21, 6)
+    # past 32 distinct series the memo cannot hold a sweep's whole list: at
+    # i <= 20 each sweep reads 111 at n <= 30 and 87 at n <= 10, where the
+    # lower order makes forms of distant c coincide; a form expanded twice
+    # would show as more misses
+    keys = recorded_expansions(monkeypatch)
+    for sweep in (verify_proved_families, verify_conjectured_families):
+        for n_max, distinct in ((30, 111), (10, 87)):
+            keys.clear()
+            _expand_normalized.cache_clear()
+            sweep(20, n_max)
+            assert len(set(keys)) == distinct
+            assert _expand_normalized.cache_info().misses == distinct
 
 
 def recorded_expansions(monkeypatch):
@@ -425,7 +437,9 @@ def test_mod3_reduction_for_c_9i_plus_8():
     "name", sorted(n for n in IDENTITIES if n != "negative-control")
 )
 def test_named_identities_pass_at_reduced_order(name):
-    assert check_named_identity(name, 60).passed
+    # at orders 0 and 1 a term shifted past the order drops out
+    for order in (0, 1, 2, 60):
+        assert check_named_identity(name, order).passed, order
 
 
 def test_named_identity_default_order():
