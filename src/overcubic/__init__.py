@@ -28,6 +28,7 @@ from .counting import (
     count_partitions,
     count_partitions_brute,
     decompose,
+    distinct_class_profile,
     iter_overcubic_partitions,
     tau_even,
     tau_odd,

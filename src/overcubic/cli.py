@@ -111,7 +111,7 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
 # An expansion priced above this many updates of a sparse pass, the unit of
 # DP_WORK_CAP, each step by its route at its place in the q^g walk of the
 # cheaper walk, is refused. At the bound the whole call, JSON included, takes
-# about 22 s over Z, 4.0-4.9 s mod 4 and 12, 9.5-11.0 s mod 2^61 - 1 and up
+# about 13-17 s over Z, 2.0-3.9 s mod 4 and 12, 5.3-7.4 s mod 2^61 - 1 and up
 # to 100 MB (2-vCPU x86 host). The price does not grow with the coefficients,
 # and over Z an update on them costs the most.
 EXPAND_WORK_CAP = 15 * 10**7

@@ -49,6 +49,7 @@ the DP that counts the walk never sees a large c with work to do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import (
     accumulate, chain, combinations_with_replacement, groupby, product, repeat, starmap, takewhile
 )
@@ -74,6 +75,7 @@ __all__ = [
     "iter_overcubic_partitions",
     "decompose",
     "chi_distinct",
+    "distinct_class_profile",
     "tau_odd",
     "tau_even",
 ]
@@ -685,13 +687,30 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
     """Colored partitions of ``n`` using exactly ``r`` distinct classes.
 
     At ``c = 1`` this is the classical count of partitions with exactly
-    ``r`` distinct part sizes. A DP of its own counts them, one step per
-    part size; its work cap counts the row entries it adds, exactly.
+    ``r`` distinct part sizes: entry ``r`` of
+    :func:`distinct_class_profile`, which builds the counts of every ``r``
+    once per ``(n, c)``.
+    """
+    if r < 0:
+        raise ValueError(f"class count must be non-negative, got {_show(r)}")
+    profile = distinct_class_profile(n, c)
+    return profile[r] if r < len(profile) else 0
+
+
+# A sum over r, as lemma L1 takes it, reads one (n, c) n + 2 times; a few
+# entries serve sums that alternate between weights or color counts.
+@lru_cache(maxsize=8)
+def distinct_class_profile(n: int, c: int = 1) -> Tuple[int, ...]:
+    """``profile[r]`` = colored partitions of ``n`` using exactly ``r``
+    distinct (size, color) classes, for ``r`` up to the most classes a
+    partition of ``n`` can use; every larger ``r`` counts 0.
+
+    A DP of its own counts them, one step per part size; its work cap
+    counts the row entries it adds, exactly. Memoized on ``(n, c)``, so a
+    sum over ``r`` builds one profile.
     """
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
-    if r < 0:
-        raise ValueError(f"class count must be non-negative, got {_show(r)}")
     _check_colors(c)
     _check_class_count(c, n, "chi_distinct")
     work = _distinct_class_work(n, c)
@@ -700,8 +719,7 @@ def chi_distinct(n: int, r: int, c: int = 1) -> int:
             f"chi_distinct is capped at {_CHI_WORK_CAP:.1e} DP row entries, about "
             f"10 s (c={c}, n={n} needs at least {work:.2e})"
         )
-    profile = _distinct_class_profile(n, c)
-    return profile[r] if r < len(profile) else 0
+    return tuple(_distinct_class_profile(n, c))
 
 
 def _class_count_limits(n: int, c: int) -> List[int]:

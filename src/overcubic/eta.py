@@ -8,7 +8,7 @@ phi, chi are quotients of that shape as well.
 Expansion strategy: :func:`expand_eta_quotient` is the one expansion
 route; every named series and :func:`expand_f` call it.
 
-0. Look up the memo. The last 32 expansions are kept, keyed on the
+0. Look up the memos. The last 32 expansions are kept, keyed on the
    normalized factors of step 1, the order, the modulus and the list of
    step 2 the caller named, if any, so quotients that normalize alike are
    expanded once: mod 4 the overlined series is ``f2/f1^2`` for every odd
@@ -16,7 +16,10 @@ route; every named series and :func:`expand_f` call it.
    reduced to serve another modulus nor served for the other list, and the
    prime-power route of the congruence-family cross-check stays
    independent of the composite one. An entry never serves a smaller order
-   either: no caller asks for one quotient at two orders.
+   either: no caller asks for one quotient at two orders. Below it, the
+   dense powers of step 2 are kept in a memo of their own, keyed the same
+   way on the modulus, so an expansion that misses the first memo may
+   still find its powers built.
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
    ``p^a``, one ascending pass over the subscripts rewrites each exponent
@@ -55,15 +58,28 @@ route; every named series and :func:`expand_f` call it.
    ``f(-q^n, -q^n)``, with about 0.6 times as many terms, of weight +-2.
    The sparse route runs ``|k|`` passes over them: a multiply for
    ``k > 0``, for ``k < 0`` the one division kernel of
-   :mod:`overcubic.series`. The dense route, under a modulus only, raises
-   the base to ``k`` by binary powering with the Kronecker product (a
-   negative ``k`` inverts it first, through the same kernel) and
-   multiplies it in.
+   :mod:`overcubic.series`. The dense route, under a modulus only, takes
+   ``base^k`` from one memoized ladder (:func:`_dense_power`): ``base^1``
+   is built from the terms, ``base^-1`` inverts it through the same
+   kernel, and any other power is the square of the power at ``k // 2``
+   rounded toward zero, times ``base^+-1`` when ``k`` is odd; the power is
+   then multiplied in by the Kronecker product. The ladder is keyed on the
+   compressed step, the exponent, the order and the modulus, so the
+   expansions of one sweep share its rungs and a repeated step costs one
+   product. Its entries are bounded by the bytes they hold
+   (``_POWER_MEMO_BYTES``), least recently used first out. The plan
+   prices a division pass, sparse or the dense route's inverting walk,
+   per term and per exponent, a multiply pass per term, and the dense
+   route as a cold ladder: a rung the memo holds costs nothing, so every
+   price bounds the work of its step from above.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -327,7 +343,8 @@ def expand_eta_quotient(
 
     Results are memoized on the normalized factors, the order, the modulus
     and the route asked for, so quotients that normalize alike share one
-    expansion.
+    expansion; the dense powers of the steps are memoized on their own
+    (:func:`_dense_power`), so expansions that differ share those.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -363,18 +380,109 @@ def _expand_normalized(
     for i, (h, step, k, top, theta, dense, _) in enumerate(steps):
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
-        terms = _factor_terms(step, top, theta)
         if dense:
-            f = [1] + [0] * top
-            for t, w in terms:
-                f[t] = w if m is None else w % m
-            power = Series._canonical(tuple(f), m) ** k
+            power = _dense_power(step, k, top, m, theta)
             coeffs = list((Series._canonical(tuple(coeffs), m) * power if i else power).coeffs)
             continue
+        terms = _factor_terms(step, top, theta)
         apply_pass = _times_f if k > 0 else _divide_sparse
         for _ in range(abs(k)):
             coeffs = apply_pass(coeffs, terms, m)
     return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
+
+
+def _held_bytes(series: Series) -> int:
+    """Bytes a memo holding ``series`` keeps alive, from above: a pointer per
+    coefficient, and for coefficients past CPython's cached small ints
+    (-5 to 256) the size of an int as wide as the largest of them."""
+    m = series.modulus
+    largest = m - 1 if m is not None else max(map(abs, series.coeffs))
+    if m is not None and largest <= 256:
+        return 8 * len(series.coeffs)
+    return (8 + sys.getsizeof(largest)) * len(series.coeffs)
+
+
+class _PowerMemo:
+    """Least-recently-used memo of dense powers, bounded by the bytes its
+    entries hold (:func:`_held_bytes`), not by their number. An entry that
+    alone passes the bound is not kept. One lock guards the entries and the
+    counts, so threads may share it; a power is computed outside the lock,
+    and two threads that miss on one key both compute it, to equal series."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.held = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[tuple, Tuple[Series, int]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> Optional[Series]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, series: Series) -> None:
+        size = _held_bytes(series)
+        if size > self.limit:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (series, size)
+            self.held += size
+            while self.held > self.limit:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.held -= dropped
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.held = self.hits = self.misses = 0
+
+
+# The family sweeps keep well under this: thm15 at n <= 2000 (order 18 003)
+# builds 41 powers of 2.4 MB in all, at n <= 6000 7.1 MB, and conj73 at
+# i <= 20, n <= 300 builds 164 of 1.7 MB. At the expand work bound's orders
+# one power under a small modulus holds up to 4.6 MB, so the memo keeps a
+# few rungs there, and an expansion's peak memory stays within a small
+# multiple of its own.
+_POWER_MEMO_BYTES = 16 * 2**20
+_POWER_MEMO = _PowerMemo(_POWER_MEMO_BYTES)
+
+
+def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool) -> Series:
+    """``f(step)^k``, or ``phi(-q^step)^k`` when ``theta``, at order ``top``
+    (mod ``m``), from one memoized ladder: ``k = 1`` is the base built from
+    its terms, ``k = -1`` its inverse, and any other ``k`` the square of the
+    power at ``k // 2`` rounded toward zero, times the power at ``+-1`` when
+    ``k`` is odd. That is the products and the inversion of
+    ``Series.__pow__``, so a cold ladder costs what the plan prices, and a
+    warm one shares rungs between the expansions of a sweep. The modulus is
+    in the key: an entry never serves another modulus."""
+    key = (step, k, top, m, theta)
+    power = _POWER_MEMO.get(key)
+    if power is not None:
+        return power
+    if k == 1:
+        f = [1] + [0] * top
+        for t, w in _factor_terms(step, top, theta):
+            f[t] = w if m is None else w % m
+        power = Series._canonical(tuple(f), m)
+    elif k == -1:
+        power = _dense_power(step, 1, top, m, theta).invert()
+    else:
+        half = _dense_power(step, k // 2 if k > 0 else -(-k // 2), top, m, theta)
+        power = half * half
+        if k % 2:
+            power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta)
+    _POWER_MEMO.put(key, power)
+    return power
 
 
 def _theta_rewrite(factors: FactorList, order: int) -> List[Tuple[int, int, bool]]:
@@ -434,6 +542,14 @@ def _compressed_walk(factors, order: int):
         yield g, n // g, k, order // g, theta
 
 
+# What a division pass costs per exponent on top of its updates, in updates:
+# the kernel's gathers, sums, reduction and append take 0.5-0.75 us an
+# exponent, 20-31 updates of about 24 ns (orders 10^2 to 6 * 10^4, moduli 3,
+# 12 and 2^61 - 1 and over Z; 2-vCPU x86 host). A multiply pass has no such
+# cost: its slices run per term.
+_DIVISION_EXPONENT_PRICE = 26
+
+
 def _factor_plan(
     n: int, k: int, order: int, m: Optional[int], first: bool, theta: bool = False
 ) -> Tuple[bool, float]:
@@ -441,19 +557,24 @@ def _factor_plan(
     ``phi(-q^n)^k`` when ``theta``, in updates of a sparse pass. Sparse:
     ``|k|`` passes of ``(order + 1) * terms``, whatever the weights, since
     the division kernel scales a sum of weight-2 terms once per exponent; an
-    update on ``b``-bit residues costs ``1 + b // 2000``. Dense: 3 per
-    coefficient, the inverting walk if ``k < 0``, ``bits(|k|) +
+    update on ``b``-bit residues costs ``1 + b // 2000``, and a division
+    pass costs ``_DIVISION_EXPONENT_PRICE`` more per exponent. Dense: 3 per
+    coefficient, the inverting walk if ``k < 0`` (the division kernel over
+    ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|) +
     popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
     unless ``first``, each at :func:`~overcubic.series._kronecker_price`.
     Over Z only sparse passes: dense slots must hold coefficient growth.
     :func:`_planned_steps` asks it at the compressed step: the base at
-    ``n // g`` and ``order // g``."""
+    ``n // g`` and ``order // g``. The dense price is that of a cold
+    :func:`_dense_power` ladder: a rung the memo holds costs nothing, so
+    a price bounds the work from above."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else 1 + m.bit_length() // 2000
-    sparse = abs(k) * (order + 1) * terms * update
+    exponent = terms * update + (_DIVISION_EXPONENT_PRICE if k < 0 else 0)
+    sparse = abs(k) * (order + 1) * exponent
     if m is None:
         return False, sparse
-    walk = (order // n + 1) * terms * update if k < 0 else 0
+    walk = (order // n + 1) * exponent if k < 0 else 0
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - first
     width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
     product = _kronecker_price(2 * (order + 1), order + 1, width)  # two operands

@@ -343,16 +343,28 @@ def test_dp_admission_edges(kind, c, edge):
     assert _dp_work(c, edge, overlined) <= DP_WORK_CAP < _dp_work(c, edge + 1, overlined)
 
 
-@pytest.mark.parametrize("c,m,edge", [
+# The largest admitted orders of the overlined series, f2/f1^2 at c = 1,
+# bisected, with a division pass priced per exponent as well as per term; on
+# a 2-vCPU x86 host, two runs each, 12.8-16.7 s over Z, 2.0-3.9 s mod 4 and 12
+# and 5.3-7.4 s mod 2^61 - 1 (the same host took 13.9-16.4, 3.1-4.2 and
+# 6.7-7.8 s at the edges of the price without the per-exponent cost).
+EXPAND_EDGES = {
+    (1, None): 273528, (1, 4): 273528, (1, 12): 273528, (1, 2**61 - 1): 273528,
+    (10, None): 101760, (10, 4): 221840, (10, 12): 131489, (10, 2**61 - 1): 101760,
+}
+
+
+@pytest.mark.parametrize("c,m,previous_edge", [
     (1, None, 282484), (1, 4, 282484), (1, 12, 282484), (1, 2**61 - 1, 282484),
     (10, None, 108891), (10, 4, 230945), (10, 12, 134507), (10, 2**61 - 1, 108891),
 ])
-def test_expand_admission_edges(c, m, edge):
-    # the largest admitted orders of the overlined series, f2/f1^2 at c = 1,
-    # bisected; on a 2-vCPU x86 host 21.6-21.7 s over Z, 4.0-4.9 s mod 4 and
-    # 12 and 9.5-11.0 s mod 2^61 - 1
+def test_expand_admission_edges(c, m, previous_edge):
     quotient = _colored_quotient(c, True)
+    edge = EXPAND_EDGES[c, m]
     assert _expansion_work(quotient, edge, m) <= EXPAND_WORK_CAP < _expansion_work(quotient, edge + 1, m)
+    # the edge of the price without the per-exponent cost, which named these
+    # cases, is refused now
+    assert _expansion_work(quotient, previous_edge, m) > EXPAND_WORK_CAP
 
 
 def test_dp_price_of_a_huge_weight_is_immediate():
@@ -641,7 +653,12 @@ def test_emit_rows_of_order_zero_and_none(capsys, values):
 def test_expand_at_the_work_bound_streams_its_rows():
     # f1^-40 mod 4 at order 572 507 is priced under the bound, and the
     # expansion needs about 31 MB; holding its 572 508 rows as lists and one
-    # JSON string took 238 MB, and formatting them all in one chunk 99 MB
+    # JSON string took 238 MB, and formatting them all in one chunk 99 MB.
+    # The dense power memo keeps at most its bound of powers alive.
+    # The child reads its own peak, VmHWM, which starts afresh at exec: the
+    # ru_maxrss of a forked child carries the test runner's peak over. Where
+    # /proc/self/status is missing, ru_maxrss is the fallback (in bytes on
+    # macOS, KiB elsewhere).
     script = (
         "import os, resource, sys\n"
         "from overcubic.cli import main\n"
@@ -649,7 +666,13 @@ def test_expand_at_the_work_bound_streams_its_rows():
         "    sys.stdout = sink\n"
         "    code = main(sys.argv[1:])\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    peak //= 1024 if sys.platform == 'darwin' else 1\n"
+        "print(code, peak)\n"
     )
     argv = ["expand", "--eta", "f1^-40", "--order", "572507", "--modulus", "4"]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,

@@ -32,6 +32,7 @@ from overcubic.counting import (
     count_partitions,
     count_partitions_brute,
     decompose,
+    distinct_class_profile,
     iter_overcubic_partitions,
     tau_even,
     tau_odd,
@@ -527,6 +528,28 @@ def test_chi_distinct_reconstruction():
         for n in range(1, 21):
             total = sum((1 << r) * chi_distinct(n, r, c) for r in range(n + 2))
             assert total == count_gen_overcubic_dp(c, n)
+
+
+def test_chi_distinct_sum_builds_one_profile(monkeypatch):
+    # lemma L1's sum over r reads chi_distinct n + 2 times for one (n, c),
+    # and the class-count DP runs once for them all
+    built = []
+    real = counting_module._distinct_class_profile
+
+    def counted(n, c):
+        built.append((n, c))
+        return real(n, c)
+
+    monkeypatch.setattr(counting_module, "_distinct_class_profile", counted)
+    distinct_class_profile.cache_clear()
+    n, c = 40, 3
+    total = sum((1 << r) * chi_distinct(n, r, c) for r in range(n + 2))
+    assert total == count_gen_overcubic_dp(c, n)
+    assert built == [(n, c)]
+    profile = distinct_class_profile(n, c)
+    assert isinstance(profile, tuple) and built == [(n, c)]
+    assert [chi_distinct(n, r, c) for r in range(n + 2)] == [*profile] + [0] * (n + 2 - len(profile))
+    distinct_class_profile.cache_clear()
 
 
 def test_chi_distinct_validation():

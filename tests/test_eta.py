@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import overcubic.eta as eta_module
 from overcubic.counting import _factorize, count_overpartitions, count_partitions_brute
 from overcubic.eta import (
+    _DIVISION_EXPONENT_PRICE,
     _colored_quotient,
     _expand_normalized,
     _expansion_work,
@@ -44,7 +45,7 @@ from overcubic.eta import (
     ROUTES,
     TOH_TERMS,
 )
-from overcubic.series import Series, _divide_sparse
+from overcubic.series import Series, _divide_sparse, _kronecker_price, _slot_width
 from overcubic.verify import verify_conjectured_families, verify_proved_families
 
 
@@ -285,6 +286,152 @@ def test_memo_keeps_moduli_apart():
     assert (info.misses, info.hits) == (3, 1)
 
 
+# -- the dense power memo ----------------------------------------------------------
+
+_LADDER_MODULI = [3, 4, 6, 8, 9, 12, 2**61 - 1]
+
+
+def clear_memos():
+    _expand_normalized.cache_clear()
+    eta_module._POWER_MEMO.clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(-8, 8)), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(0, 600),
+    st.sampled_from(_LADDER_MODULI),
+)
+def test_dense_powers_match_cold_and_naive(factors, shifts, order, m):
+    # quotients over the same subscripts, with exponents shifted, share steps
+    # and the rungs of their ladders; the last one expanded with the memo warm
+    # must equal it expanded with both memos cold, and the naive product
+    clear_memos()
+    for shift in shifts:
+        expand_eta_quotient([(n, k + shift) for n, k in factors], order, modulus=m)
+    _expand_normalized.cache_clear()
+    warm = expand_eta_quotient(factors, order, modulus=m)
+    clear_memos()
+    cold = expand_eta_quotient(factors, order, modulus=m)
+    clear_memos()
+    assert warm == cold
+    assert list(cold.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
+
+
+def test_dense_power_ladder_rungs():
+    # f1^-13 = (f1^-6)^2 * f1^-1, f1^-6 = (f1^-3)^2, f1^-3 = (f1^-1)^2 * f1^-1
+    clear_memos()
+    power = eta_module._dense_power(1, -13, 300, 12, False)
+    assert list(power.coeffs) == [c % 12 for c in naive_euler_power(1, -13, 300)]
+    assert sorted(key[1] for key in eta_module._POWER_MEMO._entries) == [-13, -6, -3, -1, 1]
+    # the odd rungs found f1^-1 built; a repeat is one more hit, and
+    # f1^-12 = (f1^-6)^2 builds one rung
+    assert eta_module._POWER_MEMO.hits == 2
+    assert eta_module._dense_power(1, -13, 300, 12, False) is power
+    eta_module._dense_power(1, -12, 300, 12, False)
+    assert (eta_module._POWER_MEMO.hits, len(eta_module._POWER_MEMO._entries)) == (4, 6)
+    clear_memos()
+
+
+def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
+    # the composite side of the mod-12 families powers phi(-q^n) mod 12 and
+    # its parts power f(n) mod 3 and mod 4: after the mod-12 series, no
+    # request of a part may hit an entry they left
+    clear_memos()
+    colors = range(2, 36, 3)
+    composite = [expand_eta_quotient(_colored_quotient(c, True), 548, 12, "theta") for c in colors]
+    mod12 = set(eta_module._POWER_MEMO._entries)
+    assert mod12 and {key[3] for key in mod12} == {12}
+    hit = []
+    real_get = eta_module._POWER_MEMO.get
+
+    def recording_get(key):
+        power = real_get(key)
+        if power is not None:
+            hit.append(key)
+        return power
+
+    monkeypatch.setattr(eta_module._POWER_MEMO, "get", recording_get)
+    for m in (3, 4):
+        for c, whole in zip(colors, composite):
+            got = expand_eta_quotient(_colored_quotient(c, True), 548, m, "pentagonal")
+            assert got == whole.reduce_mod(m)
+    assert hit and not mod12.intersection(hit)
+    assert {key[3] for key in hit} == {3, 4}
+    clear_memos()
+
+
+def test_power_memo_holds_no_more_than_its_bound(monkeypatch):
+    # a bound of a few powers at order 300 mod 12: after every store the
+    # bytes held stay under it and match the entries kept, and a power
+    # larger than the whole bound is not kept
+    memo = eta_module._PowerMemo(5 * 8 * 301)
+    held = []
+    real_put = memo.put
+
+    def checked_put(key, series):
+        real_put(key, series)
+        held.append(memo.held)
+        assert memo.held <= memo.limit
+        assert memo.held == sum(e[1] for e in memo._entries.values())
+
+    monkeypatch.setattr(memo, "put", checked_put)
+    monkeypatch.setattr(eta_module, "_POWER_MEMO", memo)
+    _expand_normalized.cache_clear()
+    for c in range(2, 40):
+        got = gen_overcubic_gf(c, 300, 12)
+        assert got == gen_overcubic_gf(c, 300).reduce_mod(12)
+    assert len(held) > 40 and max(held) > memo.limit - 8 * 301
+    memo.clear()
+    eta_module._dense_power(1, -3, 2000, 12, False)
+    assert memo.held == 0 and not memo._entries
+    _expand_normalized.cache_clear()
+
+
+def test_power_memo_is_shared_safely_between_threads(monkeypatch):
+    # more threads than cores expand the same quotients through one small
+    # memo that evicts all the time, switching every few microseconds; every
+    # result must match the single-threaded one, and the bytes counted must
+    # match the entries kept: a lost update would break either
+    import sys
+    import threading
+
+    memo = eta_module._PowerMemo(20 * 8 * 401)
+    monkeypatch.setattr(eta_module, "_POWER_MEMO", memo)
+    requests = [(_colored_quotient(c, True), m) for c in range(2, 20) for m in (3, 4, 12)]
+    want = [_expand_normalized.__wrapped__(
+        tuple(_normalized_factors(q, 400, m)), 400, m, None) for q, m in requests]
+    failures = []
+
+    def worker(offset):
+        try:
+            for i in range(len(requests)):
+                q, m = requests[(i + offset) % len(requests)]
+                key = tuple(_normalized_factors(q, 400, m))
+                got = _expand_normalized.__wrapped__(key, 400, m, None)
+                if got != want[(i + offset) % len(requests)]:
+                    failures.append((q, m))
+        except Exception as exc:  # reported below, not lost in the thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert memo.held == sum(e[1] for e in memo._entries.values()) <= memo.limit
+    assert memo.hits > 0
+    memo.clear()
+
+
 # -- the per-factor plan: routes and prices ---------------------------------------
 
 _ROUTE_MODULI = [None, 2, 4, 6, 8, 12, 97, 2**61 - 1, 10**30 + 57]
@@ -450,9 +597,20 @@ def test_theta_walk_never_raises_the_price(factors, order, m):
 
 
 def test_plan_prices_the_cheaper_route():
-    # over Z only sparse passes are offered, whatever the exponent
+    # over Z only sparse passes are offered, whatever the exponent; a
+    # division pass costs 26 updates per exponent on top of one per term,
+    # a multiply pass one per term
+    assert _DIVISION_EXPONENT_PRICE == 26
     terms = len(_factor_terms(2, 548))
-    assert _factor_plan(2, -67, 548, None, True) == (False, 67 * 549 * terms)
+    assert _factor_plan(2, -67, 548, None, True) == (False, 67 * 549 * (terms + 26))
+    assert _factor_plan(2, 67, 548, None, True) == (False, 67 * 549 * terms)
+    # the dense route's inverting walk runs the division kernel over
+    # order // n + 1 exponents and is priced as a division pass
+    theta_terms = len(_factor_terms(1, 274, True))
+    width = _slot_width((11 * 11 * 275).bit_length())
+    products = 6 + 2 - 1 - 1  # bits(34) + popcount(34) - 1, first step
+    dense = 3 * 275 + 275 * (theta_terms + 26) + products * _kronecker_price(550, 275, width)
+    assert _factor_plan(1, -34, 274, 12, True, True) == (True, dense)
     # a large exponent under a small modulus is powered densely
     assert _factor_plan(2, -67, 548, 12, False)[0]
     # under a 1000-digit modulus the packed slots are wide: the c = 10
@@ -462,7 +620,7 @@ def test_plan_prices_the_cheaper_route():
     assert not any(_factor_plan(n, k, 2000, m, not i)[0] for i, (n, k) in enumerate(c10))
     for n, k in [(1, -2), (2, -17), (4, 9), (1, 1), (36, -1)]:
         for m in (4, 12, 2**61 - 1):
-            sparse_price = abs(k) * 549 * len(_factor_terms(n, 548))
+            sparse_price = abs(k) * 549 * (len(_factor_terms(n, 548)) + 26 * (k < 0))
             later = _factor_plan(n, k, 548, m, False)
             first = _factor_plan(n, k, 548, m, True)
             assert later[1] <= sparse_price and later[0] == (later[1] < sparse_price)
