@@ -6,20 +6,12 @@ powers of such factors (an *eta quotient*), and the theta functions psi,
 phi, chi are quotients of that shape as well.
 
 Expansion strategy: :func:`expand_eta_quotient` is the one expansion
-route; every named series and :func:`expand_f` call it.
+route; every named series and :func:`expand_f` call it. No expansion is
+kept: a caller that reads one series more than once asks for it once, as
+the sweeps of :mod:`overcubic.verify` do by normalized form. Only the dense
+powers of step 2 are memoized, keyed on the modulus, so expansions that
+differ may still find their powers built.
 
-0. Look up the memos. The last 32 expansions are kept, keyed on the
-   normalized factors of step 1, the order, the modulus and the list of
-   step 2 the caller named, if any, so quotients that normalize alike are
-   expanded once: mod 4 the overlined series is ``f2/f1^2`` for every odd
-   c. The modulus and the named list stay in the key, so an entry is never
-   reduced to serve another modulus nor served for the other list, and the
-   prime-power route of the congruence-family cross-check stays
-   independent of the composite one. An entry never serves a smaller order
-   either: no caller asks for one quotient at two orders. Below it, the
-   dense powers of step 2 are kept in a memo of their own, keyed the same
-   way on the modulus, so an expansion that misses the first memo may
-   still find its powers built.
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
    ``p^a``, one ascending pass over the subscripts rewrites each exponent
@@ -339,12 +331,9 @@ def expand_eta_quotient(
     the plan prices cheaper: ``|k|`` sparse passes (multiply for ``k > 0``,
     the division kernel for ``k < 0``), or, under a modulus, dense powering
     of its base. Reducing after every step keeps coefficients bounded; by
-    the homomorphism property the result matches reduce-at-the-end.
-
-    Results are memoized on the normalized factors, the order, the modulus
-    and the route asked for, so quotients that normalize alike share one
-    expansion; the dense powers of the steps are memoized on their own
-    (:func:`_dense_power`), so expansions that differ share those.
+    the homomorphism property the result matches reduce-at-the-end. Each
+    call expands afresh; only the dense powers are memoized
+    (:func:`_dense_power`).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -355,25 +344,14 @@ def expand_eta_quotient(
     return _expand_normalized(factors, order, m, route)
 
 
-# A family sweep runs series that normalize alike back to back and thm14's two
-# mod-4 forms alternate, so a sweep needs two entries; the rest serve repeats.
-_EXPANSION_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
 def _expand_normalized(
     factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str]
 ) -> Series:
-    """The expansion of already normalized factors; memoized, and safe to
-    share because a :class:`Series` is immutable. The modulus and the route
-    stay in the key: an entry is never reduced to serve another modulus,
-    nor served to a request for the other walk, which keeps the prime-power
-    route of ``verify_family`` independent of the composite one.
-
-    The running product is a series in ``q^g`` holding only its
-    ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step of
-    :func:`_planned_steps` applies its base, ``f(n)`` or ``phi(-q^n)``, to
-    it as the same base at ``n // g`` (step 2 of the module docstring)."""
+    """The expansion of already normalized factors. The running product is
+    a series in ``q^g`` holding only its ``order // g + 1`` coefficients of
+    ``q^0, q^g, ...``; each step of :func:`_planned_steps` applies its
+    base, ``f(n)`` or ``phi(-q^n)``, to it as the same base at ``n // g``
+    (step 2 of the module docstring)."""
     steps = _planned_steps(factors, order, m, route)
     g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)

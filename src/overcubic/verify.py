@@ -210,7 +210,9 @@ def verify_mod4_classification(
 ) -> VerificationReport:
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
-    by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``."""
+    by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
+    Each distinct mod-4 form of the series is expanded once: mod 4 it is
+    ``f2/f1^2`` for every odd c."""
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
     order = max(n_max, 0) if order is None else order
@@ -228,7 +230,7 @@ def verify_mod4_classification(
         return report
     # the prediction depends on c only through 2(c+1) mod 4, its value at
     # twice a square; it is 2 at a square and 0 elsewhere
-    predictions = {}
+    predictions, forms = {}, {}
     bad: List[Counterexample] = []
     for c in range(1, c_max + 1):
         twice_square = 2 * (c + 1) % 4
@@ -240,7 +242,10 @@ def verify_mod4_classification(
                 row[k * k] = 2
             predictions[twice_square] = tuple(row[1:])
         expected = predictions[twice_square]
-        observed = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
+        form = tuple(_normalized_factors(_colored_quotient(c, True), order, 4))
+        if form not in forms:
+            forms[form] = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
+        observed = forms[form]
         if observed != expected:
             bad.extend(
                 Counterexample(c, n, got, want)
@@ -292,10 +297,10 @@ CONJECTURED_FAMILIES = (
 
 def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
-    covers every family, or 0 for an empty range. Each series ``(c,
-    modulus, route)`` that a side of :func:`verify_family` reads is
-    expanded once for all its readers, and series that normalize alike run
-    back to back, so each distinct one misses the memo once."""
+    covers every family, or 0 for an empty range. Each series that a side
+    of :func:`verify_family` reads is expanded once for all its readers,
+    keyed on its normalized form, modulus and route, and alike forms run
+    back to back, so they share the dense powers they build."""
     needed = [f.prog_slope * n_max + f.prog_intercept for f in families]
     order = max(*needed, 0) if order is None else order
     for family, least in zip(families, needed):
@@ -319,9 +324,12 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
             for i in range(1, i_max + 1):
                 c = family.c_for(i)
                 form = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
-                readers.setdefault((form, modulus, route, c), []).append((j, family, i))
-    for (_, modulus, route, c), reads in sorted(readers.items()):
-        series = expand_eta_quotient(_colored_quotient(c, True), order, modulus=modulus, route=route)
+                readers.setdefault((form, modulus, route), []).append((j, family, i))
+    for (_, modulus, route), reads in sorted(readers.items()):
+        # every reader's series normalizes to this form: expand the first's
+        _, family, i = reads[0]
+        quotient = _colored_quotient(family.c_for(i), True)
+        series = expand_eta_quotient(quotient, order, modulus=modulus, route=route)
         for j, family, i in reads:
             want = family.residue % modulus
             prog = series.extract_progression(family.prog_slope, family.prog_intercept)
@@ -403,10 +411,11 @@ def _build_theta_vs_quotient(spec, quotient, order):
 
 
 def _build_psi_3dissection(order):
+    lhs = psi(order)
     rhs = theta_sum(F_Q3_Q6, order)
     if order >= 1:
-        rhs = rhs + psi(order).substitute_power(9).shift(1)
-    return psi(order), rhs
+        rhs = rhs + lhs.substitute_power(9).shift(1)
+    return lhs, rhs
 
 
 def _build_f_neg_q_q2(order):

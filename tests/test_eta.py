@@ -245,7 +245,7 @@ def test_exponent_reduction_mod_3_chain():
     ]
 
 
-# -- the expansion memo ------------------------------------------------------------
+# -- repeated requests -------------------------------------------------------------
 
 _memo_requests = st.lists(
     st.tuples(
@@ -262,28 +262,25 @@ _memo_requests = st.lists(
 @given(st.lists(_quotients, min_size=1, max_size=3), _memo_requests)
 def test_memoized_expansion_matches_uncached(quotients, requests):
     # a few quotients requested at several orders and moduli, each twice, so
-    # the second is a hit and an entry served under the wrong key would show
+    # the second finds the dense powers built and a power served under the
+    # wrong key would show
     for idx, order, m in requests:
         factors = quotients[idx % len(quotients)]
         key = tuple(_normalized_factors(EtaQuotient(factors), order, m))
-        fresh = _expand_normalized.__wrapped__(key, order, m, None)
+        fresh = _expand_normalized(key, order, m, None)
         for _ in range(2):
             assert expand_eta_quotient(factors, order, modulus=m) == fresh
 
 
-def test_memo_keeps_moduli_apart():
+def test_moduli_stay_apart():
     # f2/f1^2 normalizes to the same factors over Z, mod 4 and mod 12: only
-    # the modulus tells the requests apart, and no entry is reduced to serve
-    # another modulus
-    _expand_normalized.cache_clear()
+    # the modulus tells the requests apart, and each expands under its own
     exact = expand_eta_quotient([(2, 1), (1, -2)], 60)
     mod12 = expand_eta_quotient([(2, 1), (1, -2)], 60, modulus=12)
     mod4 = expand_eta_quotient([(2, 1), (1, -2)], 60, modulus=4)
     assert (exact.modulus, mod12.modulus, mod4.modulus) == (None, 12, 4)
     assert mod4 == mod12.reduce_mod(4) == exact.reduce_mod(4)
-    assert gen_overcubic_gf(1, 60, modulus=4) is mod4
-    info = _expand_normalized.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
+    assert gen_overcubic_gf(1, 60, modulus=4) == mod4
 
 
 # -- the dense power memo ----------------------------------------------------------
@@ -291,8 +288,7 @@ def test_memo_keeps_moduli_apart():
 _LADDER_MODULI = [3, 4, 6, 8, 9, 12, 2**61 - 1]
 
 
-def clear_memos():
-    _expand_normalized.cache_clear()
+def clear_memo():
     eta_module._POWER_MEMO.clear()
 
 
@@ -306,22 +302,21 @@ def clear_memos():
 def test_dense_powers_match_cold_and_naive(factors, shifts, order, m):
     # quotients over the same subscripts, with exponents shifted, share steps
     # and the rungs of their ladders; the last one expanded with the memo warm
-    # must equal it expanded with both memos cold, and the naive product
-    clear_memos()
+    # must equal it expanded with the memo cold, and the naive product
+    clear_memo()
     for shift in shifts:
         expand_eta_quotient([(n, k + shift) for n, k in factors], order, modulus=m)
-    _expand_normalized.cache_clear()
     warm = expand_eta_quotient(factors, order, modulus=m)
-    clear_memos()
+    clear_memo()
     cold = expand_eta_quotient(factors, order, modulus=m)
-    clear_memos()
+    clear_memo()
     assert warm == cold
     assert list(cold.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
 
 
 def test_dense_power_ladder_rungs():
     # f1^-13 = (f1^-6)^2 * f1^-1, f1^-6 = (f1^-3)^2, f1^-3 = (f1^-1)^2 * f1^-1
-    clear_memos()
+    clear_memo()
     power = eta_module._dense_power(1, -13, 300, 12, False)
     assert list(power.coeffs) == [c % 12 for c in naive_euler_power(1, -13, 300)]
     assert sorted(key[1] for key in eta_module._POWER_MEMO._entries) == [-13, -6, -3, -1, 1]
@@ -331,14 +326,14 @@ def test_dense_power_ladder_rungs():
     assert eta_module._dense_power(1, -13, 300, 12, False) is power
     eta_module._dense_power(1, -12, 300, 12, False)
     assert (eta_module._POWER_MEMO.hits, len(eta_module._POWER_MEMO._entries)) == (4, 6)
-    clear_memos()
+    clear_memo()
 
 
 def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
     # the composite side of the mod-12 families powers phi(-q^n) mod 12 and
     # its parts power f(n) mod 3 and mod 4: after the mod-12 series, no
     # request of a part may hit an entry they left
-    clear_memos()
+    clear_memo()
     colors = range(2, 36, 3)
     composite = [expand_eta_quotient(_colored_quotient(c, True), 548, 12, "theta") for c in colors]
     mod12 = set(eta_module._POWER_MEMO._entries)
@@ -359,7 +354,7 @@ def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
             assert got == whole.reduce_mod(m)
     assert hit and not mod12.intersection(hit)
     assert {key[3] for key in hit} == {3, 4}
-    clear_memos()
+    clear_memo()
 
 
 def test_power_memo_holds_no_more_than_its_bound(monkeypatch):
@@ -378,7 +373,6 @@ def test_power_memo_holds_no_more_than_its_bound(monkeypatch):
 
     monkeypatch.setattr(memo, "put", checked_put)
     monkeypatch.setattr(eta_module, "_POWER_MEMO", memo)
-    _expand_normalized.cache_clear()
     for c in range(2, 40):
         got = gen_overcubic_gf(c, 300, 12)
         assert got == gen_overcubic_gf(c, 300).reduce_mod(12)
@@ -386,7 +380,23 @@ def test_power_memo_holds_no_more_than_its_bound(monkeypatch):
     memo.clear()
     eta_module._dense_power(1, -3, 2000, 12, False)
     assert memo.held == 0 and not memo._entries
-    _expand_normalized.cache_clear()
+
+
+def test_dropped_expansions_are_not_kept_alive():
+    # 32 expansions whose results are dropped at once: afterwards the only
+    # new series still alive are the dense powers the memo holds
+    import gc
+
+    def live_series():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, Series)}
+
+    gc.collect()
+    before = live_series()
+    for k in range(1, 33):
+        expand_eta_quotient([(2, k), (1, -1)], 2000, modulus=97)
+    gc.collect()
+    held = {id(entry[0]) for entry in eta_module._POWER_MEMO._entries.values()}
+    assert live_series() - before <= held
 
 
 def test_power_memo_is_shared_safely_between_threads(monkeypatch):
@@ -400,7 +410,7 @@ def test_power_memo_is_shared_safely_between_threads(monkeypatch):
     memo = eta_module._PowerMemo(20 * 8 * 401)
     monkeypatch.setattr(eta_module, "_POWER_MEMO", memo)
     requests = [(_colored_quotient(c, True), m) for c in range(2, 20) for m in (3, 4, 12)]
-    want = [_expand_normalized.__wrapped__(
+    want = [_expand_normalized(
         tuple(_normalized_factors(q, 400, m)), 400, m, None) for q, m in requests]
     failures = []
 
@@ -409,7 +419,7 @@ def test_power_memo_is_shared_safely_between_threads(monkeypatch):
             for i in range(len(requests)):
                 q, m = requests[(i + offset) % len(requests)]
                 key = tuple(_normalized_factors(q, 400, m))
-                got = _expand_normalized.__wrapped__(key, 400, m, None)
+                got = _expand_normalized(key, 400, m, None)
                 if got != want[(i + offset) % len(requests)]:
                     failures.append((q, m))
         except Exception as exc:  # reported below, not lost in the thread
@@ -444,11 +454,7 @@ def forced_expansion(factors, order, m, route, dense):
     plan would pick."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eta_module, "_factor_plan", lambda *step: (dense, 0))
-        _expand_normalized.cache_clear()
-        try:
-            return expand_eta_quotient(factors, order, modulus=m, route=route)
-        finally:
-            _expand_normalized.cache_clear()
+        return expand_eta_quotient(factors, order, modulus=m, route=route)
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,9 +576,7 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
             return steps
 
         monkeypatch.setattr(eta_module, "_planned_steps", recording_steps)
-        _expand_normalized.cache_clear()
         expand_eta_quotient(quotient, order, modulus=m, route=route)
-        _expand_normalized.cache_clear()
         monkeypatch.undo()
         [steps] = ran
         for i, (_, step, k, top, theta, dense, price) in enumerate(steps):
@@ -657,27 +661,23 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
         return real_walk(spec, order)
 
     monkeypatch.setattr(eta_module, "_theta_terms", counting_walk)
-    _expand_normalized.cache_clear()
     _factor_terms.cache_clear()
     try:
         verify_proved_families(3, 60, 548)
         verify_conjectured_families(3, 60, 548)
     finally:
-        _expand_normalized.cache_clear()
         _factor_terms.cache_clear()
     assert len(walks) == len(set(walks)) == 17
     assert isinstance(_factor_terms(1, 10), tuple)
 
 
-def test_routes_are_distinct_memo_entries():
-    # one quotient, order and modulus along each walk: two entries, equal
-    # series, and a repeat of either is a hit
-    _expand_normalized.cache_clear()
-    got = [expand_eta_quotient(_colored_quotient(10, True), 200, 12, route) for route in ROUTES]
-    assert got[0] == got[1] and got[0] is not got[1]
-    assert expand_eta_quotient(_colored_quotient(10, True), 200, 12, "theta") is got[1]
-    info = _expand_normalized.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+def test_routes_give_equal_series():
+    # one quotient, order and modulus along each walk, and with none named:
+    # equal series; a walk that is not one of ROUTES is refused
+    got = [
+        expand_eta_quotient(_colored_quotient(10, True), 200, 12, route) for route in (*ROUTES, None)
+    ]
+    assert got[0] == got[1] == got[2]
     with pytest.raises(ValueError):
         expand_eta_quotient(_colored_quotient(10, True), 200, 12, "dense")
 

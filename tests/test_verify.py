@@ -8,7 +8,9 @@ import pytest
 import overcubic.eta as eta_module
 import overcubic.verify as verify_module
 from overcubic.counting import ColoredOverPartition, ColoredPart
-from overcubic.eta import _expand_normalized, expand_eta_quotient, gen_overcubic_gf, psi
+from overcubic.eta import (
+    _colored_quotient, _normalized_factors, expand_eta_quotient, gen_overcubic_gf, psi
+)
 from overcubic.series import Series
 from overcubic.verify import (
     CONJECTURED_FAMILIES,
@@ -107,54 +109,53 @@ def test_mod4_sweep_order_too_small():
 
 
 def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
-    # residues the classification rules out, at (c, n); n = 60 lies past
-    # n_max and n = 0 before the range, so neither may be reported
-    wrong = {(1, 60): 1, (2, 9): 1, (2, 10): 3, (3, 0): 3, (3, 1): 0, (3, 50): 2}
+    # residues the classification rules out, written into the series of
+    # every odd c, whose mod-4 form is f2/f1^2; n = 60 lies past n_max and
+    # n = 0 before the range, so neither may be reported. Every odd c reads
+    # that one form and must report each wrong residue, the even c none
+    wrong = {0: 3, 1: 0, 9: 1, 10: 3, 50: 2, 60: 1}
     genuine = gen_overcubic_gf
+    odd = _normalized_factors(_colored_quotient(1, True), 60, 4)
 
     def corrupted(c, order, modulus=None):
         coeffs = list(genuine(c, order, modulus).coeffs)
-        for (cc, n), residue in wrong.items():
-            if cc == c:
+        if _normalized_factors(_colored_quotient(c, True), order, modulus) == odd:
+            for n, residue in wrong.items():
                 coeffs[n] = residue
         return Series(coeffs, modulus)
 
     monkeypatch.setattr(verify_module, "gen_overcubic_gf", corrupted)
-    report = verify_mod4_classification(3, 50, 60)
+    report = verify_mod4_classification(6, 50, 60)
     assert list(report.counterexamples) == [
         Counterexample(c, n, residue, expected_mod4_residue(c, n))
-        for (c, n), residue in sorted(wrong.items())
+        for c in (1, 3, 5)
+        for n, residue in sorted(wrong.items())
         if 1 <= n <= 50
     ]
 
 
 def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
+    # each sweep expands each distinct (form, modulus, route) it reads once:
+    # a form expanded twice would show as more calls than distinct keys
+    keys = recorded_expansions(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
     # even c
-    _expand_normalized.cache_clear()
     verify_mod4_classification(10, 200, 200)
-    info = _expand_normalized.cache_info()
-    assert (info.misses, info.hits) == (2, 8)
-    # 27 expansions: c = 5, 8, 11 mod 6, 2, 3 and c = 14, ..., 35 mod 12, 4,
-    # 3. The series is 1 mod 2 and takes two forms mod 4, which gives the 6
-    # hits; serving mod 4 or mod 3 from a mod-12 entry would show as fewer
-    # misses
-    _expand_normalized.cache_clear()
+    assert len(keys) == len(set(keys)) == 2
+    # 27 reads: c = 5, 8, 11 mod 6, 2, 3 and c = 14, ..., 35 mod 12, 4, 3.
+    # The series is 1 mod 2 and takes two forms mod 4, which leaves 21
+    # distinct; serving mod 4 or mod 3 from a mod-12 series would show as
+    # fewer calls
+    keys.clear()
     verify_proved_families(3, 21, 200)
-    info = _expand_normalized.cache_info()
-    assert (info.misses, info.hits) == (21, 6)
-    # past 32 distinct series the memo cannot hold a sweep's whole list: at
-    # i <= 20 each sweep reads 111 at n <= 30 and 87 at n <= 10, where the
-    # lower order makes forms of distant c coincide; a form expanded twice
-    # would show as more misses
-    keys = recorded_expansions(monkeypatch)
+    assert len(keys) == len(set(keys)) == 21
+    # at i <= 20 each sweep reads 111 at n <= 30 and 87 at n <= 10, where
+    # the lower order makes forms of distant c coincide
     for sweep in (verify_proved_families, verify_conjectured_families):
         for n_max, distinct in ((30, 111), (10, 87)):
             keys.clear()
-            _expand_normalized.cache_clear()
             sweep(20, n_max)
-            assert len(set(keys)) == distinct
-            assert _expand_normalized.cache_info().misses == distinct
+            assert len(keys) == len(set(keys)) == distinct
 
 
 def recorded_expansions(monkeypatch):
@@ -173,7 +174,7 @@ def recorded_expansions(monkeypatch):
 
 def test_family_sides_take_independent_routes(monkeypatch):
     # the composite side expands the theta walk, each prime-power side the
-    # Euler factors: distinct memo entries, even for one quotient
+    # Euler factors: distinct expansions, even for one quotient
     keys = recorded_expansions(monkeypatch)
     verify_family(PROVED_FAMILIES[1], 2, 10, 93)
     routes = {(m, route) for _, _, m, route in keys}
