@@ -3,31 +3,30 @@
 Output is machine readable (JSON by default, CSV on request) and depends
 on the arguments alone, so identical invocations print identical bytes.
 
-The CLI owns flag syntax and two work bounds, one on a DP count and one
-on an expansion, which refuse up front a request that would run for
-minutes; library calls are not bound by them. The four kinds are two
-series at a color count: ``partition`` and ``overpartition`` are ``cubic``
-and ``overcubic`` at c = 1. Every domain rule (color count, weight,
-modulus, brute-force bounds, verification order) belongs to the library,
-which raises ``ValueError``; :func:`main` maps that to exit status 2.
+The CLI owns flag syntax, and refuses up front an expansion or a DP count
+over the engine's work cap; library calls of them are not bound by it. The
+four kinds are two series at a color count: ``partition`` and
+``overpartition`` are ``cubic`` and ``overcubic`` at c = 1. Every domain
+rule (color count, weight, modulus, brute-force bounds, verification
+order) belongs to the library, which raises ``ValueError``; :func:`main`
+maps that to exit status 2.
 A verify target reads only its flags (``_TARGET_FLAGS``) and, without
 ``--order``, runs at the library's least covering order.
 
 Exit status: 0 when every requested check passes, 1 on a verification
 failure, 2 on a usage error (bad flags, a flag its verify target does not
 read, parse errors, a request outside the library's domain such as an
-insufficient order or a brute-force walk over its bounds, or a DP count or
-an expansion over its work bound), 3 when two routes through the engine
+insufficient order, or a request over the work cap), 3 when two routes
+through the engine
 disagree, in the composite-modulus cross-check or a brute-force count
 against the DP, or when a DP step does not divide exactly (an internal
 inconsistency, not a verdict on the claim checked).
 
 Each engine prices its own request in one unit, an update of a sparse
-pass (about 24 ns), with one price of a Kronecker product
-(``series._kronecker_price``): ``eta._expansion_work`` sums the plan's
-steps, ``counting._dp_work`` the DP's block products over its tree. The
-caps, ``EXPAND_WORK_CAP`` and ``DP_WORK_CAP``, stay apart until updates
-over Z are priced by coefficient size.
+pass (``series._kronecker_price``, ``series._update_price``):
+``eta._expansion_work`` sums the plan's steps, ``counting._dp_work`` the
+DP's block products over its tree, and ``series._check_work`` refuses
+either over ``series.WORK_CAP``, as it refuses every engine's requests.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .eta import (
     _expansion_work,
     parse_eta_quotient,
 )
+from .series import WORK_CAP, _check_work
 from .verify import (
     IDENTITIES,
     EngineInconsistencyError,
@@ -108,15 +108,6 @@ def _colors(kind: str, flag: str, c: Optional[int]) -> int:
     return c if takes_c else 1
 
 
-# An expansion priced above this many updates of a sparse pass, the unit of
-# DP_WORK_CAP, each step by its route at its place in the q^g walk of the
-# cheaper walk, is refused. At the bound the whole call, JSON included, takes
-# about 13-17 s over Z, 2.0-3.9 s mod 4 and 12, 5.3-7.4 s mod 2^61 - 1 and up
-# to 100 MB (2-vCPU x86 host). The price does not grow with the coefficients,
-# and over Z an update on them costs the most.
-EXPAND_WORK_CAP = 15 * 10**7
-
-
 def _cmd_expand(args, command: str) -> int:
     order = args.order
     if order <= 0:
@@ -135,11 +126,8 @@ def _cmd_expand(args, command: str) -> int:
         except EtaQuotientParseError as exc:
             raise UsageError(f"bad eta quotient: {exc}")
         spec = {"eta": str(quotient)}
-    if _expansion_work(quotient, order, args.modulus) > EXPAND_WORK_CAP:
-        raise UsageError(
-            f"expanding {quotient} to order {order} needs over "
-            f"{EXPAND_WORK_CAP:.2g} coefficient updates; lower --order"
-        )
+    _check_work(_expansion_work(quotient, order, args.modulus),
+                f"expanding {quotient} to order {order}", "; lower --order")
     series = quotient.expand(order, args.modulus)
     record = _record(command, {**spec, "order": order, "modulus": args.modulus}, {"order": order})
     _emit_rows(record, series.coeffs, args.format)
@@ -174,22 +162,17 @@ def _emit_rows(record: dict, values, fmt: str) -> None:
     sys.stdout.write(end)
 
 
-# A DP count priced higher, in the expansion's unit, is refused: about 10 s,
-# the 1.6e8 word-size multiply-adds of 62.5 ns the DP was fitted in, at 3.35
-# updates each. At the bound the whole call takes 7.5-11.0 s from c = 1 to
-# 10^6 (2-vCPU x86 host): the bits of a(n) overprice the smaller counts.
-DP_WORK_CAP = 536 * 10**6
-
-
 def _cmd_count(args, command: str) -> int:
     kind, engine, n = args.kind, args.engine, args.n
     c = _colors(kind, "--kind", args.c)
-    if engine == "dp" and _dp_work(c, n, _KINDS[kind].overlined) > DP_WORK_CAP:
-        c_flag = "" if args.c is None else f" --c {c}"
-        raise UsageError(
-            f"the {kind} DP at n = {n} needs over {DP_WORK_CAP:.2g} coefficient updates; "
-            f"expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
-        )
+    overlined = _KINDS[kind].overlined
+    if engine == "dp":
+        price, advice = _dp_work(c, n, overlined), ""
+        # a refusal names the expansion of the same series where it is admitted
+        if price > WORK_CAP and _expansion_work(_colored_quotient(c, overlined), n) <= WORK_CAP:
+            c_flag = "" if args.c is None else f" --c {c}"
+            advice = f"; expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
+        _check_work(price, f"the {kind} DP at n = {n}", advice)
     # built on each call, so that a wrapper installed on these names (a
     # tracer, a test double) is the one called
     counter = {
@@ -197,7 +180,7 @@ def _cmd_count(args, command: str) -> int:
         (False, "brute"): count_gen_cubic_brute,
         (True, "dp"): count_gen_overcubic_dp,
         (True, "brute"): count_gen_overcubic_brute,
-    }[_KINDS[kind].overlined, engine]
+    }[overlined, engine]
     value = counter(c, n)
     record = _record(
         command,

@@ -12,8 +12,9 @@ The DP counters of colored partitions share one recurrence,
 divisor sum of ``k``. Its sums are built by divide and conquer over the
 weights, each block of them by a Kronecker product or by the schoolbook,
 whichever is priced cheaper in the expansion plan's unit and at its price
-of a Kronecker product; ``_dp_work`` sums those prices for the CLI's work
-bound. The cost grows with ``c`` only through the bits of the counts. The DP shares the packing kernel of
+of a Kronecker product; ``_dp_work`` sums those prices, each node's at the
+bits of its own counts, for the CLI's work bound. The cost grows with ``c``
+only through the bits of the counts. The DP shares the packing kernel of
 :mod:`overcubic.series` with ``Series.__mul__`` but not the route: it
 multiplies divisor sums, not eta factors, so it stays independent of the
 series route. Every step must divide exactly; a remainder, which a slot
@@ -38,12 +39,14 @@ drawing each size's colorings as it goes. Each brute-force count is checked
 against the DP count of the same weight, an independent route, and a
 disagreement raises :class:`EngineInconsistencyError`.
 
-Brute-force routines are capped at weight 30, at 10^6 (size, color)
-classes and at 10^7 colored partitions visited (0.2-0.4 s at the edges):
-the object counts grow fast enough beyond that to make exhaustive
-enumeration pointless when the DP and the generating function are
-available. The caps are checked on the call, the class count first, so
-the DP that counts the walk never sees a large c with work to do.
+Brute-force routines are capped at weight 30, a rule of the domain: the
+object counts grow fast enough beyond that to make exhaustive enumeration
+pointless when the DP and the generating function are available. Within
+that, and 10^6 (size, color) classes, a bound on memory, a walk is priced
+at its colored partitions and refused over the one work cap, as a DP count
+and a ``chi_distinct`` profile are (``series._check_work``). The caps are
+checked on the call, the class count first, so the DP that counts the walk
+never sees a large c with work to do.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ from functools import lru_cache
 from itertools import (
     accumulate, chain, combinations_with_replacement, groupby, product, repeat, starmap, takewhile
 )
-from math import comb, exp, inf, log, log1p, pi, sqrt
+from math import comb, exp, inf, log
 from operator import add, eq, mul, sub
 from typing import Iterator, List, Tuple
 
-from .eta import _prime_power_base
-from .series import _kronecker_price, _pack, _show, _slot_width, _unpack
+from .eta import _log_euler, _prime_power_base, _saddle_minimum
+from .series import (
+    WORK_CAP, _check_work, _kronecker_price, _pack, _show, _slot_width, _unpack, _update_price
+)
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -81,20 +86,11 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 30
-# A brute-force call over more colored partitions is refused. At the edges
-# the caps admit (c = 5 at n = 30, 12 at 20, 58 at 10, 4469 at 4) it takes
-# 0.2-0.4 s, nearly all in the fold (2-vCPU x86 host).
-_BRUTE_WALK_CAP = 10**7
-# A call over more (size, color) classes is refused too. chi_distinct's work
-# cap counts row entries, not their bits, and its counts grow as c^r: at this
-# cap c = 9999 (n = 200) adds 800-bit counts. The brute-force walk keeps the
-# cap: at n = 2 and 3 the walk cap admits c up to 10^7, and
-# combinations_with_replacement copies the c colors, about 40 bytes each.
+# A brute-force call over more (size, color) classes is refused, a bound on
+# memory: at n = 2 the walk lists c + 1 colored partitions, so the work cap
+# alone would admit c near 10^8, and iter_overcubic_partitions copies the c
+# colors, about 40 bytes each. chi_distinct keeps the same domain.
 _BRUTE_TYPES_CAP = 10**6
-# chi_distinct's DP adds 0.8e7 to 1.1e7 of the row entries _distinct_class_work
-# counts a second, so more are refused: at the cap it runs 8.7 s (c = 1000,
-# n = 606) to 11.3 s (c = 3000, n = 606; 2-vCPU x86 host).
-_CHI_WORK_CAP = 10**8
 # adds one to every byte below 255; a pool entry is at most BRUTE_FORCE_CAP // 2
 _RAISE = bytes(range(1, 256)) + b"\0"
 
@@ -126,11 +122,10 @@ def _check_brute(c: int, n: int) -> int:
     # bounds c from n = 2 on; below, the DP's work does not grow with c
     _check_class_count(c, n, "brute-force enumeration", "; use the DP counter instead")
     walk = _colored_dp(c, n, overlined=False)
-    if walk > _BRUTE_WALK_CAP:
-        raise ValueError(
-            f"brute-force enumeration is capped at {_BRUTE_WALK_CAP:.0e} colored "
-            f"partitions (c={c}, n={n} has more); use the DP counter instead"
-        )
+    # a colored partition costs 1.4 + n/25 updates, as measured at n = 4-30:
+    # the more weight, the more pools it is drawn from
+    _check_work(walk * (1.4 + n / 25), f"brute-force enumeration at c={_show(c)}, n={n}",
+                "; use the DP counter instead")
     return walk
 
 
@@ -302,29 +297,33 @@ def _dp_slot_width(length: int, a_bits: int, sigma_bits: int) -> int:
 def _dp_work(c: int, n: int, overlined: bool) -> float:
     """The price of :func:`_colored_dp` at weight ``n``: over its tree of
     weights ``[0, n]``, each node's block product at the cheaper of its two
-    prices and each leaf's steps by the schoolbook, every count at the bits
-    of ``a(n)`` by :func:`_log_count_bound`, every divisor sum at those of
-    ``2cn(1 + n.bit_length())``, as ``2c sigma_1(k) <= 2ck(1 + ln k)``. Past
-    ``2**53`` weights, beyond floats, it is ``n``: each costs an update."""
+    prices and each leaf's steps by the schoolbook, a node's counts at the
+    bits of its largest by :func:`_log_count_line`, every divisor sum at
+    those of ``2cn(1 + n.bit_length())``, as ``2c sigma_1(k) <= 2ck(1 + ln
+    k)``, level by level from the root until the sum passes ``WORK_CAP``.
+    Past ``2**53`` weights, beyond floats, it is ``n``: each costs an update."""
     n = max(n, 0)  # an empty sum below weight 0
     if n > 2**53:
         return n
-    a_bits = int(_log_count_bound(c, n, overlined) / log(2)) + 1
+    intercept, slope = _log_count_line(c, n, overlined)
     sigma_bits = (2 * c * n * (n.bit_length() + 1)).bit_length()
-    prices = {}  # span of a node: its price; a tree level has at most two spans
 
-    def price(span: int) -> float:
-        if span not in prices:
-            if span <= _DP_LEAF:
-                products = span * (span + 1) // 2
-                prices[span] = _dp_block_prices(1, products, a_bits, sigma_bits)[0]
+    def bits(w: int) -> int:  # of the counts up to weight w
+        return int((intercept + w * slope) / log(2)) + 1
+
+    work, level = 0.0, [(0, n + 1)]
+    while level and work <= WORK_CAP:
+        below = []
+        for l, r in level:
+            if r - l <= _DP_LEAF:
+                products = (r - l) * (r - l + 1) // 2
+                work += _dp_block_prices(1, products, bits(r - 1), sigma_bits)[0]
             else:
-                half = span // 2  # the split of _colored_dp's solve
-                block = min(_dp_block_prices(half, span - half, a_bits, sigma_bits))
-                prices[span] = price(half) + block + price(span - half)
-        return prices[span]
-
-    return price(n + 1)
+                m = (l + r) // 2  # the split of _colored_dp's solve
+                work += min(_dp_block_prices(m - l, r - m, bits(m - 1), sigma_bits))
+                below += [(l, m), (m, r)]
+        level = below
+    return work
 
 
 def _colored_dp(c: int, n: int, overlined: bool) -> int:
@@ -388,42 +387,23 @@ def _colored_dp(c: int, n: int, overlined: bool) -> int:
     return a[n]
 
 
-def _log_euler(u: float) -> float:
-    """``-log prod_{j>=1} (1 - e^(-ju))`` for ``u > 0``.
-
-    Below ``u = 2 pi`` the modular transformation of Dedekind's eta maps it
-    to the same sum at ``4 pi^2 / u``, where a few terms suffice.
-    """
-    if u < 2 * pi:
-        dual = 4 * pi * pi / u
-        return pi * pi / (6 * u) - u / 24 + log(u / (2 * pi)) / 2 + _log_euler(dual)
-    total, j = 0.0, 1
-    while True:
-        term = -log1p(-exp(-j * u))
-        if total + term == total:
-            return total
-        total += term
-        j += 1
-
-
-def _log_count_bound(c: int, n: int, overlined: bool) -> float:
-    """An upper bound on ``log`` of the colored count of ``n``:
-    ``min_t log F(e^-t) + n t``, which holds because ``F`` has non-negative
-    coefficients (the saddle-point bound). It exceeds the log by a few bits,
-    and by up to ``log2(c)/2`` more where the odd parts of a small odd ``n``
-    cost it a factor of c. ``log F`` is ``one_color + (c-1) extra_color``:
-    the one-color series and the classes of one more color, in closed form
-    through :func:`_log_euler`. The second term is formed from ``log(c-1)``,
-    so any ``c`` stays in float range. ``log F + n t`` is convex in ``t``,
-    so a golden-section search finds its minimum.
+def _log_count_line(c: int, n: int, overlined: bool) -> Tuple[float, float]:
+    """``(log F(e^-t), t)`` at the ``t`` that minimizes ``log F(e^-t) + n
+    t``, ``F`` the colored counting series: as ``F`` has non-negative
+    coefficients, the line ``log F(e^-t) + w t`` bounds ``log a(w)`` for
+    every ``w`` (the saddle-point bound), at ``n`` by a few bits more, and
+    by up to ``log2(c)/2`` more where the odd parts of a small odd ``n``
+    cost it a factor of c. ``log F`` is ``one_color + (c-1) extra_color``,
+    in closed form through ``eta._log_euler``, the second term formed from
+    ``log(c-1)``, so any ``c`` stays in float range.
     """
     _check_colors(c)
     _check_weight(n)
     if not n:
-        return 0.0
+        return 0.0, 0.0
     log_extra = log(c - 1) if c > 1 else -inf
 
-    def exponent(t: float) -> float:
+    def log_series(t: float) -> float:
         l1, l2 = _log_euler(t), _log_euler(2 * t)
         if overlined:  # f2/f1^2, times (1+q^s)/(1-q^s) per extra color of an even s
             one_color, extra_color = 2 * l1 - l2, 2 * l2 - _log_euler(4 * t)
@@ -434,18 +414,17 @@ def _log_count_bound(c: int, n: int, overlined: bool) -> float:
         # long before (c-1) * extra_color does
         x = log_extra + (log(extra_color) if t < 20 else log(1 + overlined) - 2 * t)
         # exp overflows past 709; such a t is far from the minimum
-        return inf if x > 700 else one_color + exp(x) + n * t
+        return inf if x > 700 else one_color + exp(x)
 
     # past t = 50 + log(c) every class contributes under e^-50
-    lo, hi = 0.0, 50.0 + max(log_extra, 0.0)
-    shrink = (sqrt(5) - 1) / 2
-    for _ in range(60):
-        t1, t2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-        if exponent(t1) < exponent(t2):
-            hi = t2
-        else:
-            lo = t1
-    return exponent((lo + hi) / 2)
+    least, t = _saddle_minimum(lambda t: log_series(t) + n * t, 50.0 + max(log_extra, 0.0))
+    return least - n * t, t
+
+
+def _log_count_bound(c: int, n: int, overlined: bool) -> float:
+    """An upper bound on ``log`` of the colored count of ``n``."""
+    intercept, slope = _log_count_line(c, n, overlined)
+    return intercept + n * slope
 
 
 # -- brute-force enumeration -------------------------------------------------
@@ -660,19 +639,19 @@ def decompose(c: int, n: int) -> DecompositionCounts:
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
     _check_brute(c, n)
-    # weights by class count r: overlinings, and the two single-size kinds
-    overlined = [1 << r for r in range(n + 1)]
-    one_class = [int(r == 1) for r in range(n + 1)]
-    many_classes = [(1 << r) * (r >= 2) for r in range(n + 1)]
+    overlined = [1 << r for r in range(n + 1)]  # by class count r
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
     for stack, fixed, drawn in _walk(n, _pools(c, n)):
+        weight = _weigh(overlined, fixed, drawn)
         if len(stack) > 1:
-            tallies["p_geq2"] += _weigh(overlined, fixed, drawn)
+            tallies["p_geq2"] += weight
             continue
-        tallies["p1"] += _weigh(overlined, fixed, drawn)
-        kind = "kappa1" if stack[0][0] % 2 else "kappa21"
-        tallies[kind] += _weigh(one_class, fixed, drawn)
-        tallies["kappa22"] += _weigh(many_classes, fixed, drawn)
+        # one size: one class, or its pool of colorings; those of one class
+        # have 2 overlinings each, the rest kappa22's 2^r
+        ones = drawn[0].count(1) if drawn else 1
+        tallies["p1"] += weight
+        tallies["kappa1" if stack[0][0] % 2 else "kappa21"] += ones
+        tallies["kappa22"] += weight - 2 * ones
     _check_fold(tallies["p1"] + tallies["p_geq2"], _colored_dp(c, n, overlined=True), c, n)
     return DecompositionCounts(
         c=c,
@@ -705,20 +684,18 @@ def distinct_class_profile(n: int, c: int = 1) -> Tuple[int, ...]:
     distinct (size, color) classes, for ``r`` up to the most classes a
     partition of ``n`` can use; every larger ``r`` counts 0.
 
-    A DP of its own counts them, one step per part size; its work cap
-    counts the row entries it adds, exactly. Memoized on ``(n, c)``, so a
-    sum over ``r`` builds one profile.
+    A DP of its own counts them, one step per part size, priced at 2.2
+    updates per row entry it adds (as measured), each on counts of the bits
+    of the largest. Memoized on ``(n, c)``, so a sum over ``r`` builds one
+    profile.
     """
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
     _check_colors(c)
     _check_class_count(c, n, "chi_distinct")
-    work = _distinct_class_work(n, c)
-    if work > _CHI_WORK_CAP:
-        raise ValueError(
-            f"chi_distinct is capped at {_CHI_WORK_CAP:.1e} DP row entries, about "
-            f"10 s (c={c}, n={n} needs at least {work:.2e})"
-        )
+    bits = _log_count_bound(c, n, False) / log(2)
+    _check_work(2.2 * _distinct_class_work(n, c) * _update_price(bits),
+                f"chi_distinct at c={_show(c)}, n={_show(n)}")
     return tuple(_distinct_class_profile(n, c))
 
 
@@ -735,7 +712,8 @@ def _class_count_limits(n: int, c: int) -> List[int]:
 
 def _distinct_class_work(n: int, c: int) -> int:
     """The row entries ``_distinct_class_profile(n, c)`` adds, counted
-    exactly, or until the count passes ``_CHI_WORK_CAP``.
+    exactly, or until the count passes ``WORK_CAP``, which an entry's price
+    of an update at least then passes too.
 
     With ``length[w] = limits[w] + 1``, the ``j``-th stride sum of a size
     ``s`` adds ``length[w - (j+1)s]`` entries at each ``w >= (j+1)s``, and
@@ -752,7 +730,7 @@ def _distinct_class_work(n: int, c: int) -> int:
             work += reached[max(n - (j + 1) * size + 1, 0)]
             if j > 1:
                 work += sum(map(min, map(sub, length[j * size :], repeat(j)), length))
-        if work > _CHI_WORK_CAP:
+        if work > WORK_CAP:
             break
     return work
 

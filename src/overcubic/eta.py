@@ -74,12 +74,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import exp, gcd, log, log1p, pi, sqrt
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .series import (
-    Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread, _validate_modulus
+    WORK_CAP, Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread,
+    _update_price, _validate_modulus,
 )
 
 __all__ = [
@@ -534,12 +535,12 @@ def _factor_plan(
     """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
     ``phi(-q^n)^k`` when ``theta``, in updates of a sparse pass. Sparse:
     ``|k|`` passes of ``(order + 1) * terms``, whatever the weights, since
-    the division kernel scales a sum of weight-2 terms once per exponent; an
-    update on ``b``-bit residues costs ``1 + b // 2000``, and a division
-    pass costs ``_DIVISION_EXPONENT_PRICE`` more per exponent. Dense: 3 per
-    coefficient, the inverting walk if ``k < 0`` (the division kernel over
-    ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|) +
-    popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
+    the division kernel scales a sum of weight-2 terms once per exponent; a
+    division pass costs ``_DIVISION_EXPONENT_PRICE`` more per exponent, and
+    an update on residues mod ``m`` costs ``series._update_price``. Dense: 3
+    per coefficient, the inverting walk if ``k < 0`` (the division kernel
+    over ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|)
+    + popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
     unless ``first``, each at :func:`~overcubic.series._kronecker_price`.
     Over Z only sparse passes: dense slots must hold coefficient growth.
     :func:`_planned_steps` asks it at the compressed step: the base at
@@ -547,9 +548,10 @@ def _factor_plan(
     :func:`_dense_power` ladder: a rung the memo holds costs nothing, so
     a price bounds the work from above."""
     terms = len(_factor_terms(n, order, theta))
-    update = 1 if m is None else 1 + m.bit_length() // 2000
-    exponent = terms * update + (_DIVISION_EXPONENT_PRICE if k < 0 else 0)
-    sparse = abs(k) * (order + 1) * exponent
+    update = 1 if m is None else _update_price((m - 1).bit_length())
+    exponent = (terms + (_DIVISION_EXPONENT_PRICE if k < 0 else 0)) * update
+    # past 2^64 passes, far past WORK_CAP, the count stays in float range
+    sparse = min(abs(k), 2**64) * (order + 1) * exponent
     if m is None:
         return False, sparse
     walk = (order // n + 1) * exponent if k < 0 else 0
@@ -568,10 +570,64 @@ def _expansion_work(
 ) -> float:
     """Price of ``expand_eta_quotient(quotient, order, modulus, route)``:
     the sum of the plan prices of the steps of :func:`_planned_steps`, which
-    :func:`_expand_normalized` runs."""
+    :func:`_expand_normalized` runs, over Z times the price of an update on
+    the bits :func:`_log_majorant` bounds, as both walks scale alike. Past
+    ``WORK_CAP`` coefficients, whose terms alone could take minutes to walk,
+    the price is their number."""
     m = _validate_modulus(modulus)
+    if order >= WORK_CAP:
+        return order + 1
     factors = _normalized_factors(quotient, order, m)
-    return sum(step[-1] for step in _planned_steps(factors, order, m, route))
+    price = sum(step[-1] for step in _planned_steps(factors, order, m, route))
+    if m is None:
+        price *= _update_price(_log_majorant(factors, order) / log(2))
+    return price
+
+
+def _log_euler(u: float) -> float:
+    """``-log prod_{j>=1} (1 - e^(-ju))`` for ``u > 0``.
+
+    Below ``u = 2 pi`` the modular transformation of Dedekind's eta maps it
+    to the same sum at ``4 pi^2 / u``, where a few terms suffice.
+    """
+    if u < 2 * pi:
+        dual = 4 * pi * pi / u
+        return pi * pi / (6 * u) - u / 24 + log(u / (2 * pi)) / 2 + _log_euler(dual)
+    total, j = 0.0, 1
+    while True:
+        term = -log1p(-exp(-j * u))
+        if total + term == total:
+            return total
+        total += term
+        j += 1
+
+
+def _saddle_minimum(exponent, hi: float) -> Tuple[float, float]:
+    """The minimum of a convex ``exponent`` on ``[0, hi]`` and where it is,
+    found by a golden-section search."""
+    lo = 0.0
+    shrink = (sqrt(5) - 1) / 2
+    for _ in range(60):
+        t1, t2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if exponent(t1) < exponent(t2):
+            hi = t2
+        else:
+            lo = t1
+    t = (lo + hi) / 2
+    return exponent(t), t
+
+
+def _log_majorant(factors: FactorList, order: int) -> float:
+    """An upper bound on ``log |a|`` for every coefficient ``a`` up to
+    ``order`` of ``prod f(n)^k``, or of a product of some of its factors:
+    the saddle-point bound ``min_t sum |k| _log_euler(nt) + order t`` on
+    the majorant ``prod f(n)^-|k|``, whose coefficients are non-negative.
+    An exponent past 2^64, which alone prices far past ``WORK_CAP``, is
+    taken at 2^64."""
+    weights = [(n, float(min(abs(k), 2**64))) for n, k in factors]
+    # past t = 50 + log(sum |k|) every factor contributes under e^-50
+    hi = 50.0 + log(sum(k for _, k in weights) or 1)
+    return _saddle_minimum(lambda t: sum(k * _log_euler(n * t) for n, k in weights) + order * t, hi)[0]
 
 
 @dataclass(frozen=True)
@@ -643,22 +699,38 @@ def theta_sum(spec: ThetaSpec, order: int) -> Series:
 # phi = f2^5/(f1^2*f4^2), chi = f2^2/(f1*f4). psi, psi(-q) and phi take the
 # pentagonal route, so that the identity registry checks it against
 # theta_sum: the theta route would expand phi from phi-terms.
+_PSI = EtaQuotient([(2, 2), (1, -1)])
+_PSI_NEG = EtaQuotient([(1, 1), (4, 1), (2, -1)])
+_PHI = EtaQuotient([(2, 5), (1, -2), (4, -2)])
+_CHI = EtaQuotient([(2, 2), (1, -1), (4, -1)])
+# The 3-dissection of f2/(f1*f4): the residue-0, -1, -2 components of the
+# generating function for partitions with distinct odd parts (Toh's lemma).
+_TOH_LHS = EtaQuotient([(2, 1), (1, -1), (4, -1)])
+TOH_TERMS = (
+    EtaQuotient([(18, 9), (3, -2), (9, -3), (12, -2), (36, -3)]),
+    EtaQuotient([(6, 2), (18, 3), (3, -3), (12, -3)]),
+    EtaQuotient([(6, 4), (9, 3), (36, 3), (3, -4), (12, -4), (18, -3)]),
+)
+# The quotients of Ramanujan's p(5n+4), Chan's a_2(3n+2) and the 5-colored series mod 3.
+_RAMANUJAN_P5 = EtaQuotient([(5, 5), (1, -6)])
+_CHAN_A2 = EtaQuotient([(3, 3), (6, 3), (1, -4), (2, -4)])
+_OVERCUBIC_MOD3_C5 = EtaQuotient([(12, 2), (6, -3), (2, 2), (1, -2), (4, -2)])
 
 
 def psi(order: int) -> Series:
-    return expand_eta_quotient([(2, 2), (1, -1)], order, route="pentagonal")
+    return expand_eta_quotient(_PSI, order, route="pentagonal")
 
 
 def psi_neg(order: int) -> Series:
-    return expand_eta_quotient([(1, 1), (4, 1), (2, -1)], order, route="pentagonal")
+    return expand_eta_quotient(_PSI_NEG, order, route="pentagonal")
 
 
 def phi(order: int) -> Series:
-    return expand_eta_quotient([(2, 5), (1, -2), (4, -2)], order, route="pentagonal")
+    return expand_eta_quotient(_PHI, order, route="pentagonal")
 
 
 def chi(order: int) -> Series:
-    return expand_eta_quotient([(2, 2), (1, -1), (4, -1)], order)
+    return _CHI.expand(order)
 
 
 def _colored_quotient(c: int, overlined: bool) -> EtaQuotient:
@@ -687,15 +759,6 @@ def gen_overcubic_gf(c: int, order: int, modulus: Optional[int] = None) -> Serie
     to the overpartition series ``f2 / f1^2``.
     """
     return expand_eta_quotient(_colored_quotient(c, True), order, modulus)
-
-
-# The 3-dissection of f2/(f1*f4): the residue-0, -1, -2 components of the
-# generating function for partitions with distinct odd parts (Toh's lemma).
-TOH_TERMS = (
-    EtaQuotient([(18, 9), (3, -2), (9, -3), (12, -2), (36, -3)]),
-    EtaQuotient([(6, 2), (18, 3), (3, -3), (12, -3)]),
-    EtaQuotient([(6, 4), (9, 3), (36, 3), (3, -4), (12, -4), (18, -3)]),
-)
 
 
 def toh_rhs(order: int) -> Series:

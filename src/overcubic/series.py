@@ -426,6 +426,29 @@ def _kronecker_price(packed: int, read: int, width: int) -> float:
     return (packed * width) ** log2(3) / 60 + slot * (packed + read)
 
 
+# Every request the engine refuses is priced in updates of a sparse pass, the
+# unit of _kronecker_price, and refused above this many: at every engine's
+# edge a cold call takes 2-4 s (the edge table of the tests; 2-vCPU x86 host).
+WORK_CAP = 15 * 10**7
+
+
+def _update_price(bits: float) -> float:
+    """The price of an update on coefficients of ``bits`` bits. Up to 48
+    bits the sums of a pass fit two of CPython's 30-bit digits, and an
+    update costs what it costs on residues of a few bits: 1. Past them it
+    costs 2, and 1/1200 more a bit (sparse passes from 61 to 2000 bits, and
+    expansions over Z, each at the bound on its bits)."""
+    return 1 if bits <= 48 else 2 + bits / 1200
+
+
+def _check_work(price: float, what: str, advice: str = "") -> None:
+    """Refuse ``what``, priced at ``price`` updates, when that is over
+    ``WORK_CAP``: the one refusal of a request that would run too long."""
+    if price > WORK_CAP:
+        raise ValueError(f"{what} is priced over the work cap: work is capped at "
+                         f"{WORK_CAP:.2g} coefficient updates, a few seconds{advice}")
+
+
 def _kronecker_z(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Truncated product of two equal-length integer vectors.
 

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
 from .eta import (
+    _CHAN_A2, _OVERCUBIC_MOD3_C5, _RAMANUJAN_P5, _TOH_LHS,
     _colored_quotient,
     _normalized_factors,
     F_MINUS_Q_Q2,
@@ -425,24 +426,24 @@ def _build_f_neg_q_q2(order):
 
 
 def _build_toh(order):
-    return expand_eta_quotient([(2, 1), (1, -1), (4, -1)], order), toh_rhs(order)
+    return _TOH_LHS.expand(order), toh_rhs(order)
 
 
 def _build_ramanujan_p5(order):
     lhs = expand_f(1, -1, 5 * order + 4).extract_progression(5, 4)
-    rhs = 5 * expand_eta_quotient([(5, 5), (1, -6)], order)
+    rhs = 5 * _RAMANUJAN_P5.expand(order)
     return lhs, rhs
 
 
 def _build_chan_a2(order):
     lhs = gen_cubic_gf(2, 3 * order + 2).extract_progression(3, 2)
-    rhs = 3 * expand_eta_quotient([(3, 3), (6, 3), (1, -4), (2, -4)], order)
+    rhs = 3 * _CHAN_A2.expand(order)
     return lhs, rhs
 
 
 def _build_overcubic_mod3_c5(order):
     lhs = gen_overcubic_gf(5, order)
-    rhs = expand_eta_quotient([(12, 2), (6, -3), (2, 2), (1, -2), (4, -2)], order, modulus=3)
+    rhs = _OVERCUBIC_MOD3_C5.expand(order, modulus=3)
     return lhs.reduce_mod(3), rhs
 
 

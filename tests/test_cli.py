@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,15 +19,13 @@ import overcubic.cli as cli_module
 import overcubic.counting as counting_module
 import overcubic.verify as verify_module
 from overcubic.cli import (
-    DP_WORK_CAP,
-    EXPAND_WORK_CAP,
     _VERIFY_CSV_HEADER,
     _emit_rows,
     main,
 )
 from overcubic.counting import _dp_work
 from overcubic.eta import _colored_quotient, _expansion_work, gen_overcubic_gf
-from overcubic.series import Series
+from overcubic.series import WORK_CAP, Series
 
 
 def _src_env():
@@ -135,18 +134,17 @@ def test_expand_gf_c_validation(capsys):
 
 
 def test_expand_beyond_work_bound_is_usage_error(capsys):
-    # about 3.7e8 coefficient updates along the theta walk: well over 10 s
-    # over Z (order 100 000, priced at 1.3e8, expands in about 16 s)
+    # over Z, priced at the bits of its coefficients, 18 times the work cap:
+    # about a minute
     err = assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "200000")
     assert "lower --order" in err
-    # sparse passes under a 61-bit modulus, priced at 2.4e8 updates (order
-    # 80 000, priced at 0.95e8, takes about 5 s)
+    # under a 61-bit modulus, 3.6 times the work cap
     assert_refused(capsys, "expand", "--gf", "overcubic", "--c", "10", "--order", "150000",
                    "--modulus", str(2**61 - 1))
     # the expansion a refused DP count suggests, and the benchmark's largest
     # expansion over Z, stay below the bound
     for c, order in [(2, 20000), (3, 1200)]:
-        assert _expansion_work(_colored_quotient(c, True), order) < EXPAND_WORK_CAP
+        assert _expansion_work(_colored_quotient(c, True), order) < WORK_CAP
 
 
 def test_expand_large_prime_modulus_finishes():
@@ -246,7 +244,7 @@ def test_count_brute_cap_is_usage_error(capsys):
 def test_count_brute_of_huge_c(capsys, kind):
     # below weight 2 there is one (size, color) class whatever c is; at
     # n = 30 the class cap refuses the same c, though it is also over the
-    # walk cap
+    # work cap
     c = "1" + "0" * 5000
     for n in (0, 1):
         code, out, err = run(capsys, "count", "--kind", kind, "--c", c, "--n", str(n),
@@ -307,7 +305,7 @@ def test_count_dp_beyond_work_bound_is_usage_error(capsys):
         capsys, "count", "--kind", "overcubic", "--c", "1000000", "--n", "5000"
     )
     # the largest DP requests of the benchmark stay below the bound
-    assert _dp_work(4, 1000, True) < DP_WORK_CAP
+    assert _dp_work(4, 1000, True) < WORK_CAP
     # the recurrence's cost hardly grows with c: 0.06 s here, where
     # multiplying in the classes one by one takes about 44 s
     code, record = run_json(capsys, "count", "--kind", "overcubic", "--c", "1000", "--n", "1000")
@@ -338,16 +336,17 @@ def test_dp_price_walks_the_dp_tree(monkeypatch):
 @pytest.mark.parametrize("kind,c,edge", [("overcubic", 2, 15686), ("overcubic", 1000, 5791),
                                          ("cubic", 1000000, 3443)])
 def test_dp_admission_edges(kind, c, edge):
-    # the largest admitted weights, bisected; 7.5-8.4 s each on a 2-vCPU x86 host
+    # the largest weights a cap of 5.36e8 updates admitted, 4.5-5.5 s each on
+    # a 2-vCPU x86 host with every count priced at the bits of a(n); priced
+    # now at each node's own bits, they are refused by the one work cap,
+    # whose edges are in WORK_CAP_EDGES
     overlined = kind == "overcubic"
-    assert _dp_work(c, edge, overlined) <= DP_WORK_CAP < _dp_work(c, edge + 1, overlined)
+    assert _dp_work(c, edge, overlined) > WORK_CAP
 
 
-# The largest admitted orders of the overlined series, f2/f1^2 at c = 1,
-# bisected, with a division pass priced per exponent as well as per term; on
-# a 2-vCPU x86 host, two runs each, 12.8-16.7 s over Z, 2.0-3.9 s mod 4 and 12
-# and 5.3-7.4 s mod 2^61 - 1 (the same host took 13.9-16.4, 3.1-4.2 and
-# 6.7-7.8 s at the edges of the price without the per-exponent cost).
+# The largest orders of the overlined series, f2/f1^2 at c = 1, that a cap
+# of 1.5e8 updates admitted with every update priced at 1: on a 2-vCPU x86
+# host 12.3-16.1 s over Z, 1.7-2.6 s mod 4 and 12 and 4.2-4.8 s mod 2^61 - 1.
 EXPAND_EDGES = {
     (1, None): 273528, (1, 4): 273528, (1, 12): 273528, (1, 2**61 - 1): 273528,
     (10, None): 101760, (10, 4): 221840, (10, 12): 131489, (10, 2**61 - 1): 101760,
@@ -361,18 +360,116 @@ EXPAND_EDGES = {
 def test_expand_admission_edges(c, m, previous_edge):
     quotient = _colored_quotient(c, True)
     edge = EXPAND_EDGES[c, m]
-    assert _expansion_work(quotient, edge, m) <= EXPAND_WORK_CAP < _expansion_work(quotient, edge + 1, m)
+    if m in (4, 12):
+        # residues of a few bits: an update is priced at 1, as it was
+        assert _expansion_work(quotient, edge, m) <= WORK_CAP < _expansion_work(quotient, edge + 1, m)
+    else:
+        # priced at the bits of their coefficients, these are refused now
+        assert _expansion_work(quotient, edge, m) > WORK_CAP
     # the edge of the price without the per-exponent cost, which named these
     # cases, is refused now
-    assert _expansion_work(quotient, previous_edge, m) > EXPAND_WORK_CAP
+    assert _expansion_work(quotient, previous_edge, m) > WORK_CAP
 
 
 def test_dp_price_of_a_huge_weight_is_immediate():
     # a weight past the cap is refused at once: the tree is priced per span,
     # and past 2**53 weights, where every weight still takes a step, unwalked
-    for n in (DP_WORK_CAP + 1, 10**12, 10**5000):
-        assert _dp_work(10**6, n, True) > DP_WORK_CAP
-    assert _dp_work(10**5000, 10**4, False) > DP_WORK_CAP
+    for n in (WORK_CAP + 1, 10**12, 10**5000):
+        assert _dp_work(10**6, n, True) > WORK_CAP
+    assert _dp_work(10**5000, 10**4, False) > WORK_CAP
+
+
+M61 = 2**61 - 1
+# Every engine's request at its edge, as (engine, fixed arguments, the largest
+# admitted value of the last one), bisected. Each ran in 1.9-3.7 s, cold, on a
+# 2-vCPU x86 host (median of three runs; the table in CHANGES.md).
+WORK_CAP_EDGES = [
+    ("expand", (1, None), 113757), ("expand", (1, 4), 273528), ("expand", (1, 12), 273528),
+    ("expand", (1, M61), 168099), ("expand", (10, None), 38362), ("expand", (10, 4), 221840),
+    ("expand", (10, 12), 131489), ("expand", (10, M61), 61951),
+    ("dp", ("overcubic", 2), 10609), ("dp", ("overcubic", 1000), 3915),
+    ("dp", ("cubic", 10**6), 2634),
+    ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
+    ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
+    ("brute", (30,), 7),
+]
+_EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
+_DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
+
+
+def _request(engine, args, value):
+    """An engine's request: the argv of a CLI command, or a call of
+    distinct_class_profile, which the CLI does not offer."""
+    if engine == "expand":
+        c, m = args
+        modulus = [] if m is None else ["--modulus", str(m)]
+        return ["expand", "--gf", "overcubic", "--c", str(c), "--order", str(value), *modulus]
+    if engine == "dp":
+        kind, c = args
+        return ["count", "--kind", kind, "--c", str(c), "--n", str(value)]
+    if engine == "brute":
+        return ["count", "--kind", "overcubic", "--c", str(value), "--n", str(args[0]),
+                "--engine", "brute"]
+    return lambda: counting_module.distinct_class_profile.__wrapped__(value, args[0])
+
+
+class _Priced(Exception):
+    """Raised in place of the work check, with the price it was given."""
+
+
+def _price(monkeypatch, request):
+    """The price ``request`` gives the one work check, which the CLI and the
+    counters call; nothing past the check runs."""
+    def record(price, what, advice=""):
+        raise _Priced(price)
+
+    for module in (cli_module, counting_module):
+        monkeypatch.setattr(module, "_check_work", record)
+    with pytest.raises(_Priced) as priced:
+        request() if callable(request) else main(request)
+    monkeypatch.undo()
+    return priced.value.args[0]
+
+
+@pytest.mark.parametrize("engine,args,edge", WORK_CAP_EDGES, ids=_EDGE_IDS)
+def test_work_cap_edges(monkeypatch, engine, args, edge):
+    # one cap in one unit: every engine's request reaches the one work check,
+    # priced under the cap at its edge and over it one step past
+    assert _price(monkeypatch, _request(engine, args, edge)) <= WORK_CAP
+    assert _price(monkeypatch, _request(engine, args, edge + 1)) > WORK_CAP
+
+
+@pytest.mark.parametrize("engine,args,edge", WORK_CAP_EDGES, ids=_EDGE_IDS)
+def test_every_work_refusal_has_one_shape(capsys, engine, args, edge):
+    # one step past its edge each engine is refused by series._check_work,
+    # in one message: what it refuses, the cap, then any advice
+    request = _request(engine, args, edge + 1)
+    if callable(request):
+        with pytest.raises(ValueError) as refused:
+            request()
+        assert refused.traceback[-1].name == "_check_work"
+        message = f"error: {refused.value}\n"
+    else:
+        message = assert_refused(capsys, *request)
+    assert re.fullmatch(r"error: .+ is priced over the work cap: work is capped at "
+                        r"1\.5e\+08 coefficient updates, a few seconds(; .+)?\n", message)
+
+
+@pytest.mark.parametrize("engine,args,edge", _DP_EDGES, ids=[f"{k}-{c}" for _, (k, c), _ in _DP_EDGES])
+def test_refused_dp_count_names_an_admitted_expansion(capsys, monkeypatch, engine, args, edge):
+    # a DP count refused at its edge names the expand command of the same
+    # series where that is admitted; at c = 1000 and 10^6 the expansion, of
+    # thousands of passes over Z, is refused too, and none is named
+    kind, c = args
+    err = assert_refused(capsys, *_request(engine, args, edge + 1))
+    named = err.partition("expand the series instead: overcubic ")[2].split()
+    expand = ["expand", "--gf", kind, "--c", str(c), "--order", str(edge + 1)]
+    if c == 2:
+        assert named == expand
+        assert _price(monkeypatch, named) <= WORK_CAP
+    else:
+        assert not named
+        assert _price(monkeypatch, expand) > WORK_CAP
 
 
 def test_count_dp_inconsistency_has_engine_exit_status(capsys, monkeypatch):

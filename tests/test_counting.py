@@ -313,13 +313,20 @@ def test_overcubic_brute_cap():
                 entry(c, BRUTE_FORCE_CAP)
 
 
-def test_brute_type_list_is_bounded():
-    # c + 1 = 10**7 colored partitions of 2 are within the walk bound, but
+def test_brute_type_list_is_bounded(monkeypatch):
+    # c + 1 = 10**7 colored partitions of 2 are within the work cap, but
     # the walk's copy of the c colors would take about 400 MB
     for entry in (count_gen_cubic_brute, count_gen_overcubic_brute,
                   iter_overcubic_partitions, decompose):
         with pytest.raises(ValueError, match=r"\(size, color\) classes"):
             entry(10**7 - 1, 2)
+    # the class cap is a bound on memory: the work cap alone would admit c
+    # near 10^8 at n = 2, where the copy would take about 4 GB
+    monkeypatch.setattr(counting_module, "_check_class_count", lambda *args: None)
+    assert counting_module._check_brute(10**8 - 2, 2) == 10**8 - 1
+    with pytest.raises(ValueError, match="work cap"):
+        counting_module._check_brute(2 * 10**8, 2)
+    monkeypatch.undo()
     # the benchmark's brute-force points stay admitted
     for c, n in [(1, 30), (2, 28), (3, 24), (4, 22), (4, 30)]:
         counting_module._check_brute(c, n)
@@ -329,11 +336,14 @@ def test_brute_type_list_is_bounded():
     "n,c", [(2, 999_999), (3, 999_998), (4, 4469), (5, 4468), (10, 58), (20, 12), (30, 5)]
 )
 def test_brute_admission_edges(n, c):
-    # the largest c admitted at each weight: the class cap decides at n = 2
-    # and 3, the walk cap from n = 4 on
-    assert counting_module._check_brute(c, n) <= counting_module._BRUTE_WALK_CAP
-    with pytest.raises(ValueError, match="capped"):
-        counting_module._check_brute(c + 1, n)
+    # the class cap's edges at n = 2 and 3: the largest c admitted. From
+    # n = 4 on these were the edges of a cap of 10^7 colored partitions,
+    # walked in 0.2-0.4 s; the work cap admits them, and its own edges are
+    # in test_cli's WORK_CAP_EDGES
+    assert counting_module._check_brute(c, n) == count_gen_cubic(c, n)
+    if n <= 3:
+        with pytest.raises(ValueError, match=r"\(size, color\) classes"):
+            counting_module._check_brute(c + 1, n)
 
 
 def test_brute_admits_any_c_below_weight_2():
@@ -690,21 +700,21 @@ def test_distinct_class_work_counts_every_scan(n, c, monkeypatch):
     assert added == counting_module._distinct_class_work(n, c)
 
 
-# the largest weight the work cap admits, at c = 1, 2, 100 and 1000; one pass
-# per class was capped at 1123, 909, 177 and 85
+# the largest weights a cap of 10^8 row entries admitted, at c = 1, 2, 100
+# and 1000, 6-10 s each; one pass per class was capped at 1123, 909, 177 and
+# 85
 CHI_WORK_EDGES = {1: 1990, 2: 1673, 100: 657, 1000: 606}
 
 
 def test_chi_distinct_work_is_bounded():
-    cap = counting_module._CHI_WORK_CAP
+    # the work cap refuses them now, each priced at its entries' bits; its
+    # own edges are in test_cli's WORK_CAP_EDGES
     for c, edge in CHI_WORK_EDGES.items():
-        assert counting_module._distinct_class_work(edge, c) <= cap, c
-        assert counting_module._distinct_class_work(edge + 1, c) > cap, c
-        with pytest.raises(ValueError, match="DP row entries"):
-            chi_distinct(edge + 1, 1, c)
+        with pytest.raises(ValueError, match="work cap"):
+            chi_distinct(edge, 1, c)
     # all are admitted by the class cap and would run for a minute to hours
     for args in [(2000, 2), (1000, 2, 100), (20000, 2)]:
-        with pytest.raises(ValueError, match="DP row entries"):
+        with pytest.raises(ValueError, match="work cap"):
             chi_distinct(*args)
     with pytest.raises(ValueError, match=r"\(size, color\) classes"):
         chi_distinct(2000, 2, 1000)

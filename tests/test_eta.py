@@ -5,6 +5,8 @@ product computed with plain list arithmetic, with no code shared with the
 package.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from overcubic.eta import (
     _expansion_work,
     _factor_plan,
     _factor_terms,
+    _log_majorant,
     _normalized_factors,
     _planned_steps,
     _prime_power_base,
@@ -45,7 +48,9 @@ from overcubic.eta import (
     ROUTES,
     TOH_TERMS,
 )
-from overcubic.series import Series, _divide_sparse, _kronecker_price, _slot_width
+from overcubic.series import (
+    WORK_CAP, Series, _divide_sparse, _kronecker_price, _slot_width, _update_price
+)
 from overcubic.verify import verify_conjectured_families, verify_proved_families
 
 
@@ -565,8 +570,11 @@ def test_theta_rewrite():
 def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
     # the steps the expansion runs, along the walk the plan picks and along
     # each walk named, are priced step by step by the plan, and their sum is
-    # the price of the request
+    # the price of the request; over Z at the price of an update on the
+    # bits that bound the coefficients, the same for either walk
     order = 300
+    factors = _normalized_factors(quotient, order, m)
+    bits = 1 if m is not None else _update_price(_log_majorant(factors, order) / math.log(2))
     for route in (None, *ROUTES):
         ran = []
 
@@ -581,7 +589,7 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
         [steps] = ran
         for i, (_, step, k, top, theta, dense, price) in enumerate(steps):
             assert _factor_plan(step, k, top, m, not i, theta) == (dense, price)
-        assert steps and _expansion_work(quotient, order, m, route) == sum(s[-1] for s in steps)
+        assert steps and _expansion_work(quotient, order, m, route) == sum(s[-1] for s in steps) * bits
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,6 +606,35 @@ def test_theta_walk_never_raises_the_price(factors, order, m):
     pentagonal = _expansion_work(quotient, order, m, "pentagonal")
     theta = _expansion_work(quotient, order, m, "theta")
     assert _expansion_work(quotient, order, m) == min(pentagonal, theta)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[(1, -1)], [(2, 1), (1, -2)], [(4, 9), (1, -2), (2, -17)], [(1, -40)],
+     [(1, -2), (3, 2), (7, -3)], [(1, 5), (2, -3)]],
+)
+def test_majorant_bounds_every_coefficient(factors):
+    # every coefficient up to the order, of the quotient and of each product
+    # of its first factors, is at most the saddle-point bound on the
+    # majorant prod f(n)^-|k|; where that majorant is the series itself the
+    # bound is within a few bits
+    for order in (0, 1, 10, 300, 2000):
+        bound = _log_majorant(factors, order)
+        for last in range(1, len(factors) + 1):
+            coeffs = expand_eta_quotient(factors[:last], order).coeffs
+            assert math.log(max(map(abs, coeffs))) <= bound
+    exact = math.log(expand_eta_quotient([(1, -40)], 2000).coeffs[-1])
+    assert _log_majorant([(1, -40)], 2000) <= exact + 16 * math.log(2)
+    # an exponent past 2^64 is taken at 2^64, and stays in float range
+    assert math.isfinite(_log_majorant([(1, -(10**5000))], 10))
+
+
+def test_expansion_price_of_a_huge_order_is_immediate():
+    # past WORK_CAP coefficients the factors' terms are not walked: at order
+    # 10^20 the pentagonal terms alone number about 10^10
+    for m in (None, 4):
+        assert _expansion_work(_colored_quotient(2, True), 10**20, m) > WORK_CAP
+    assert _expansion_work(EtaQuotient([(1, -(10**5000))]), 10) > WORK_CAP
 
 
 def test_plan_prices_the_cheaper_route():
@@ -624,7 +661,9 @@ def test_plan_prices_the_cheaper_route():
     assert not any(_factor_plan(n, k, 2000, m, not i)[0] for i, (n, k) in enumerate(c10))
     for n, k in [(1, -2), (2, -17), (4, 9), (1, 1), (36, -1)]:
         for m in (4, 12, 2**61 - 1):
-            sparse_price = abs(k) * 549 * (len(_factor_terms(n, 548)) + 26 * (k < 0))
+            # an update on 61-bit residues costs more than one on 2-4 bits
+            update = _update_price((m - 1).bit_length())
+            sparse_price = abs(k) * 549 * ((len(_factor_terms(n, 548)) + 26 * (k < 0)) * update)
             later = _factor_plan(n, k, 548, m, False)
             first = _factor_plan(n, k, 548, m, True)
             assert later[1] <= sparse_price and later[0] == (later[1] < sparse_price)
