@@ -17,10 +17,9 @@ Exit status: 0 when every requested check passes, 1 on a verification
 failure, 2 on a usage error (bad flags, a flag its verify target does not
 read, parse errors, a request outside the library's domain such as an
 insufficient order, or a request over the work cap), 3 when two routes
-through the engine
-disagree, in the composite-modulus cross-check or a brute-force count
-against the DP, or when a DP step does not divide exactly (an internal
-inconsistency, not a verdict on the claim checked).
+through the engine disagree, in the composite-modulus cross-check or a
+brute-force count against the DP, or when a DP step does not divide
+exactly (an internal inconsistency, not a verdict on the claim checked).
 
 Each engine prices its own request in one unit, an update of a sparse
 pass (``series._kronecker_price``, ``series._update_price``):
