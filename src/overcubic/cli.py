@@ -23,7 +23,8 @@ exactly (an internal inconsistency, not a verdict on the claim checked).
 
 Each engine prices its own request in one unit, an update of a sparse
 pass (``series._kronecker_price``, ``series._update_price``):
-``eta._expansion_work`` sums the plan's steps, ``counting._dp_work`` the
+``eta._expansion_work`` sums the plan's steps, to which ``expand`` adds
+the rows it prints (``_expand_price``), ``counting._dp_work`` sums the
 DP's block products over its tree, and ``series._check_work`` refuses
 either over ``series.WORK_CAP``, as it refuses every engine's requests.
 """
@@ -48,6 +49,7 @@ from .counting import (
 )
 from .eta import (
     EtaQuotientParseError,
+    _coefficient_bits,
     _colored_quotient,
     _expansion_work,
     parse_eta_quotient,
@@ -125,12 +127,33 @@ def _cmd_expand(args, command: str) -> int:
         except EtaQuotientParseError as exc:
             raise UsageError(f"bad eta quotient: {exc}")
         spec = {"eta": str(quotient)}
-    _check_work(_expansion_work(quotient, order, args.modulus),
+    _check_work(_expand_price(quotient, order, args.modulus),
                 f"expanding {quotient} to order {order}", "; lower --order")
     series = quotient.expand(order, args.modulus)
     record = _record(command, {**spec, "order": order, "modulus": args.modulus}, {"order": order})
     _emit_rows(record, series.coeffs, args.format)
     return 0
+
+
+def _expand_price(quotient, order: int, modulus: Optional[int]) -> float:
+    """The price of ``expand`` to ``order``: the expansion, and the rows it
+    prints at :func:`_row_price` each."""
+    price = _expansion_work(quotient, order, modulus)
+    if order < WORK_CAP:  # past it the expansion alone is priced over the cap
+        price += (order + 1) * _row_price(_coefficient_bits(quotient.factors, order, modulus))
+    return price
+
+
+def _row_price(bits: float) -> float:
+    """The price of a row of ``expand`` output whose coefficient has at most
+    ``bits`` bits, in updates of a sparse pass: a row of residues took 0.4
+    to 0.75 us to build, format as JSON and write at orders 10^6 to 4.3 *
+    10^6 mod 4, as the speed of a 2-vCPU x86 host drifted, about 30 times
+    the time an update took at the work cap's other edges in the same
+    hour; over Z a row took 1.9 ns more a bit up to 1100 bits. Without it an
+    ``expand`` mod 4, 1-4 updates a coefficient, would be admitted to
+    orders of 4 * 10^7 to 1.5 * 10^8: minutes and gigabytes of output."""
+    return 30 + bits / 10
 
 
 # Rows are formatted and written this many at a time, so that the output
@@ -168,7 +191,7 @@ def _cmd_count(args, command: str) -> int:
     if engine == "dp":
         price, advice = _dp_work(c, n, overlined), ""
         # a refusal names the expansion of the same series where it is admitted
-        if price > WORK_CAP and _expansion_work(_colored_quotient(c, overlined), n) <= WORK_CAP:
+        if price > WORK_CAP and _expand_price(_colored_quotient(c, overlined), n, None) <= WORK_CAP:
             c_flag = "" if args.c is None else f" --c {c}"
             advice = f"; expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         _check_work(price, f"the {kind} DP at n = {n}", advice)

@@ -25,7 +25,8 @@ differ may still find their powers built.
    take the product over ``x = q^(jn)``. Both sides are units, so the
    congruence holds for negative multiples too. For example the c = 10
    overcubic series ``f4^9/(f1^2*f2^17)`` becomes ``f4/(f1^2*f2)`` mod 4.
-   Over Z or a composite modulus the exponents are left alone. A prime
+   Over Z or a composite modulus the exponents are left alone, and the
+   normalized factors are the form a sweep keys its expansions on. A prime
    power is recognized by integer roots and Miller-Rabin, not by
    factorizing, so a large prime modulus costs nothing; from 3.3e24 on
    no modulus is rewritten.
@@ -41,6 +42,11 @@ differ may still find their powers built.
    every ``f(n)^(2j)``, since ``phi(-q^n) = f(n)^2 / f(2n)``, and adds
    ``j`` to the exponent at ``2n`` (:func:`_theta_rewrite`): the overlined
    series ``f4^9/(f1^2*f2^17)`` becomes ``1/(phi(-q) * phi(-q^2)^9)``.
+   Under a modulus ``2^a`` the theta list then takes each ``j`` to its
+   symmetric remainder mod ``2^(a-1)`` and drops the steps reduced to 0,
+   since ``phi(-q^n)^(2^(a-1)) == 1 (mod 2^a)``: mod 4 the overlined series
+   is ``phi(-q) * phi(-q^2)`` for even c and ``phi(-q)`` for odd c, and
+   the form it normalized to, its key in a sweep, is left as it is.
    Each step takes the route that :func:`_factor_plan` prices cheaper, and
    the list whose steps are cheaper in sum runs, the pentagonal one on a
    tie, unless the caller names one. Both bases are theta series, so
@@ -48,22 +54,26 @@ differ may still find their powers built.
    Euler's pentagonal number theorem ``f(n)`` is ``f(-q^n, -q^(2n))``,
    with O(sqrt(order/n)) terms of weight +-1, and ``phi(-q^n)`` is
    ``f(-q^n, -q^n)``, with about 0.6 times as many terms, of weight +-2.
-   The sparse route runs ``|k|`` passes over them: a multiply for
-   ``k > 0``, for ``k < 0`` the one division kernel of
-   :mod:`overcubic.series`. The dense route, under a modulus only, takes
-   ``base^k`` from one memoized ladder (:func:`_dense_power`): ``base^1``
-   is built from the terms, ``base^-1`` inverts it through the same
-   kernel, and any other power is the square of the power at ``k // 2``
-   rounded toward zero, times ``base^+-1`` when ``k`` is odd; the power is
-   then multiplied in by the Kronecker product. The ladder is keyed on the
-   compressed step, the exponent, the order and the modulus, so the
-   expansions of one sweep share its rungs and a repeated step costs one
-   product. Its entries are bounded by the bytes they hold
+   The sparse route runs ``|k|`` passes over them: for ``k < 0`` the one
+   division kernel of :mod:`overcubic.series`; for ``k > 0`` a multiply,
+   by slices over the whole list, one a term (:func:`_times_f`), or term
+   by term over the nonzero coefficients (:func:`_times_terms`) while the
+   plan's bound on them (:func:`_multiply_passes`) makes that cheaper, as
+   it does on a running product that starts as 1. The dense route, under
+   a modulus only, takes ``base^k`` from one memoized ladder
+   (:func:`_dense_power`): ``base^1`` is built from the terms, ``base^-1``
+   inverts it through the same kernel, and any other power is the square
+   of the power at ``k // 2`` rounded toward zero, times ``base^+-1`` when
+   ``k`` is odd; the power is then multiplied in by the Kronecker product.
+   The ladder is keyed on the compressed step, the exponent, the order and
+   the modulus, so the expansions of one sweep share its rungs and a
+   repeated step costs one product. Its entries are bounded by the bytes they hold
    (``_POWER_MEMO_BYTES``), least recently used first out. The plan
    prices a division pass, sparse or the dense route's inverting walk,
-   per term and per exponent, a multiply pass per term, and the dense
-   route as a cold ladder: a rung the memo holds costs nothing, so every
-   price bounds the work of its step from above.
+   per term and per exponent, a multiply pass per term or per pair of a
+   nonzero coefficient and a term, and the dense route as a cold ladder:
+   a rung the memo holds costs nothing, so every price bounds the work of
+   its step from above.
 """
 
 from __future__ import annotations
@@ -71,9 +81,11 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import exp, gcd, log, log1p, pi, sqrt
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -205,6 +217,31 @@ def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
             scaled[abs(w)] = [abs(w) * c for c in coeffs]
         out[t:] = map(add if w > 0 else sub, out[t:], scaled[abs(w)][: size - t])
     return out if modulus is None else [c % modulus for c in out]
+
+
+def _times_terms(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
+    """One pass term by term: ``coeffs`` times the factor whose terms are
+    given, each nonzero coefficient times each term that lands inside,
+    reduced mod ``modulus`` when one is given (``coeffs`` must be reduced
+    already). It costs a pair per nonzero coefficient and term, and a scan
+    for the nonzero coefficients, so on a sparse running product it does
+    the work of a pass of slices (:func:`_times_f`) in a fraction of the
+    time."""
+    size = len(coeffs)
+    out = coeffs[:]
+    exponents = [t for t, _ in terms]
+    # a running product of 1, as at the start of a walk, needs no scan
+    one = coeffs[0] and coeffs.count(0) == size - 1
+    for i in (0,) if one else compress(range(size), coeffs):
+        c = coeffs[i]
+        inside = terms[: bisect_left(exponents, size - i)]
+        if modulus is None:
+            for t, w in inside:
+                out[i + t] += w * c
+        else:
+            for t, w in inside:
+                out[i + t] = (out[i + t] + w * c) % modulus
+    return out
 
 
 # Miller-Rabin with the first 13 prime bases decides primality below
@@ -356,17 +393,21 @@ def _expand_normalized(
     steps = _planned_steps(factors, order, m, route)
     g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)
-    for i, (h, step, k, top, theta, dense, _) in enumerate(steps):
+    for h, step, k, top, theta, nz, dense, _ in steps:
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
         if dense:
             power = _dense_power(step, k, top, m, theta)
-            coeffs = list((Series._canonical(tuple(coeffs), m) * power if i else power).coeffs)
+            coeffs = list((Series._canonical(tuple(coeffs), m) * power if nz > 1 else power).coeffs)
             continue
         terms = _factor_terms(step, top, theta)
-        apply_pass = _times_f if k > 0 else _divide_sparse
-        for _ in range(abs(k)):
-            coeffs = apply_pass(coeffs, terms, m)
+        if k < 0:
+            for _ in range(-k):
+                coeffs = _divide_sparse(coeffs, terms, m)
+            continue
+        by_terms = _multiply_passes(k, nz, top, len(terms))[0]
+        for j in range(k):
+            coeffs = (_times_terms if j < by_terms else _times_f)(coeffs, terms, m)
     return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
 
 
@@ -443,34 +484,50 @@ def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool) -> 
     ``k`` is odd. That is the products and the inversion of
     ``Series.__pow__``, so a cold ladder costs what the plan prices, and a
     warm one shares rungs between the expansions of a sweep. The modulus is
-    in the key: an entry never serves another modulus."""
-    key = (step, k, top, m, theta)
-    power = _POWER_MEMO.get(key)
-    if power is not None:
-        return power
-    if k == 1:
+    in the key: an entry never serves another modulus. The ladder is walked
+    down to the first rung the memo holds, or to ``k = 1``, and built back
+    up without recursion, so an exponent of any size takes one frame."""
+    missing = []
+    while True:
+        power = _POWER_MEMO.get((step, k, top, m, theta))
+        if power is not None or k == 1:
+            break
+        missing.append(k)
+        k = 1 if k == -1 else k // 2 if k > 0 else -(-k // 2)
+    if power is None:
         f = [1] + [0] * top
         for t, w in _factor_terms(step, top, theta):
             f[t] = w if m is None else w % m
         power = Series._canonical(tuple(f), m)
-    elif k == -1:
-        power = _dense_power(step, 1, top, m, theta).invert()
-    else:
-        half = _dense_power(step, k // 2 if k > 0 else -(-k // 2), top, m, theta)
-        power = half * half
-        if k % 2:
-            power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta)
-    _POWER_MEMO.put(key, power)
+        _POWER_MEMO.put((step, 1, top, m, theta), power)
+    for k in reversed(missing):
+        if k == -1:
+            power = power.invert()
+        else:
+            power = power * power
+            if k % 2:
+                power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta)
+        _POWER_MEMO.put((step, k, top, m, theta), power)
     return power
 
 
-def _theta_rewrite(factors: FactorList, order: int) -> List[Tuple[int, int, bool]]:
+def _theta_rewrite(
+    factors: FactorList, order: int, m: Optional[int] = None
+) -> List[Tuple[int, int, bool]]:
     """The factors as ``(n, k, theta)`` steps, with ``phi(-q^n)^j`` in place
     of every ``f(n)^(2j)``: since ``phi(-q^n) = f(n)^2 / f(2n)``,
     ``f(n)^(2j) = phi(-q^n)^j * f(2n)^j``, and past the order ``f(2n)`` is 1.
     A rewrite only changes the exponent at ``2n > n``, so one ascending pass
     sees every exponent after its last change. The overlined series
-    ``f4^(c-1)/(f1^2*f2^(2c-3))`` becomes ``1/(phi(-q) * phi(-q^2)^(c-1))``."""
+    ``f4^(c-1)/(f1^2*f2^(2c-3))`` becomes ``1/(phi(-q) * phi(-q^2)^(c-1))``.
+    Under a modulus ``m = 2^a`` each ``j`` is then taken to its symmetric
+    remainder mod ``2^(a-1)``, the positive one on a tie, and a step whose
+    remainder is 0 is dropped: ``phi(-q^n) = 1 + 2 * (...)``, so
+    ``phi(-q^n)^(2^(a-1)) == 1 (mod 2^a)``, since ``(1 + 2^b Z)^2 =
+    1 + 2^(b+1) (Z + 2^(b-1) Z^2)``. Mod 4 the overlined series is
+    ``phi(-q)`` for odd c and ``phi(-q) * phi(-q^2)`` for even c; mod 2 it
+    is 1."""
+    period = m // 2 if m is not None and m & (m - 1) == 0 else None
     exps = dict(factors)
     steps = []
     while exps:
@@ -484,28 +541,40 @@ def _theta_rewrite(factors: FactorList, order: int) -> List[Tuple[int, int, bool
                 exps[2 * n] = up
             else:
                 exps.pop(2 * n, None)
+            if period is not None:
+                k %= period
+                if 2 * k > period:
+                    k -= period
+                if not k:
+                    continue
         steps.append((n, k, theta))
     return steps
 
 
 def _planned_steps(factors: FactorList, order: int, m: Optional[int], route: Optional[str]):
-    """The steps ``(g, n // g, k, order // g, theta, dense, price)`` that
+    """The steps ``(g, n // g, k, order // g, theta, nz, dense, price)`` that
     :func:`_expand_normalized` runs: the walk of the Euler factors or of
     their :func:`_theta_rewrite`, as ``route`` names, or with no route the
     one whose :func:`_factor_plan` prices are cheaper in sum, the Euler
-    factors on a tie."""
+    factors on a tie. ``nz`` bounds the nonzero coefficients of the running
+    product a step starts from: 1 at the start, ``order // g + 1`` after a
+    division, after ``base^k`` with ``k > 0``, sparse or dense, what
+    :func:`_multiply_passes` bounds, and unchanged by a spread."""
     walks = []
     if route != "theta":
         walks.append([(n, k, False) for n, k in factors])
     if route != "pentagonal":
-        walks.append(_theta_rewrite(factors, order))
-    priced = [
-        [
-            (g, step, k, top, theta) + _factor_plan(step, k, top, m, not i, theta)
-            for i, (g, step, k, top, theta) in enumerate(_compressed_walk(walk, order))
-        ]
-        for walk in walks
-    ]
+        walks.append(_theta_rewrite(factors, order, m))
+    priced = []
+    for walk in walks:
+        steps, nz = [], 1
+        for g, step, k, top, theta in _compressed_walk(walk, order):
+            dense, price = _factor_plan(step, k, top, m, nz, theta)
+            steps.append((g, step, k, top, theta, nz, dense, price))
+            # a product's support does not depend on the route that computes it
+            terms = len(_factor_terms(step, top, theta))
+            nz = top + 1 if k < 0 else _multiply_passes(k, nz, top, terms)[2]
+        priced.append(steps)
     # min keeps the first of equal prices: the Euler factors
     return min(priced, key=lambda steps: sum(s[-1] for s in steps))
 
@@ -527,35 +596,78 @@ def _compressed_walk(factors, order: int):
 # 12 and 2^61 - 1 and over Z; 2-vCPU x86 host). A multiply pass has no such
 # cost: its slices run per term.
 _DIVISION_EXPONENT_PRICE = 26
+# What a multiply pass term by term costs, in updates: 3 for each pair of a
+# nonzero coefficient and a term (50-90 ns: an index, a product and a
+# reduction), and 1 for each coefficient scanned for the nonzero ones
+# (about 22 ns; orders 2000 to 10^6 mod 4, 2-vCPU x86 host).
+_PAIR_PRICE = 3
+
+
+# The plan prices a step's passes, bounds what they leave, and the expansion
+# runs them: three asks of the same passes.
+@lru_cache(maxsize=256)
+def _multiply_passes(k: int, nz: int, order: int, terms: int) -> Tuple[int, float, int]:
+    """``(by_terms, price, nz)`` of ``k > 0`` multiply passes by a base of
+    ``terms`` terms on a running product of at most ``nz`` nonzero
+    coefficients up to ``order``: the first ``by_terms`` passes run term by
+    term (:func:`_times_terms`), at ``_PAIR_PRICE`` a pair and 1 a
+    coefficient scanned, while that is cheaper than a pass of slices
+    (:func:`_times_f`), ``order + 1`` updates a term; the rest run by
+    slices. ``nz`` comes back bounded after the passes: a pass multiplies it
+    by at most ``terms + 1``, up to ``order + 1``. Once that bound is
+    reached every pass is a pass of slices, and the bound no longer moves."""
+    size = order + 1
+    by_terms = passes = 0
+    price = 0.0
+    while passes < k and nz < size and terms:
+        pairs = _PAIR_PRICE * nz * terms + size
+        # nz only grows, so once slices are cheaper they stay cheaper
+        if pairs < size * terms:
+            price += pairs
+            by_terms += 1
+        else:
+            price += size * terms
+        nz = min(size, nz * (terms + 1))
+        passes += 1
+    # past 2^64 passes, far past WORK_CAP, the count stays in float range
+    price += min(k - passes, 2**64) * size * terms
+    return by_terms, price, nz
 
 
 def _factor_plan(
-    n: int, k: int, order: int, m: Optional[int], first: bool, theta: bool = False
+    n: int, k: int, order: int, m: Optional[int], nz: int, theta: bool = False
 ) -> Tuple[bool, float]:
     """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
-    ``phi(-q^n)^k`` when ``theta``, in updates of a sparse pass. Sparse:
-    ``|k|`` passes of ``(order + 1) * terms``, whatever the weights, since
-    the division kernel scales a sum of weight-2 terms once per exponent; a
-    division pass costs ``_DIVISION_EXPONENT_PRICE`` more per exponent, and
-    an update on residues mod ``m`` costs ``series._update_price``. Dense: 3
-    per coefficient, the inverting walk if ``k < 0`` (the division kernel
-    over ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|)
-    + popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
-    unless ``first``, each at :func:`~overcubic.series._kronecker_price`.
-    Over Z only sparse passes: dense slots must hold coefficient growth.
-    :func:`_planned_steps` asks it at the compressed step: the base at
-    ``n // g`` and ``order // g``. The dense price is that of a cold
-    :func:`_dense_power` ladder: a rung the memo holds costs nothing, so
-    a price bounds the work from above."""
+    ``phi(-q^n)^k`` when ``theta``, applied to a running product of at most
+    ``nz`` nonzero coefficients, in updates of a sparse pass. Sparse, for
+    ``k < 0``: ``|k|`` division passes of ``(order + 1) * terms``, whatever
+    the weights, since the division kernel scales a sum of weight-2 terms
+    once per exponent, and ``_DIVISION_EXPONENT_PRICE`` more per exponent;
+    for ``k > 0`` the multiply passes of :func:`_multiply_passes`, term by
+    term while the running product is sparse, then by slices. An update on
+    residues mod ``m`` costs ``series._update_price``. Dense: 3 per
+    coefficient, the inverting walk if ``k < 0`` (the division kernel over
+    ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|) +
+    popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
+    unless ``nz`` is 1, each at :func:`~overcubic.series._kronecker_price`.
+    A running product of one nonzero coefficient is 1, since every base has
+    the constant term 1. Over Z only sparse passes: dense slots must hold
+    coefficient growth. :func:`_planned_steps` asks it at the compressed
+    step: the base at ``n // g`` and ``order // g``. The dense price is that
+    of a cold :func:`_dense_power` ladder: a rung the memo holds costs
+    nothing, so a price bounds the work from above."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else _update_price((m - 1).bit_length())
-    exponent = (terms + (_DIVISION_EXPONENT_PRICE if k < 0 else 0)) * update
-    # past 2^64 passes, far past WORK_CAP, the count stays in float range
-    sparse = min(abs(k), 2**64) * (order + 1) * exponent
+    division = (terms + _DIVISION_EXPONENT_PRICE) * update  # per exponent
+    if k > 0:
+        sparse = _multiply_passes(k, nz, order, terms)[1] * update
+    else:
+        # past 2^64 passes, far past WORK_CAP, the count stays in float range
+        sparse = min(-k, 2**64) * (order + 1) * division
     if m is None:
         return False, sparse
-    walk = (order // n + 1) * exponent if k < 0 else 0
-    products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - first
+    walk = (order // n + 1) * division if k < 0 else 0
+    products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
     width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
     product = _kronecker_price(2 * (order + 1), order + 1, width)  # two operands
     dense = 3 * (order + 1) + walk + products * product
@@ -580,8 +692,18 @@ def _expansion_work(
     factors = _normalized_factors(quotient, order, m)
     price = sum(step[-1] for step in _planned_steps(factors, order, m, route))
     if m is None:
-        price *= _update_price(_log_majorant(factors, order) / log(2))
+        price *= _update_price(_coefficient_bits(tuple(factors), order, m))
     return price
+
+
+# The CLI asks it for the rows of an expansion it has just priced: one
+# saddle-point search takes about as long as a small expansion.
+@lru_cache(maxsize=64)
+def _coefficient_bits(factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int]) -> float:
+    """A bound on the bits of every coefficient up to ``order`` of ``prod
+    f(n)^k``: those of ``m - 1`` under a modulus, over Z those of the
+    saddle-point bound :func:`_log_majorant`."""
+    return (m - 1).bit_length() if m is not None else _log_majorant(factors, order) / log(2)
 
 
 def _log_euler(u: float) -> float:

@@ -212,8 +212,13 @@ def verify_mod4_classification(
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
     by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
-    Each distinct mod-4 form of the series is expanded once: mod 4 it is
-    ``f2/f1^2`` for every odd c."""
+    Each distinct mod-4 form of the series is expanded once, two in all:
+    ``f2/f1^2`` for every odd c and ``f4/(f1^2*f2)`` for every even c. The
+    theta walk expands them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``,
+    since ``phi(-q^n)^2 == 1 (mod 4)``, so no step divides; the paper's
+    mod-4 theorem rests on the same fact, so the test
+    ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the reduction: the
+    Euler factors' walk, which divides, must give the same report."""
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
     order = max(n_max, 0) if order is None else order

@@ -147,6 +147,21 @@ def test_expand_beyond_work_bound_is_usage_error(capsys):
         assert _expansion_work(_colored_quotient(c, True), order) < WORK_CAP
 
 
+def test_expand_huge_exponent_under_a_composite_modulus(capsys):
+    # mod 10^20 nothing reduces the exponents of c = 10^400, so the plan
+    # powers phi(-q^2) densely through a ladder of about 1330 rungs, which
+    # once recursed per rung into a RecursionError (exit 1). It must be
+    # expanded or refused; expanded, it must match its prime-power parts
+    c, m = 10**400, 10**20
+    code, out, _ = run(capsys, "expand", "--gf", "overcubic", "--c", str(c), "--order", "50",
+                       "--modulus", str(m), "--format", "csv")
+    assert code in (0, 2)
+    if code == 0:
+        got = [int(row[1]) for row in _csv_rows(out)[1:]]
+        for part in (2**20, 5**20):
+            assert [v % part for v in got] == list(gen_overcubic_gf(c, 50, part).coeffs)
+
+
 def test_expand_large_prime_modulus_finishes():
     # the exponents exceed m/2, so normalization asks whether m is a prime
     # power; trial division of 2^61 - 1 would run for minutes
@@ -360,8 +375,17 @@ EXPAND_EDGES = {
 def test_expand_admission_edges(c, m, previous_edge):
     quotient = _colored_quotient(c, True)
     edge = EXPAND_EDGES[c, m]
-    if m in (4, 12):
-        # residues of a few bits: an update is priced at 1, as it was
+    if m == 4:
+        # mod 4 the series is phi(-q), or phi(-q) * phi(-q^2) for even c, a
+        # few updates a coefficient: both edges are admitted far under the
+        # cap, and the CLI's edges, set by the price of its rows, are in
+        # WORK_CAP_EDGES
+        for order in (edge, previous_edge):
+            assert _expansion_work(quotient, order, m) < WORK_CAP / 20
+        return
+    if m == 12:
+        # residues of a few bits: an update is priced at 1, as it was; the
+        # CLI adds the price of the rows, so its edges are in WORK_CAP_EDGES
         assert _expansion_work(quotient, edge, m) <= WORK_CAP < _expansion_work(quotient, edge + 1, m)
     else:
         # priced at the bits of their coefficients, these are refused now
@@ -381,12 +405,13 @@ def test_dp_price_of_a_huge_weight_is_immediate():
 
 M61 = 2**61 - 1
 # Every engine's request at its edge, as (engine, fixed arguments, the largest
-# admitted value of the last one), bisected. Each ran in 1.9-3.7 s, cold, on a
-# 2-vCPU x86 host (median of three runs; the table in CHANGES.md).
+# admitted value of the last one), bisected. Each ran in 1.5-3.7 s, cold, on a
+# 2-vCPU x86 host (median of three runs; the tables in CHANGES.md). An
+# expansion's edge is priced with the rows the CLI prints.
 WORK_CAP_EDGES = [
-    ("expand", (1, None), 113757), ("expand", (1, 4), 273528), ("expand", (1, 12), 273528),
-    ("expand", (1, M61), 168099), ("expand", (10, None), 38362), ("expand", (10, 4), 221840),
-    ("expand", (10, 12), 131489), ("expand", (10, M61), 61951),
+    ("expand", (1, None), 103403), ("expand", (1, 4), 4807480), ("expand", (1, 12), 263434),
+    ("expand", (1, M61), 163405), ("expand", (10, None), 36834), ("expand", (10, 4), 4434894),
+    ("expand", (10, 12), 129189), ("expand", (10, M61), 61249),
     ("dp", ("overcubic", 2), 10609), ("dp", ("overcubic", 1000), 3915),
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),

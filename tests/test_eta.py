@@ -15,12 +15,14 @@ import overcubic.eta as eta_module
 from overcubic.counting import _factorize, count_overpartitions, count_partitions_brute
 from overcubic.eta import (
     _DIVISION_EXPONENT_PRICE,
+    _PAIR_PRICE,
     _colored_quotient,
     _expand_normalized,
     _expansion_work,
     _factor_plan,
     _factor_terms,
     _log_majorant,
+    _multiply_passes,
     _normalized_factors,
     _planned_steps,
     _prime_power_base,
@@ -562,6 +564,98 @@ def test_theta_rewrite():
     assert _theta_rewrite([(3, 2)], 5) == [(3, 1, True)]
 
 
+def test_theta_rewrite_mod_a_power_of_two():
+    # mod 2^a each theta exponent is taken to its symmetric remainder mod
+    # 2^(a-1), the positive one on a tie, and a step reduced to 0 is dropped;
+    # the exponents pushed to 2n and the Euler steps stay as they are
+    factors = [(1, -1), (2, -4), (3, 6), (5, 2)]
+    over_z = _theta_rewrite(factors, 100)
+    assert over_z == [(1, -1, False), (2, -2, True), (3, 3, True), (4, -1, True),
+                      (5, 1, True), (6, 3, False), (8, -1, False), (10, 1, False)]
+    assert _theta_rewrite(factors, 100, 2) == [(1, -1, False), (6, 3, False), (8, -1, False),
+                                               (10, 1, False)]
+    assert _theta_rewrite(factors, 100, 4) == [(1, -1, False), (3, 1, True), (4, 1, True),
+                                               (5, 1, True), (6, 3, False), (8, -1, False),
+                                               (10, 1, False)]
+    assert _theta_rewrite(factors, 100, 8) == [(1, -1, False), (2, 2, True), (3, -1, True),
+                                               (4, -1, True), (5, 1, True), (6, 3, False),
+                                               (8, -1, False), (10, 1, False)]
+    assert _theta_rewrite(factors, 100, 64) == over_z
+    # no other modulus reduces anything
+    for m in (3, 6, 12, 97):
+        assert _theta_rewrite(factors, 100, m) == over_z
+    # the overlined series is phi(-q) for odd c and phi(-q) * phi(-q^2) for
+    # even c mod 4, and 1 mod 2
+    for c in range(1, 12):
+        factors = _normalized_factors(_colored_quotient(c, True), 1000, 4)
+        tail = [(2, 1, True)] if c % 2 == 0 else []
+        assert _theta_rewrite(factors, 1000, 4) == [(1, 1, True)] + tail
+        mod2 = _normalized_factors(_colored_quotient(c, True), 1000, 2)
+        assert _theta_rewrite(mod2, 1000, 2) == []
+
+
+_even_heavy_quotients = st.lists(
+    st.tuples(st.integers(1, 12), st.one_of(st.integers(-20, 20).map(lambda j: 2 * j),
+                                            st.integers(-40, 40))),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_even_heavy_quotients, st.integers(0, 400), st.sampled_from([2, 4, 8, 16, 32, 64]))
+def test_theta_walk_mod_a_power_of_two_matches_pentagonal_and_z(factors, order, m):
+    # mod 2^a the theta walk drops phi(-q^n)^(2^(a-1)) == 1; the pentagonal
+    # walk keeps every Euler factor, and the expansion over Z is reduced only
+    # at the end: all three must agree
+    theta = expand_eta_quotient(factors, order, modulus=m, route="theta")
+    assert theta == expand_eta_quotient(factors, order, modulus=m, route="pentagonal")
+    assert theta == expand_eta_quotient(factors, order).reduce_mod(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 300),
+    st.integers(1, 5),
+    st.sampled_from([None, 2, 4, 12, 97, 2**61 - 1]),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(-50, 50)), max_size=6),
+)
+def test_term_by_term_passes_match_slices_and_kronecker(step, theta, order, passes, m, seeds):
+    # passes term by term against passes by slices and the Kronecker product
+    # by the base's power, from a running product of a few nonzero
+    # coefficients; after a pass or two most products are dense, and the
+    # term-by-term pass must stay exact there too
+    start = [1] + [0] * order
+    for e, c in seeds:
+        if e <= order:
+            start[e] = c if m is None else c % m
+    terms = _factor_terms(step, order, theta)
+    base = [1] + [0] * order
+    for t, w in terms:
+        base[t] = w
+    by_terms = by_slices = start
+    for _ in range(passes):
+        by_terms = eta_module._times_terms(by_terms, terms, m)
+        by_slices = eta_module._times_f(by_slices, terms, m)
+        assert by_terms == by_slices
+    assert by_terms == list((Series(start, m) * Series(base, m) ** passes).coeffs)
+
+
+def test_multiply_step_turns_to_slices_once_dense():
+    # f1^5 over Z at order 300: two passes term by term take the product
+    # from 1 to a bound of 28^2 > 301 nonzero coefficients, so the other
+    # three run by slices; the expansion, running both, is exact
+    terms = len(_factor_terms(1, 300))
+    assert terms == 27
+    assert _multiply_passes(5, 1, 300, terms)[0::2] == (2, 301)
+    [step] = _planned_steps(((1, 5),), 300, None, "pentagonal")
+    assert step[5:7] == (1, False)
+    assert list(expand_eta_quotient([(1, 5)], 300).coeffs) == naive_eta_quotient([(1, 5)], 300)
+    # a base with no term inside the order costs nothing and bounds nothing
+    assert _multiply_passes(10**30, 1, 5, 0) == (0, 0, 1)
+
+
 @pytest.mark.parametrize("m", [None, 4, 12, 97, 2**61 - 1, 10**1000 + 7])
 @pytest.mark.parametrize(
     "quotient",
@@ -587,8 +681,8 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
         expand_eta_quotient(quotient, order, modulus=m, route=route)
         monkeypatch.undo()
         [steps] = ran
-        for i, (_, step, k, top, theta, dense, price) in enumerate(steps):
-            assert _factor_plan(step, k, top, m, not i, theta) == (dense, price)
+        for _, step, k, top, theta, nz, dense, price in steps:
+            assert _factor_plan(step, k, top, m, nz, theta) == (dense, price)
         assert steps and _expansion_work(quotient, order, m, route) == sum(s[-1] for s in steps) * bits
 
 
@@ -640,42 +734,59 @@ def test_expansion_price_of_a_huge_order_is_immediate():
 def test_plan_prices_the_cheaper_route():
     # over Z only sparse passes are offered, whatever the exponent; a
     # division pass costs 26 updates per exponent on top of one per term,
-    # a multiply pass one per term
+    # a multiply pass on a dense running product one per term
     assert _DIVISION_EXPONENT_PRICE == 26
     terms = len(_factor_terms(2, 548))
-    assert _factor_plan(2, -67, 548, None, True) == (False, 67 * 549 * (terms + 26))
-    assert _factor_plan(2, 67, 548, None, True) == (False, 67 * 549 * terms)
+    assert _factor_plan(2, -67, 548, None, 1) == (False, 67 * 549 * (terms + 26))
+    assert _factor_plan(2, 67, 548, None, 549) == (False, 67 * 549 * terms)
+    # on a running product of 1 the first two passes run term by term, at 3
+    # a pair and 1 a coefficient scanned; then it may be dense, and the
+    # other 65 passes run by slices
+    assert _PAIR_PRICE == 3
+    pairs = (3 * terms + 549) + (3 * (terms + 1) * terms + 549)
+    assert _multiply_passes(67, 1, 548, terms) == (2, pairs + 65 * 549 * terms, 549)
+    assert _factor_plan(2, 67, 548, None, 1) == (False, pairs + 65 * 549 * terms)
     # the dense route's inverting walk runs the division kernel over
     # order // n + 1 exponents and is priced as a division pass
     theta_terms = len(_factor_terms(1, 274, True))
     width = _slot_width((11 * 11 * 275).bit_length())
     products = 6 + 2 - 1 - 1  # bits(34) + popcount(34) - 1, first step
     dense = 3 * 275 + 275 * (theta_terms + 26) + products * _kronecker_price(550, 275, width)
-    assert _factor_plan(1, -34, 274, 12, True, True) == (True, dense)
+    assert _factor_plan(1, -34, 274, 12, 1, True) == (True, dense)
     # a large exponent under a small modulus is powered densely
-    assert _factor_plan(2, -67, 548, 12, False)[0]
+    assert _factor_plan(2, -67, 548, 12, 549)[0]
     # under a 1000-digit modulus the packed slots are wide: the c = 10
     # overlined series takes sparse passes for every factor
     m = 10**1000 + 7
     c10 = _normalized_factors(_colored_quotient(10, True), 2000, m)
-    assert not any(_factor_plan(n, k, 2000, m, not i)[0] for i, (n, k) in enumerate(c10))
+    nz = [1] + [2001] * (len(c10) - 1)
+    assert not any(_factor_plan(n, k, 2000, m, z)[0] for (n, k), z in zip(c10, nz))
     for n, k in [(1, -2), (2, -17), (4, 9), (1, 1), (36, -1)]:
         for m in (4, 12, 2**61 - 1):
             # an update on 61-bit residues costs more than one on 2-4 bits
             update = _update_price((m - 1).bit_length())
             sparse_price = abs(k) * 549 * ((len(_factor_terms(n, 548)) + 26 * (k < 0)) * update)
-            later = _factor_plan(n, k, 548, m, False)
-            first = _factor_plan(n, k, 548, m, True)
+            later = _factor_plan(n, k, 548, m, 549)
+            first = _factor_plan(n, k, 548, m, 1)
             assert later[1] <= sparse_price and later[0] == (later[1] < sparse_price)
-            # the first factor's power needs no multiply into the product
-            assert first[1] <= later[1] and (first[0] or not later[0])
-    # the colored series takes the theta walk over Z and mod 4 and 12; mod
-    # 12 at c = 35, 34 sparse passes of 1/phi(-q^2) would cost more than
-    # powering it densely, and one sparse division by phi(-q) follows
-    for c, m, dense in [(1, None, [False]), (10, 4, [False, False]), (35, 12, [True, False])]:
+            # the first factor's power needs no multiply into the product,
+            # and its multiply passes start term by term
+            assert first[1] <= later[1]
+            if k < 0:
+                assert first[0] or not later[0]
+    # the colored series takes the theta walk over Z and mod 4, 8 and 12;
+    # mod 12 at c = 35, 34 sparse passes of 1/phi(-q^2) would cost more than
+    # powering it densely, and one sparse division by phi(-q) follows. Mod
+    # 2^a the theta exponents are reduced mod 2^(a-1): mod 4 c = 10 is
+    # phi(-q^2) * phi(-q), two passes term by term, mod 8 it is
+    # 1/(phi(-q^2) * phi(-q)), and mod 2 it is 1, with no step at all
+    for c, m, want in [(1, None, [(-1, False)]), (10, 4, [(1, False), (1, False)]),
+                       (10, 8, [(-1, False), (-1, False)]), (10, 2, []),
+                       (35, 12, [(-34, True), (-1, False)])]:
         factors = tuple(_normalized_factors(_colored_quotient(c, True), 548, m))
         steps = _planned_steps(factors, 548, m, None)
-        assert [(s[4], s[5]) for s in steps] == [(True, d) for d in dense]
+        assert [(s[2], s[6]) for s in steps] == want
+        assert all(s[4] for s in steps)
 
 
 def test_phi_terms_match_naive_quotient():

@@ -134,6 +134,24 @@ def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
     ]
 
 
+def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
+    # the sweep expands phi(-q) and phi(-q) * phi(-q^2), the theta walk
+    # reduced by phi(-q^n)^2 == 1 (mod 4); forced onto the pentagonal walk,
+    # which keeps every Euler factor and divides, it must give the same
+    # report, so a wrong reduction cannot pass the check it serves
+    want = verify_mod4_classification(10, 2000)
+    assert want.passed
+    forms = []
+
+    def pentagonal(c, order, modulus=None):
+        forms.append(c)
+        return expand_eta_quotient(_colored_quotient(c, True), order, modulus, route="pentagonal")
+
+    monkeypatch.setattr(verify_module, "gen_overcubic_gf", pentagonal)
+    assert verify_mod4_classification(10, 2000) == want
+    assert forms == [1, 2]
+
+
 def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # each sweep expands each distinct (form, modulus, route) it reads once:
     # a form expanded twice would show as more calls than distinct keys
