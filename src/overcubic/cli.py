@@ -25,8 +25,10 @@ Each engine prices its own request in one unit, an update of a sparse
 pass (``series._kronecker_price``, ``series._update_price``):
 ``eta._expansion_work`` sums the plan's steps, to which ``expand`` adds
 the rows it prints (``_expand_price``), ``counting._dp_work`` sums the
-DP's block products over its tree, and ``series._check_work`` refuses
-either over ``series.WORK_CAP``, as it refuses every engine's requests.
+DP's block products over its tree, ``verify._mod4_classification_work``
+prices ``verify --target thm14`` by its forms, colors and residues, and
+``series._check_work`` refuses each over ``series.WORK_CAP``, as it
+refuses every engine's requests.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .verify import (
     IDENTITIES,
     EngineInconsistencyError,
     VerificationReport,
+    _mod4_classification_work,
     check_named_identity,
     verify_conjectured_families,
     verify_mod4_classification,
@@ -269,7 +272,10 @@ def _cmd_verify(args, command: str) -> int:
         elif value is not None:
             raise UsageError(f"--{dest.replace('_', '-')} is meaningless with --target {target}")
     if target == "thm14":
-        reports = [verify_mod4_classification(params["c_max"], params["n_max"], args.order)]
+        c_max, n_max = params["c_max"], params["n_max"]
+        _check_work(_mod4_classification_work(c_max, n_max, args.order),
+                    f"the mod-4 sweep of c <= {c_max} to n = {n_max}", "; lower --n-max or --c-max")
+        reports = [verify_mod4_classification(c_max, n_max, args.order)]
     elif target == "identity":
         if args.name is None:
             raise UsageError(

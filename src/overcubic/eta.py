@@ -8,9 +8,11 @@ phi, chi are quotients of that shape as well.
 Expansion strategy: :func:`expand_eta_quotient` is the one expansion
 route; every named series and :func:`expand_f` call it. No expansion is
 kept: a caller that reads one series more than once asks for it once, as
-the sweeps of :mod:`overcubic.verify` do by normalized form. Only the dense
-powers of step 2 are memoized, keyed on the modulus, so expansions that
-differ may still find their powers built.
+the sweeps of :mod:`overcubic.verify` do by normalized form, and the forms
+of one side of a family sweep are expanded together, through the factor
+their walks share (:func:`_expand_side`). Only the dense powers of step 2
+are memoized, keyed on the modulus, so expansions that differ may still
+find their powers built.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -88,7 +90,7 @@ from functools import lru_cache
 from itertools import compress
 from math import exp, gcd, log, log1p, pi, sqrt
 from operator import add, sub
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .series import (
     WORK_CAP, Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread,
@@ -385,12 +387,17 @@ def expand_eta_quotient(
 def _expand_normalized(
     factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str]
 ) -> Series:
-    """The expansion of already normalized factors. The running product is
-    a series in ``q^g`` holding only its ``order // g + 1`` coefficients of
-    ``q^0, q^g, ...``; each step of :func:`_planned_steps` applies its
-    base, ``f(n)`` or ``phi(-q^n)``, to it as the same base at ``n // g``
-    (step 2 of the module docstring)."""
-    steps = _planned_steps(factors, order, m, route)
+    """The expansion of already normalized factors: the steps
+    :func:`_planned_steps` plans, run by :func:`_run_steps`."""
+    return _run_steps(_planned_steps(factors, order, m, route), order, m)
+
+
+def _run_steps(steps, order: int, m: Optional[int]) -> Series:
+    """The product of planned steps, as :func:`_plan_walk` gives them, to
+    ``order``. The running product is a series in ``q^g`` holding only its
+    ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step applies
+    its base, ``f(n)`` or ``phi(-q^n)``, to it as the same base at ``n //
+    g`` (step 2 of the module docstring)."""
     g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)
     for h, step, k, top, theta, nz, dense, _ in steps:
@@ -466,12 +473,13 @@ class _PowerMemo:
             self.held = self.hits = self.misses = 0
 
 
-# The family sweeps keep well under this: thm15 at n <= 2000 (order 18 003)
-# builds 41 powers of 2.4 MB in all, at n <= 6000 7.1 MB, and conj73 at
-# i <= 20, n <= 300 builds 164 of 1.7 MB. At the expand work bound's orders
-# one power under a small modulus holds up to 4.6 MB, so the memo keeps a
-# few rungs there, and an expansion's peak memory stays within a small
-# multiple of its own.
+# The family sweeps keep well under this: with their sides sharing a factor,
+# thm15 at n <= 2000 (order 18 003) builds 39 powers of 2.5 MB in all, at
+# n <= 6000 7.5 MB, and conj73 at i <= 20, n <= 300 builds 158 of 1.6 MB
+# (without sharing 37 of 2.2 MB, 6.5 MB, and 159 of 1.6 MB). At the expand
+# work bound's orders one power under a small modulus holds up to 4.6 MB,
+# so the memo keeps a few rungs there, and an expansion's peak memory stays
+# within a small multiple of its own.
 _POWER_MEMO_BYTES = 16 * 2**20
 _POWER_MEMO = _PowerMemo(_POWER_MEMO_BYTES)
 
@@ -562,21 +570,86 @@ def _planned_steps(factors: FactorList, order: int, m: Optional[int], route: Opt
     :func:`_multiply_passes` bounds, and unchanged by a spread."""
     walks = []
     if route != "theta":
-        walks.append([(n, k, False) for n, k in factors])
+        walks.append(_walk(factors, order, m, "pentagonal"))
     if route != "pentagonal":
-        walks.append(_theta_rewrite(factors, order, m))
-    priced = []
-    for walk in walks:
-        steps, nz = [], 1
-        for g, step, k, top, theta in _compressed_walk(walk, order):
-            dense, price = _factor_plan(step, k, top, m, nz, theta)
-            steps.append((g, step, k, top, theta, nz, dense, price))
-            # a product's support does not depend on the route that computes it
-            terms = len(_factor_terms(step, top, theta))
-            nz = top + 1 if k < 0 else _multiply_passes(k, nz, top, terms)[2]
-        priced.append(steps)
+        walks.append(_walk(factors, order, m, "theta"))
     # min keeps the first of equal prices: the Euler factors
-    return min(priced, key=lambda steps: sum(s[-1] for s in steps))
+    return min((_plan_walk(walk, order, m) for walk in walks), key=_plan_price)
+
+
+def _walk(factors: FactorList, order: int, m: Optional[int], route: str) -> List[Tuple[int, int, bool]]:
+    """The ``(n, k, theta)`` steps of the walk ``route`` names: the Euler
+    factors themselves, or their :func:`_theta_rewrite`."""
+    if route == "pentagonal":
+        return [(n, k, False) for n, k in factors]
+    return _theta_rewrite(factors, order, m)
+
+
+def _plan_walk(walk, order: int, m: Optional[int]):
+    """The planned steps of one walk, each at the running product's ``nz``
+    bound (see :func:`_planned_steps`)."""
+    steps, nz = [], 1
+    for g, step, k, top, theta in _compressed_walk(walk, order):
+        dense, price = _factor_plan(step, k, top, m, nz, theta)
+        steps.append((g, step, k, top, theta, nz, dense, price))
+        # a product's support does not depend on the route that computes it
+        terms = len(_factor_terms(step, top, theta))
+        nz = top + 1 if k < 0 else _multiply_passes(k, nz, top, terms)[2]
+    return steps
+
+
+def _plan_price(steps) -> float:
+    return sum(step[-1] for step in steps)
+
+
+def _euler_factors(walk, order: int) -> Tuple[Tuple[int, int], ...]:
+    """The Euler factors whose walk is ``walk``, some of the steps of one
+    walk: ``f(n)^k`` for a step ``(n, k, False)``, and ``phi(-q^n)^j =
+    f(n)^(2j) / f(2n)^j`` for ``(n, j, True)``, ``f(2n)`` dropped past the
+    order. :func:`_theta_rewrite` gives the steps back: it takes every
+    ``f(n)^(2j)`` to ``phi(-q^n)^j`` and adds the ``j`` back at ``2n``."""
+    exps: dict = {}
+    for n, k, theta in walk:
+        exps[n] = exps.get(n, 0) + (2 * k if theta else k)
+        if theta and 2 * n <= order:
+            exps[2 * n] = exps.get(2 * n, 0) - k
+    return tuple(sorted((n, k) for n, k in exps.items() if k))
+
+
+def _expand_side(forms, order: int, m: int, route: str) -> Iterator[Series]:
+    """The expansions of the normalized ``forms`` mod ``m`` along the walk
+    ``route`` names, one at a time in their order, sharing the steps that
+    every walk takes. The shared factor is expanded once, as the eta
+    quotient :func:`_euler_factors` gives (mod 12 the theta walks share
+    ``1/phi(-q) = f2/f1^2``) through :func:`_expand_normalized`, the path
+    of every normalized form, which plans its few steps again; each form is
+    then the rest of its walk times it, one Kronecker product, or the
+    shared series itself when nothing remains. A form whose rest and
+    product price above its whole walk runs whole, and the side shares only
+    when the shared factor's one expansion plus each form's cheaper way
+    prices below every form run whole. Each walk and each rest is planned
+    once and run from that plan (:func:`_run_steps`)."""
+    walks = [_walk(form, order, m, route) for form in forms]
+    shared = [step for step in walks[0] if all(step in walk for walk in walks[1:])]
+    if len(forms) < 2 or not shared:
+        for form in forms:
+            yield _expand_normalized(form, order, m, route)
+        return
+    wholes = [_plan_walk(walk, order, m) for walk in walks]
+    rests = [_plan_walk([step for step in walk if step not in shared], order, m) for walk in walks]
+    whole_prices = [_plan_price(whole) for whole in wholes]
+    product = _product_price(order, m)
+    rest_prices = [_plan_price(rest) + product if rest else 0 for rest in rests]
+    by_rest = [rest < whole for rest, whole in zip(rest_prices, whole_prices)]
+    sharing = _plan_price(_plan_walk(shared, order, m)) + sum(map(min, rest_prices, whole_prices))
+    if sharing >= sum(whole_prices):
+        by_rest = [False] * len(forms)
+    common = _expand_normalized(_euler_factors(shared, order), order, m, route) if any(by_rest) else None
+    for whole, rest, use in zip(wholes, rests, by_rest):
+        if not use:
+            yield _run_steps(whole, order, m)
+        else:
+            yield common * _run_steps(rest, order, m) if rest else common
 
 
 def _compressed_walk(factors, order: int):
@@ -668,10 +741,16 @@ def _factor_plan(
         return False, sparse
     walk = (order // n + 1) * division if k < 0 else 0
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
-    width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
-    product = _kronecker_price(2 * (order + 1), order + 1, width)  # two operands
-    dense = 3 * (order + 1) + walk + products * product
+    dense = 3 * (order + 1) + walk + products * _product_price(order, m)
     return (True, dense) if dense < sparse else (False, sparse)
+
+
+def _product_price(order: int, m: int) -> float:
+    """The price of one product of two series to ``order`` mod ``m``,
+    ``Series.__mul__``: a Kronecker product of two operands of ``order + 1``
+    residues each."""
+    width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
+    return _kronecker_price(2 * (order + 1), order + 1, width)
 
 
 def _expansion_work(

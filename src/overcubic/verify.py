@@ -18,14 +18,16 @@ from .counting import EngineInconsistencyError, _factorize
 from .eta import (
     _CHAN_A2, _OVERCUBIC_MOD3_C5, _RAMANUJAN_P5, _TOH_LHS,
     _colored_quotient,
+    _expand_side,
     _normalized_factors,
+    _plan_price,
+    _planned_steps,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
     PSI_NEG_SPEC,
     PSI_SPEC,
     chi,
-    expand_eta_quotient,
     expand_f,
     gen_cubic_gf,
     gen_overcubic_gf,
@@ -35,7 +37,7 @@ from .eta import (
     theta_sum,
     toh_rhs,
 )
-from .series import Series, _show
+from .series import WORK_CAP, Series, _show
 
 __all__ = [
     "SQUARE",
@@ -219,13 +221,7 @@ def verify_mod4_classification(
     mod-4 theorem rests on the same fact, so the test
     ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the reduction: the
     Euler factors' walk, which divides, must give the same report."""
-    if c_max < 1:
-        raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
-    order = max(n_max, 0) if order is None else order
-    if order < n_max:
-        raise ValueError(f"order {_show(order)} is below n_max {_show(n_max)}; coefficients unknown")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {_show(order)}")
+    order = _mod4_order(c_max, n_max, order)
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
         i_range=(1, c_max),
@@ -235,7 +231,9 @@ def verify_mod4_classification(
     if report.vacuous:
         return report
     # the prediction depends on c only through 2(c+1) mod 4, its value at
-    # twice a square; it is 2 at a square and 0 elsewhere
+    # twice a square; it is 2 at a square and 0 elsewhere. The form depends
+    # on c only through its parity too
+    parity_forms = _mod4_forms(c_max, order)
     predictions, forms = {}, {}
     bad: List[Counterexample] = []
     for c in range(1, c_max + 1):
@@ -248,7 +246,7 @@ def verify_mod4_classification(
                 row[k * k] = 2
             predictions[twice_square] = tuple(row[1:])
         expected = predictions[twice_square]
-        form = tuple(_normalized_factors(_colored_quotient(c, True), order, 4))
+        form = parity_forms[c % 2]
         if form not in forms:
             forms[form] = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
         observed = forms[form]
@@ -259,6 +257,63 @@ def verify_mod4_classification(
                 if got != want
             )
     return replace(report, counterexamples=tuple(bad))
+
+
+def _mod4_forms(c_max: int, order: int) -> dict:
+    """The normalized mod-4 form of the overlined series at each parity of
+    c <= c_max, from c = 1 and c = 2: mod 4 the exponents of
+    ``f4^(c-1)/(f1^2*f2^(2c-3))`` reduce to -2 at 1, 1 or -1 at 2 and 0 or
+    1 at 4, as c is odd or even."""
+    return {c % 2: tuple(_normalized_factors(_colored_quotient(c, True), order, 4))
+            for c in range(1, min(c_max, 2) + 1)}
+
+
+def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
+    """The order :func:`verify_mod4_classification` runs at, once its
+    arguments are checked."""
+    if c_max < 1:
+        raise ValueError(f"c_max must be at least 1, got {_show(c_max)}")
+    order = max(n_max, 0) if order is None else order
+    if order < n_max:
+        raise ValueError(f"order {_show(order)} is below n_max {_show(n_max)}; coefficients unknown")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {_show(order)}")
+    return order
+
+
+# What the mod-4 sweep costs besides the plans of its expansions, in updates
+# of a sparse pass (about 24 ns). Each c takes about 0.3 us besides its
+# residues, and each residue compared with its prediction about 3.1 ns
+# (c <= 10^5 at n <= 10 to 2000, c <= 10^4 at n <= 10^5; 2-vCPU x86 host).
+# Each coefficient of a distinct form is priced by the memory it holds, not
+# by its time: the lists its walk builds, spreads and copies, the slice the
+# sweep keeps and its row of predictions take about 45 ns but hold 35-45
+# bytes at their peak (132 MB at c <= 1, 201 MB at c <= 10, n <= 3 * 10^6),
+# so at its time, 2 updates, the cap would admit n <= 4.7 * 10^7 at c <= 1,
+# about 1.8 GB. At 24 the sweep at the cap holds at most about 250 MB.
+_MOD4_FORM_COEFFICIENT_PRICE = 24
+_MOD4_COLOR_PRICE = 12
+_MOD4_RESIDUE_PRICE = 0.13
+
+
+def _mod4_classification_work(c_max: int, n_max: int, order: Optional[int] = None) -> float:
+    """Price of ``verify_mod4_classification(c_max, n_max, order)``, in
+    the unit of ``series._check_work``: the plan prices of its distinct
+    mod-4 forms, which depend on c only through its parity, with
+    ``_MOD4_FORM_COEFFICIENT_PRICE`` for each of their coefficients, then
+    ``_MOD4_COLOR_PRICE`` for each c swept and ``_MOD4_RESIDUE_PRICE`` for
+    each residue compared. 0 for an empty range, which expands nothing;
+    past ``WORK_CAP`` colors or coefficients, the colors and coefficients
+    alone, which price it over the cap at once."""
+    order = _mod4_order(c_max, n_max, order)
+    if n_max < 1:
+        return 0.0
+    if c_max >= WORK_CAP or order >= WORK_CAP:
+        return float(min(c_max * _MOD4_COLOR_PRICE + order + 1, 2**64))
+    forms = set(_mod4_forms(c_max, order).values())
+    price = sum(_plan_price(_planned_steps(form, order, 4, None)) for form in forms)
+    price += len(forms) * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
+    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE)
 
 
 def _prime_power_components(m: int) -> List[int]:
@@ -278,8 +333,13 @@ def verify_family(
     pentagonal route. Both share the walk by descending subscript in
     ``q^g``, the one sparse division kernel of :mod:`overcubic.series` and
     one cost model picking sparse passes or dense powering for each step,
-    and each side expands under its own modulus. A disagreement means the
-    engine itself is broken and raises :class:`EngineInconsistencyError`.
+    and each side expands under its own modulus. Within a side the series
+    of all ``i`` share a factor, ``1/phi(-q)`` on the composite side,
+    ``f1^-2`` mod 4 and ``f1*f4/(f2*f3)`` mod 3: where the plan prices it
+    cheaper, the side expands it once and multiplies it into the rest of
+    each series, but never into another side's, so the two routes stay
+    independent. A disagreement means the engine itself is broken and
+    raises :class:`EngineInconsistencyError`.
     """
     return _verify_families([family], i_max, n_max, order)[0]
 
@@ -303,14 +363,20 @@ CONJECTURED_FAMILIES = (
 
 def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
-    covers every family, or 0 for an empty range. Each series that a side
-    of :func:`verify_family` reads is expanded once for all its readers,
-    keyed on its normalized form, modulus and route, and alike forms run
-    back to back, so they share the dense powers they build."""
+    covers every family, or 0 when the i or the n range is empty, which
+    reads nothing at any order that is not negative. Each series that a
+    side of :func:`verify_family`, a ``(modulus, route)`` pair, reads is
+    expanded once for all its readers, keyed on its normalized form, and
+    each side's forms are expanded together
+    (:func:`~overcubic.eta._expand_side`): the factor their walks share is
+    expanded once and multiplied into the rest of each form, and alike
+    forms run back to back, so they share the dense powers they build."""
+    empty = i_max < 1 or n_max < 0
     needed = [f.prog_slope * n_max + f.prog_intercept for f in families]
-    order = max(*needed, 0) if order is None else order
+    if order is None:
+        order = 0 if empty else max(needed)
     for family, least in zip(families, needed):
-        if order < least:
+        if order < least and not empty:
             raise ValueError(
                 f"order {order} is insufficient: progression "
                 f"{family.prog_slope}n+{family.prog_intercept} with n <= {n_max} "
@@ -321,6 +387,7 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
     if reports[0].vacuous:  # every report covers the same ranges
         return reports
+    # readers[modulus, route][form] lists the (j, family, i) that read it;
     # failures[j, route] maps (i, n) to the offending residue of family j
     readers, failures = {}, {}
     for j, family in enumerate(families):
@@ -330,18 +397,16 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
             for i in range(1, i_max + 1):
                 c = family.c_for(i)
                 form = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
-                readers.setdefault((form, modulus, route), []).append((j, family, i))
-    for (_, modulus, route), reads in sorted(readers.items()):
-        # every reader's series normalizes to this form: expand the first's
-        _, family, i = reads[0]
-        quotient = _colored_quotient(family.c_for(i), True)
-        series = expand_eta_quotient(quotient, order, modulus=modulus, route=route)
-        for j, family, i in reads:
-            want = family.residue % modulus
-            prog = series.extract_progression(family.prog_slope, family.prog_intercept)
-            failures.setdefault((j, route), {}).update(
-                ((i, n), got) for n, got in enumerate(prog.coeffs[: n_max + 1]) if got != want
-            )
+                readers.setdefault((modulus, route), {}).setdefault(form, []).append((j, family, i))
+    for (modulus, route), side in sorted(readers.items()):
+        forms = sorted(side)
+        for form, series in zip(forms, _expand_side(forms, order, modulus, route)):
+            for j, family, i in side[form]:
+                want = family.residue % modulus
+                prog = series.extract_progression(family.prog_slope, family.prog_intercept)
+                failures.setdefault((j, route), {}).update(
+                    ((i, n), got) for n, got in enumerate(prog.coeffs[: n_max + 1]) if got != want
+                )
     for j, family in enumerate(families):
         own = failures[j, "theta"]
         # with no prime-power parts there is nothing to cross-check

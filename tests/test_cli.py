@@ -407,7 +407,9 @@ M61 = 2**61 - 1
 # Every engine's request at its edge, as (engine, fixed arguments, the largest
 # admitted value of the last one), bisected. Each ran in 1.5-3.7 s, cold, on a
 # 2-vCPU x86 host (median of three runs; the tables in CHANGES.md). An
-# expansion's edge is priced with the rows the CLI prints.
+# expansion's edge is priced with the rows the CLI prints. The mod-4 sweep's
+# edge, at c <= 10, is set by the memory its forms hold: about 1.0 s and
+# 190 MB.
 WORK_CAP_EDGES = [
     ("expand", (1, None), 103403), ("expand", (1, 4), 4807480), ("expand", (1, 12), 263434),
     ("expand", (1, M61), 163405), ("expand", (10, None), 36834), ("expand", (10, 4), 4434894),
@@ -416,7 +418,7 @@ WORK_CAP_EDGES = [
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
     ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
-    ("brute", (30,), 7),
+    ("brute", (30,), 7), ("thm14", (10,), 2781662),
 ]
 _EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
 _DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
@@ -435,6 +437,8 @@ def _request(engine, args, value):
     if engine == "brute":
         return ["count", "--kind", "overcubic", "--c", str(value), "--n", str(args[0]),
                 "--engine", "brute"]
+    if engine == "thm14":
+        return ["verify", "--target", "thm14", "--c-max", str(args[0]), "--n-max", str(value)]
     return lambda: counting_module.distinct_class_profile.__wrapped__(value, args[0])
 
 
@@ -577,6 +581,38 @@ def test_verify_thm14_small(capsys):
     assert report["order"] == 50
 
 
+def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
+    # past the work cap the mod-4 sweep expands nothing: in n, in c, and at
+    # counts far past it, which are priced at once
+    def expanding(*args):
+        raise AssertionError("expanded a refused sweep")
+
+    monkeypatch.setattr(verify_module, "gen_overcubic_gf", expanding)
+    for c_max, n_max in ((10, 2781663), (551083, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
+        err = assert_refused(capsys, "verify", "--target", "thm14", "--c-max", str(c_max),
+                             "--n-max", str(n_max))
+        assert "mod-4 sweep" in err and "lower --n-max or --c-max" in err
+
+
+def test_thm14_price_admits_the_frontier_and_prices_its_parts():
+    # the CI frontier and the benchmark's size stay admitted; the price is
+    # the plans of the two mod-4 forms, with the memory of their
+    # coefficients, and a price per c and per residue compared
+    work = verify_module._mod4_classification_work
+    assert work(10, 10**6) <= WORK_CAP
+    assert work(10, 2000) <= WORK_CAP
+    forms = sum(_expansion_work(_colored_quotient(c, True), 2000, 4) for c in (1, 2))
+    assert work(10, 2000) == (
+        forms + 2 * 2001 * verify_module._MOD4_FORM_COEFFICIENT_PRICE
+        + 10 * (verify_module._MOD4_COLOR_PRICE + 2000 * verify_module._MOD4_RESIDUE_PRICE)
+    )
+    # at c <= 1 the sweep reads one form, and an empty range reads none
+    assert work(1, 2000) < work(2, 2000)
+    assert work(10, 0) == work(10, -5) == 0
+    # an explicit order prices the forms at it
+    assert work(10, 2000, 3000) > work(10, 2000)
+
+
 def test_verify_thm15_small(capsys):
     code, record = run_json(
         capsys, "verify", "--target", "thm15", "--i-max", "1", "--n-max", "10"
@@ -646,20 +682,31 @@ def test_vacuous_verify_reports_order_zero(capsys):
     assert err == "error: order must be non-negative, got -5\n"
 
 
+def test_empty_i_range_reports_order_zero(capsys):
+    # a sweep over no i reads nothing: order 0, as for an empty n range
+    for argv in (["--i-max", "0"], ["--n-max", "-1"]):
+        code, out, _ = run(capsys, "verify", "--target", "thm15", *argv)
+        assert code == 0
+        record = json.loads(out)
+        assert record["parameters"]["order"] == 0
+        assert {r["order"] for r in record["reports"]} == {0}
+
+
 def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
     # make the prime-power route disagree with the direct mod-6 route: the
     # first family reads q^2 at i = 1, n = 0
-    real = verify_module.expand_eta_quotient
+    real = verify_module._expand_side
 
-    def skewed(e, order, modulus=None, route=None):
-        series = real(e, order, modulus=modulus, route=route)
-        if route != "pentagonal":
-            return series
-        coeffs = list(series.coeffs)
-        coeffs[2] = (coeffs[2] + 1) % modulus
-        return Series(coeffs, modulus)
+    def skewed(forms, order, modulus, route):
+        for series in real(forms, order, modulus, route):
+            if route != "pentagonal":
+                yield series
+                continue
+            coeffs = list(series.coeffs)
+            coeffs[2] = (coeffs[2] + 1) % modulus
+            yield Series(coeffs, modulus)
 
-    monkeypatch.setattr(verify_module, "expand_eta_quotient", skewed)
+    monkeypatch.setattr(verify_module, "_expand_side", skewed)
     code, out, err = run(
         capsys, "verify", "--target", "thm15", "--i-max", "1", "--n-max", "5"
     )

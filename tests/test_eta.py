@@ -17,7 +17,9 @@ from overcubic.eta import (
     _DIVISION_EXPONENT_PRICE,
     _PAIR_PRICE,
     _colored_quotient,
+    _euler_factors,
     _expand_normalized,
+    _expand_side,
     _expansion_work,
     _factor_plan,
     _factor_terms,
@@ -28,6 +30,7 @@ from overcubic.eta import (
     _prime_power_base,
     _theta_rewrite,
     _theta_terms,
+    _walk,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -819,6 +822,46 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
         _factor_terms.cache_clear()
     assert len(walks) == len(set(walks)) == 17
     assert isinstance(_factor_terms(1, 10), tuple)
+
+
+_SIDE_MODULI = [2, 3, 4, 6, 8, 9, 12, 27]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sets(st.integers(1, 60), min_size=1, max_size=6),
+    _wide_quotients,
+    st.sampled_from(_SIDE_MODULI),
+    st.sampled_from(ROUTES),
+    st.sampled_from([0, 1, 2, 57, 200, 548]),
+    st.sampled_from([None, 0.0, math.inf]),
+)
+def test_shared_side_matches_each_expansion(colors, extra, m, route, order, product):
+    # a side's forms, the colored series times a common extra quotient, are
+    # served in their order and equal each form expanded on its own. The
+    # product's price is left to the plan, or set to 0 or past any form, so
+    # that each form is served by its remainder, the shared series itself
+    # or its whole walk, and the side shares or not
+    forms = sorted({
+        tuple(_normalized_factors(EtaQuotient(_colored_quotient(c, True).factors + tuple(extra)), order, m))
+        for c in colors
+    })
+    with pytest.MonkeyPatch.context() as mp:
+        if product is not None:
+            mp.setattr(eta_module, "_product_price", lambda order, m: product)
+        got = list(_expand_side(forms, order, m, route))
+    assert got == [expand_eta_quotient(form, order, m, route) for form in forms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_quotients, st.integers(0, 300), st.sampled_from(_ROUTE_MODULI), st.sampled_from(ROUTES),
+       st.data())
+def test_euler_factors_give_the_walk_back(factors, order, m, route, data):
+    # the shared factor is expanded as the eta quotient whose walk is the
+    # shared steps: any steps of one walk come back from their Euler factors
+    walk = _walk(_normalized_factors(EtaQuotient(factors), order, m), order, m, route)
+    some = [step for step in walk if data.draw(st.booleans())]
+    assert _walk(_euler_factors(some, order), order, m, route) == some
 
 
 def test_routes_give_equal_series():

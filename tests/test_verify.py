@@ -2,8 +2,11 @@
 
 import math
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overcubic.eta as eta_module
 import overcubic.verify as verify_module
@@ -152,10 +155,21 @@ def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     assert forms == [1, 2]
 
 
+def test_mod4_forms_depend_on_c_only_through_its_parity():
+    # the price of the mod-4 sweep plans the forms of c = 1 and c = 2 alone
+    for order in (*range(40), 548, 2000, 10**6):
+        form = {c % 2: _normalized_factors(_colored_quotient(c, True), order, 4) for c in (1, 2)}
+        for c in (*range(1, 80), 10**6, 10**6 + 1, 10**400, 10**400 + 1):
+            assert _normalized_factors(_colored_quotient(c, True), order, 4) == form[c % 2]
+
+
 def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
-    # each sweep expands each distinct (form, modulus, route) it reads once:
-    # a form expanded twice would show as more calls than distinct keys
+    # each sweep serves each distinct (form, modulus, route) it reads once,
+    # and builds each side's shared factor at most once: a form served twice
+    # would show as more forms served than distinct ones, a factor built
+    # twice as a repeated key
     keys = recorded_expansions(monkeypatch)
+    served = recorded_sides(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
     # even c
     verify_mod4_classification(10, 200, 200)
@@ -163,17 +177,46 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # 27 reads: c = 5, 8, 11 mod 6, 2, 3 and c = 14, ..., 35 mod 12, 4, 3.
     # The series is 1 mod 2 and takes two forms mod 4, which leaves 21
     # distinct; serving mod 4 or mod 3 from a mod-12 series would show as
-    # fewer calls
+    # fewer. Each side builds one series from scratch: the one form mod 2,
+    # and elsewhere the factor its forms share, 1/phi(-q) = f2/f1^2 on the
+    # theta sides, f1^-2 mod 4 and f1*f4/(f2*f3) mod 3
     keys.clear()
     verify_proved_families(3, 21, 200)
-    assert len(keys) == len(set(keys)) == 21
+    assert len(served) == len(set(served)) == 21
+    assert sorted(keys) == [
+        ((), 200, 2, "pentagonal"),
+        (((1, -2),), 200, 4, "pentagonal"),
+        (((1, -2), (2, 1)), 200, 6, "theta"),
+        (((1, -2), (2, 1)), 200, 12, "theta"),
+        (((1, 1), (2, -1), (3, -1), (4, 1)), 200, 3, "pentagonal"),
+    ]
     # at i <= 20 each sweep reads 111 at n <= 30 and 87 at n <= 10, where
     # the lower order makes forms of distant c coincide
     for sweep in (verify_proved_families, verify_conjectured_families):
         for n_max, distinct in ((30, 111), (10, 87)):
             keys.clear()
+            served.clear()
             sweep(20, n_max)
-            assert len(keys) == len(set(keys)) == distinct
+            assert len(served) == len(set(served)) == distinct
+            forms = Counter((m, route) for _, m, route in served)
+            built = Counter(key[2:] for key in keys)
+            assert len(keys) == len(set(keys))
+            assert all(built[side] <= forms[side] for side in built)
+
+
+def recorded_sides(monkeypatch):
+    """The ``(form, modulus, route)`` of every series a family sweep's sides
+    serve (``_expand_side``) while the test runs."""
+    served = []
+    real = verify_module._expand_side
+
+    def recording(forms, order, m, route):
+        for form, series in zip(forms, real(forms, order, m, route)):
+            served.append((form, m, route))
+            yield series
+
+    monkeypatch.setattr(verify_module, "_expand_side", recording)
+    return served
 
 
 def recorded_expansions(monkeypatch):
@@ -271,6 +314,16 @@ def test_family_empty_n_range_is_vacuous():
         assert report.to_dict()["n_range"] == [0, -1]
 
 
+def test_empty_ranges_default_to_order_zero():
+    # a sweep over an empty i range or an empty n range reads nothing, so it
+    # runs at order 0 by default, whatever the other range
+    for sweep in (verify_proved_families, verify_conjectured_families):
+        for i_max, n_max in ((0, 100), (-2, 100), (3, -1), (0, -1)):
+            reports = sweep(i_max, n_max)
+            assert {r.order for r in reports} == {0}
+            assert all(r.vacuous and r.passed for r in reports)
+
+
 def test_mod4_sweep_empty_n_range_is_vacuous():
     report = verify_mod4_classification(3, 0, 0)
     assert report.passed
@@ -310,6 +363,49 @@ def test_family_with_a_large_prime_modulus_finishes():
     report = verify_family(CongruenceFamily(1, 1, 2, 0, 2**61 - 1), 1, 5, 20)
     assert report.n_range == (0, 5)
     assert _prime_power_components(2 * (2**61 - 1)) == [2, 2**61 - 1]
+
+
+@st.composite
+def congruence_families(draw):
+    slope = draw(st.integers(1, 9))
+    modulus = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 27, 36]))
+    return CongruenceFamily(
+        draw(st.integers(0, 9)), draw(st.integers(1, 12)), slope, draw(st.integers(0, slope - 1)),
+        modulus, draw(st.integers(0, modulus - 1)),
+    )
+
+
+def per_form_reports(families, i_max, n_max, order):
+    """The reports of ``_verify_families``, from every (i, side) of every
+    family expanded on its own; the (i, n) that fail mod the family's
+    modulus must be those that fail mod one of its prime-power parts."""
+    reports = []
+    for family in families:
+        parts = _prime_power_components(family.modulus)
+        sides = [(family.modulus, "theta")] + [(pe, "pentagonal") for pe in parts if len(parts) > 1]
+        failures = {}
+        for modulus, route in sides:
+            for i in range(1, i_max + 1):
+                series = expand_eta_quotient(_colored_quotient(family.c_for(i), True), order, modulus, route)
+                prog = series.coeffs[family.prog_intercept :: family.prog_slope][: n_max + 1]
+                failures.setdefault(route, {}).update(
+                    ((i, n), got) for n, got in enumerate(prog) if got != family.residue % modulus
+                )
+        assert set(failures.get("pentagonal", failures["theta"])) == set(failures["theta"])
+        bad = tuple(Counterexample(i, n, got, family.residue) for (i, n), got in sorted(failures["theta"].items()))
+        reports.append(VerificationReport(family.describe(), (1, i_max), (0, n_max), order, bad))
+    return reports
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(congruence_families(), min_size=1, max_size=3), st.integers(1, 6), st.integers(0, 40))
+def test_family_sweep_matches_a_per_form_loop(families, i_max, n_max):
+    # the sweep's sides share factors and serve each form once; the reports,
+    # mostly of false families, must be those of a loop that expands every
+    # (i, side) on its own
+    order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
+    got = verify_module._verify_families(families, i_max, n_max, None)
+    assert got == per_form_reports(families, i_max, n_max, order)
 
 
 def test_conjectured_families_small_sweep():
