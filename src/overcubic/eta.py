@@ -11,8 +11,8 @@ kept: a caller that reads one series more than once asks for it once, as
 the sweeps of :mod:`overcubic.verify` do by normalized form, and the forms
 of one side of a family sweep are expanded together, through the factor
 their walks share (:func:`_expand_side`). Only the dense powers of step 2
-are memoized, keyed on the modulus, so expansions that differ may still
-find their powers built.
+are memoized, in a dict that one side owns, so the expansions of a side
+find the powers the others built, and the dict is dropped with the side.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -67,30 +67,28 @@ find their powers built.
    inverts it through the same kernel, and any other power is the square
    of the power at ``k // 2`` rounded toward zero, times ``base^+-1`` when
    ``k`` is odd; the power is then multiplied in by the Kronecker product.
-   The ladder is keyed on the compressed step, the exponent, the order and
-   the modulus, so the expansions of one sweep share its rungs and a
-   repeated step costs one product. Its entries are bounded by the bytes they hold
-   (``_POWER_MEMO_BYTES``), least recently used first out. The plan
-   prices a division pass, sparse or the dense route's inverting walk,
-   per term and per exponent, a multiply pass per term or per pair of a
-   nonzero coefficient and a term, and the dense route as a cold ladder:
-   a rung the memo holds costs nothing, so every price bounds the work of
-   its step from above.
+   The rungs are kept in a dict that one side of a sweep owns (a lone
+   expansion is a side of one form), keyed on the compressed step, the
+   exponent, the order and the base, ``f`` or ``phi``, so the expansions
+   of a side share them and a repeated step costs one product. One dict
+   serves one modulus, and it is dropped when the side is done: no power
+   outlives the call that built it. The plan prices a division pass,
+   sparse or the dense route's inverting walk, per term and per exponent,
+   a multiply pass per term or per pair of a nonzero coefficient and a
+   term, and the dense route as a cold ladder: a rung the dict holds costs
+   nothing, so every price bounds the work of its step from above.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-import threading
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import exp, gcd, log, log1p, pi, sqrt
 from operator import add, sub
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
     WORK_CAP, Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread,
@@ -344,11 +342,7 @@ def _normalized_factors(
 
 def expand_f(n: int, k: int, order: int, modulus: Optional[int] = None) -> Series:
     """Truncated expansion of ``f(n)^k`` for any integer exponent ``k``."""
-    return expand_eta_quotient([(n, k)], order, modulus)
-
-
-def _coerce_factors(e: Union[EtaQuotient, FactorList]) -> EtaQuotient:
-    return e if isinstance(e, EtaQuotient) else EtaQuotient(e)
+    return expand_eta_quotient(EtaQuotient([(n, k)]), order, modulus)
 
 
 # The two walks a request may name; with none, the plan prices both.
@@ -356,7 +350,7 @@ ROUTES = ("pentagonal", "theta")
 
 
 def expand_eta_quotient(
-    e: Union[EtaQuotient, FactorList],
+    e: EtaQuotient,
     order: int,
     modulus: Optional[int] = None,
     route: Optional[str] = None,
@@ -372,39 +366,43 @@ def expand_eta_quotient(
     the division kernel for ``k < 0``), or, under a modulus, dense powering
     of its base. Reducing after every step keeps coefficients bounded; by
     the homomorphism property the result matches reduce-at-the-end. Each
-    call expands afresh; only the dense powers are memoized
-    (:func:`_dense_power`).
+    call expands afresh, as a side of one form (:func:`_expand_side`): the
+    dense powers it builds are shared by its own steps only, and dropped
+    when it returns (:func:`_dense_power`).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if route is not None and route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
-    factors = tuple(_normalized_factors(_coerce_factors(e), order, m))
-    return _expand_normalized(factors, order, m, route)
+    factors = tuple(_normalized_factors(e, order, m))
+    return next(_expand_side([factors], order, m, route))
 
 
 def _expand_normalized(
-    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str]
+    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str],
+    powers: dict,
 ) -> Series:
     """The expansion of already normalized factors: the steps
-    :func:`_planned_steps` plans, run by :func:`_run_steps`."""
-    return _run_steps(_planned_steps(factors, order, m, route), order, m)
+    :func:`_planned_steps` plans, run by :func:`_run_steps` with the dense
+    powers ``powers`` holds."""
+    return _run_steps(_planned_steps(factors, order, m, route), order, m, powers)
 
 
-def _run_steps(steps, order: int, m: Optional[int]) -> Series:
+def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
     """The product of planned steps, as :func:`_plan_walk` gives them, to
     ``order``. The running product is a series in ``q^g`` holding only its
     ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step applies
     its base, ``f(n)`` or ``phi(-q^n)``, to it as the same base at ``n //
-    g`` (step 2 of the module docstring)."""
+    g`` (step 2 of the module docstring). A dense step takes its power from
+    the ladder ``powers`` holds (:func:`_dense_power`)."""
     g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)
     for h, step, k, top, theta, nz, dense, _ in steps:
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
         if dense:
-            power = _dense_power(step, k, top, m, theta)
+            power = _dense_power(step, k, top, m, theta, powers)
             coeffs = list((Series._canonical(tuple(coeffs), m) * power if nz > 1 else power).coeffs)
             continue
         terms = _factor_terms(step, top, theta)
@@ -418,86 +416,22 @@ def _run_steps(steps, order: int, m: Optional[int]) -> Series:
     return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
 
 
-def _held_bytes(series: Series) -> int:
-    """Bytes a memo holding ``series`` keeps alive, from above: a pointer per
-    coefficient, and for coefficients past CPython's cached small ints
-    (-5 to 256) the size of an int as wide as the largest of them."""
-    m = series.modulus
-    largest = m - 1 if m is not None else max(map(abs, series.coeffs))
-    if m is not None and largest <= 256:
-        return 8 * len(series.coeffs)
-    return (8 + sys.getsizeof(largest)) * len(series.coeffs)
-
-
-class _PowerMemo:
-    """Least-recently-used memo of dense powers, bounded by the bytes its
-    entries hold (:func:`_held_bytes`), not by their number. An entry that
-    alone passes the bound is not kept. One lock guards the entries and the
-    counts, so threads may share it; a power is computed outside the lock,
-    and two threads that miss on one key both compute it, to equal series."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.held = 0
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[tuple, Tuple[Series, int]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[Series]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: tuple, series: Series) -> None:
-        size = _held_bytes(series)
-        if size > self.limit:
-            return
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = (series, size)
-            self.held += size
-            while self.held > self.limit:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.held -= dropped
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.held = self.hits = self.misses = 0
-
-
-# The family sweeps keep well under this: with their sides sharing a factor,
-# thm15 at n <= 2000 (order 18 003) builds 39 powers of 2.5 MB in all, at
-# n <= 6000 7.5 MB, and conj73 at i <= 20, n <= 300 builds 158 of 1.6 MB
-# (without sharing 37 of 2.2 MB, 6.5 MB, and 159 of 1.6 MB). At the expand
-# work bound's orders one power under a small modulus holds up to 4.6 MB,
-# so the memo keeps a few rungs there, and an expansion's peak memory stays
-# within a small multiple of its own.
-_POWER_MEMO_BYTES = 16 * 2**20
-_POWER_MEMO = _PowerMemo(_POWER_MEMO_BYTES)
-
-
-def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool) -> Series:
+def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool, powers: dict) -> Series:
     """``f(step)^k``, or ``phi(-q^step)^k`` when ``theta``, at order ``top``
-    (mod ``m``), from one memoized ladder: ``k = 1`` is the base built from
-    its terms, ``k = -1`` its inverse, and any other ``k`` the square of the
-    power at ``k // 2`` rounded toward zero, times the power at ``+-1`` when
-    ``k`` is odd. That is the products and the inversion of
-    ``Series.__pow__``, so a cold ladder costs what the plan prices, and a
-    warm one shares rungs between the expansions of a sweep. The modulus is
-    in the key: an entry never serves another modulus. The ladder is walked
-    down to the first rung the memo holds, or to ``k = 1``, and built back
-    up without recursion, so an exponent of any size takes one frame."""
+    (mod ``m``), from one ladder whose rungs ``powers`` keeps, keyed ``(step,
+    k, top, theta)``: ``k = 1`` is the base built from its terms, ``k = -1``
+    its inverse, and any other ``k`` the square of the power at ``k // 2``
+    rounded toward zero, times the power at ``+-1`` when ``k`` is odd. That
+    is the products and the inversion of ``Series.__pow__``, so a cold
+    ladder costs what the plan prices, and the expansions of one side,
+    which share ``powers``, share its rungs. The modulus is not in the key:
+    one dict serves one modulus, that of its side (:func:`_expand_side`).
+    The ladder is walked down to the first rung ``powers`` holds, or to
+    ``k = 1``, and built back up without recursion, so an exponent of any
+    size takes one frame."""
     missing = []
     while True:
-        power = _POWER_MEMO.get((step, k, top, m, theta))
+        power = powers.get((step, k, top, theta))
         if power is not None or k == 1:
             break
         missing.append(k)
@@ -506,16 +440,15 @@ def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool) -> 
         f = [1] + [0] * top
         for t, w in _factor_terms(step, top, theta):
             f[t] = w if m is None else w % m
-        power = Series._canonical(tuple(f), m)
-        _POWER_MEMO.put((step, 1, top, m, theta), power)
+        power = powers[step, 1, top, theta] = Series._canonical(tuple(f), m)
     for k in reversed(missing):
         if k == -1:
             power = power.invert()
         else:
             power = power * power
             if k % 2:
-                power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta)
-        _POWER_MEMO.put((step, k, top, m, theta), power)
+                power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta, powers)
+        powers[step, k, top, theta] = power
     return power
 
 
@@ -616,7 +549,7 @@ def _euler_factors(walk, order: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted((n, k) for n, k in exps.items() if k))
 
 
-def _expand_side(forms, order: int, m: int, route: str) -> Iterator[Series]:
+def _expand_side(forms, order: int, m: Optional[int], route: Optional[str]) -> Iterator[Series]:
     """The expansions of the normalized ``forms`` mod ``m`` along the walk
     ``route`` names, one at a time in their order, sharing the steps that
     every walk takes. The shared factor is expanded once, as the eta
@@ -628,12 +561,17 @@ def _expand_side(forms, order: int, m: int, route: str) -> Iterator[Series]:
     product price above its whole walk runs whole, and the side shares only
     when the shared factor's one expansion plus each form's cheaper way
     prices below every form run whole. Each walk and each rest is planned
-    once and run from that plan (:func:`_run_steps`)."""
+    once and run from that plan (:func:`_run_steps`). The shared factor,
+    the whole walks and the rests take their dense powers from one dict,
+    made here and dropped with the side (:func:`_dense_power`). A lone
+    expansion is a side of one form, which may name no route and expand
+    over Z (:func:`expand_eta_quotient`)."""
+    powers: dict = {}
     walks = [_walk(form, order, m, route) for form in forms]
     shared = [step for step in walks[0] if all(step in walk for walk in walks[1:])]
     if len(forms) < 2 or not shared:
         for form in forms:
-            yield _expand_normalized(form, order, m, route)
+            yield _expand_normalized(form, order, m, route, powers)
         return
     wholes = [_plan_walk(walk, order, m) for walk in walks]
     rests = [_plan_walk([step for step in walk if step not in shared], order, m) for walk in walks]
@@ -644,12 +582,14 @@ def _expand_side(forms, order: int, m: int, route: str) -> Iterator[Series]:
     sharing = _plan_price(_plan_walk(shared, order, m)) + sum(map(min, rest_prices, whole_prices))
     if sharing >= sum(whole_prices):
         by_rest = [False] * len(forms)
-    common = _expand_normalized(_euler_factors(shared, order), order, m, route) if any(by_rest) else None
+    common = None
+    if any(by_rest):
+        common = _expand_normalized(_euler_factors(shared, order), order, m, route, powers)
     for whole, rest, use in zip(wholes, rests, by_rest):
         if not use:
-            yield _run_steps(whole, order, m)
+            yield _run_steps(whole, order, m, powers)
         else:
-            yield common * _run_steps(rest, order, m) if rest else common
+            yield common * _run_steps(rest, order, m, powers) if rest else common
 
 
 def _compressed_walk(factors, order: int):
@@ -727,8 +667,9 @@ def _factor_plan(
     the constant term 1. Over Z only sparse passes: dense slots must hold
     coefficient growth. :func:`_planned_steps` asks it at the compressed
     step: the base at ``n // g`` and ``order // g``. The dense price is that
-    of a cold :func:`_dense_power` ladder: a rung the memo holds costs
-    nothing, so a price bounds the work from above."""
+    of a cold :func:`_dense_power` ladder: a rung that an earlier
+    expansion of the same side left in its dict costs nothing, so a price
+    bounds the work from above."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else _update_price((m - 1).bit_length())
     division = (terms + _DIVISION_EXPONENT_PRICE) * update  # per exponent

@@ -214,8 +214,9 @@ def verify_mod4_classification(
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
     by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
-    Each distinct mod-4 form of the series is expanded once, two in all:
-    ``f2/f1^2`` for every odd c and ``f4/(f1^2*f2)`` for every even c. The
+    Each distinct mod-4 form of the series is expanded and compared once,
+    two in all: ``f2/f1^2`` for every odd c and ``f4/(f1^2*f2)`` for every
+    even c, and its mismatches are reported for every c that reads it. The
     theta walk expands them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``,
     since ``phi(-q^n)^2 == 1 (mod 4)``, so no step divides; the paper's
     mod-4 theorem rests on the same fact, so the test
@@ -232,31 +233,29 @@ def verify_mod4_classification(
         return report
     # the prediction depends on c only through 2(c+1) mod 4, its value at
     # twice a square; it is 2 at a square and 0 elsewhere. The form depends
-    # on c only through its parity too
-    parity_forms = _mod4_forms(c_max, order)
-    predictions, forms = {}, {}
-    bad: List[Counterexample] = []
-    for c in range(1, c_max + 1):
-        twice_square = 2 * (c + 1) % 4
-        if twice_square not in predictions:
-            row = [0] * (n_max + 1)
-            for k in range(1, math.isqrt(n_max // 2) + 1):
-                row[2 * k * k] = twice_square
-            for k in range(1, math.isqrt(n_max) + 1):
-                row[k * k] = 2
-            predictions[twice_square] = tuple(row[1:])
-        expected = predictions[twice_square]
-        form = parity_forms[c % 2]
-        if form not in forms:
-            forms[form] = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
-        observed = forms[form]
+    # on c only through its parity too, so each parity is compared once, at
+    # its least c, and its mismatches are reported for every c of it
+    mismatches = {0: [], 1: []}
+    for c in range(1, min(c_max, 2) + 1):
+        row = [0] * (n_max + 1)
+        for k in range(1, math.isqrt(n_max // 2) + 1):
+            row[2 * k * k] = 2 * (c + 1) % 4
+        for k in range(1, math.isqrt(n_max) + 1):
+            row[k * k] = 2
+        expected = tuple(row[1:])
+        observed = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
         if observed != expected:
-            bad.extend(
-                Counterexample(c, n, got, want)
+            mismatches[c % 2] = [
+                (n, got, want)
                 for n, (got, want) in enumerate(zip(observed, expected), start=1)
                 if got != want
-            )
-    return replace(report, counterexamples=tuple(bad))
+            ]
+    bad = tuple(
+        Counterexample(c, n, got, want)
+        for c in range(1, c_max + 1)
+        for n, got, want in mismatches[c % 2]
+    )
+    return replace(report, counterexamples=bad)
 
 
 def _mod4_forms(c_max: int, order: int) -> dict:

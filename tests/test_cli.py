@@ -819,15 +819,14 @@ def test_emit_rows_of_order_zero_and_none(capsys, values):
     assert capsys.readouterr().out == "n,coefficient\n" + "".join(f"{n},{v}\n" for n, v in rows)
 
 
-def test_expand_at_the_work_bound_streams_its_rows():
-    # f1^-40 mod 4 at order 572 507 is priced under the bound, and the
-    # expansion needs about 31 MB; holding its 572 508 rows as lists and one
-    # JSON string took 238 MB, and formatting them all in one chunk 99 MB.
-    # The dense power memo keeps at most its bound of powers alive.
-    # The child reads its own peak, VmHWM, which starts afresh at exec: the
-    # ru_maxrss of a forked child carries the test runner's peak over. Where
-    # /proc/self/status is missing, ru_maxrss is the fallback (in bytes on
-    # macOS, KiB elsewhere).
+def _child_peak_kib(argv):
+    """The exit status of the CLI run on ``argv`` in a child process, with
+    stdout sent to the null device, and the child's peak resident memory in
+    KiB. The child reads its own peak, VmHWM, which starts afresh at exec:
+    the ru_maxrss of a forked child carries the test runner's peak over,
+    and RUSAGE_CHILDREN is the peak of every child the runner has waited
+    for. Where /proc/self/status is missing, ru_maxrss is the fallback (in
+    bytes on macOS, KiB elsewhere)."""
     script = (
         "import os, resource, sys\n"
         "from overcubic.cli import main\n"
@@ -843,13 +842,31 @@ def test_expand_at_the_work_bound_streams_its_rows():
         "    peak //= 1024 if sys.platform == 'darwin' else 1\n"
         "print(code, peak)\n"
     )
-    argv = ["expand", "--eta", "f1^-40", "--order", "572507", "--modulus", "4"]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     code, peak_kib = map(int, proc.stdout.split())
+    return code, peak_kib
+
+
+def test_expand_at_the_work_bound_streams_its_rows():
+    # f1^-40 mod 4 at order 572 507 is priced under the bound, and the
+    # expansion needs about 31 MB; holding its 572 508 rows as lists and one
+    # JSON string took 238 MB, and formatting them all in one chunk 99 MB.
+    code, peak_kib = _child_peak_kib(
+        ["expand", "--eta", "f1^-40", "--order", "572507", "--modulus", "4"])
     assert code == 0
     assert peak_kib < 64 * 1024
+
+
+def test_long_family_sweep_holds_one_side_of_powers():
+    # conj73 at i <= 200 reads hundreds of series per side; a side keeps
+    # the dense powers it builds only until it is done, so the sweep's peak
+    # stays near that of one side: 30 MB on a 2-vCPU x86 host
+    code, peak_kib = _child_peak_kib(
+        ["verify", "--target", "conj73", "--i-max", "200", "--n-max", "300"])
+    assert code == 0
+    assert peak_kib < 60 * 1024
 
 
 def test_count_csv_matches_json(capsys):

@@ -12,7 +12,7 @@ import overcubic.eta as eta_module
 import overcubic.verify as verify_module
 from overcubic.counting import ColoredOverPartition, ColoredPart
 from overcubic.eta import (
-    _colored_quotient, _normalized_factors, expand_eta_quotient, gen_overcubic_gf, psi
+    EtaQuotient, _colored_quotient, _normalized_factors, expand_eta_quotient, gen_overcubic_gf, psi
 )
 from overcubic.series import Series
 from overcubic.verify import (
@@ -137,6 +137,34 @@ def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
     ]
 
 
+def test_mod4_sweep_reports_what_each_c_gives(monkeypatch):
+    # wrong residues planted in the series of every even c, whose mod-4 form
+    # is f4/(f1^2*f2): the sweep compares each parity once, and must report
+    # the counterexamples that comparing every c on its own gives, c by c
+    # and n by n
+    genuine = gen_overcubic_gf
+
+    def corrupted(c, order, modulus=None):
+        coeffs = list(genuine(c, order, modulus).coeffs)
+        if c % 2 == 0:
+            for n in (7, 18, 25):  # neither, twice a square, a square
+                coeffs[n] = (coeffs[n] + 1) % modulus
+        return Series(coeffs, modulus)
+
+    monkeypatch.setattr(verify_module, "gen_overcubic_gf", corrupted)
+    report = verify_mod4_classification(7, 40)
+    want = []
+    for c in range(1, 8):
+        series = corrupted(c, 40, 4)
+        want.extend(
+            Counterexample(c, n, series[n], expected_mod4_residue(c, n))
+            for n in range(1, 41)
+            if series[n] != expected_mod4_residue(c, n)
+        )
+    assert report.counterexamples == tuple(want)
+    assert [(ce.i, ce.n) for ce in want] == [(c, n) for c in (2, 4, 6) for n in (7, 18, 25)]
+
+
 def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     # the sweep expands phi(-q) and phi(-q) * phi(-q^2), the theta walk
     # reduced by phi(-q^n)^2 == 1 (mod 4); forced onto the pentagonal walk,
@@ -225,9 +253,9 @@ def recorded_expansions(monkeypatch):
     keys = []
     real = eta_module._expand_normalized
 
-    def recording(*key):
-        keys.append(key)
-        return real(*key)
+    def recording(factors, order, m, route, powers):
+        keys.append((factors, order, m, route))
+        return real(factors, order, m, route, powers)
 
     monkeypatch.setattr(eta_module, "_expand_normalized", recording)
     return keys
@@ -459,7 +487,7 @@ def test_report_counterexamples_stay_in_range():
 
 def test_check_identity_pass():
     order = 120
-    report = check_identity(psi(order), expand_eta_quotient([(2, 2), (1, -1)], order))
+    report = check_identity(psi(order), expand_eta_quotient(EtaQuotient([(2, 2), (1, -1)]), order))
     assert report.passed
     assert report.order == order
 
@@ -507,7 +535,7 @@ def test_mod3_reduction_for_c_3i_plus_2():
     for i in (1, 2, 3):
         lhs = gen_overcubic_gf(3 * i + 2, order, modulus=3)
         rhs = expand_eta_quotient(
-            [(12, i + 1), (6, -(2 * i + 1)), (2, 2), (1, -2), (4, -2)],
+            EtaQuotient([(12, i + 1), (6, -(2 * i + 1)), (2, 2), (1, -2), (4, -2)]),
             order,
             modulus=3,
         )
@@ -526,7 +554,7 @@ def test_mod3_extraction_chain_for_c_9i_plus_5():
         pulled = series.extract_progression(3, 0)
         m = pulled.order
         rhs = expand_eta_quotient(
-            [(4, 3 * i + 1), (2, -(6 * i + 2)), (1, -1)], m, modulus=3
+            EtaQuotient([(4, 3 * i + 1), (2, -(6 * i + 2)), (1, -1)]), m, modulus=3
         ) * theta_sum(F_MINUS_Q_Q2, m).reduce_mod(3)
         assert pulled == rhs
         assert pulled.extract_progression(3, 1).is_zero()
@@ -538,7 +566,7 @@ def test_mod3_reduction_for_c_9i_plus_8():
     for i in (1, 2):
         lhs = gen_overcubic_gf(9 * i + 8, order, modulus=3)
         rhs = expand_eta_quotient(
-            [(12, 3 * i + 2), (6, -(6 * i + 4)), (3, -1), (1, 1), (4, 1), (2, -1)],
+            EtaQuotient([(12, 3 * i + 2), (6, -(6 * i + 4)), (3, -1), (1, 1), (4, 1), (2, -1)]),
             order,
             modulus=3,
         )
