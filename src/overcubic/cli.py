@@ -26,9 +26,11 @@ pass (``series._kronecker_price``, ``series._update_price``):
 ``eta._expansion_work`` sums the plan's steps, to which ``expand`` adds
 the rows it prints (``_expand_price``), ``counting._dp_work`` sums the
 DP's block products over its tree, ``verify._mod4_classification_work``
-prices ``verify --target thm14`` by its forms, colors and residues, and
-``series._check_work`` refuses each over ``series.WORK_CAP``, as it
-refuses every engine's requests.
+prices ``verify --target thm14`` by its forms, colors and residues,
+``verify._families_work`` prices ``thm15`` and ``conj73`` by the plan of
+their sweep: its bases, Step series and step products, and the residues
+it compares, and ``series._check_work`` refuses each over
+``series.WORK_CAP``, as it refuses every engine's requests.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ from .eta import (
 )
 from .series import WORK_CAP, _check_work
 from .verify import (
+    CONJECTURED_FAMILIES,
     IDENTITIES,
+    PROVED_FAMILIES,
     EngineInconsistencyError,
     VerificationReport,
+    _families_work,
     _mod4_classification_work,
     check_named_identity,
     verify_conjectured_families,
@@ -284,8 +289,12 @@ def _cmd_verify(args, command: str) -> int:
             )
         reports = [check_named_identity(args.name, args.order)]
     else:
+        families = PROVED_FAMILIES if target == "thm15" else CONJECTURED_FAMILIES
+        i_max, n_max = params["i_max"], params["n_max"]
+        _check_work(_families_work(families, i_max, n_max, args.order),
+                    f"the {target} sweep of i <= {i_max} to n = {n_max}", "; lower --n-max or --i-max")
         sweep = verify_proved_families if target == "thm15" else verify_conjectured_families
-        reports = sweep(params["i_max"], params["n_max"], args.order)
+        reports = sweep(i_max, n_max, args.order)
     params["order"] = reports[0].order
     all_pass = all(r.passed for r in reports)
     record = _record(

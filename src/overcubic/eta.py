@@ -10,7 +10,8 @@ route; every named series and :func:`expand_f` call it. No expansion is
 kept: a caller that reads one series more than once asks for it once, as
 the sweeps of :mod:`overcubic.verify` do by normalized form, and the forms
 of one side of a family sweep are expanded together, through the factor
-their walks share (:func:`_expand_side`). Only the dense powers of step 2
+their walks share or as their neighbour times their quotient
+(:func:`_expand_side`). Only the dense powers of step 2
 are memoized, in a dict that one side owns, so the expansions of a side
 find the powers the others built, and the dict is dropped with the side.
 
@@ -87,7 +88,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import exp, gcd, log, log1p, pi, sqrt
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
@@ -195,7 +196,7 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
 
 
 # One sweep asks for a few compressed steps (n // g, order // g) of one or two
-# bases each, so each is walked once: the families sweep at i <= 3 needs 17.
+# bases each, so each is walked once: the families sweep at i <= 3 needs 16.
 @lru_cache(maxsize=64)
 def _factor_terms(step: int, order: int, theta: bool = False) -> Tuple[Tuple[int, int], ...]:
     """Terms ``(exponent, weight)`` of ``f(step)``, or of ``phi(-q^step)``
@@ -551,45 +552,89 @@ def _euler_factors(walk, order: int) -> Tuple[Tuple[int, int], ...]:
 
 def _expand_side(forms, order: int, m: Optional[int], route: Optional[str]) -> Iterator[Series]:
     """The expansions of the normalized ``forms`` mod ``m`` along the walk
-    ``route`` names, one at a time in their order, sharing the steps that
-    every walk takes. The shared factor is expanded once, as the eta
-    quotient :func:`_euler_factors` gives (mod 12 the theta walks share
-    ``1/phi(-q) = f2/f1^2``) through :func:`_expand_normalized`, the path
-    of every normalized form, which plans its few steps again; each form is
-    then the rest of its walk times it, one Kronecker product, or the
-    shared series itself when nothing remains. A form whose rest and
-    product price above its whole walk runs whole, and the side shares only
-    when the shared factor's one expansion plus each form's cheaper way
-    prices below every form run whole. Each walk and each rest is planned
-    once and run from that plan (:func:`_run_steps`). The shared factor,
-    the whole walks and the rests take their dense powers from one dict,
-    made here and dropped with the side (:func:`_dense_power`). A lone
-    expansion is a side of one form, which may name no route and expand
-    over Z (:func:`expand_eta_quotient`)."""
+    ``route`` names, one at a time in their order, as :func:`_side_plan`
+    plans them: each form by its whole walk, by the rest of its walk times
+    the factor every walk shares, or by the form before it times their
+    quotient, one Kronecker product each. The shared factor is expanded
+    once, as the eta quotient :func:`_euler_factors` gives (mod 12 the theta
+    walks share ``1/phi(-q) = f2/f1^2``), and each quotient as it comes,
+    through :func:`_expand_normalized`, the path of every normalized form,
+    which plans their few steps again; each whole walk and rest is planned
+    once and run from that plan (:func:`_run_steps`). All of them take
+    their dense powers from one dict, made here and dropped with the side
+    (:func:`_dense_power`), so a quotient whose power an earlier form built
+    costs its product. A lone expansion is a side of one form, which may
+    name no route and expand over Z (:func:`expand_eta_quotient`)."""
     powers: dict = {}
-    walks = [_walk(form, order, m, route) for form in forms]
-    shared = [step for step in walks[0] if all(step in walk for walk in walks[1:])]
-    if len(forms) < 2 or not shared:
+    if len(forms) < 2 or m is None:
         for form in forms:
             yield _expand_normalized(form, order, m, route, powers)
         return
-    wholes = [_plan_walk(walk, order, m) for walk in walks]
-    rests = [_plan_walk([step for step in walk if step not in shared], order, m) for walk in walks]
-    whole_prices = [_plan_price(whole) for whole in wholes]
+    common, ways = _side_plan(tuple(forms), order, m, route)[:2]
+    if common is not None:
+        common = _expand_normalized(common, order, m, route, powers)
+    series = None
+    for way, plan in ways:
+        if way == "whole":
+            series = _run_steps(plan, order, m, powers)
+        elif way == "rest":
+            series = common * _run_steps(plan, order, m, powers) if plan else common
+        elif plan:
+            series = series * _expand_normalized(plan, order, m, route, powers)
+        yield series
+
+
+# The CLI prices a family sweep by the plans of its sides, and the sweep then
+# runs each side from the same plan: each is built once.
+@lru_cache(maxsize=16)
+def _side_plan(forms: Tuple[Tuple[Tuple[int, int], ...], ...], order: int, m: int, route: Optional[str]):
+    """``(common, ways, price)`` of the side :func:`_expand_side` expands:
+    ``common`` the Euler factors of the steps that every walk takes, or
+    ``None`` when no form reads them, and one ``(way, plan)`` for each form,
+    its steps, or the factors of its quotient, whose priced options are
+    - ``"whole"``: its whole walk;
+    - ``"rest"``: the rest of its walk past the shared steps, times the
+      shared series, which is expanded once for the side;
+    - ``"quotient"``: the form before it times their quotient, the
+      difference of their exponents normalized mod ``m``; along a family
+      sweep's side the forms differ by ``(f4/f2^2)^e``, which walks few
+      steps.
+    A rest or a quotient adds one product (:func:`_product_price`), unless
+    it is empty. Each form takes its cheapest option, its whole walk on a
+    tie, and the shared series is expanded only when it lowers the side's
+    price: its expansion plus each form's cheapest way must price below
+    each form's cheapest way without it, so a lone form takes its whole
+    walk. ``price`` is the side's price."""
+    walks = [_walk(form, order, m, route) for form in forms]
+    shared = [step for step in walks[0] if all(step in walk for walk in walks[1:])]
     product = _product_price(order, m)
-    rest_prices = [_plan_price(rest) + product if rest else 0 for rest in rests]
-    by_rest = [rest < whole for rest, whole in zip(rest_prices, whole_prices)]
-    sharing = _plan_price(_plan_walk(shared, order, m)) + sum(map(min, rest_prices, whole_prices))
-    if sharing >= sum(whole_prices):
-        by_rest = [False] * len(forms)
+    options = []
+    for k, (form, walk) in enumerate(zip(forms, walks)):
+        whole = _plan_walk(walk, order, m)
+        ways = [("whole", whole, _plan_price(whole))]
+        if k:
+            quotient = tuple(_normalized_factors(_quotient(form, forms[k - 1]), order, m))
+            price = _plan_price(_planned_steps(quotient, order, m, route))
+            ways.append(("quotient", quotient, price + product if quotient else 0))
+        options.append(ways)
+    price_of = itemgetter(2)
+    alone = [min(ways, key=price_of) for ways in options]
+    price = sum(map(price_of, alone))
     common = None
-    if any(by_rest):
-        common = _expand_normalized(_euler_factors(shared, order), order, m, route, powers)
-    for whole, rest, use in zip(wholes, rests, by_rest):
-        if not use:
-            yield _run_steps(whole, order, m, powers)
-        else:
-            yield common * _run_steps(rest, order, m, powers) if rest else common
+    if shared:
+        for walk, ways in zip(walks, options):
+            rest = _plan_walk([step for step in walk if step not in shared], order, m)
+            ways.insert(1, ("rest", rest, _plan_price(rest) + product if rest else 0))
+        sharing = [min(ways, key=price_of) for ways in options]
+        price_sharing = _plan_price(_plan_walk(shared, order, m)) + sum(map(price_of, sharing))
+        if price_sharing < price and any(way == "rest" for way, _, _ in sharing):
+            common, alone, price = _euler_factors(shared, order), sharing, price_sharing
+    return common, [(way, plan) for way, plan, _ in alone], price
+
+
+def _quotient(form, other) -> EtaQuotient:
+    """The eta quotient ``form / other`` of two factor lists."""
+    return EtaQuotient([*form, *((n, -k) for n, k in other)])
 
 
 def _compressed_walk(factors, order: int):

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
 from .eta import (
     _CHAN_A2, _OVERCUBIC_MOD3_C5, _RAMANUJAN_P5, _TOH_LHS,
+    EtaQuotient,
     _colored_quotient,
+    _expand_normalized,
     _expand_side,
     _normalized_factors,
     _plan_price,
     _planned_steps,
+    _product_price,
+    _side_plan,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -332,13 +336,21 @@ def verify_family(
     pentagonal route. Both share the walk by descending subscript in
     ``q^g``, the one sparse division kernel of :mod:`overcubic.series` and
     one cost model picking sparse passes or dense powering for each step,
-    and each side expands under its own modulus. Within a side the series
-    of all ``i`` share a factor, ``1/phi(-q)`` on the composite side,
-    ``f1^-2`` mod 4 and ``f1*f4/(f2*f3)`` mod 3: where the plan prices it
-    cheaper, the side expands it once and multiplies it into the rest of
-    each series, but never into another side's, so the two routes stay
-    independent. A disagreement means the engine itself is broken and
-    raises :class:`EngineInconsistencyError`.
+    and each side expands under its own modulus. Each side steps i by the
+    period of its modulus: the series of c and of c + e differ by
+    ``(f4/f2^2)^e``, a series in ``q^s`` mod the side's modulus when e is
+    a multiple of its period P at the progression's slope s (the lcm over
+    its prime-power parts of the least P whose ``(f4/f2^2)^P``, normalized
+    mod the part, has every subscript divisible by s), so the progression
+    of i + lead is that of i times one Step series at order ``n_max``,
+    with ``lead = lcm(P, c_slope) / c_slope``. Only the first ``lead``
+    values of i are expanded, the bases. Within a side they share a factor,
+    ``1/phi(-q)`` on the composite side, ``f1^-2`` mod 4 and
+    ``f1*f4/(f2*f3)`` mod 3, or are their neighbour times their quotient,
+    where the plan prices that cheaper, but never another side's series or
+    Step, so the two routes stay independent. A disagreement, or a Step
+    off ``q^s``, means the engine itself is broken and raises
+    :class:`EngineInconsistencyError`.
     """
     return _verify_families([family], i_max, n_max, order)[0]
 
@@ -363,13 +375,61 @@ CONJECTURED_FAMILIES = (
 def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
     covers every family, or 0 when the i or the n range is empty, which
-    reads nothing at any order that is not negative. Each series that a
-    side of :func:`verify_family`, a ``(modulus, route)`` pair, reads is
-    expanded once for all its readers, keyed on its normalized form, and
-    each side's forms are expanded together
-    (:func:`~overcubic.eta._expand_side`): the factor their walks share is
-    expanded once and multiplied into the rest of each form, and alike
-    forms run back to back, so they share the dense powers they build."""
+    reads nothing at any order that is not negative. Each side of
+    :func:`verify_family`, a ``(modulus, route)`` pair, runs the plan of
+    :func:`_family_sides`. Its bases, the series of the first i of each
+    family, are expanded once for all their readers, keyed on their
+    normalized form, and together (:func:`~overcubic.eta._expand_side`): a
+    form may be the rest of its walk times the factor every walk shares, or
+    the form before it times their quotient. Each later i of a family reads
+    the progression of ``i - lead`` times the side's Step series for the
+    family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a series
+    in ``q^s``, s the slope of the progression, so it passes through the
+    progression, and one product at order ``n_max`` replaces an expansion
+    at order ``s*n_max + r``. A Step with a coefficient off ``q^s`` raises
+    :class:`EngineInconsistencyError`."""
+    order = _families_order(families, i_max, n_max, order)
+    reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
+    if reports[0].vacuous:  # every report covers the same ranges
+        return reports
+    # failures[j, route] maps (i, n) to the offending residue of family j
+    failures = {}
+    for (modulus, route), side in sorted(_family_sides(families, i_max, n_max, order).items()):
+        progressions = {}
+        for form, series in zip(side.forms, _expand_side(side.forms, order, modulus, route)):
+            for j, i in side.bases[form]:
+                family = families[j]
+                progression = series.extract_progression(family.prog_slope, family.prog_intercept)
+                progressions[j, i] = progression.truncate(n_max)
+        # the side's Steps share one dict of dense powers, and its bases another
+        powers: dict = {}
+        steps = {key: _step_series(form, key[0], n_max, order, modulus, route, powers)
+                 for key, form in side.steps.items()}
+        for j, (lead, key) in side.leads.items():
+            want = families[j].residue % modulus
+            found = failures.setdefault((j, route), {})
+            for i in range(1, i_max + 1):
+                if i > lead:
+                    progressions[j, i] = _step(progressions.pop((j, i - lead)), steps.get(key))
+                found.update(
+                    ((i, n), got) for n, got in enumerate(progressions[j, i].coeffs) if got != want
+                )
+    for j, family in enumerate(families):
+        own = failures[j, "theta"]
+        # with no prime-power parts there is nothing to cross-check
+        if set(failures.get((j, "pentagonal"), own)) != set(own):
+            raise EngineInconsistencyError(
+                "prime-power decomposition disagrees with the direct check "
+                f"for {family.describe()}: this is an engine bug"
+            )
+        bad = [Counterexample(i, n, got, family.residue) for (i, n), got in sorted(own.items())]
+        reports[j] = replace(reports[j], counterexamples=tuple(bad))
+    return reports
+
+
+def _families_order(families, i_max: int, n_max: int, order: Optional[int]) -> int:
+    """The order :func:`_verify_families` runs at, once its arguments are
+    checked."""
     empty = i_max < 1 or n_max < 0
     needed = [f.prog_slope * n_max + f.prog_intercept for f in families]
     if order is None:
@@ -383,40 +443,169 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
             )
         if order < 0:
             raise ValueError(f"order must be non-negative, got {_show(order)}")
-    reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
-    if reports[0].vacuous:  # every report covers the same ranges
-        return reports
-    # readers[modulus, route][form] lists the (j, family, i) that read it;
-    # failures[j, route] maps (i, n) to the offending residue of family j
-    readers, failures = {}, {}
+    return order
+
+
+# The periods searched for: the families' are 1 to 18, and the least period
+# mod 9 at s = 9 and mod 27 at s = 3 is 27.
+_PERIOD_BOUND = 32
+
+
+def _step_quotient(e: int) -> EtaQuotient:
+    """``(f4/f2^2)^e``, the series of c + e over the series of c."""
+    return EtaQuotient([(4, e), (2, -2 * e)])
+
+
+def _step_order(s: int, n_max: int, order: int) -> int:
+    """The order a Step in ``q^s`` is built at: the least that covers the
+    coefficients ``s*n + r`` with ``n <= n_max`` of every progression of
+    slope s, which the sweep's order covers."""
+    return min(order, s * n_max + s - 1)
+
+
+def _step_period(modulus: int, s: int, order: int) -> Optional[int]:
+    """The least P for which ``(f4/f2^2)^P`` is a series in ``q^s`` up to
+    ``order`` mod ``modulus``, or ``None`` past ``_PERIOD_BOUND``: the lcm of
+    the periods of the prime-power parts of the modulus. Mod 2 that is 1,
+    since ``f4 == f2^2``; mod 4 it is 2; mod 3 it is 3 at s = 3 and 9 at
+    s = 9, and mod 12 it is 18 at s = 9."""
+    periods = [_part_period(part, s, order) for part in _prime_power_components(modulus)]
+    return None if None in periods else math.lcm(*periods)
+
+
+# A sweep asks it for each prime-power part of each side of each family, and
+# its price asks again: thm15 asks 12 times for 4 distinct (part, s), conj73
+# 20 times for 3.
+@lru_cache(maxsize=64)
+def _part_period(part: int, s: int, order: int) -> Optional[int]:
+    """The least P up to ``_PERIOD_BOUND`` whose ``(f4/f2^2)^P``, normalized
+    mod the prime power ``part`` (:func:`~overcubic.eta._normalized_factors`),
+    has every subscript divisible by s, or ``None``."""
+    for p in range(1, _PERIOD_BOUND + 1):
+        if all(n % s == 0 for n, _ in _normalized_factors(_step_quotient(p), order, part)):
+            return p
+    return None
+
+
+@dataclass(frozen=True)
+class _Side:
+    """The plan of one ``(modulus, route)`` side of a family sweep.
+
+    ``bases`` maps each form expanded in full to the ``(j, i)`` that read
+    it, and ``forms`` lists them by the least c that reads them, so that
+    each form follows its nearest expanded neighbour. ``leads`` maps each
+    family j on the side to ``(lead, key)``: its first ``lead`` values of i
+    are bases, and each later i is the progression of ``i - lead`` times
+    the Step of ``key = (s, e)``, whose normalized form ``steps`` holds, or
+    the same progression when that form is empty. A family with no period
+    has every i a base, and a key of ``None``.
+    """
+
+    bases: dict
+    forms: list
+    steps: dict
+    leads: dict
+
+
+def _sides_of(family: CongruenceFamily) -> List[Tuple[int, str]]:
+    """The ``(modulus, route)`` sides that check ``family``: the theta walk
+    under its modulus and, for a composite one, the Euler factors under
+    each prime-power part."""
+    parts = _prime_power_components(family.modulus)
+    return [(family.modulus, "theta")] + [(part, "pentagonal") for part in parts if len(parts) > 1]
+
+
+def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
+    """The plan of each side (:func:`_sides_of`) of the sweep of
+    ``families`` over ``1 <= i <= i_max`` and ``0 <= n <= n_max`` at
+    ``order``. A family of slope s steps i by ``lead = lcm(P, c_slope) /
+    c_slope``, P the side's period at s (:func:`_step_period`), with the
+    Step of exponent ``e = lead * c_slope``; at ``c_slope = 0`` every i
+    reads the one series of c: its Step, of exponent 0, is 1."""
+    sides, forms = {}, {}
     for j, family in enumerate(families):
-        parts = _prime_power_components(family.modulus)
-        sides = [(family.modulus, "theta")] + [(pe, "pentagonal") for pe in parts if len(parts) > 1]
-        for modulus, route in sides:
-            for i in range(1, i_max + 1):
+        s = family.prog_slope
+        for modulus, route in _sides_of(family):
+            side = sides.setdefault((modulus, route), _Side({}, [], {}, {}))
+            step_order = _step_order(s, n_max, order)
+            period = _step_period(modulus, s, step_order) if family.c_slope else 1
+            if period is None:
+                lead, key = i_max, None
+            else:
+                e = math.lcm(period, family.c_slope)
+                lead, key = e // family.c_slope if family.c_slope else 1, (s, e)
+                if i_max > lead and key not in side.steps:
+                    side.steps[key] = tuple(_normalized_factors(_step_quotient(e), step_order, modulus))
+            side.leads[j] = (lead, key)
+            for i in range(1, min(lead, i_max) + 1):
                 c = family.c_for(i)
-                form = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
-                readers.setdefault((modulus, route), {}).setdefault(form, []).append((j, family, i))
-    for (modulus, route), side in sorted(readers.items()):
-        forms = sorted(side)
-        for form, series in zip(forms, _expand_side(forms, order, modulus, route)):
-            for j, family, i in side[form]:
-                want = family.residue % modulus
-                prog = series.extract_progression(family.prog_slope, family.prog_intercept)
-                failures.setdefault((j, route), {}).update(
-                    ((i, n), got) for n, got in enumerate(prog.coeffs[: n_max + 1]) if got != want
-                )
-    for j, family in enumerate(families):
-        own = failures[j, "theta"]
-        # with no prime-power parts there is nothing to cross-check
-        if set(failures.get((j, "pentagonal"), own)) != set(own):
-            raise EngineInconsistencyError(
-                "prime-power decomposition disagrees with the direct check "
-                f"for {family.describe()}: this is an engine bug"
-            )
-        bad = [Counterexample(i, n, got, family.residue) for (i, n), got in sorted(own.items())]
-        reports[j] = replace(reports[j], counterexamples=tuple(bad))
-    return reports
+                if (c, modulus) not in forms:  # families of one c_slope share their c
+                    forms[c, modulus] = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
+                side.bases.setdefault(forms[c, modulus], []).append((j, i))
+    for side in sides.values():
+        least = {form: min(families[j].c_for(i) for j, i in readers) for form, readers in side.bases.items()}
+        side.forms.extend(sorted(side.bases, key=least.get))
+    return sides
+
+
+def _step_series(form, s: int, n_max: int, order: int, m: int, route: str, powers: dict) -> Optional[Series]:
+    """The Step of the normalized ``form`` for progressions of slope s, to
+    ``n_max``: its expansion mod ``m`` along ``route`` at its
+    :func:`_step_order`, with the dense powers ``powers`` holds, under
+    ``q^s -> q``; ``None`` for the empty form, which is 1. A coefficient off
+    ``q^s`` raises :class:`EngineInconsistencyError`: the period that chose
+    the exponent says there is none."""
+    if not form:
+        return None
+    series = _expand_normalized(form, _step_order(s, n_max, order), m, route, powers)
+    if any(any(series.coeffs[r::s]) for r in range(1, s)):
+        raise EngineInconsistencyError(
+            f"the Step {EtaQuotient(form)} mod {m} has a coefficient off q^{s}: this is an engine bug"
+        )
+    return series.extract_progression(s, 0).truncate(n_max)
+
+
+def _step(progression: Series, step: Optional[Series]) -> Series:
+    """The progression of ``i + lead`` from that of ``i``: times the Step,
+    or unchanged when the Step is 1."""
+    return progression if step is None else progression * step
+
+
+# What a family sweep costs besides the plans of its bases, Steps and step
+# products, in updates of a sparse pass: each read of a progression, a
+# (family, side, i), with its products and dicts, and each residue of it
+# compared. conj73 at i <= 20 000, n = 0 took 1.7 us a read, and a residue
+# took 21 ns, on a 2-vCPU x86 host where the other engines' edges ran 12-16
+# ns an update.
+_FAMILY_READ_PRICE = 100
+_FAMILY_RESIDUE_PRICE = 2
+
+
+def _families_work(families, i_max: int, n_max: int, order: Optional[int] = None) -> float:
+    """Price of ``_verify_families(families, i_max, n_max, order)``, in the
+    unit of ``series._check_work``: the plan of each side
+    (:func:`_family_sides`), its bases as :func:`~overcubic.eta._side_plan`
+    prices them, its Steps at their orders, and one product at ``n_max``
+    for each stepped i, then ``_FAMILY_READ_PRICE`` for each progression
+    read and ``_FAMILY_RESIDUE_PRICE`` for each residue compared. 0 for an
+    empty range, which expands nothing; when the reads alone, or the
+    order, are past ``WORK_CAP``, those alone, which price it over the cap
+    at once."""
+    order = _families_order(families, i_max, n_max, order)
+    if i_max < 1 or n_max < 0:
+        return 0.0
+    sides = sum(len(_sides_of(family)) for family in families)
+    price = i_max * sides * (_FAMILY_READ_PRICE + (n_max + 1) * _FAMILY_RESIDUE_PRICE)
+    if price > WORK_CAP or order >= WORK_CAP:
+        return float(min(price + order + 1, 2**64))
+    for (modulus, route), side in _family_sides(families, i_max, n_max, order).items():
+        price += _side_plan(tuple(side.forms), order, modulus, route)[2]
+        for (s, _), form in side.steps.items():
+            if form:
+                price += _plan_price(_planned_steps(form, _step_order(s, n_max, order), modulus, route))
+        stepped = sum(max(i_max - lead, 0) for lead, key in side.leads.values() if side.steps.get(key))
+        price += stepped * _product_price(n_max, modulus)
+    return price
 
 
 def verify_proved_families(

@@ -409,7 +409,9 @@ M61 = 2**61 - 1
 # 2-vCPU x86 host (median of three runs; the tables in CHANGES.md). An
 # expansion's edge is priced with the rows the CLI prints. The mod-4 sweep's
 # edge, at c <= 10, is set by the memory its forms hold: about 1.0 s and
-# 190 MB.
+# 190 MB. The family sweeps' edges, conj73 at i <= 20 and thm15 at i <= 3,
+# ran in 1.4 and 1.6 s cold on a faster 2-vCPU x86 host, where the edges of
+# c = 10 over Z, c = 1 mod 4 and c = 10 mod 12 ran in 1.4, 2.0 and 2.1 s.
 WORK_CAP_EDGES = [
     ("expand", (1, None), 103403), ("expand", (1, 4), 4807480), ("expand", (1, 12), 263434),
     ("expand", (1, M61), 163405), ("expand", (10, None), 36834), ("expand", (10, 4), 4434894),
@@ -418,7 +420,7 @@ WORK_CAP_EDGES = [
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
     ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
-    ("brute", (30,), 7), ("thm14", (10,), 2781662),
+    ("brute", (30,), 7), ("thm14", (10,), 2781662), ("conj73", (20,), 2620), ("thm15", (3,), 3382),
 ]
 _EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
 _DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
@@ -439,6 +441,8 @@ def _request(engine, args, value):
                 "--engine", "brute"]
     if engine == "thm14":
         return ["verify", "--target", "thm14", "--c-max", str(args[0]), "--n-max", str(value)]
+    if engine in ("thm15", "conj73"):
+        return ["verify", "--target", engine, "--i-max", str(args[0]), "--n-max", str(value)]
     return lambda: counting_module.distinct_class_profile.__wrapped__(value, args[0])
 
 
@@ -613,6 +617,43 @@ def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     assert work(10, 2000, 3000) > work(10, 2000)
 
 
+def test_family_sweeps_are_refused_before_any_expansion(capsys, monkeypatch):
+    # past the work cap a family sweep expands nothing: in n, in i, and at
+    # ranges far past it, which are priced at once
+    def expanding(*args):
+        raise AssertionError("expanded a refused sweep")
+
+    monkeypatch.setattr(verify_module, "_expand_side", expanding)
+    monkeypatch.setattr(verify_module, "_expand_normalized", expanding)
+    for target, i_max, n_max in (("thm15", 3, 6000), ("thm15", 3, 10**5), ("conj73", 20, 2621),
+                                 ("conj73", 10**9, 5), ("conj73", 3, 10**12), ("thm15", 10**400, 5)):
+        err = assert_refused(capsys, "verify", "--target", target, "--i-max", str(i_max),
+                             "--n-max", str(n_max))
+        assert f"{target} sweep" in err and "lower --n-max or --i-max" in err
+
+
+def test_family_price_admits_the_frontier_and_prices_its_parts():
+    # the CI frontier and the benchmark's sizes stay admitted; the price is
+    # the plan of each side, its reads and residues, and grows with the
+    # order, i and n; an empty range reads nothing
+    work = verify_module._families_work
+    proved, conjectured = verify_module.PROVED_FAMILIES, verify_module.CONJECTURED_FAMILIES
+    for families, i_max, n_max in ((proved, 3, 2000), (conjectured, 3, 2000), (conjectured, 20, 2000),
+                                   (conjectured, 200, 300), (proved, 3, 60), (conjectured, 3, 60)):
+        assert work(families, i_max, n_max) <= WORK_CAP
+    assert work(proved, 3, 60, 548) > work(proved, 3, 60)
+    assert work(conjectured, 21, 300) > work(conjectured, 20, 300)
+    assert work(conjectured, 20, 301) > work(conjectured, 20, 300)
+    assert work(proved, 0, 100) == work(proved, 3, -1) == 0
+    # one side's reads and residues alone: a family of modulus 3 at i <= 1
+    family = verify_module.CongruenceFamily(1, 1, 1, 0, 3)
+    form = tuple(verify_module._normalized_factors(_colored_quotient(2, True), 10, 3))
+    assert work([family], 1, 10) == (
+        verify_module._FAMILY_READ_PRICE + 11 * verify_module._FAMILY_RESIDUE_PRICE
+        + verify_module._plan_price(verify_module._planned_steps(form, 10, 3, "theta"))
+    )
+
+
 def test_verify_thm15_small(capsys):
     code, record = run_json(
         capsys, "verify", "--target", "thm15", "--i-max", "1", "--n-max", "10"
@@ -714,6 +755,48 @@ def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: prime-power decomposition disagrees")
     assert "Traceback" not in err
+
+
+def test_stepped_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
+    # skew only the progressions that a Step derives on the prime-power
+    # side: mod 3, the first family's i = 2 reads i = 1 times its Step,
+    # and the cross-check against the direct mod-6 route must trip
+    real = verify_module._step
+
+    def skewed(progression, step):
+        stepped = real(progression, step)
+        if step is None or stepped.modulus != 3:
+            return stepped
+        coeffs = list(stepped.coeffs)
+        coeffs[0] = (coeffs[0] + 1) % 3
+        return Series(coeffs, 3)
+
+    monkeypatch.setattr(verify_module, "_step", skewed)
+    code, out, err = run(
+        capsys, "verify", "--target", "thm15", "--i-max", "2", "--n-max", "5"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: prime-power decomposition disagrees")
+    assert err.count("\n") == 1
+
+
+def test_step_off_its_progression_has_its_own_exit_status(capsys, monkeypatch):
+    # a Step series with one coefficient off q^s does not pass through the
+    # progression; the sweep must say so, not report on it
+    real = verify_module._expand_normalized
+
+    def skewed(form, order, m, route, powers):
+        series = real(form, order, m, route, powers)
+        coeffs = list(series.coeffs)
+        coeffs[1] = (coeffs[1] + 1) % m
+        return Series(coeffs, m)
+
+    monkeypatch.setattr(verify_module, "_expand_normalized", skewed)
+    code, out, err = run(capsys, "verify", "--target", "thm15")
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"error: the Step .+ has a coefficient off q\^[39]: this is an engine bug\n", err)
 
 
 def test_verify_bad_flag_is_usage_error(capsys):

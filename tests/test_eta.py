@@ -765,7 +765,8 @@ def test_phi_terms_match_naive_quotient():
 
 def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
     # the proved and conjectured families expand many quotients over a few
-    # subscripts at one order; each compressed step (n // g, order // g) of
+    # subscripts, at the sweep's order and their Steps at the least order
+    # their progressions read; each compressed step (n // g, order // g) of
     # each base, f(n) on the prime-power sides and phi(-q^n) on the
     # composite ones, is walked once
     walks = []
@@ -782,7 +783,7 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
         verify_conjectured_families(3, 60, 548)
     finally:
         _factor_terms.cache_clear()
-    assert len(walks) == len(set(walks)) == 17
+    assert len(walks) == len(set(walks)) == 16
     assert isinstance(_factor_terms(1, 10), tuple)
 
 
@@ -811,7 +812,13 @@ def test_shared_side_matches_each_expansion(colors, extra, m, route, order, prod
     with pytest.MonkeyPatch.context() as mp:
         if product is not None:
             mp.setattr(eta_module, "_product_price", lambda order, m: product)
-        got = list(_expand_side(forms, order, m, route))
+        # a side planned under another product price must not be served,
+        # here or after
+        eta_module._side_plan.cache_clear()
+        try:
+            got = list(_expand_side(forms, order, m, route))
+        finally:
+            eta_module._side_plan.cache_clear()
     assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form in forms]
 
 

@@ -192,44 +192,90 @@ def test_mod4_forms_depend_on_c_only_through_its_parity():
 
 
 def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
-    # each sweep serves each distinct (form, modulus, route) it reads once,
-    # and builds each side's shared factor at most once: a form served twice
-    # would show as more forms served than distinct ones, a factor built
-    # twice as a repeated key
+    # each sweep serves each base, a distinct (form, modulus, route) that the
+    # first i of a family read, once, builds each side's shared factor at
+    # most once, and builds each Step once per (modulus, route, exponent,
+    # s): a form served twice would show as more forms served than distinct
+    # ones, a factor or a Step built twice as a repeated key
     keys = recorded_expansions(monkeypatch)
     served = recorded_sides(monkeypatch)
+    built = recorded_steps(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
     # even c
     verify_mod4_classification(10, 200, 200)
     assert len(keys) == len(set(keys)) == 2
-    # 27 reads: c = 5, 8, 11 mod 6, 2, 3 and c = 14, ..., 35 mod 12, 4, 3.
-    # The series is 1 mod 2 and takes two forms mod 4, which leaves 21
-    # distinct; serving mod 4 or mod 3 from a mod-12 series would show as
-    # fewer. Each side builds one series from scratch: the one form mod 2,
-    # and elsewhere the factor its forms share, 1/phi(-q) = f2/f1^2 on the
-    # theta sides, f1^-2 mod 4 and f1*f4/(f2*f3) mod 3
+    # the bases: c = 5 mod 6, 2 and 3, whose family steps i by 1, and
+    # c = 14, 23, 17, 26 mod 12 and 4 and c = 14, 17 mod 3, whose families
+    # step i by 2 mod 12 and 4 and by 1 mod 3. The series is 1 mod 2 and
+    # takes two forms mod 4, which leaves 11 distinct of 14 reads; serving
+    # mod 4 or mod 3 from a mod-12 series would show as fewer. The Steps,
+    # (f4/f2^2)^e in q^s: e = 3 at s = 3 mod 6 and mod 3, e = 9 at s = 9
+    # mod 3, e = 18 at s = 9 mod 12; mod 2 and mod 4 the Step is 1 and
+    # expands nothing
     keys.clear()
     verify_proved_families(3, 21, 200)
-    assert len(served) == len(set(served)) == 21
-    assert sorted(keys) == [
-        ((), 200, 2, "pentagonal"),
-        (((1, -2),), 200, 4, "pentagonal"),
-        (((1, -2), (2, 1)), 200, 6, "theta"),
-        (((1, -2), (2, 1)), 200, 12, "theta"),
-        (((1, 1), (2, -1), (3, -1), (4, 1)), 200, 3, "pentagonal"),
-    ]
-    # at i <= 20 each sweep reads 111 at n <= 30 and 87 at n <= 10, where
-    # the lower order makes forms of distant c coincide
-    for sweep in (verify_proved_families, verify_conjectured_families):
-        for n_max, distinct in ((30, 111), (10, 87)):
+    assert len(served) == len(set(served)) == 11
+    assert Counter((m, route) for _, m, route in served) == {
+        (2, "pentagonal"): 1, (3, "pentagonal"): 3, (4, "pentagonal"): 2,
+        (6, "theta"): 1, (12, "theta"): 4,
+    }
+    # each at the least order its progressions read, 3*21 + 2 and 9*21 + 8
+    step_order = {3: 65, 9: 197}
+    assert sorted(built) == sorted(
+        (m, route, s, tuple(_normalized_factors(verify_module._step_quotient(e), step_order[s], m)))
+        for m, route, s, e in ((2, "pentagonal", 3, 3), (3, "pentagonal", 3, 3), (3, "pentagonal", 9, 9),
+                               (4, "pentagonal", 9, 18), (6, "theta", 3, 3), (12, "theta", 9, 18))
+    )
+    assert [form for m, *_, form in built if m in (2, 4)] == [(), ()]
+    # expanded by the sides through the path of every normalized form: the
+    # lone base mod 2 and mod 6, the factor the mod-4 bases share, f1^-2,
+    # and the quotients of neighbouring bases mod 3 and mod 12, where e = 3
+    # comes twice, 14 -> 17 and 23 -> 26
+    mod3 = {e: tuple(_normalized_factors(verify_module._step_quotient(e), 200, 3)) for e in (3, 9)}
+    assert Counter(keys) == {
+        ((), 200, 2, "pentagonal"): 1, (((1, -2), (2, -7), (4, 4)), 200, 6, "theta"): 1,
+        (((1, -2),), 200, 4, "pentagonal"): 1,
+        (mod3[9], 200, 3, "pentagonal"): 1, (mod3[3], 200, 3, "pentagonal"): 1,
+        (((2, -6), (4, 3)), 200, 12, "theta"): 2, (((2, -12), (4, 6)), 200, 12, "theta"): 1,
+    }
+    # at i <= 20 each sweep serves the same bases and Steps as at i <= 3,
+    # at n <= 30 and at n <= 10, where the lower order makes forms of
+    # distant c coincide: 11 and 15 bases, and 6 and 5 Steps, of which 4
+    # and 3 expand
+    sweep_families = {verify_proved_families: PROVED_FAMILIES, verify_conjectured_families: CONJECTURED_FAMILIES}
+    for sweep, bases, steps in ((verify_proved_families, 11, 6), (verify_conjectured_families, 15, 5)):
+        for n_max in (30, 10):
             keys.clear()
             served.clear()
+            built.clear()
             sweep(20, n_max)
-            assert len(served) == len(set(served)) == distinct
-            forms = Counter((m, route) for _, m, route in served)
-            built = Counter(key[2:] for key in keys)
-            assert len(keys) == len(set(keys))
-            assert all(built[side] <= forms[side] for side in built)
+            assert len(served) == len(set(served)) == bases
+            assert len(built) == len(set(built)) == steps
+            assert [m for m, *_, form in built if not form] == [2, 4]
+            # a series expanded twice is the quotient of two bases served
+            # back to back, which consecutive i of the families share
+            order = max(f.prog_slope * n_max + f.prog_intercept for f in sweep_families[sweep])
+            quotients = {
+                (tuple(_normalized_factors(eta_module._quotient(form, before), order, m)), order, m, route)
+                for (before, m, route), (form, m2, route2) in zip(served, served[1:])
+                if (m, route) == (m2, route2)
+            }
+            assert all(count == 1 or key in quotients for key, count in Counter(keys).items())
+
+
+def recorded_steps(monkeypatch):
+    """The ``(modulus, route, s, form)`` of every Step a family sweep builds
+    (``_step_series``) while the test runs: ``form`` is empty for a Step of
+    1, which expands nothing."""
+    built = []
+    real = verify_module._step_series
+
+    def recording(form, s, n_max, order, m, route, powers):
+        built.append((m, route, s, form))
+        return real(form, s, n_max, order, m, route, powers)
+
+    monkeypatch.setattr(verify_module, "_step_series", recording)
+    return built
 
 
 def recorded_sides(monkeypatch):
@@ -394,11 +440,11 @@ def test_family_with_a_large_prime_modulus_finishes():
 
 
 @st.composite
-def congruence_families(draw):
-    slope = draw(st.integers(1, 9))
+def congruence_families(draw, slopes=st.integers(1, 9)):
+    slope = draw(slopes)
     modulus = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 27, 36]))
     return CongruenceFamily(
-        draw(st.integers(0, 9)), draw(st.integers(1, 12)), slope, draw(st.integers(0, slope - 1)),
+        draw(st.integers(0, 27)), draw(st.integers(1, 12)), slope, draw(st.integers(0, slope - 1)),
         modulus, draw(st.integers(0, modulus - 1)),
     )
 
@@ -434,6 +480,70 @@ def test_family_sweep_matches_a_per_form_loop(families, i_max, n_max):
     order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
     got = verify_module._verify_families(families, i_max, n_max, None)
     assert got == per_form_reports(families, i_max, n_max, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(congruence_families(st.sampled_from([1, 2, 3, 9, 27])), min_size=1, max_size=2),
+    st.integers(7, 24),
+    st.integers(0, 6),
+)
+def test_stepped_sweep_matches_a_per_form_loop(families, i_max, n_max):
+    # i ranges long enough for the leads of 2, 3, 9 and 18 values of i that
+    # the periods give: mod 4 (P = 2), mod 3 at s = 3 and mod 6 at s = 9
+    # (3, 9) and mod 12 at s = 9 (18). Every i past its family's lead reads
+    # the progression of i - lead times a Step; the reports must be those of
+    # a loop that expands every (i, side) on its own
+    order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
+    got = verify_module._verify_families(families, i_max, n_max, None)
+    assert got == per_form_reports(families, i_max, n_max, order)
+
+
+@pytest.mark.parametrize("modulus,s,period", [
+    (2, 3, 1), (2, 9, 1), (4, 9, 2), (3, 3, 3), (3, 9, 9), (6, 3, 3), (6, 9, 9), (12, 9, 18),
+    (8, 9, 4), (9, 3, 9), (9, 9, 27), (27, 3, 27), (27, 27, None), (2**61 - 1, 5, None),
+    (5, 1, 1), (97, 2, 1),
+])
+def test_step_periods(modulus, s, period):
+    # the least P with (f4/f2^2)^P a series in q^s, the lcm over the
+    # prime-power parts; past the bound no period, and every i is a base
+    order = 30 * s
+    assert verify_module._step_period(modulus, s, order) == period
+    if period is not None:
+        step = expand_eta_quotient(verify_module._step_quotient(period), order, modulus)
+        assert not any(c for e, c in enumerate(step.coeffs) if e % s)
+
+
+def test_every_i_of_a_constant_family_reads_one_form(monkeypatch):
+    # at c_slope = 0 every i reads the series of one c: one form served per
+    # side and no Step expanded, whatever the i range
+    served = recorded_sides(monkeypatch)
+    built = recorded_steps(monkeypatch)
+    family = CongruenceFamily(0, 5, 3, 2, 6)
+    report = verify_family(family, 30, 20, None)
+    assert Counter((m, route) for _, m, route in served) == {
+        (6, "theta"): 1, (2, "pentagonal"): 1, (3, "pentagonal"): 1,
+    }
+    assert all(form == () for *_, form in built)
+    assert report == per_form_reports([family], 30, 20, 62)[0]
+
+
+def test_proved_sweep_takes_a_step_product_on_each_side(monkeypatch):
+    # thm15 at i <= 3 steps some i on its mod-6, mod-3 and mod-12 sides, so
+    # that the stepped route is what the sweeps above compare
+    products = Counter()
+    real = verify_module._step
+
+    def counting(progression, step):
+        if step is not None:
+            products[progression.modulus] += 1
+        return real(progression, step)
+
+    monkeypatch.setattr(verify_module, "_step", counting)
+    verify_proved_families(3, 40)
+    # mod 6 and mod 3 at s = 3 step i = 2, 3, mod 3 at s = 9 as well, and
+    # mod 12 i = 3 of its two families
+    assert products == {6: 2, 3: 6, 12: 2}
 
 
 def test_conjectured_families_small_sweep():
