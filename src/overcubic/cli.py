@@ -27,10 +27,11 @@ pass (``series._kronecker_price``, ``series._update_price``):
 the rows it prints (``_expand_price``), ``counting._dp_work`` sums the
 DP's block products over its tree, ``verify._mod4_classification_work``
 prices ``verify --target thm14`` by its forms, colors and residues,
-``verify._families_work`` prices ``thm15`` and ``conj73`` by the plan of
-their sweep: its bases, Step series and step products, and the residues
-it compares, and ``series._check_work`` refuses each over
-``series.WORK_CAP``, as it refuses every engine's requests.
+``verify._families_work`` plans ``thm15`` and ``conj73`` once, their
+bases, Step series and step products, and prices that plan with the
+residues it compares, and the sweep runs the plan it was priced by.
+``series._check_work`` refuses each over ``series.WORK_CAP``, as it
+refuses every engine's requests.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ from .verify import (
     VerificationReport,
     _families_work,
     _mod4_classification_work,
+    _verify_families,
     check_named_identity,
-    verify_conjectured_families,
     verify_mod4_classification,
-    verify_proved_families,
 )
 
 ENGINE_INCONSISTENCY = 3
@@ -291,10 +291,9 @@ def _cmd_verify(args, command: str) -> int:
     else:
         families = PROVED_FAMILIES if target == "thm15" else CONJECTURED_FAMILIES
         i_max, n_max = params["i_max"], params["n_max"]
-        _check_work(_families_work(families, i_max, n_max, args.order),
-                    f"the {target} sweep of i <= {i_max} to n = {n_max}", "; lower --n-max or --i-max")
-        sweep = verify_proved_families if target == "thm15" else verify_conjectured_families
-        reports = sweep(i_max, n_max, args.order)
+        price, sides = _families_work(families, i_max, n_max, args.order)
+        _check_work(price, f"the {target} sweep of i <= {i_max} to n = {n_max}", "; lower --n-max or --i-max")
+        reports = _verify_families(families, i_max, n_max, args.order, sides)
     params["order"] = reports[0].order
     all_pass = all(r.passed for r in reports)
     record = _record(

@@ -5,15 +5,17 @@ generating function this package cares about is a finite product of integer
 powers of such factors (an *eta quotient*), and the theta functions psi,
 phi, chi are quotients of that shape as well.
 
-Expansion strategy: :func:`expand_eta_quotient` is the one expansion
-route; every named series and :func:`expand_f` call it. No expansion is
-kept: a caller that reads one series more than once asks for it once, as
-the sweeps of :mod:`overcubic.verify` do by normalized form, and the forms
-of one side of a family sweep are expanded together, through the factor
-their walks share or as their neighbour times their quotient
-(:func:`_expand_side`). Only the dense powers of step 2
-are memoized, in a dict that one side owns, so the expansions of a side
-find the powers the others built, and the dict is dropped with the side.
+Expansion strategy: every expansion runs its planned steps through
+:func:`_run_steps`. :func:`expand_eta_quotient` plans a lone series, and
+every named series and :func:`expand_f` call it. No expansion is kept: a
+caller that reads one series more than once asks for it once, as the
+sweeps of :mod:`overcubic.verify` do by normalized form. One side of a
+family sweep is planned once, its forms, each by its whole walk or as its
+neighbour times their quotient, then its Steps (:func:`_side_plan`), and
+runs from that plan (:func:`_expand_side`). Only the dense powers of step
+2 are memoized, in one dict that a side owns for its bases and its Steps,
+so each expansion of a side finds the powers the others built, and the
+dict is dropped with the side.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -68,16 +70,20 @@ find the powers the others built, and the dict is dropped with the side.
    inverts it through the same kernel, and any other power is the square
    of the power at ``k // 2`` rounded toward zero, times ``base^+-1`` when
    ``k`` is odd; the power is then multiplied in by the Kronecker product.
-   The rungs are kept in a dict that one side of a sweep owns (a lone
-   expansion is a side of one form), keyed on the compressed step, the
-   exponent, the order and the base, ``f`` or ``phi``, so the expansions
-   of a side share them and a repeated step costs one product. One dict
-   serves one modulus, and it is dropped when the side is done: no power
-   outlives the call that built it. The plan prices a division pass,
-   sparse or the dense route's inverting walk, per term and per exponent,
-   a multiply pass per term or per pair of a nonzero coefficient and a
-   term, and the dense route as a cold ladder: a rung the dict holds costs
-   nothing, so every price bounds the work of its step from above.
+   The rungs are kept in a dict that one side of a sweep owns for its
+   bases and its Steps (a lone expansion owns one of its own), keyed on
+   the compressed step, the exponent, the order and the base, ``f`` or
+   ``phi``, so the expansions of a side share them and a repeated step
+   costs one product. One dict serves one modulus, and it is dropped when
+   the side is done: no power outlives the call that built it. The plan
+   prices a division pass, sparse or the dense route's inverting walk, per
+   term and per exponent, a multiply pass per term or per pair of a
+   nonzero coefficient and a term, and the dense route as a ladder, cold
+   but for a side's Steps: planned after its bases, a Step pays neither
+   the terms of ``base^1`` nor the walk to ``base^-1`` where the plans
+   before it leave those rungs in the dict (:func:`_held_after`). Any
+   other rung the dict holds is priced as if built, so every price bounds
+   the work of its step from above.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import exp, gcd, log, log1p, pi, sqrt
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
@@ -367,27 +373,16 @@ def expand_eta_quotient(
     the division kernel for ``k < 0``), or, under a modulus, dense powering
     of its base. Reducing after every step keeps coefficients bounded; by
     the homomorphism property the result matches reduce-at-the-end. Each
-    call expands afresh, as a side of one form (:func:`_expand_side`): the
-    dense powers it builds are shared by its own steps only, and dropped
-    when it returns (:func:`_dense_power`).
+    call expands afresh: the dense powers it builds are shared by its own
+    steps only, and dropped when it returns (:func:`_dense_power`).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if route is not None and route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
-    factors = tuple(_normalized_factors(e, order, m))
-    return next(_expand_side([factors], order, m, route))
-
-
-def _expand_normalized(
-    factors: Tuple[Tuple[int, int], ...], order: int, m: Optional[int], route: Optional[str],
-    powers: dict,
-) -> Series:
-    """The expansion of already normalized factors: the steps
-    :func:`_planned_steps` plans, run by :func:`_run_steps` with the dense
-    powers ``powers`` holds."""
-    return _run_steps(_planned_steps(factors, order, m, route), order, m, powers)
+    factors = _normalized_factors(e, order, m)
+    return _run_steps(_planned_steps(factors, order, m, route), order, m, {})
 
 
 def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
@@ -424,9 +419,9 @@ def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool, pow
     its inverse, and any other ``k`` the square of the power at ``k // 2``
     rounded toward zero, times the power at ``+-1`` when ``k`` is odd. That
     is the products and the inversion of ``Series.__pow__``, so a cold
-    ladder costs what the plan prices, and the expansions of one side,
+    ladder costs what the plan prices, and the bases and Steps of one side,
     which share ``powers``, share its rungs. The modulus is not in the key:
-    one dict serves one modulus, that of its side (:func:`_expand_side`).
+    one dict serves one modulus, that of its side (:func:`_side_plan`).
     The ladder is walked down to the first rung ``powers`` holds, or to
     ``k = 1``, and built back up without recursion, so an exponent of any
     size takes one frame."""
@@ -493,14 +488,17 @@ def _theta_rewrite(
     return steps
 
 
-def _planned_steps(factors: FactorList, order: int, m: Optional[int], route: Optional[str]):
+def _planned_steps(
+    factors: FactorList, order: int, m: Optional[int], route: Optional[str], held: frozenset = frozenset()
+):
     """The steps ``(g, n // g, k, order // g, theta, nz, dense, price)`` that
-    :func:`_expand_normalized` runs: the walk of the Euler factors or of
-    their :func:`_theta_rewrite`, as ``route`` names, or with no route the
-    one whose :func:`_factor_plan` prices are cheaper in sum, the Euler
-    factors on a tie. ``nz`` bounds the nonzero coefficients of the running
-    product a step starts from: 1 at the start, ``order // g + 1`` after a
-    division, after ``base^k`` with ``k > 0``, sparse or dense, what
+    :func:`_run_steps` runs for normalized factors: the walk of the Euler
+    factors or of their :func:`_theta_rewrite`, as ``route`` names, or with
+    no route the one whose :func:`_factor_plan` prices, given the rungs
+    ``held`` (:func:`_held_after`), are cheaper in sum, the Euler factors on
+    a tie. ``nz`` bounds the nonzero coefficients of the running product a
+    step starts from: 1 at the start, ``order // g + 1`` after a division,
+    after ``base^k`` with ``k > 0``, sparse or dense, what
     :func:`_multiply_passes` bounds, and unchanged by a spread."""
     walks = []
     if route != "theta":
@@ -508,7 +506,7 @@ def _planned_steps(factors: FactorList, order: int, m: Optional[int], route: Opt
     if route != "pentagonal":
         walks.append(_walk(factors, order, m, "theta"))
     # min keeps the first of equal prices: the Euler factors
-    return min((_plan_walk(walk, order, m) for walk in walks), key=_plan_price)
+    return min((_plan_walk(walk, order, m, held) for walk in walks), key=_plan_price)
 
 
 def _walk(factors: FactorList, order: int, m: Optional[int], route: str) -> List[Tuple[int, int, bool]]:
@@ -519,12 +517,13 @@ def _walk(factors: FactorList, order: int, m: Optional[int], route: str) -> List
     return _theta_rewrite(factors, order, m)
 
 
-def _plan_walk(walk, order: int, m: Optional[int]):
+def _plan_walk(walk, order: int, m: Optional[int], held: frozenset):
     """The planned steps of one walk, each at the running product's ``nz``
-    bound (see :func:`_planned_steps`)."""
+    bound (see :func:`_planned_steps`) and priced given the rungs
+    ``held``."""
     steps, nz = [], 1
     for g, step, k, top, theta in _compressed_walk(walk, order):
-        dense, price = _factor_plan(step, k, top, m, nz, theta)
+        dense, price = _factor_plan(step, k, top, m, nz, theta, held)
         steps.append((g, step, k, top, theta, nz, dense, price))
         # a product's support does not depend on the route that computes it
         terms = len(_factor_terms(step, top, theta))
@@ -536,100 +535,75 @@ def _plan_price(steps) -> float:
     return sum(step[-1] for step in steps)
 
 
-def _euler_factors(walk, order: int) -> Tuple[Tuple[int, int], ...]:
-    """The Euler factors whose walk is ``walk``, some of the steps of one
-    walk: ``f(n)^k`` for a step ``(n, k, False)``, and ``phi(-q^n)^j =
-    f(n)^(2j) / f(2n)^j`` for ``(n, j, True)``, ``f(2n)`` dropped past the
-    order. :func:`_theta_rewrite` gives the steps back: it takes every
-    ``f(n)^(2j)`` to ``phi(-q^n)^j`` and adds the ``j`` back at ``2n``."""
-    exps: dict = {}
-    for n, k, theta in walk:
-        exps[n] = exps.get(n, 0) + (2 * k if theta else k)
-        if theta and 2 * n <= order:
-            exps[2 * n] = exps.get(2 * n, 0) - k
-    return tuple(sorted((n, k) for n, k in exps.items() if k))
+def _held_after(steps, held: frozenset = frozenset()) -> frozenset:
+    """The rungs ``(step, +-1, top, theta)`` of :func:`_dense_power` that a
+    side's dict holds once planned ``steps`` have run, given those it held
+    before: a dense ``base^k`` leaves ``base^1``, and ``base^-1`` too when
+    ``k < 0``. ``base^-1`` is only ever built by inverting ``base^1``, so a
+    dict that holds it holds both."""
+    rungs = set(held)
+    for _, step, k, top, theta, _, dense, _ in steps:
+        if dense:
+            rungs.add((step, 1, top, theta))
+            if k < 0:
+                rungs.add((step, -1, top, theta))
+    return frozenset(rungs)
 
 
-def _expand_side(forms, order: int, m: Optional[int], route: Optional[str]) -> Iterator[Series]:
-    """The expansions of the normalized ``forms`` mod ``m`` along the walk
-    ``route`` names, one at a time in their order, as :func:`_side_plan`
-    plans them: each form by its whole walk, by the rest of its walk times
-    the factor every walk shares, or by the form before it times their
-    quotient, one Kronecker product each. The shared factor is expanded
-    once, as the eta quotient :func:`_euler_factors` gives (mod 12 the theta
-    walks share ``1/phi(-q) = f2/f1^2``), and each quotient as it comes,
-    through :func:`_expand_normalized`, the path of every normalized form,
-    which plans their few steps again; each whole walk and rest is planned
-    once and run from that plan (:func:`_run_steps`). All of them take
-    their dense powers from one dict, made here and dropped with the side
-    (:func:`_dense_power`), so a quotient whose power an earlier form built
-    costs its product. A lone expansion is a side of one form, which may
-    name no route and expand over Z (:func:`expand_eta_quotient`)."""
-    powers: dict = {}
-    if len(forms) < 2 or m is None:
-        for form in forms:
-            yield _expand_normalized(form, order, m, route, powers)
-        return
-    common, ways = _side_plan(tuple(forms), order, m, route)[:2]
-    if common is not None:
-        common = _expand_normalized(common, order, m, route, powers)
+def _expand_side(ways, order: int, m: int, powers: dict) -> Iterator[Series]:
+    """The series of a side's forms mod ``m``, one at a time in their
+    order, each run from the plan :func:`_side_plan` gave it: a form's
+    ``"whole"`` walk, or the form before it times its ``"quotient"``, one
+    Kronecker product unless the quotient is 1. Every plan takes its dense
+    powers from ``powers``, the side's one dict (:func:`_dense_power`), so
+    a step whose rungs an earlier plan built costs what the plan priced."""
     series = None
-    for way, plan in ways:
+    for way, steps in ways:
         if way == "whole":
-            series = _run_steps(plan, order, m, powers)
-        elif way == "rest":
-            series = common * _run_steps(plan, order, m, powers) if plan else common
-        elif plan:
-            series = series * _expand_normalized(plan, order, m, route, powers)
+            series = _run_steps(steps, order, m, powers)
+        elif steps:
+            series = series * _run_steps(steps, order, m, powers)
         yield series
 
 
-# The CLI prices a family sweep by the plans of its sides, and the sweep then
-# runs each side from the same plan: each is built once.
-@lru_cache(maxsize=16)
-def _side_plan(forms: Tuple[Tuple[Tuple[int, int], ...], ...], order: int, m: int, route: Optional[str]):
-    """``(common, ways, price)`` of the side :func:`_expand_side` expands:
-    ``common`` the Euler factors of the steps that every walk takes, or
-    ``None`` when no form reads them, and one ``(way, plan)`` for each form,
-    its steps, or the factors of its quotient, whose priced options are
+def _side_plan(forms, order: int, m: int, route: str, later):
+    """``(ways, plans, price)`` of a side: the normalized ``forms`` at
+    ``order`` mod ``m`` along the walk ``route`` names, which
+    :func:`_expand_side` serves in their order, then the normalized
+    expansions ``(form, order)`` of ``later``, each by its whole walk, run
+    with the same dict of dense powers. Each form takes the cheaper of
     - ``"whole"``: its whole walk;
-    - ``"rest"``: the rest of its walk past the shared steps, times the
-      shared series, which is expanded once for the side;
     - ``"quotient"``: the form before it times their quotient, the
-      difference of their exponents normalized mod ``m``; along a family
+      difference of their exponents normalized mod ``m``, plus one product
+      (:func:`_product_price`) unless the quotient is empty; along a family
       sweep's side the forms differ by ``(f4/f2^2)^e``, which walks few
-      steps.
-    A rest or a quotient adds one product (:func:`_product_price`), unless
-    it is empty. Each form takes its cheapest option, its whole walk on a
-    tie, and the shared series is expanded only when it lowers the side's
-    price: its expansion plus each form's cheapest way must price below
-    each form's cheapest way without it, so a lone form takes its whole
-    walk. ``price`` is the side's price."""
-    walks = [_walk(form, order, m, route) for form in forms]
-    shared = [step for step in walks[0] if all(step in walk for walk in walks[1:])]
+      steps;
+    its whole walk on a tie. The forms are priced as cold ladders, the
+    prices the work cap's edges were measured at; each of ``later`` is
+    priced given the rungs that the plans before it leave in the dict
+    (:func:`_held_after`), in the order they run. ``ways`` holds one
+    ``(way, steps)`` per form, ``plans`` the steps of each of ``later``,
+    and ``price`` is the side's price."""
     product = _product_price(order, m)
-    options = []
-    for k, (form, walk) in enumerate(zip(forms, walks)):
-        whole = _plan_walk(walk, order, m)
-        ways = [("whole", whole, _plan_price(whole))]
+    ways, price = [], 0.0
+    for k, form in enumerate(forms):
+        way = ("whole", _planned_steps(form, order, m, route))
+        cost = _plan_price(way[1])
         if k:
-            quotient = tuple(_normalized_factors(_quotient(form, forms[k - 1]), order, m))
-            price = _plan_price(_planned_steps(quotient, order, m, route))
-            ways.append(("quotient", quotient, price + product if quotient else 0))
-        options.append(ways)
-    price_of = itemgetter(2)
-    alone = [min(ways, key=price_of) for ways in options]
-    price = sum(map(price_of, alone))
-    common = None
-    if shared:
-        for walk, ways in zip(walks, options):
-            rest = _plan_walk([step for step in walk if step not in shared], order, m)
-            ways.insert(1, ("rest", rest, _plan_price(rest) + product if rest else 0))
-        sharing = [min(ways, key=price_of) for ways in options]
-        price_sharing = _plan_price(_plan_walk(shared, order, m)) + sum(map(price_of, sharing))
-        if price_sharing < price and any(way == "rest" for way, _, _ in sharing):
-            common, alone, price = _euler_factors(shared, order), sharing, price_sharing
-    return common, [(way, plan) for way, plan, _ in alone], price
+            quotient = _normalized_factors(_quotient(form, forms[k - 1]), order, m)
+            steps = _planned_steps(quotient, order, m, route)
+            by_quotient = _plan_price(steps) + product if quotient else 0
+            if by_quotient < cost:
+                way, cost = ("quotient", steps), by_quotient
+        ways.append(way)
+        price += cost
+    held = _held_after(step for _, steps in ways for step in steps)
+    plans = []
+    for form, top in later:
+        plans.append(_planned_steps(form, top, m, route, held))
+        price += _plan_price(plans[-1])
+        held = _held_after(plans[-1], held)
+    return ways, plans, price
 
 
 def _quotient(form, other) -> EtaQuotient:
@@ -693,7 +667,8 @@ def _multiply_passes(k: int, nz: int, order: int, terms: int) -> Tuple[int, floa
 
 
 def _factor_plan(
-    n: int, k: int, order: int, m: Optional[int], nz: int, theta: bool = False
+    n: int, k: int, order: int, m: Optional[int], nz: int, theta: bool = False,
+    held: frozenset = frozenset(),
 ) -> Tuple[bool, float]:
     """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
     ``phi(-q^n)^k`` when ``theta``, applied to a running product of at most
@@ -704,17 +679,20 @@ def _factor_plan(
     for ``k > 0`` the multiply passes of :func:`_multiply_passes`, term by
     term while the running product is sparse, then by slices. An update on
     residues mod ``m`` costs ``series._update_price``. Dense: 3 per
-    coefficient, the inverting walk if ``k < 0`` (the division kernel over
-    ``order // n + 1`` exponents, priced as a division pass), ``bits(|k|) +
-    popcount(|k|) - 2`` Kronecker products to power, and one to multiply in
-    unless ``nz`` is 1, each at :func:`~overcubic.series._kronecker_price`.
-    A running product of one nonzero coefficient is 1, since every base has
-    the constant term 1. Over Z only sparse passes: dense slots must hold
+    coefficient to build ``base^1`` from its terms, the inverting walk to
+    ``base^-1`` if ``k < 0`` (the division kernel over ``order // n + 1``
+    exponents, priced as a division pass), ``bits(|k|) + popcount(|k|) -
+    2`` Kronecker products to power, and one to multiply in unless ``nz``
+    is 1, each at :func:`~overcubic.series._kronecker_price`. A running
+    product of one nonzero coefficient is 1, since every base has the
+    constant term 1. Over Z only sparse passes: dense slots must hold
     coefficient growth. :func:`_planned_steps` asks it at the compressed
     step: the base at ``n // g`` and ``order // g``. The dense price is that
-    of a cold :func:`_dense_power` ladder: a rung that an earlier
-    expansion of the same side left in its dict costs nothing, so a price
-    bounds the work from above."""
+    of a :func:`_dense_power` ladder whose rungs ``base^1`` and ``base^-1``
+    the side's dict holds where ``held`` names them (:func:`_held_after`),
+    which then cost neither their terms nor the walk; any other rung is
+    priced cold, though the dict may hold it, so a price bounds the work
+    from above."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else _update_price((m - 1).bit_length())
     division = (terms + _DIVISION_EXPONENT_PRICE) * update  # per exponent
@@ -725,9 +703,11 @@ def _factor_plan(
         sparse = min(-k, 2**64) * (order + 1) * division
     if m is None:
         return False, sparse
-    walk = (order // n + 1) * division if k < 0 else 0
+    ladder = 0 if (n, 1, order, theta) in held else 3 * (order + 1)
+    if k < 0 and (n, -1, order, theta) not in held:
+        ladder += (order // n + 1) * division
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
-    dense = 3 * (order + 1) + walk + products * _product_price(order, m)
+    dense = ladder + products * _product_price(order, m)
     return (True, dense) if dense < sparse else (False, sparse)
 
 
@@ -747,7 +727,7 @@ def _expansion_work(
 ) -> float:
     """Price of ``expand_eta_quotient(quotient, order, modulus, route)``:
     the sum of the plan prices of the steps of :func:`_planned_steps`, which
-    :func:`_expand_normalized` runs, over Z times the price of an update on
+    :func:`_run_steps` runs, over Z times the price of an update on
     the bits :func:`_log_majorant` bounds, as both walks scale alike. Past
     ``WORK_CAP`` coefficients, whose terms alone could take minutes to walk,
     the price is their number."""

@@ -19,12 +19,12 @@ from .eta import (
     _CHAN_A2, _OVERCUBIC_MOD3_C5, _RAMANUJAN_P5, _TOH_LHS,
     EtaQuotient,
     _colored_quotient,
-    _expand_normalized,
     _expand_side,
     _normalized_factors,
     _plan_price,
     _planned_steps,
     _product_price,
+    _run_steps,
     _side_plan,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
@@ -344,13 +344,12 @@ def verify_family(
     mod the part, has every subscript divisible by s), so the progression
     of i + lead is that of i times one Step series at order ``n_max``,
     with ``lead = lcm(P, c_slope) / c_slope``. Only the first ``lead``
-    values of i are expanded, the bases. Within a side they share a factor,
-    ``1/phi(-q)`` on the composite side, ``f1^-2`` mod 4 and
-    ``f1*f4/(f2*f3)`` mod 3, or are their neighbour times their quotient,
-    where the plan prices that cheaper, but never another side's series or
-    Step, so the two routes stay independent. A disagreement, or a Step
-    off ``q^s``, means the engine itself is broken and raises
-    :class:`EngineInconsistencyError`.
+    values of i are expanded, the bases. Within a side a base may be its
+    neighbour times their quotient, where the plan prices that cheaper, and
+    the bases and Steps share one dict of dense powers, but never another
+    side's series, Step or power, so the two routes stay independent. A
+    disagreement, or a Step off ``q^s``, means the engine itself is broken
+    and raises :class:`EngineInconsistencyError`.
     """
     return _verify_families([family], i_max, n_max, order)[0]
 
@@ -372,39 +371,40 @@ CONJECTURED_FAMILIES = (
 )
 
 
-def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
+def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sides: Optional[dict] = None):
     """One report per family, all at ``order``: by default the least that
     covers every family, or 0 when the i or the n range is empty, which
     reads nothing at any order that is not negative. Each side of
-    :func:`verify_family`, a ``(modulus, route)`` pair, runs the plan of
-    :func:`_family_sides`. Its bases, the series of the first i of each
-    family, are expanded once for all their readers, keyed on their
-    normalized form, and together (:func:`~overcubic.eta._expand_side`): a
-    form may be the rest of its walk times the factor every walk shares, or
-    the form before it times their quotient. Each later i of a family reads
-    the progression of ``i - lead`` times the side's Step series for the
-    family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a series
-    in ``q^s``, s the slope of the progression, so it passes through the
-    progression, and one product at order ``n_max`` replaces an expansion
-    at order ``s*n_max + r``. A Step with a coefficient off ``q^s`` raises
-    :class:`EngineInconsistencyError`."""
+    :func:`verify_family`, a ``(modulus, route)`` pair, runs the plan
+    ``sides`` gives it, by default that of :func:`_family_sides`, step for
+    step as it was priced, with one dict of dense powers for its bases and
+    its Steps. Its bases, the series of the first i of each family, are
+    expanded once for all their readers, keyed on their normalized form, in
+    the order of the plan (:func:`~overcubic.eta._expand_side`): a form may
+    be the form before it times their quotient. Each later i of a family
+    reads the progression of ``i - lead`` times the side's Step series for
+    the family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a
+    series in ``q^s``, s the slope of the progression, so it passes through
+    the progression, and one product at order ``n_max`` replaces an
+    expansion at order ``s*n_max + r``. A Step with a coefficient off
+    ``q^s`` raises :class:`EngineInconsistencyError`."""
     order = _families_order(families, i_max, n_max, order)
     reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
     if reports[0].vacuous:  # every report covers the same ranges
         return reports
+    if sides is None:
+        sides = _family_sides(families, i_max, n_max, order)
     # failures[j, route] maps (i, n) to the offending residue of family j
     failures = {}
-    for (modulus, route), side in sorted(_family_sides(families, i_max, n_max, order).items()):
-        progressions = {}
-        for form, series in zip(side.forms, _expand_side(side.forms, order, modulus, route)):
+    for (modulus, route), side in sorted(sides.items()):
+        progressions, powers = {}, {}
+        for form, series in zip(side.bases, _expand_side(side.ways, order, modulus, powers)):
             for j, i in side.bases[form]:
                 family = families[j]
                 progression = series.extract_progression(family.prog_slope, family.prog_intercept)
                 progressions[j, i] = progression.truncate(n_max)
-        # the side's Steps share one dict of dense powers, and its bases another
-        powers: dict = {}
-        steps = {key: _step_series(form, key[0], n_max, order, modulus, route, powers)
-                 for key, form in side.steps.items()}
+        steps = {key: _step_series(form, plan, key[0], n_max, order, modulus, powers)
+                 for key, (form, plan) in side.steps.items()}
         for j, (lead, key) in side.leads.items():
             want = families[j].residue % modulus
             found = failures.setdefault((j, route), {})
@@ -473,9 +473,8 @@ def _step_period(modulus: int, s: int, order: int) -> Optional[int]:
     return None if None in periods else math.lcm(*periods)
 
 
-# A sweep asks it for each prime-power part of each side of each family, and
-# its price asks again: thm15 asks 12 times for 4 distinct (part, s), conj73
-# 20 times for 3.
+# A sweep's plan asks it for each prime-power part of each side of each
+# family: thm15 asks 12 times for 4 distinct (part, s), conj73 20 times for 3.
 @lru_cache(maxsize=64)
 def _part_period(part: int, s: int, order: int) -> Optional[int]:
     """The least P up to ``_PERIOD_BOUND`` whose ``(f4/f2^2)^P``, normalized
@@ -492,19 +491,23 @@ class _Side:
     """The plan of one ``(modulus, route)`` side of a family sweep.
 
     ``bases`` maps each form expanded in full to the ``(j, i)`` that read
-    it, and ``forms`` lists them by the least c that reads them, so that
-    each form follows its nearest expanded neighbour. ``leads`` maps each
-    family j on the side to ``(lead, key)``: its first ``lead`` values of i
-    are bases, and each later i is the progression of ``i - lead`` times
-    the Step of ``key = (s, e)``, whose normalized form ``steps`` holds, or
-    the same progression when that form is empty. A family with no period
-    has every i a base, and a key of ``None``.
+    it, by the least c that reads them, so that each form follows its
+    nearest expanded neighbour, and ``ways`` holds the way each is served
+    (:func:`~overcubic.eta._side_plan`). ``leads`` maps each family j on the
+    side to ``(lead, key)``: its first ``lead`` values of i are bases, and
+    each later i is the progression of ``i - lead`` times the Step of
+    ``key = (s, e)``, whose normalized form and planned steps ``steps``
+    holds, or the same progression when that form is empty. A family with
+    no period has every i a base, and a key of ``None``. ``price`` is what
+    the side costs: its bases and Steps as planned, and one product at
+    ``n_max`` for each stepped i.
     """
 
     bases: dict
-    forms: list
     steps: dict
     leads: dict
+    ways: list = field(default_factory=list)
+    price: float = 0.0
 
 
 def _sides_of(family: CongruenceFamily) -> List[Tuple[int, str]]:
@@ -521,12 +524,15 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
     ``order``. A family of slope s steps i by ``lead = lcm(P, c_slope) /
     c_slope``, P the side's period at s (:func:`_step_period`), with the
     Step of exponent ``e = lead * c_slope``; at ``c_slope = 0`` every i
-    reads the one series of c: its Step, of exponent 0, is 1."""
+    reads the one series of c: its Step, of exponent 0, is 1. Each side is
+    planned once, its bases and then its Steps, in the order
+    :func:`_verify_families` runs them (:func:`~overcubic.eta._side_plan`),
+    so the plan prices the sweep and the sweep runs the plan."""
     sides, forms = {}, {}
     for j, family in enumerate(families):
         s = family.prog_slope
         for modulus, route in _sides_of(family):
-            side = sides.setdefault((modulus, route), _Side({}, [], {}, {}))
+            side = sides.setdefault((modulus, route), _Side({}, {}, {}))
             step_order = _step_order(s, n_max, order)
             period = _step_period(modulus, s, step_order) if family.c_slope else 1
             if period is None:
@@ -542,22 +548,28 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
                 if (c, modulus) not in forms:  # families of one c_slope share their c
                     forms[c, modulus] = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
                 side.bases.setdefault(forms[c, modulus], []).append((j, i))
-    for side in sides.values():
+    for (modulus, route), side in sides.items():
         least = {form: min(families[j].c_for(i) for j, i in readers) for form, readers in side.bases.items()}
-        side.forms.extend(sorted(side.bases, key=least.get))
+        bases = {form: side.bases[form] for form in sorted(side.bases, key=least.get)}
+        later = [(form, _step_order(s, n_max, order)) for (s, _), form in side.steps.items()]
+        ways, plans, price = _side_plan(list(bases), order, modulus, route, later)
+        stepped = sum(max(i_max - lead, 0) for lead, key in side.leads.values() if side.steps.get(key))
+        steps = {key: (form, plan) for (key, form), plan in zip(side.steps.items(), plans)}
+        price += stepped * _product_price(n_max, modulus)
+        sides[modulus, route] = replace(side, bases=bases, steps=steps, ways=ways, price=price)
     return sides
 
 
-def _step_series(form, s: int, n_max: int, order: int, m: int, route: str, powers: dict) -> Optional[Series]:
+def _step_series(form, plan, s: int, n_max: int, order: int, m: int, powers: dict) -> Optional[Series]:
     """The Step of the normalized ``form`` for progressions of slope s, to
-    ``n_max``: its expansion mod ``m`` along ``route`` at its
+    ``n_max``: its planned steps ``plan`` run mod ``m`` at its
     :func:`_step_order`, with the dense powers ``powers`` holds, under
     ``q^s -> q``; ``None`` for the empty form, which is 1. A coefficient off
     ``q^s`` raises :class:`EngineInconsistencyError`: the period that chose
     the exponent says there is none."""
     if not form:
         return None
-    series = _expand_normalized(form, _step_order(s, n_max, order), m, route, powers)
+    series = _run_steps(plan, _step_order(s, n_max, order), m, powers)
     if any(any(series.coeffs[r::s]) for r in range(1, s)):
         raise EngineInconsistencyError(
             f"the Step {EtaQuotient(form)} mod {m} has a coefficient off q^{s}: this is an engine bug"
@@ -581,31 +593,27 @@ _FAMILY_READ_PRICE = 100
 _FAMILY_RESIDUE_PRICE = 2
 
 
-def _families_work(families, i_max: int, n_max: int, order: Optional[int] = None) -> float:
-    """Price of ``_verify_families(families, i_max, n_max, order)``, in the
-    unit of ``series._check_work``: the plan of each side
-    (:func:`_family_sides`), its bases as :func:`~overcubic.eta._side_plan`
-    prices them, its Steps at their orders, and one product at ``n_max``
-    for each stepped i, then ``_FAMILY_READ_PRICE`` for each progression
-    read and ``_FAMILY_RESIDUE_PRICE`` for each residue compared. 0 for an
-    empty range, which expands nothing; when the reads alone, or the
-    order, are past ``WORK_CAP``, those alone, which price it over the cap
-    at once."""
+def _families_work(
+    families, i_max: int, n_max: int, order: Optional[int] = None
+) -> Tuple[float, Optional[dict]]:
+    """``(price, sides)`` of ``_verify_families(families, i_max, n_max,
+    order)``: the plan of its sides (:func:`_family_sides`), which the sweep
+    runs as it is when it is given it, and its price in the unit of
+    ``series._check_work``, the price of each side, then
+    ``_FAMILY_READ_PRICE`` for each progression read and
+    ``_FAMILY_RESIDUE_PRICE`` for each residue compared. ``(0, {})`` for an
+    empty range, which expands nothing; when the reads alone, or the order,
+    are past ``WORK_CAP``, those alone, which price it over the cap at
+    once, and no plan."""
     order = _families_order(families, i_max, n_max, order)
     if i_max < 1 or n_max < 0:
-        return 0.0
+        return 0.0, {}
     sides = sum(len(_sides_of(family)) for family in families)
     price = i_max * sides * (_FAMILY_READ_PRICE + (n_max + 1) * _FAMILY_RESIDUE_PRICE)
     if price > WORK_CAP or order >= WORK_CAP:
-        return float(min(price + order + 1, 2**64))
-    for (modulus, route), side in _family_sides(families, i_max, n_max, order).items():
-        price += _side_plan(tuple(side.forms), order, modulus, route)[2]
-        for (s, _), form in side.steps.items():
-            if form:
-                price += _plan_price(_planned_steps(form, _step_order(s, n_max, order), modulus, route))
-        stepped = sum(max(i_max - lead, 0) for lead, key in side.leads.values() if side.steps.get(key))
-        price += stepped * _product_price(n_max, modulus)
-    return price
+        return float(min(price + order + 1, 2**64)), None
+    plan = _family_sides(families, i_max, n_max, order)
+    return price + sum(side.price for side in plan.values()), plan
 
 
 def verify_proved_families(

@@ -17,6 +17,7 @@ import pytest
 
 import overcubic.cli as cli_module
 import overcubic.counting as counting_module
+import overcubic.eta as eta_module
 import overcubic.verify as verify_module
 from overcubic.cli import (
     _VERIFY_CSV_HEADER,
@@ -410,8 +411,9 @@ M61 = 2**61 - 1
 # expansion's edge is priced with the rows the CLI prints. The mod-4 sweep's
 # edge, at c <= 10, is set by the memory its forms hold: about 1.0 s and
 # 190 MB. The family sweeps' edges, conj73 at i <= 20 and thm15 at i <= 3,
-# ran in 1.4 and 1.6 s cold on a faster 2-vCPU x86 host, where the edges of
-# c = 10 over Z, c = 1 mod 4 and c = 10 mod 12 ran in 1.4, 2.0 and 2.1 s.
+# ran in 1.5 and 1.7 s cold in process (median of 15) on a faster 2-vCPU x86
+# host, where the edges of c = 10 over Z, c = 1 mod 4 and c = 10 mod 12 ran
+# in 1.4, 2.0 and 2.1 s.
 WORK_CAP_EDGES = [
     ("expand", (1, None), 103403), ("expand", (1, 4), 4807480), ("expand", (1, 12), 263434),
     ("expand", (1, M61), 163405), ("expand", (10, None), 36834), ("expand", (10, 4), 4434894),
@@ -420,7 +422,7 @@ WORK_CAP_EDGES = [
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
     ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
-    ("brute", (30,), 7), ("thm14", (10,), 2781662), ("conj73", (20,), 2620), ("thm15", (3,), 3382),
+    ("brute", (30,), 7), ("thm14", (10,), 2781662), ("conj73", (20,), 2620), ("thm15", (3,), 3376),
 ]
 _EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
 _DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
@@ -624,7 +626,7 @@ def test_family_sweeps_are_refused_before_any_expansion(capsys, monkeypatch):
         raise AssertionError("expanded a refused sweep")
 
     monkeypatch.setattr(verify_module, "_expand_side", expanding)
-    monkeypatch.setattr(verify_module, "_expand_normalized", expanding)
+    monkeypatch.setattr(verify_module, "_run_steps", expanding)
     for target, i_max, n_max in (("thm15", 3, 6000), ("thm15", 3, 10**5), ("conj73", 20, 2621),
                                  ("conj73", 10**9, 5), ("conj73", 3, 10**12), ("thm15", 10**400, 5)):
         err = assert_refused(capsys, "verify", "--target", target, "--i-max", str(i_max),
@@ -636,7 +638,9 @@ def test_family_price_admits_the_frontier_and_prices_its_parts():
     # the CI frontier and the benchmark's sizes stay admitted; the price is
     # the plan of each side, its reads and residues, and grows with the
     # order, i and n; an empty range reads nothing
-    work = verify_module._families_work
+    def work(*args):
+        return verify_module._families_work(*args)[0]
+
     proved, conjectured = verify_module.PROVED_FAMILIES, verify_module.CONJECTURED_FAMILIES
     for families, i_max, n_max in ((proved, 3, 2000), (conjectured, 3, 2000), (conjectured, 20, 2000),
                                    (conjectured, 200, 300), (proved, 3, 60), (conjectured, 3, 60)):
@@ -652,6 +656,50 @@ def test_family_price_admits_the_frontier_and_prices_its_parts():
         verify_module._FAMILY_READ_PRICE + 11 * verify_module._FAMILY_RESIDUE_PRICE
         + verify_module._plan_price(verify_module._planned_steps(form, 10, 3, "theta"))
     )
+
+
+@pytest.mark.parametrize("target", ["thm15", "conj73"])
+def test_one_verify_request_plans_its_sweep_once(capsys, monkeypatch, target):
+    # the price and the sweep read one plan of the sides: the CLI prices
+    # it, then hands it to the sweep, which runs it as it is
+    plans = []
+    real = verify_module._family_sides
+
+    def planning(*args):
+        plans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify_module, "_family_sides", planning)
+    code, _, _ = run(capsys, "verify", "--target", target, "--i-max", "3", "--n-max", "60")
+    assert code == 0
+    assert len(plans) == 1
+
+
+@pytest.mark.parametrize("n_max", [60, 2000])
+def test_no_dense_rung_is_built_twice_on_a_side(capsys, monkeypatch, n_max):
+    # thm15 at its default order: the bases and the Steps of a side take
+    # their dense powers from one dict, so the mod-12 Step phi(-q^2)^-18
+    # finds the rungs phi(-q^2)^+-1 that the base phi(-q^2)^-13 built, and
+    # at n <= 2000 the mod-3 Steps find the bases' f(n) rungs; every rung
+    # of every side is built once
+    built, seen, dicts = [], set(), []
+    real = eta_module._dense_power
+
+    def spying(step, k, top, m, theta, powers):
+        power = real(step, k, top, m, theta, powers)
+        dicts.append(powers)  # kept alive, so that no later dict takes its id
+        for key in powers:
+            if (id(powers), key) not in seen:
+                seen.add((id(powers), key))
+                built.append((m, key))
+        return power
+
+    monkeypatch.setattr(eta_module, "_dense_power", spying)
+    code, _, _ = run(capsys, "verify", "--target", "thm15", "--i-max", "3", "--n-max", str(n_max))
+    assert code == 0
+    top = (9 * n_max + 3) // 2
+    assert {(12, (1, k, top, True)) for k in (1, -1)} <= set(built)
+    assert len(built) == len(set(built))
 
 
 def test_verify_thm15_small(capsys):
@@ -738,9 +786,10 @@ def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
     # first family reads q^2 at i = 1, n = 0
     real = verify_module._expand_side
 
-    def skewed(forms, order, modulus, route):
-        for series in real(forms, order, modulus, route):
-            if route != "pentagonal":
+    def skewed(ways, order, modulus, powers):
+        for series in real(ways, order, modulus, powers):
+            # the prime-power sides of thm15, which take the Euler factors
+            if modulus not in (2, 3, 4):
                 yield series
                 continue
             coeffs = list(series.coeffs)
@@ -784,15 +833,15 @@ def test_stepped_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
 def test_step_off_its_progression_has_its_own_exit_status(capsys, monkeypatch):
     # a Step series with one coefficient off q^s does not pass through the
     # progression; the sweep must say so, not report on it
-    real = verify_module._expand_normalized
+    real = verify_module._run_steps
 
-    def skewed(form, order, m, route, powers):
-        series = real(form, order, m, route, powers)
+    def skewed(steps, order, m, powers):
+        series = real(steps, order, m, powers)
         coeffs = list(series.coeffs)
         coeffs[1] = (coeffs[1] + 1) % m
         return Series(coeffs, m)
 
-    monkeypatch.setattr(verify_module, "_expand_normalized", skewed)
+    monkeypatch.setattr(verify_module, "_run_steps", skewed)
     code, out, err = run(capsys, "verify", "--target", "thm15")
     assert code == 3
     assert out == ""
@@ -816,8 +865,7 @@ def test_verify_bad_flag_is_usage_error(capsys):
 )
 def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv, flag):
     # refused before the library is called: a call would raise TypeError
-    for name in ("verify_mod4_classification", "verify_proved_families",
-                 "verify_conjectured_families", "check_named_identity"):
+    for name in ("verify_mod4_classification", "_verify_families", "check_named_identity"):
         monkeypatch.setattr(cli_module, name, None)
     err = assert_refused(capsys, "verify", "--target", *argv)
     assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"

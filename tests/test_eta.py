@@ -17,17 +17,19 @@ from overcubic.eta import (
     _DIVISION_EXPONENT_PRICE,
     _PAIR_PRICE,
     _colored_quotient,
-    _euler_factors,
-    _expand_normalized,
     _expand_side,
     _expansion_work,
     _factor_plan,
     _factor_terms,
+    _held_after,
     _log_majorant,
     _multiply_passes,
     _normalized_factors,
+    _plan_price,
     _planned_steps,
     _prime_power_base,
+    _run_steps,
+    _side_plan,
     _theta_rewrite,
     _theta_terms,
     _walk,
@@ -277,7 +279,7 @@ def test_memoized_expansion_matches_uncached(quotients, requests):
     for idx, order, m in requests:
         factors = quotients[idx % len(quotients)]
         key = tuple(_normalized_factors(EtaQuotient(factors), order, m))
-        fresh = _expand_normalized(key, order, m, None, {})
+        fresh = _run_steps(_planned_steps(key, order, m, None), order, m, {})
         for _ in range(2):
             assert expand_eta_quotient(EtaQuotient(factors), order, modulus=m) == fresh
 
@@ -316,7 +318,7 @@ def test_dense_powers_match_cold_and_naive(factors, shifts, order, m, route):
         for shift in shifts
     ]
     forms.append(tuple(_normalized_factors(EtaQuotient(factors), order, m)))
-    warm = list(_expand_side(forms, order, m, route))[-1]
+    warm = list(_expand_side(_side_plan(forms, order, m, route, ())[0], order, m, {}))[-1]
     cold = expand_eta_quotient(EtaQuotient(factors), order, modulus=m, route=route)
     assert warm == cold
     assert list(cold.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
@@ -353,7 +355,7 @@ def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
     for m, route in ((12, "theta"), (3, "pentagonal"), (4, "pentagonal")):
         forms = [tuple(_normalized_factors(_colored_quotient(c, True), 548, m)) for c in colors]
         first = len(calls)
-        sides[m] = list(_expand_side(forms, 548, m, route))
+        sides[m] = list(_expand_side(_side_plan(forms, 548, m, route, ())[0], 548, m, {}))
         # the calls hold every dict, so no two of them share an id
         assert {id(powers) for powers, _ in calls[first:]} == {id(calls[first][0])}
         assert {seen for _, seen in calls[first:]} == {m}
@@ -754,6 +756,67 @@ def test_plan_prices_the_cheaper_route():
         assert all(s[4] for s in steps)
 
 
+def cold_factor_plan(n, k, order, m, nz, theta):
+    """The price of a step as a cold ladder, every rung built: the terms of
+    ``base^1``, the inverting walk to ``base^-1`` and the powering products."""
+    terms = len(_factor_terms(n, order, theta))
+    update = 1 if m is None else _update_price((m - 1).bit_length())
+    division = (terms + _DIVISION_EXPONENT_PRICE) * update
+    if k > 0:
+        sparse = _multiply_passes(k, nz, order, terms)[1] * update
+    else:
+        sparse = min(-k, 2**64) * (order + 1) * division
+    if m is None:
+        return False, sparse
+    walk = (order // n + 1) * division if k < 0 else 0
+    products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
+    dense = 3 * (order + 1) + walk + products * eta_module._product_price(order, m)
+    return (True, dense) if dense < sparse else (False, sparse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(-40, 40).filter(bool), st.integers(0, 3000),
+    st.sampled_from(_ROUTE_MODULI), st.integers(1, 3001), st.booleans(),
+)
+def test_plan_with_nothing_held_prices_a_cold_ladder(n, k, order, m, nz, theta):
+    nz = min(nz, order + 1)
+    want = cold_factor_plan(n, k, order, m, nz, theta)
+    assert _factor_plan(n, k, order, m, nz, theta) == want
+    assert _factor_plan(n, k, order, m, nz, theta, frozenset()) == want
+
+
+def test_held_rungs_price_a_step_below_its_cold_price(monkeypatch):
+    # mod 12 the base c = 14, 1/(phi(-q) * phi(-q^2)^13), powers phi(-q^2)
+    # densely and leaves its rungs +-1 in the side's dict; planned after
+    # it, phi(-q^2)^-1 = f4/f2^2 costs neither terms nor a walk and turns
+    # dense, where cold one sparse division is cheaper. The run takes the
+    # planned route: the rung, and no division
+    order, m = 548, 12
+    base = tuple(_normalized_factors(_colored_quotient(14, True), order, m))
+    step = ((2, -2), (4, 1))
+    ways, [plan], price = _side_plan([base], order, m, "theta", [(step, order)])
+    cold = _planned_steps(step, order, m, "theta")
+    assert [s[6] for s in cold] == [False] and [s[6] for s in plan] == [True]
+    assert _plan_price(plan) == 0 < _plan_price(cold)
+    assert price == _plan_price(ways[0][1])
+    powers = {}
+    [series] = _expand_side(ways, order, m, powers)
+    assert _held_after(ways[0][1]) == {(1, 1, 274, True), (1, -1, 274, True)} <= set(powers)
+    divisions = []
+
+    def dividing(*args):
+        divisions.append(args)
+        return _divide_sparse(*args)
+
+    monkeypatch.setattr(eta_module, "_divide_sparse", dividing)
+    got = _run_steps(plan, order, m, powers)
+    assert divisions == []
+    monkeypatch.undo()
+    assert got == expand_eta_quotient(EtaQuotient(step), order, m)
+    assert series == expand_eta_quotient(EtaQuotient(base), order, m, "theta")
+
+
 def test_phi_terms_match_naive_quotient():
     # phi(-q^n) = f(n)^2/f(2n), with the weights 2*(-1)^j at j^2*n
     for step in range(1, 5):
@@ -801,10 +864,10 @@ _SIDE_MODULI = [2, 3, 4, 6, 8, 9, 12, 27]
 )
 def test_shared_side_matches_each_expansion(colors, extra, m, route, order, product):
     # a side's forms, the colored series times a common extra quotient, are
-    # served in their order and equal each form expanded on its own. The
-    # product's price is left to the plan, or set to 0 or past any form, so
-    # that each form is served by its remainder, the shared series itself
-    # or its whole walk, and the side shares or not
+    # served in their order from one dict of powers and equal each form
+    # expanded on its own. The product's price is left to the plan, or set
+    # to 0 or past any form, so that each form is served by its whole walk
+    # or as the form before it times their quotient
     forms = sorted({
         tuple(_normalized_factors(EtaQuotient(_colored_quotient(c, True).factors + tuple(extra)), order, m))
         for c in colors
@@ -812,25 +875,9 @@ def test_shared_side_matches_each_expansion(colors, extra, m, route, order, prod
     with pytest.MonkeyPatch.context() as mp:
         if product is not None:
             mp.setattr(eta_module, "_product_price", lambda order, m: product)
-        # a side planned under another product price must not be served,
-        # here or after
-        eta_module._side_plan.cache_clear()
-        try:
-            got = list(_expand_side(forms, order, m, route))
-        finally:
-            eta_module._side_plan.cache_clear()
+        ways = _side_plan(forms, order, m, route, ())[0]
+    got = list(_expand_side(ways, order, m, {}))
     assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form in forms]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_wide_quotients, st.integers(0, 300), st.sampled_from(_ROUTE_MODULI), st.sampled_from(ROUTES),
-       st.data())
-def test_euler_factors_give_the_walk_back(factors, order, m, route, data):
-    # the shared factor is expanded as the eta quotient whose walk is the
-    # shared steps: any steps of one walk come back from their Euler factors
-    walk = _walk(_normalized_factors(EtaQuotient(factors), order, m), order, m, route)
-    some = [step for step in walk if data.draw(st.booleans())]
-    assert _walk(_euler_factors(some, order), order, m, route) == some
 
 
 def test_routes_give_equal_series():

@@ -193,10 +193,10 @@ def test_mod4_forms_depend_on_c_only_through_its_parity():
 
 def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # each sweep serves each base, a distinct (form, modulus, route) that the
-    # first i of a family read, once, builds each side's shared factor at
-    # most once, and builds each Step once per (modulus, route, exponent,
-    # s): a form served twice would show as more forms served than distinct
-    # ones, a factor or a Step built twice as a repeated key
+    # first i of a family read, once, by the way its side's plan gave it,
+    # and builds each Step once per (modulus, route, exponent, s): a form
+    # served twice would show as more forms served than distinct ones, a
+    # Step built twice as a repeated key
     keys = recorded_expansions(monkeypatch)
     served = recorded_sides(monkeypatch)
     built = recorded_steps(monkeypatch)
@@ -212,103 +212,124 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # (f4/f2^2)^e in q^s: e = 3 at s = 3 mod 6 and mod 3, e = 9 at s = 9
     # mod 3, e = 18 at s = 9 mod 12; mod 2 and mod 4 the Step is 1 and
     # expands nothing
-    keys.clear()
     verify_proved_families(3, 21, 200)
     assert len(served) == len(set(served)) == 11
-    assert Counter((m, route) for _, m, route in served) == {
+    assert Counter((m, route) for _, m, route, _ in served) == {
         (2, "pentagonal"): 1, (3, "pentagonal"): 3, (4, "pentagonal"): 2,
         (6, "theta"): 1, (12, "theta"): 4,
     }
     # each at the least order its progressions read, 3*21 + 2 and 9*21 + 8
     step_order = {3: 65, 9: 197}
     assert sorted(built) == sorted(
-        (m, route, s, tuple(_normalized_factors(verify_module._step_quotient(e), step_order[s], m)))
-        for m, route, s, e in ((2, "pentagonal", 3, 3), (3, "pentagonal", 3, 3), (3, "pentagonal", 9, 9),
-                               (4, "pentagonal", 9, 18), (6, "theta", 3, 3), (12, "theta", 9, 18))
+        (m, s, tuple(_normalized_factors(verify_module._step_quotient(e), step_order[s], m)))
+        for m, s, e in ((2, 3, 3), (3, 3, 3), (3, 9, 9), (4, 9, 18), (6, 3, 3), (12, 9, 18))
     )
-    assert [form for m, *_, form in built if m in (2, 4)] == [(), ()]
-    # expanded by the sides through the path of every normalized form: the
-    # lone base mod 2 and mod 6, the factor the mod-4 bases share, f1^-2,
-    # and the quotients of neighbouring bases mod 3 and mod 12, where e = 3
-    # comes twice, 14 -> 17 and 23 -> 26
-    mod3 = {e: tuple(_normalized_factors(verify_module._step_quotient(e), 200, 3)) for e in (3, 9)}
-    assert Counter(keys) == {
-        ((), 200, 2, "pentagonal"): 1, (((1, -2), (2, -7), (4, 4)), 200, 6, "theta"): 1,
-        (((1, -2),), 200, 4, "pentagonal"): 1,
-        (mod3[9], 200, 3, "pentagonal"): 1, (mod3[3], 200, 3, "pentagonal"): 1,
-        (((2, -6), (4, 3)), 200, 12, "theta"): 2, (((2, -12), (4, 6)), 200, 12, "theta"): 1,
+    assert [form for m, _, form in built if m in (2, 4)] == [(), ()]
+    # served by the ways their plans priced cheaper: the lone base mod 2
+    # and mod 6 and the first base of every other side by its whole walk,
+    # the rest as the base before them times their quotient
+    assert Counter((m, way) for _, m, _, way in served) == {
+        (2, "whole"): 1, (6, "whole"): 1, (3, "whole"): 1, (4, "whole"): 1, (12, "whole"): 1,
+        (3, "quotient"): 2, (4, "quotient"): 1, (12, "quotient"): 3,
     }
     # at i <= 20 each sweep serves the same bases and Steps as at i <= 3,
     # at n <= 30 and at n <= 10, where the lower order makes forms of
     # distant c coincide: 11 and 15 bases, and 6 and 5 Steps, of which 4
     # and 3 expand
-    sweep_families = {verify_proved_families: PROVED_FAMILIES, verify_conjectured_families: CONJECTURED_FAMILIES}
     for sweep, bases, steps in ((verify_proved_families, 11, 6), (verify_conjectured_families, 15, 5)):
         for n_max in (30, 10):
-            keys.clear()
             served.clear()
             built.clear()
             sweep(20, n_max)
             assert len(served) == len(set(served)) == bases
             assert len(built) == len(set(built)) == steps
-            assert [m for m, *_, form in built if not form] == [2, 4]
-            # a series expanded twice is the quotient of two bases served
-            # back to back, which consecutive i of the families share
-            order = max(f.prog_slope * n_max + f.prog_intercept for f in sweep_families[sweep])
-            quotients = {
-                (tuple(_normalized_factors(eta_module._quotient(form, before), order, m)), order, m, route)
-                for (before, m, route), (form, m2, route2) in zip(served, served[1:])
-                if (m, route) == (m2, route2)
-            }
-            assert all(count == 1 or key in quotients for key, count in Counter(keys).items())
+            assert [m for m, _, form in built if not form] == [2, 4]
 
 
 def recorded_steps(monkeypatch):
-    """The ``(modulus, route, s, form)`` of every Step a family sweep builds
+    """The ``(modulus, s, form)`` of every Step a family sweep builds
     (``_step_series``) while the test runs: ``form`` is empty for a Step of
     1, which expands nothing."""
     built = []
     real = verify_module._step_series
 
-    def recording(form, s, n_max, order, m, route, powers):
-        built.append((m, route, s, form))
-        return real(form, s, n_max, order, m, route, powers)
+    def recording(form, plan, s, n_max, order, m, powers):
+        built.append((m, s, form))
+        return real(form, plan, s, n_max, order, m, powers)
 
     monkeypatch.setattr(verify_module, "_step_series", recording)
     return built
 
 
 def recorded_sides(monkeypatch):
-    """The ``(form, modulus, route)`` of every series a family sweep's sides
-    serve (``_expand_side``) while the test runs."""
-    served = []
-    real = verify_module._expand_side
+    """The ``(form, modulus, route, way)`` of every series a family sweep's
+    sides serve (``_expand_side``) while the test runs, each side known by
+    the plan (``_side_plan``) that gave it its ways."""
+    served, planned = [], {}
+    real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
 
-    def recording(forms, order, m, route):
-        for form, series in zip(forms, real(forms, order, m, route)):
-            served.append((form, m, route))
+    def planning(forms, order, m, route, later):
+        ways, plans, price = real_plan(forms, order, m, route, later)
+        # the ways are kept, so that no other list takes their id
+        planned[id(ways)] = (ways, forms, route)
+        return ways, plans, price
+
+    def recording(ways, order, m, powers):
+        _, forms, route = planned[id(ways)]
+        for form, (way, _), series in zip(forms, ways, real_expand(ways, order, m, powers)):
+            served.append((form, m, route, way))
             yield series
 
+    monkeypatch.setattr(verify_module, "_side_plan", planning)
     monkeypatch.setattr(verify_module, "_expand_side", recording)
     return served
 
 
 def recorded_expansions(monkeypatch):
-    """The ``(factors, order, modulus, route)`` key of every expansion
-    requested through ``expand_eta_quotient`` while the test runs."""
+    """The ``(factors, order, modulus, route)`` key of every walk planned
+    (``_planned_steps``) while the test runs: one for each expansion
+    through ``expand_eta_quotient``, and one for each way a family sweep's
+    side prices."""
     keys = []
-    real = eta_module._expand_normalized
+    real = eta_module._planned_steps
 
-    def recording(factors, order, m, route, powers):
-        keys.append((factors, order, m, route))
-        return real(factors, order, m, route, powers)
+    def recording(factors, order, m, route, held=frozenset()):
+        keys.append((tuple(factors), order, m, route))
+        return real(factors, order, m, route, held)
 
-    monkeypatch.setattr(eta_module, "_expand_normalized", recording)
+    monkeypatch.setattr(eta_module, "_planned_steps", recording)
     return keys
 
 
+def test_a_sweep_runs_the_steps_its_price_planned(monkeypatch):
+    # thm15's mod-12 Step phi(-q^2)^-18 is planned after the bases, whose
+    # phi(-q^2)^-13 leaves the rungs +-1 in the side's dict, and is priced
+    # below its cold price; given the plan it was priced by, the sweep runs
+    # each of its plans once, as planned: every base served whole or by a
+    # quotient that is not 1, and every Step that is not 1
+    price, sides = verify_module._families_work(PROVED_FAMILIES, 3, 60)
+    form, plan = sides[12, "theta"].steps[9, 18]
+    cold = eta_module._planned_steps(form, 543, 12, "theta")
+    assert eta_module._plan_price(plan) < eta_module._plan_price(cold)
+    ran = []
+    real = eta_module._run_steps
+
+    def running(steps, order, m, powers):
+        ran.append(id(steps))
+        return real(steps, order, m, powers)
+
+    monkeypatch.setattr(eta_module, "_run_steps", running)
+    monkeypatch.setattr(verify_module, "_run_steps", running)
+    reports = verify_module._verify_families(PROVED_FAMILIES, 3, 60, None, sides)
+    planned = [id(steps) for side in sides.values() for way, steps in side.ways if way == "whole" or steps]
+    planned += [id(steps) for side in sides.values() for form, steps in side.steps.values() if form]
+    assert sorted(ran) == sorted(planned)
+    monkeypatch.undo()
+    assert reports == verify_proved_families(3, 60)
+
+
 def test_family_sides_take_independent_routes(monkeypatch):
-    # the composite side expands the theta walk, each prime-power side the
+    # the composite side plans the theta walk, each prime-power side the
     # Euler factors: distinct expansions, even for one quotient
     keys = recorded_expansions(monkeypatch)
     verify_family(PROVED_FAMILIES[1], 2, 10, 93)
@@ -521,7 +542,7 @@ def test_every_i_of_a_constant_family_reads_one_form(monkeypatch):
     built = recorded_steps(monkeypatch)
     family = CongruenceFamily(0, 5, 3, 2, 6)
     report = verify_family(family, 30, 20, None)
-    assert Counter((m, route) for _, m, route in served) == {
+    assert Counter((m, route) for _, m, route, _ in served) == {
         (6, "theta"): 1, (2, "pentagonal"): 1, (3, "pentagonal"): 1,
     }
     assert all(form == () for *_, form in built)
