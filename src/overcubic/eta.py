@@ -79,11 +79,11 @@ dict is dropped with the side.
    prices a division pass, sparse or the dense route's inverting walk, per
    term and per exponent, a multiply pass per term or per pair of a
    nonzero coefficient and a term, and the dense route as a ladder, cold
-   but for a side's Steps: planned after its bases, a Step pays neither
-   the terms of ``base^1`` nor the walk to ``base^-1`` where the plans
-   before it leave those rungs in the dict (:func:`_held_after`). Any
-   other rung the dict holds is priced as if built, so every price bounds
-   the work of its step from above.
+   but within a side: each of its bases and Steps, planned after the plans
+   before it, pays neither the terms of ``base^1`` nor the walk to
+   ``base^-1`` where those plans leave the rungs in the dict
+   (:func:`_held_after`). Any other rung the dict holds is priced as if
+   built, so every price bounds the work of its step from above.
 """
 
 from __future__ import annotations
@@ -578,26 +578,26 @@ def _side_plan(forms, order: int, m: int, route: str, later):
       (:func:`_product_price`) unless the quotient is empty; along a family
       sweep's side the forms differ by ``(f4/f2^2)^e``, which walks few
       steps;
-    its whole walk on a tie. The forms are priced as cold ladders, the
-    prices the work cap's edges were measured at; each of ``later`` is
+    its whole walk on a tie. Every plan, of a form or of ``later``, is
     priced given the rungs that the plans before it leave in the dict
-    (:func:`_held_after`), in the order they run. ``ways`` holds one
+    (:func:`_held_after`), in the order they run; a rung only lowers a
+    price, so no plan costs more than it would cold. ``ways`` holds one
     ``(way, steps)`` per form, ``plans`` the steps of each of ``later``,
     and ``price`` is the side's price."""
     product = _product_price(order, m)
-    ways, price = [], 0.0
+    ways, price, held = [], 0.0, frozenset()
     for k, form in enumerate(forms):
-        way = ("whole", _planned_steps(form, order, m, route))
+        way = ("whole", _planned_steps(form, order, m, route, held))
         cost = _plan_price(way[1])
         if k:
             quotient = _normalized_factors(_quotient(form, forms[k - 1]), order, m)
-            steps = _planned_steps(quotient, order, m, route)
+            steps = _planned_steps(quotient, order, m, route, held)
             by_quotient = _plan_price(steps) + product if quotient else 0
             if by_quotient < cost:
                 way, cost = ("quotient", steps), by_quotient
         ways.append(way)
         price += cost
-    held = _held_after(step for _, steps in ways for step in steps)
+        held = _held_after(way[1], held)
     plans = []
     for form, top in later:
         plans.append(_planned_steps(form, top, m, route, held))
@@ -771,17 +771,24 @@ def _log_euler(u: float) -> float:
 
 def _saddle_minimum(exponent, hi: float) -> Tuple[float, float]:
     """The minimum of a convex ``exponent`` on ``[0, hi]`` and where it is,
-    found by a golden-section search."""
+    found by a golden-section search of 60 steps. The interior point that
+    survives a step is the other interior point of the next bracket, so
+    each step after the first evaluates one new point, 61 in all, and the
+    search returns the point that survives its last step."""
     lo = 0.0
     shrink = (sqrt(5) - 1) / 2
-    for _ in range(60):
-        t1, t2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-        if exponent(t1) < exponent(t2):
-            hi = t2
+    t1, t2 = hi - shrink * hi, shrink * hi
+    e1, e2 = exponent(t1), exponent(t2)
+    for _ in range(59):
+        if e1 < e2:
+            hi, t2, e2 = t2, t1, e1
+            t1 = hi - shrink * (hi - lo)
+            e1 = exponent(t1)
         else:
-            lo = t1
-    t = (lo + hi) / 2
-    return exponent(t), t
+            lo, t1, e1 = t1, t2, e2
+            t2 = lo + shrink * (hi - lo)
+            e2 = exponent(t2)
+    return (e1, t1) if e1 < e2 else (e2, t2)
 
 
 def _log_majorant(factors: FactorList, order: int) -> float:

@@ -13,8 +13,9 @@ instead of inventing zeros.
 Multiplication is one Kronecker substitution: each operand is packed into a
 single big integer, one coefficient per fixed-width slot, the two integers
 are multiplied by CPython's big-int arithmetic, and the product is read back
-slot by slot. Slots are wide enough that no coefficient of the product
-carries into the next one, so the result is exact.
+slot by slot. A slot is the least whole number of bytes that holds every
+coefficient of the product, so none carries into the next one and the
+result is exact.
 
 Division is one sparse recurrence, :func:`_divide_sparse`, which walks up
 ``coeffs / (1 + sum w*q^t)`` over the nonzero terms only. :meth:`Series.invert`
@@ -31,8 +32,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Series", "NonInvertibleError"]
 
-# array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes.
+# array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes; a
+# slot of 3, 5, 6 or 7 bytes is packed through the 8-byte one.
 _TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
+_WORD = _TYPECODES[8]
 
 
 class NonInvertibleError(ValueError):
@@ -368,34 +371,45 @@ def _spread(coeffs: Sequence[int], step: int, size: int) -> List[int]:
 
 
 def _slot_width(bits: int) -> int:
-    """Bytes per slot for values of ``bits`` bits: 1, 2, 4, or a multiple of 8."""
-    nbytes = (bits + 7) // 8
-    for width in (1, 2, 4):
-        if nbytes <= width:
-            return width
-    return -(-nbytes // 8) * 8
+    """Bytes per slot for values of ``bits`` bits: the least whole number of
+    bytes that holds them, at least 1."""
+    return max(1, (bits + 7) // 8)
 
 
 def _pack(values: Sequence[int], width: int) -> int:
-    """``sum(values[i] * 2**(8*width*i))`` for values in ``[0, 2**(8*width))``."""
-    typecode = _TYPECODES.get(width)
-    if typecode is None:
+    """``sum(values[i] * 2**(8*width*i))`` for values in ``[0, 2**(8*width))``.
+
+    A slot of 1, 2, 4 or 8 bytes is one array item. A slot of 3, 5, 6 or 7
+    bytes is taken from an 8-byte item by ``width`` strided byte copies, one
+    per byte of the slot, so no value passes through Python one at a time.
+    A wider slot is one ``to_bytes`` a value."""
+    if width > 8:
         raw = b"".join(v.to_bytes(width, "little") for v in values)
-    else:
-        words = array(typecode, values)
-        if sys.byteorder == "big":
-            words.byteswap()
-        raw = words.tobytes()
+        return int.from_bytes(raw, "little")
+    words = array(_TYPECODES.get(width, _WORD), values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    if width not in _TYPECODES:
+        slots = bytearray(width * len(values))
+        for byte in range(width):
+            slots[byte::width] = raw[byte::8]
+        raw = slots
     return int.from_bytes(raw, "little")
 
 
 def _unpack(x: int, width: int, count: int) -> List[int]:
-    """The lowest ``count`` slots of ``x``, which must be non-negative."""
+    """The lowest ``count`` slots of ``x``, which must be non-negative: the
+    inverse of :func:`_pack`, through the same arrays and strided copies."""
     raw = (x & ((1 << (8 * width * count)) - 1)).to_bytes(width * count, "little")
-    typecode = _TYPECODES.get(width)
-    if typecode is None:
+    if width > 8:
         return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    words = array(typecode)
+    if width not in _TYPECODES:
+        items = bytearray(8 * count)
+        for byte in range(width):
+            items[byte::8] = raw[byte::width]
+        raw = items
+    words = array(_TYPECODES.get(width, _WORD))
     words.frombytes(raw)
     if sys.byteorder == "big":
         words.byteswap()
@@ -419,10 +433,14 @@ def _kronecker_price(packed: int, read: int, width: int) -> float:
     ns): ``packed`` slots of ``width`` bytes in its two operands, ``read``
     of them read back. The Karatsuba product of ``B = packed * width``
     bytes costs ``B**1.585 / 60``, a slot packed or read 3 through an
-    array of 1-8 bytes, 14 through a wider slot's bytes. Fitted on eta's
-    dense products (10^2-10^5 residues mod 4 to 10^1000 + 7) and the DP's
-    block products (31-2048 weights of 16-1024 bits; 2-vCPU x86 host)."""
-    slot = 3 if width <= 8 else 14
+    array of 1, 2, 4 or 8 bytes or by the strided copies of a 3-byte slot,
+    4 through those of a 5-7-byte slot, 14 through a wider slot's bytes.
+    Fitted on eta's dense products (10^2-10^5 residues mod 4 to 10^1000 +
+    7) and the DP's block products (31-2048 weights of 16-1024 bits); the
+    strided slots packed, read and reduced at 23-25 ns (3 bytes) and 31-37
+    ns (5-7 bytes) a slot, where an array's took 21-28 ns (10^3-10^4
+    residues mod 4 to 2^40; 2-vCPU x86 host)."""
+    slot = 14 if width > 8 else 4 if width in (5, 6, 7) else 3
     return (packed * width) ** log2(3) / 60 + slot * (packed + read)
 
 

@@ -259,6 +259,27 @@ def test_colored_dp_routes_by_the_bits_of_its_counts(monkeypatch):
     assert not widths
 
 
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_colored_dp_at_strided_slot_widths(monkeypatch, c):
+    # block products whose slots take 5, 6 or 7 bytes, packed by strided
+    # copies, against the series, an independent route; and against the
+    # brute fold up to its weight cap, where the DP is one leaf
+    widths = set()
+    pack = counting_module._pack
+
+    def recording_pack(values, width):
+        widths.add(width)
+        return pack(values, width)
+
+    monkeypatch.setattr(counting_module, "_pack", recording_pack)
+    series = gen_overcubic_gf(c, 2000)
+    for n in (300, 990, 1500, 2000):
+        assert counting_module._colored_dp(c, n, True) == series[n]
+    assert widths & {5, 6, 7}
+    for n in range(20, BRUTE_FORCE_CAP + 1, 5):
+        assert counting_module._colored_dp(c, n, True) == count_gen_overcubic_brute(c, n) == series[n]
+
+
 def test_block_prices_route_by_count_bits():
     # measured on blocks of 32-512 weights: the Kronecker product won 1.4-11x
     # on counts of up to 64 bits, and on 256 bits from 256 weights on; the

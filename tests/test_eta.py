@@ -880,6 +880,54 @@ def test_shared_side_matches_each_expansion(colors, extra, m, route, order, prod
     assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form in forms]
 
 
+def cold_side_price(forms, order, m, route, later):
+    """A side's price with every plan priced cold, as if its dict held no
+    rung: each form by the cheaper of its whole walk and its quotient by
+    the form before it plus one product, then each of ``later``."""
+    product = eta_module._product_price(order, m)
+    price = 0.0
+    for k, form in enumerate(forms):
+        cost = _plan_price(_planned_steps(form, order, m, route))
+        if k:
+            quotient = _normalized_factors(eta_module._quotient(form, forms[k - 1]), order, m)
+            by_quotient = _plan_price(_planned_steps(quotient, order, m, route)) + product if quotient else 0
+            cost = min(cost, by_quotient)
+        price += cost
+    return price + sum(_plan_price(_planned_steps(form, top, m, route)) for form, top in later)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sets(st.integers(1, 60), min_size=1, max_size=6),
+    st.sampled_from(_SIDE_MODULI),
+    st.sampled_from(ROUTES),
+    st.sampled_from([0, 57, 200, 548]),
+    st.sampled_from([0, 3, 9, 18]),
+)
+def test_side_price_never_exceeds_its_cold_price(colors, m, route, order, e):
+    # every plan of a side, its bases as well as its Steps, is priced given
+    # the rungs the plans before it leave in the dict, which only lower a
+    # price; a side of one base, and no Step, keeps its cold price
+    forms = sorted({tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in colors})
+    later = [(tuple(_normalized_factors(EtaQuotient([(2, -2 * e), (4, e)]), order, m)), order)]
+    assert _side_plan(forms, order, m, route, later)[2] <= cold_side_price(forms, order, m, route, later)
+    assert _side_plan(forms[:1], order, m, route, ())[2] == cold_side_price(forms[:1], order, m, route, ())
+
+
+def test_mod12_bases_are_priced_given_the_rungs_before_them():
+    # mod 12 the base c = 14, 1/(phi(-q) * phi(-q^2)^13), powers phi(-q^2)
+    # densely; the quotients of c = 17 and c = 23 by the base before them,
+    # phi(-q^2)^-3 and phi(-q^2)^-6, find its rungs +-1 in the dict, and the
+    # side is priced below its cold price with the same series
+    order, m = 548, 12
+    forms = [tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in (14, 17, 23)]
+    ways, _, price = _side_plan(forms, order, m, "theta", ())
+    assert price < cold_side_price(forms, order, m, "theta", ())
+    assert list(_expand_side(ways, order, m, {})) == [
+        expand_eta_quotient(EtaQuotient(form), order, m, "theta") for form in forms
+    ]
+
+
 def test_routes_give_equal_series():
     # one quotient, order and modulus along each walk, and with none named:
     # equal series; a walk that is not one of ROUTES is refused

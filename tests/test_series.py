@@ -1,13 +1,15 @@
 """Contract and property tests for the truncated power-series ring."""
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overcubic.series import NonInvertibleError, Series, _divide_sparse
+from overcubic.series import (
+    NonInvertibleError, Series, _divide_sparse, _kronecker_mod, _kronecker_z, _pack, _slot_width, _unpack,
+)
 
 
 # -- construction -------------------------------------------------------------
@@ -500,8 +502,8 @@ def schoolbook(a, b, modulus=None):
 
 
 # At orders up to 40 the product slots of these moduli take 1 byte (2, 3),
-# 2 bytes (4, 6, 12), 4 bytes (97), 8 bytes (2**20 + 7) and 16 bytes
-# (2**40 + 15, wider than any array item).
+# 1-2 bytes (4, 6, 12), 2-3 bytes (97, the strided copies at 3), 6 bytes
+# (2**20 + 7, strided) and 11 bytes (2**40 + 15, wider than any array item).
 _KRONECKER_MODULI = [2, 3, 4, 6, 12, 97, 2**20 + 7, 2**40 + 15]
 
 
@@ -512,7 +514,7 @@ def _operand_pair(draw, values):
     return draw(same_length), draw(same_length)
 
 
-# Coefficient sizes whose product slots take 2, 4, 8, 16 and more bytes.
+# Coefficient sizes whose product slots take up to 2, 4, 8, 11 and 51 bytes.
 @given(
     st.sampled_from([3, 10, 25, 40, 200]).flatmap(
         lambda bits: _operand_pair(st.integers(-(2**bits), 2**bits))
@@ -541,3 +543,42 @@ def test_kronecker_product_extreme_signs():
     m = 2**40 + 15
     full = [m - 1] * 50
     assert list((Series(full, m) * Series(full, m)).coeffs) == schoolbook(full, full, m)
+
+
+@given(
+    st.integers(1, 17).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2 ** (8 * w) - 1), max_size=40))
+    )
+)
+@example((3, [2**24 - 1, 0, 1]))
+@example((7, [2**56 - 1] * 3))
+def test_pack_round_trips_at_every_width(case):
+    # slots of 1, 2, 4 and 8 bytes are array items, of 3, 5, 6 and 7 bytes
+    # strided copies of 8-byte items, wider ones to_bytes: each holds every
+    # value of its bytes, the largest included
+    width, values = case
+    packed = _pack(values, width)
+    assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))
+    assert _unpack(packed, width, len(values)) == values
+
+
+@pytest.mark.parametrize("width", [3, 7, 8])
+def test_kronecker_products_at_a_byte_boundary(width):
+    # a slot bound that lands on its last byte's top bit, and one bit past
+    # it, where the slot takes one more byte: both kernels against the
+    # schoolbook, on operands whose top sums fill the slot
+    count = 64
+    m = isqrt((2 ** (8 * width) - 1) // count) + 1
+    rng = random.Random(width)
+    for n, w in ((count, width), (count + 1, width + 1)):
+        assert _slot_width(((m - 1) * (m - 1) * n).bit_length()) == w
+        for a, b in (([m - 1] * n, [m - 1] * n),
+                     ([rng.randrange(m) for _ in range(n)], [rng.choice((0, m - 1)) for _ in range(n)])):
+            assert _kronecker_mod(a, b, m) == schoolbook(a, b, m)
+    # over Z the slot holds twice the bound, signed
+    x = isqrt((2 ** (8 * width) - 1) // (2 * count))
+    for n, w in ((count, width), (count + 1, width + 1)):
+        assert _slot_width((2 * x * x * n).bit_length()) == w
+        for a, b in (([-x] * n, [-x] * n), ([x, -x] * (n // 2) + [x] * (n % 2), [-x] * n),
+                     ([rng.randint(-x, x) for _ in range(n)], [rng.choice((-x, x)) for _ in range(n)])):
+            assert _kronecker_z(a, b) == schoolbook(a, b)

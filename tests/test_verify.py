@@ -227,10 +227,12 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     assert [form for m, _, form in built if m in (2, 4)] == [(), ()]
     # served by the ways their plans priced cheaper: the lone base mod 2
     # and mod 6 and the first base of every other side by its whole walk,
-    # the rest as the base before them times their quotient
+    # the rest as the base before them times their quotient, but the second
+    # base mod 4, whose whole walk finds the rungs the first one left in the
+    # side's dict and is priced under its quotient and one product
     assert Counter((m, way) for _, m, _, way in served) == {
-        (2, "whole"): 1, (6, "whole"): 1, (3, "whole"): 1, (4, "whole"): 1, (12, "whole"): 1,
-        (3, "quotient"): 2, (4, "quotient"): 1, (12, "quotient"): 3,
+        (2, "whole"): 1, (6, "whole"): 1, (3, "whole"): 1, (4, "whole"): 2, (12, "whole"): 1,
+        (3, "quotient"): 2, (12, "quotient"): 3,
     }
     # at i <= 20 each sweep serves the same bases and Steps as at i <= 3,
     # at n <= 30 and at n <= 10, where the lower order makes forms of
