@@ -22,16 +22,18 @@ brute-force count against the DP, or when a DP step does not divide
 exactly (an internal inconsistency, not a verdict on the claim checked).
 
 Each engine prices its own request in one unit, an update of a sparse
-pass (``series._kronecker_price``, ``series._update_price``):
-``eta._expansion_work`` sums the plan's steps, to which ``expand`` adds
-the rows it prints (``_expand_price``), ``counting._dp_work`` sums the
-DP's block products over its tree, ``verify._mod4_classification_work``
-prices ``verify --target thm14`` by its forms, colors and residues,
-``verify._families_work`` plans ``thm15`` and ``conj73`` once, their
-bases, Step series and step products, and prices that plan with the
-residues it compares, and the sweep runs the plan it was priced by.
-``series._check_work`` refuses each over ``series.WORK_CAP``, as it
-refuses every engine's requests.
+pass (``series._kronecker_price``, ``series._update_price``), and every
+expansion is priced by the plan it runs: ``eta._expansion_work`` plans
+an expansion and sums its steps, to which ``expand`` adds the rows it
+prints (``_expand_price``), ``verify._mod4_classification_work`` plans
+the distinct mod-4 forms of ``verify --target thm14`` and prices them
+with its colors and residues, and ``verify._families_work`` plans
+``thm15`` and ``conj73`` once, their bases, Step series and step
+products, and prices that plan with the residues it compares. Each hands
+back its plan with its price, and the command runs that plan, through
+the one runner ``eta._expand_side``. ``counting._dp_work`` sums the DP's
+block products over its tree. ``series._check_work`` refuses each over
+``series.WORK_CAP``, as it refuses every engine's requests.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import shlex
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .counting import (
@@ -56,6 +58,7 @@ from .eta import (
     EtaQuotientParseError,
     _coefficient_bits,
     _colored_quotient,
+    _expand_side,
     _expansion_work,
     parse_eta_quotient,
 )
@@ -69,8 +72,8 @@ from .verify import (
     _families_work,
     _mod4_classification_work,
     _verify_families,
+    _verify_mod4,
     check_named_identity,
-    verify_mod4_classification,
 )
 
 ENGINE_INCONSISTENCY = 3
@@ -135,21 +138,23 @@ def _cmd_expand(args, command: str) -> int:
         except EtaQuotientParseError as exc:
             raise UsageError(f"bad eta quotient: {exc}")
         spec = {"eta": str(quotient)}
-    _check_work(_expand_price(quotient, order, args.modulus),
-                f"expanding {quotient} to order {order}", "; lower --order")
-    series = quotient.expand(order, args.modulus)
+    price, ways = _expand_price(quotient, order, args.modulus)
+    _check_work(price, f"expanding {quotient} to order {order}", "; lower --order")
+    series = next(_expand_side(ways, args.modulus))
     record = _record(command, {**spec, "order": order, "modulus": args.modulus}, {"order": order})
     _emit_rows(record, series.coeffs, args.format)
     return 0
 
 
-def _expand_price(quotient, order: int, modulus: Optional[int]) -> float:
-    """The price of ``expand`` to ``order``: the expansion, and the rows it
-    prints at :func:`_row_price` each."""
-    price = _expansion_work(quotient, order, modulus)
+def _expand_price(quotient, order: int, modulus: Optional[int]) -> Tuple[float, Optional[list]]:
+    """``(price, ways)`` of ``expand`` to ``order``: the plan of the
+    expansion (:func:`~overcubic.eta._expansion_work`), which the command
+    runs as it is, and its price with the rows it prints at
+    :func:`_row_price` each."""
+    price, ways = _expansion_work(quotient, order, modulus)
     if order < WORK_CAP:  # past it the expansion alone is priced over the cap
         price += (order + 1) * _row_price(_coefficient_bits(quotient.factors, order, modulus))
-    return price
+    return price, ways
 
 
 def _row_price(bits: float) -> float:
@@ -199,7 +204,7 @@ def _cmd_count(args, command: str) -> int:
     if engine == "dp":
         price, advice = _dp_work(c, n, overlined), ""
         # a refusal names the expansion of the same series where it is admitted
-        if price > WORK_CAP and _expand_price(_colored_quotient(c, overlined), n, None) <= WORK_CAP:
+        if price > WORK_CAP and _expand_price(_colored_quotient(c, overlined), n, None)[0] <= WORK_CAP:
             c_flag = "" if args.c is None else f" --c {c}"
             advice = f"; expand the series instead: overcubic expand --gf {kind}{c_flag} --order {n}"
         _check_work(price, f"the {kind} DP at n = {n}", advice)
@@ -278,9 +283,9 @@ def _cmd_verify(args, command: str) -> int:
             raise UsageError(f"--{dest.replace('_', '-')} is meaningless with --target {target}")
     if target == "thm14":
         c_max, n_max = params["c_max"], params["n_max"]
-        _check_work(_mod4_classification_work(c_max, n_max, args.order),
-                    f"the mod-4 sweep of c <= {c_max} to n = {n_max}", "; lower --n-max or --c-max")
-        reports = [verify_mod4_classification(c_max, n_max, args.order)]
+        price, plans = _mod4_classification_work(c_max, n_max, args.order)
+        _check_work(price, f"the mod-4 sweep of c <= {c_max} to n = {n_max}", "; lower --n-max or --c-max")
+        reports = [_verify_mod4(c_max, n_max, args.order, plans)]
     elif target == "identity":
         if args.name is None:
             raise UsageError(

@@ -5,17 +5,20 @@ generating function this package cares about is a finite product of integer
 powers of such factors (an *eta quotient*), and the theta functions psi,
 phi, chi are quotients of that shape as well.
 
-Expansion strategy: every expansion runs its planned steps through
-:func:`_run_steps`. :func:`expand_eta_quotient` plans a lone series, and
-every named series and :func:`expand_f` call it. No expansion is kept: a
+Expansion strategy: every expansion is planned by one planner,
+:func:`_side_plan`, and run by one runner, :func:`_expand_side`, exactly
+as it was planned and priced. A request is a side: a list of planned
+expansions, each a walk of steps that carries every decision the run
+needs. A lone series (:func:`expand_eta_quotient`, which every named
+series and :func:`expand_f` call, and the CLI's ``expand``) is a side of
+one form, and so is each distinct mod-4 form of the ``thm14`` sweep; a
+side of a family sweep is its forms, each by its whole walk or as its
+neighbour times their quotient, then its Steps. No expansion is kept: a
 caller that reads one series more than once asks for it once, as the
-sweeps of :mod:`overcubic.verify` do by normalized form. One side of a
-family sweep is planned once, its forms, each by its whole walk or as its
-neighbour times their quotient, then its Steps (:func:`_side_plan`), and
-runs from that plan (:func:`_expand_side`). Only the dense powers of step
-2 are memoized, in one dict that a side owns for its bases and its Steps,
-so each expansion of a side finds the powers the others built, and the
-dict is dropped with the side.
+sweeps of :mod:`overcubic.verify` do by normalized form. Only the dense
+powers of step 2 are memoized, in one dict that the runner owns for the
+side, so each expansion of a side finds the powers the others built, and
+the dict is dropped with the side.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -64,26 +67,27 @@ dict is dropped with the side.
    by slices over the whole list, one a term (:func:`_times_f`), or term
    by term over the nonzero coefficients (:func:`_times_terms`) while the
    plan's bound on them (:func:`_multiply_passes`) makes that cheaper, as
-   it does on a running product that starts as 1. The dense route, under
-   a modulus only, takes ``base^k`` from one memoized ladder
-   (:func:`_dense_power`): ``base^1`` is built from the terms, ``base^-1``
+   it does on a running product that starts as 1; the plan fixes how many
+   passes run term by term. The dense route, under a modulus only, takes
+   ``base^k`` from the one ladder of ``Series.__pow__``
+   (:func:`~overcubic.series._ladder_power`), memoized by
+   :func:`_dense_power`: ``base^1`` is built from the terms, ``base^-1``
    inverts it through the same kernel, and any other power is the square
    of the power at ``k // 2`` rounded toward zero, times ``base^+-1`` when
    ``k`` is odd; the power is then multiplied in by the Kronecker product.
-   The rungs are kept in a dict that one side of a sweep owns for its
-   bases and its Steps (a lone expansion owns one of its own), keyed on
-   the compressed step, the exponent, the order and the base, ``f`` or
-   ``phi``, so the expansions of a side share them and a repeated step
-   costs one product. One dict serves one modulus, and it is dropped when
-   the side is done: no power outlives the call that built it. The plan
-   prices a division pass, sparse or the dense route's inverting walk, per
-   term and per exponent, a multiply pass per term or per pair of a
-   nonzero coefficient and a term, and the dense route as a ladder, cold
-   but within a side: each of its bases and Steps, planned after the plans
-   before it, pays neither the terms of ``base^1`` nor the walk to
-   ``base^-1`` where those plans leave the rungs in the dict
-   (:func:`_held_after`). Any other rung the dict holds is priced as if
-   built, so every price bounds the work of its step from above.
+   The rungs are kept in the side's dict, keyed on the compressed step,
+   the order and the base, ``f`` or ``phi``, then on the exponent, so the
+   expansions of a side share them and a repeated step costs one product.
+   One dict serves one modulus, and it is dropped when the side is done:
+   no power outlives the call that built it. The plan prices a division
+   pass, sparse or the dense route's inverting walk, per term and per
+   exponent, a multiply pass per term or per pair of a nonzero coefficient
+   and a term, and the dense route as a ladder, cold but within a side:
+   each of its bases and Steps, planned after the plans before it, pays
+   neither the terms of ``base^1`` nor the walk to ``base^-1`` where those
+   plans leave the rungs in the dict (:func:`_held_after`). Any other rung
+   the dict holds is priced as if built, so every price bounds the work of
+   its step from above.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
-    WORK_CAP, Series, _divide_sparse, _kronecker_price, _show, _slot_width, _spread,
-    _update_price, _validate_modulus,
+    WORK_CAP, Series, _divide_sparse, _kronecker_price, _ladder_power, _mod_slot_width, _show,
+    _spread, _update_price, _validate_modulus,
 )
 
 __all__ = [
@@ -372,17 +376,18 @@ def expand_eta_quotient(
     the plan prices cheaper: ``|k|`` sparse passes (multiply for ``k > 0``,
     the division kernel for ``k < 0``), or, under a modulus, dense powering
     of its base. Reducing after every step keeps coefficients bounded; by
-    the homomorphism property the result matches reduce-at-the-end. Each
-    call expands afresh: the dense powers it builds are shared by its own
-    steps only, and dropped when it returns (:func:`_dense_power`).
+    the homomorphism property the result matches reduce-at-the-end. The
+    expansion is a side of one form: :func:`_side_plan` plans it, and
+    :func:`_expand_side` runs that plan, with dense powers that its own
+    steps share and that are dropped when it returns.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if route is not None and route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
-    factors = _normalized_factors(e, order, m)
-    return _run_steps(_planned_steps(factors, order, m, route), order, m, {})
+    ways, _ = _side_plan([_normalized_factors(e, order, m)], order, m, route)
+    return next(_expand_side(ways, m))
 
 
 def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
@@ -390,11 +395,13 @@ def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
     ``order``. The running product is a series in ``q^g`` holding only its
     ``order // g + 1`` coefficients of ``q^0, q^g, ...``; each step applies
     its base, ``f(n)`` or ``phi(-q^n)``, to it as the same base at ``n //
-    g`` (step 2 of the module docstring). A dense step takes its power from
-    the ladder ``powers`` holds (:func:`_dense_power`)."""
+    g`` (step 2 of the module docstring), as the step says: a dense step
+    takes its power from the ladder ``powers`` holds (:func:`_dense_power`)
+    and multiplies it in unless the running product is 1, and a multiply
+    step runs its first ``by_terms`` passes term by term."""
     g = steps[0][0] if steps else 1
     coeffs = [1] + [0] * (order // g)
-    for h, step, k, top, theta, nz, dense, _ in steps:
+    for h, step, k, top, theta, nz, dense, by_terms, _ in steps:
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
         if dense:
@@ -406,7 +413,6 @@ def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
             for _ in range(-k):
                 coeffs = _divide_sparse(coeffs, terms, m)
             continue
-        by_terms = _multiply_passes(k, nz, top, len(terms))[0]
         for j in range(k):
             coeffs = (_times_terms if j < by_terms else _times_f)(coeffs, terms, m)
     return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
@@ -414,38 +420,20 @@ def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
 
 def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool, powers: dict) -> Series:
     """``f(step)^k``, or ``phi(-q^step)^k`` when ``theta``, at order ``top``
-    (mod ``m``), from one ladder whose rungs ``powers`` keeps, keyed ``(step,
-    k, top, theta)``: ``k = 1`` is the base built from its terms, ``k = -1``
-    its inverse, and any other ``k`` the square of the power at ``k // 2``
-    rounded toward zero, times the power at ``+-1`` when ``k`` is odd. That
-    is the products and the inversion of ``Series.__pow__``, so a cold
-    ladder costs what the plan prices, and the bases and Steps of one side,
-    which share ``powers``, share its rungs. The modulus is not in the key:
-    one dict serves one modulus, that of its side (:func:`_side_plan`).
-    The ladder is walked down to the first rung ``powers`` holds, or to
-    ``k = 1``, and built back up without recursion, so an exponent of any
-    size takes one frame."""
-    missing = []
-    while True:
-        power = powers.get((step, k, top, theta))
-        if power is not None or k == 1:
-            break
-        missing.append(k)
-        k = 1 if k == -1 else k // 2 if k > 0 else -(-k // 2)
-    if power is None:
+    (mod ``m``), from the ladder of :func:`~overcubic.series._ladder_power`,
+    the one of ``Series.__pow__``, so a cold ladder costs what the plan
+    prices. ``powers`` keeps the rungs of each base, keyed ``(step, top,
+    theta)``, ``base^1`` built from its terms; the bases and Steps of one
+    side, which share ``powers``, share its rungs. The modulus is not in
+    the key: one dict serves one modulus, that of its side
+    (:func:`_expand_side`)."""
+    rungs = powers.get((step, top, theta))
+    if rungs is None:
         f = [1] + [0] * top
         for t, w in _factor_terms(step, top, theta):
             f[t] = w if m is None else w % m
-        power = powers[step, 1, top, theta] = Series._canonical(tuple(f), m)
-    for k in reversed(missing):
-        if k == -1:
-            power = power.invert()
-        else:
-            power = power * power
-            if k % 2:
-                power = power * _dense_power(step, 1 if k > 0 else -1, top, m, theta, powers)
-        powers[step, k, top, theta] = power
-    return power
+        rungs = powers[step, top, theta] = {1: Series._canonical(tuple(f), m)}
+    return _ladder_power(rungs, k)
 
 
 def _theta_rewrite(
@@ -491,15 +479,17 @@ def _theta_rewrite(
 def _planned_steps(
     factors: FactorList, order: int, m: Optional[int], route: Optional[str], held: frozenset = frozenset()
 ):
-    """The steps ``(g, n // g, k, order // g, theta, nz, dense, price)`` that
-    :func:`_run_steps` runs for normalized factors: the walk of the Euler
-    factors or of their :func:`_theta_rewrite`, as ``route`` names, or with
-    no route the one whose :func:`_factor_plan` prices, given the rungs
-    ``held`` (:func:`_held_after`), are cheaper in sum, the Euler factors on
-    a tie. ``nz`` bounds the nonzero coefficients of the running product a
-    step starts from: 1 at the start, ``order // g + 1`` after a division,
-    after ``base^k`` with ``k > 0``, sparse or dense, what
-    :func:`_multiply_passes` bounds, and unchanged by a spread."""
+    """The steps ``(g, n // g, k, order // g, theta, nz, dense, by_terms,
+    price)`` that :func:`_run_steps` runs for normalized factors: the walk
+    of the Euler factors or of their :func:`_theta_rewrite`, as ``route``
+    names, or with no route the one whose :func:`_factor_plan` prices,
+    given the rungs ``held`` (:func:`_held_after`), are cheaper in sum, the
+    Euler factors on a tie. ``nz`` bounds the nonzero coefficients of the
+    running product a step starts from: 1 at the start, ``order // g + 1``
+    after a division, after ``base^k`` with ``k > 0``, sparse or dense,
+    what :func:`_multiply_passes` bounds, and unchanged by a spread.
+    ``by_terms`` is the number of a sparse multiply step's passes that run
+    term by term (:func:`_multiply_passes`), 0 for any other step."""
     walks = []
     if route != "theta":
         walks.append(_walk(factors, order, m, "pentagonal"))
@@ -524,10 +514,11 @@ def _plan_walk(walk, order: int, m: Optional[int], held: frozenset):
     steps, nz = [], 1
     for g, step, k, top, theta in _compressed_walk(walk, order):
         dense, price = _factor_plan(step, k, top, m, nz, theta, held)
-        steps.append((g, step, k, top, theta, nz, dense, price))
         # a product's support does not depend on the route that computes it
         terms = len(_factor_terms(step, top, theta))
-        nz = top + 1 if k < 0 else _multiply_passes(k, nz, top, terms)[2]
+        by_terms, _, after = (0, 0, top + 1) if k < 0 else _multiply_passes(k, nz, top, terms)
+        steps.append((g, step, k, top, theta, nz, dense, 0 if dense else by_terms, price))
+        nz = after
     return steps
 
 
@@ -540,25 +531,24 @@ def _held_after(steps, held: frozenset = frozenset()) -> frozenset:
     side's dict holds once planned ``steps`` have run, given those it held
     before: a dense ``base^k`` leaves ``base^1``, and ``base^-1`` too when
     ``k < 0``. ``base^-1`` is only ever built by inverting ``base^1``, so a
-    dict that holds it holds both."""
-    rungs = set(held)
-    for _, step, k, top, theta, _, dense, _ in steps:
-        if dense:
-            rungs.add((step, 1, top, theta))
-            if k < 0:
-                rungs.add((step, -1, top, theta))
-    return frozenset(rungs)
+    dict that holds it holds both. With no dense step it is ``held``."""
+    rungs = [(step, j, top, theta) for _, step, k, top, theta, _, dense, _, _ in steps
+             if dense for j in ((1, -1) if k < 0 else (1,))]
+    return held.union(rungs) if rungs else held
 
 
-def _expand_side(ways, order: int, m: int, powers: dict) -> Iterator[Series]:
-    """The series of a side's forms mod ``m``, one at a time in their
-    order, each run from the plan :func:`_side_plan` gave it: a form's
-    ``"whole"`` walk, or the form before it times its ``"quotient"``, one
-    Kronecker product unless the quotient is 1. Every plan takes its dense
-    powers from ``powers``, the side's one dict (:func:`_dense_power`), so
-    a step whose rungs an earlier plan built costs what the plan priced."""
-    series = None
-    for way, steps in ways:
+def _expand_side(ways, m: Optional[int]) -> Iterator[Series]:
+    """The series of a side's planned expansions (mod ``m``), one at a time
+    in their order, each run as :func:`_side_plan` planned it: the
+    ``"whole"`` walk of its form at its order, or the series before it
+    times its ``"quotient"``, one Kronecker product unless the quotient is
+    1. It is the one runner of every expansion: a lone one is a side of one
+    form, and a family sweep's side runs its bases, then its Steps. It owns
+    the side's one dict of dense powers (:func:`_dense_power`), made when
+    it starts and dropped when it is done, so a step whose rungs an
+    earlier plan built costs what the plan priced."""
+    powers, series = {}, None
+    for way, order, steps in ways:
         if way == "whole":
             series = _run_steps(steps, order, m, powers)
         elif steps:
@@ -566,44 +556,39 @@ def _expand_side(ways, order: int, m: int, powers: dict) -> Iterator[Series]:
         yield series
 
 
-def _side_plan(forms, order: int, m: int, route: str, later):
-    """``(ways, plans, price)`` of a side: the normalized ``forms`` at
-    ``order`` mod ``m`` along the walk ``route`` names, which
-    :func:`_expand_side` serves in their order, then the normalized
-    expansions ``(form, order)`` of ``later``, each by its whole walk, run
-    with the same dict of dense powers. Each form takes the cheaper of
+def _side_plan(forms, order: int, m: Optional[int], route: Optional[str], later=()):
+    """``(ways, price)`` of a side: the normalized ``forms`` at ``order``
+    (mod ``m``) along the walk ``route`` names, or the cheaper walk of each
+    with none, then the normalized expansions ``(form, order)`` of
+    ``later``, each by its whole walk, all of which :func:`_expand_side`
+    runs in this order with one dict of dense powers. Each form after the
+    first takes the cheaper of
     - ``"whole"``: its whole walk;
     - ``"quotient"``: the form before it times their quotient, the
       difference of their exponents normalized mod ``m``, plus one product
       (:func:`_product_price`) unless the quotient is empty; along a family
       sweep's side the forms differ by ``(f4/f2^2)^e``, which walks few
       steps;
-    its whole walk on a tie. Every plan, of a form or of ``later``, is
-    priced given the rungs that the plans before it leave in the dict
-    (:func:`_held_after`), in the order they run; a rung only lowers a
-    price, so no plan costs more than it would cold. ``ways`` holds one
-    ``(way, steps)`` per form, ``plans`` the steps of each of ``later``,
-    and ``price`` is the side's price."""
-    product = _product_price(order, m)
+    its whole walk on a tie. Every plan is priced given the rungs that the
+    plans before it leave in the dict (:func:`_held_after`), in the order
+    they run; a rung only lowers a price, so no plan costs more than it
+    would cold, and a side of one form, as a lone expansion is, costs its
+    cold price. ``ways`` holds one ``(way, order, steps)`` per form and
+    then per expansion of ``later``, and ``price`` is the side's price."""
     ways, price, held = [], 0.0, frozenset()
-    for k, form in enumerate(forms):
-        way = ("whole", _planned_steps(form, order, m, route, held))
-        cost = _plan_price(way[1])
-        if k:
+    for k, (form, top) in enumerate([*((form, order) for form in forms), *later]):
+        steps = _planned_steps(form, top, m, route, held)
+        way, cost = ("whole", top, steps), _plan_price(steps)
+        if 0 < k < len(forms):
             quotient = _normalized_factors(_quotient(form, forms[k - 1]), order, m)
             steps = _planned_steps(quotient, order, m, route, held)
-            by_quotient = _plan_price(steps) + product if quotient else 0
+            by_quotient = _plan_price(steps) + _product_price(order, m) if quotient else 0
             if by_quotient < cost:
-                way, cost = ("quotient", steps), by_quotient
+                way, cost = ("quotient", order, steps), by_quotient
         ways.append(way)
         price += cost
-        held = _held_after(way[1], held)
-    plans = []
-    for form, top in later:
-        plans.append(_planned_steps(form, top, m, route, held))
-        price += _plan_price(plans[-1])
-        held = _held_after(plans[-1], held)
-    return ways, plans, price
+        held = _held_after(way[2], held)
+    return ways, price
 
 
 def _quotient(form, other) -> EtaQuotient:
@@ -635,8 +620,8 @@ _DIVISION_EXPONENT_PRICE = 26
 _PAIR_PRICE = 3
 
 
-# The plan prices a step's passes, bounds what they leave, and the expansion
-# runs them: three asks of the same passes.
+# The plan prices a step's passes, bounds what they leave, and splits them
+# for the run: three asks of the same passes.
 @lru_cache(maxsize=256)
 def _multiply_passes(k: int, nz: int, order: int, terms: int) -> Tuple[int, float, int]:
     """``(by_terms, price, nz)`` of ``k > 0`` multiply passes by a base of
@@ -715,8 +700,7 @@ def _product_price(order: int, m: int) -> float:
     """The price of one product of two series to ``order`` mod ``m``,
     ``Series.__mul__``: a Kronecker product of two operands of ``order + 1``
     residues each."""
-    width = _slot_width(((m - 1) * (m - 1) * (order + 1)).bit_length())
-    return _kronecker_price(2 * (order + 1), order + 1, width)
+    return _kronecker_price(2 * (order + 1), order + 1, _mod_slot_width(m, order + 1))
 
 
 def _expansion_work(
@@ -724,21 +708,21 @@ def _expansion_work(
     order: int,
     modulus: Optional[int] = None,
     route: Optional[str] = None,
-) -> float:
-    """Price of ``expand_eta_quotient(quotient, order, modulus, route)``:
-    the sum of the plan prices of the steps of :func:`_planned_steps`, which
-    :func:`_run_steps` runs, over Z times the price of an update on
-    the bits :func:`_log_majorant` bounds, as both walks scale alike. Past
-    ``WORK_CAP`` coefficients, whose terms alone could take minutes to walk,
-    the price is their number."""
+) -> Tuple[float, Optional[list]]:
+    """``(price, ways)`` of ``expand_eta_quotient(quotient, order, modulus,
+    route)``: the plan of its side of one form (:func:`_side_plan`), which
+    :func:`_expand_side` runs as it is, and its price, over Z times the
+    price of an update on the bits :func:`_log_majorant` bounds, as both
+    walks scale alike. Past ``WORK_CAP`` coefficients, whose terms alone
+    could take minutes to walk, the price is their number, and no plan."""
     m = _validate_modulus(modulus)
     if order >= WORK_CAP:
-        return order + 1
+        return order + 1, None
     factors = _normalized_factors(quotient, order, m)
-    price = sum(step[-1] for step in _planned_steps(factors, order, m, route))
+    ways, price = _side_plan([factors], order, m, route)
     if m is None:
         price *= _update_price(_coefficient_bits(tuple(factors), order, m))
-    return price
+    return price, ways
 
 
 # The CLI asks it for the rows of an expansion it has just priced: one

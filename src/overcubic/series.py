@@ -281,20 +281,14 @@ class Series:
         return Series._canonical(tuple(out), m)
 
     def __pow__(self, exponent: int) -> "Series":
+        """``self ** exponent`` from the one ladder of :func:`_ladder_power`:
+        a negative exponent inverts ``self`` first, which raises
+        :class:`NonInvertibleError` unless its constant term is a unit."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.invert() ** (-exponent)
-        result = None
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Series.one(self.order, self._modulus) if result is None else result
+        if exponent == 0:
+            return Series.one(self.order, self._modulus)
+        return _ladder_power({1: self}, exponent)
 
     # -- reindexing operators ----------------------------------------------
 
@@ -416,14 +410,44 @@ def _unpack(x: int, width: int, count: int) -> List[int]:
     return words.tolist()
 
 
+def _ladder_power(rungs: dict, k: int) -> "Series":
+    """``base^k`` for ``k != 0``, from the rungs ``{exponent: power}`` of one
+    base, which hold at least ``base^1`` at 1 and keep every rung built.
+    The ladder is walked down to the first rung held: ``k = -1`` is the
+    inverse of ``base^1``, and any other ``k`` the square of the power at
+    ``k // 2`` rounded toward zero, times ``base^+-1`` when ``k`` is odd.
+    It is built back up without recursion, so an exponent of any size takes
+    one frame, and a cold ladder takes ``bits(|k|) + popcount(|k|) - 2``
+    products, and one inversion when ``k < 0``."""
+    missing = []
+    while k not in rungs:
+        missing.append(k)
+        k = 1 if k == -1 else k // 2 if k > 0 else -(-k // 2)
+    power = rungs[k]
+    for k in reversed(missing):
+        if k == -1:
+            power = power.invert()
+        else:
+            power = power * power
+            if k % 2:
+                power = power * rungs[1 if k > 0 else -1]
+        rungs[k] = power
+    return power
+
+
+def _mod_slot_width(m: int, count: int) -> int:
+    """Bytes per slot for sums of ``count`` products of residues mod ``m``."""
+    return _slot_width(((m - 1) * (m - 1) * count).bit_length())
+
+
 def _kronecker_mod(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     """Truncated product of two equal-length residue vectors, reduced mod m.
 
     Every product coefficient is a sum of at most ``len(a)`` terms below
-    ``(m-1)**2``, which bounds the slot.
+    ``(m-1)**2``, which bounds the slot (:func:`_mod_slot_width`).
     """
     count = len(a)
-    width = _slot_width(((m - 1) * (m - 1) * count).bit_length())
+    width = _mod_slot_width(m, count)
     slots = _unpack(_pack(a, width) * _pack(b, width), width, count)
     return [v % m for v in slots]
 

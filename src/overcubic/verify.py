@@ -21,10 +21,7 @@ from .eta import (
     _colored_quotient,
     _expand_side,
     _normalized_factors,
-    _plan_price,
-    _planned_steps,
     _product_price,
-    _run_steps,
     _side_plan,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
@@ -218,14 +215,24 @@ def verify_mod4_classification(
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
     by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
-    Each distinct mod-4 form of the series is expanded and compared once,
-    two in all: ``f2/f1^2`` for every odd c and ``f4/(f1^2*f2)`` for every
-    even c, and its mismatches are reported for every c that reads it. The
-    theta walk expands them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``,
-    since ``phi(-q^n)^2 == 1 (mod 4)``, so no step divides; the paper's
-    mod-4 theorem rests on the same fact, so the test
-    ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the reduction: the
-    Euler factors' walk, which divides, must give the same report."""
+    Each distinct mod-4 form of the series is planned as a side of one form
+    (:func:`_mod4_plans`), then run from that plan, and compared once at
+    each parity of c that reads it, two forms in all: ``f2/f1^2`` for every
+    odd c and ``f4/(f1^2*f2)`` for every even c; the mismatches of a parity
+    are reported for every c of it. The theta walk expands them as
+    ``phi(-q)`` and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 == 1 (mod
+    4)``, so no step divides; the paper's mod-4 theorem rests on the same
+    fact, so the test ``test_mod4_sweep_matches_the_pentagonal_walk``
+    guards the reduction: the Euler factors' walk, which divides, must give
+    the same report."""
+    return _verify_mod4(c_max, n_max, order)
+
+
+def _verify_mod4(
+    c_max: int, n_max: int, order: Optional[int], plans: Optional[dict] = None
+) -> VerificationReport:
+    """:func:`verify_mod4_classification`, running the plans ``plans`` gives
+    its forms, by default those of :func:`_mod4_plans`."""
     order = _mod4_order(c_max, n_max, order)
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
@@ -235,25 +242,28 @@ def verify_mod4_classification(
     )
     if report.vacuous:
         return report
+    if plans is None:
+        plans = _mod4_plans(c_max, order)
     # the prediction depends on c only through 2(c+1) mod 4, its value at
     # twice a square; it is 2 at a square and 0 elsewhere. The form depends
     # on c only through its parity too, so each parity is compared once, at
     # its least c, and its mismatches are reported for every c of it
     mismatches = {0: [], 1: []}
-    for c in range(1, min(c_max, 2) + 1):
-        row = [0] * (n_max + 1)
-        for k in range(1, math.isqrt(n_max // 2) + 1):
-            row[2 * k * k] = 2 * (c + 1) % 4
-        for k in range(1, math.isqrt(n_max) + 1):
-            row[k * k] = 2
-        expected = tuple(row[1:])
-        observed = gen_overcubic_gf(c, order, modulus=4).coeffs[1 : n_max + 1]
-        if observed != expected:
-            mismatches[c % 2] = [
-                (n, got, want)
-                for n, (got, want) in enumerate(zip(observed, expected), start=1)
-                if got != want
-            ]
+    for colors, (ways, _) in plans.items():
+        observed = next(_expand_side(ways, 4)).coeffs[1 : n_max + 1]
+        for c in colors:
+            row = [0] * (n_max + 1)
+            for k in range(1, math.isqrt(n_max // 2) + 1):
+                row[2 * k * k] = 2 * (c + 1) % 4
+            for k in range(1, math.isqrt(n_max) + 1):
+                row[k * k] = 2
+            expected = tuple(row[1:])
+            if observed != expected:
+                mismatches[c % 2] = [
+                    (n, got, want)
+                    for n, (got, want) in enumerate(zip(observed, expected), start=1)
+                    if got != want
+                ]
     bad = tuple(
         Counterexample(c, n, got, want)
         for c in range(1, c_max + 1)
@@ -262,13 +272,17 @@ def verify_mod4_classification(
     return replace(report, counterexamples=bad)
 
 
-def _mod4_forms(c_max: int, order: int) -> dict:
-    """The normalized mod-4 form of the overlined series at each parity of
-    c <= c_max, from c = 1 and c = 2: mod 4 the exponents of
-    ``f4^(c-1)/(f1^2*f2^(2c-3))`` reduce to -2 at 1, 1 or -1 at 2 and 0 or
-    1 at 4, as c is odd or even."""
-    return {c % 2: tuple(_normalized_factors(_colored_quotient(c, True), order, 4))
-            for c in range(1, min(c_max, 2) + 1)}
+def _mod4_plans(c_max: int, order: int) -> dict:
+    """The plan ``(ways, price)`` of each distinct normalized mod-4 form of
+    the overlined series at c <= c_max, a side of one form
+    (:func:`~overcubic.eta._side_plan`), keyed on the colors, 1 and 2 at
+    most, that read it: mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
+    reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even,
+    and below order 4 the two forms may coincide."""
+    colors = {}
+    for c in range(1, min(c_max, 2) + 1):
+        colors.setdefault(tuple(_normalized_factors(_colored_quotient(c, True), order, 4)), []).append(c)
+    return {tuple(cs): _side_plan([form], order, 4, None) for form, cs in colors.items()}
 
 
 def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
@@ -299,24 +313,27 @@ _MOD4_COLOR_PRICE = 12
 _MOD4_RESIDUE_PRICE = 0.13
 
 
-def _mod4_classification_work(c_max: int, n_max: int, order: Optional[int] = None) -> float:
-    """Price of ``verify_mod4_classification(c_max, n_max, order)``, in
-    the unit of ``series._check_work``: the plan prices of its distinct
-    mod-4 forms, which depend on c only through its parity, with
+def _mod4_classification_work(
+    c_max: int, n_max: int, order: Optional[int] = None
+) -> Tuple[float, Optional[dict]]:
+    """``(price, plans)`` of ``verify_mod4_classification(c_max, n_max,
+    order)``: the plans of its distinct mod-4 forms (:func:`_mod4_plans`),
+    which the sweep runs as they are when it is given them, and its price
+    in the unit of ``series._check_work``, the plans' prices, with
     ``_MOD4_FORM_COEFFICIENT_PRICE`` for each of their coefficients, then
     ``_MOD4_COLOR_PRICE`` for each c swept and ``_MOD4_RESIDUE_PRICE`` for
-    each residue compared. 0 for an empty range, which expands nothing;
-    past ``WORK_CAP`` colors or coefficients, the colors and coefficients
-    alone, which price it over the cap at once."""
+    each residue compared. ``(0, {})`` for an empty range, which expands
+    nothing; past ``WORK_CAP`` colors or coefficients, the colors and
+    coefficients alone, which price it over the cap at once, and no plan."""
     order = _mod4_order(c_max, n_max, order)
     if n_max < 1:
-        return 0.0
+        return 0.0, {}
     if c_max >= WORK_CAP or order >= WORK_CAP:
-        return float(min(c_max * _MOD4_COLOR_PRICE + order + 1, 2**64))
-    forms = set(_mod4_forms(c_max, order).values())
-    price = sum(_plan_price(_planned_steps(form, order, 4, None)) for form in forms)
-    price += len(forms) * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
-    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE)
+        return float(min(c_max * _MOD4_COLOR_PRICE + order + 1, 2**64)), None
+    plans = _mod4_plans(c_max, order)
+    price = sum(price for _, price in plans.values())
+    price += len(plans) * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
+    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE), plans
 
 
 def _prime_power_components(m: int) -> List[int]:
@@ -344,10 +361,12 @@ def verify_family(
     mod the part, has every subscript divisible by s), so the progression
     of i + lead is that of i times one Step series at order ``n_max``,
     with ``lead = lcm(P, c_slope) / c_slope``. Only the first ``lead``
-    values of i are expanded, the bases. Within a side a base may be its
-    neighbour times their quotient, where the plan prices that cheaper, and
-    the bases and Steps share one dict of dense powers, but never another
-    side's series, Step or power, so the two routes stay independent. A
+    values of i are expanded, the bases. Each side is planned as one list
+    of expansions, its bases and then its Steps, and run from that plan by
+    the one runner of :mod:`overcubic.eta`: a base may be its neighbour
+    times their quotient, where the plan prices that cheaper, and the bases
+    and Steps share one dict of dense powers, but never another side's
+    series, Step or power, so the two routes stay independent. A
     disagreement, or a Step off ``q^s``, means the engine itself is broken
     and raises :class:`EngineInconsistencyError`.
     """
@@ -377,11 +396,12 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sid
     reads nothing at any order that is not negative. Each side of
     :func:`verify_family`, a ``(modulus, route)`` pair, runs the plan
     ``sides`` gives it, by default that of :func:`_family_sides`, step for
-    step as it was priced, with one dict of dense powers for its bases and
-    its Steps. Its bases, the series of the first i of each family, are
-    expanded once for all their readers, keyed on their normalized form, in
-    the order of the plan (:func:`~overcubic.eta._expand_side`): a form may
-    be the form before it times their quotient. Each later i of a family
+    step as it was priced, through the one runner
+    :func:`~overcubic.eta._expand_side`, which holds one dict of dense
+    powers for its bases and its Steps. Its bases, the series of the first
+    i of each family, are expanded once for all their readers, keyed on
+    their normalized form, in the order of the plan: a form may be the form
+    before it times their quotient. Its Steps follow. Each later i of a family
     reads the progression of ``i - lead`` times the side's Step series for
     the family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a
     series in ``q^s``, s the slope of the progression, so it passes through
@@ -397,14 +417,14 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sid
     # failures[j, route] maps (i, n) to the offending residue of family j
     failures = {}
     for (modulus, route), side in sorted(sides.items()):
-        progressions, powers = {}, {}
-        for form, series in zip(side.bases, _expand_side(side.ways, order, modulus, powers)):
-            for j, i in side.bases[form]:
+        progressions, runs = {}, _expand_side(side.ways, modulus)
+        for readers in side.bases.values():
+            series = next(runs)
+            for j, i in readers:
                 family = families[j]
                 progression = series.extract_progression(family.prog_slope, family.prog_intercept)
                 progressions[j, i] = progression.truncate(n_max)
-        steps = {key: _step_series(form, plan, key[0], n_max, order, modulus, powers)
-                 for key, (form, plan) in side.steps.items()}
+        steps = {key: _step_series(form, runs, key[0], n_max, modulus) for key, form in side.steps.items()}
         for j, (lead, key) in side.leads.items():
             want = families[j].residue % modulus
             found = failures.setdefault((j, route), {})
@@ -492,15 +512,17 @@ class _Side:
 
     ``bases`` maps each form expanded in full to the ``(j, i)`` that read
     it, by the least c that reads them, so that each form follows its
-    nearest expanded neighbour, and ``ways`` holds the way each is served
-    (:func:`~overcubic.eta._side_plan`). ``leads`` maps each family j on the
-    side to ``(lead, key)``: its first ``lead`` values of i are bases, and
-    each later i is the progression of ``i - lead`` times the Step of
-    ``key = (s, e)``, whose normalized form and planned steps ``steps``
-    holds, or the same progression when that form is empty. A family with
-    no period has every i a base, and a key of ``None``. ``price`` is what
-    the side costs: its bases and Steps as planned, and one product at
-    ``n_max`` for each stepped i.
+    nearest expanded neighbour. ``leads`` maps each family j on the side to
+    ``(lead, key)``: its first ``lead`` values of i are bases, and each
+    later i is the progression of ``i - lead`` times the Step of ``key =
+    (s, e)``, whose normalized form ``steps`` holds, or the same
+    progression when that form is empty. A family with no period has every
+    i a base, and a key of ``None``. ``ways`` holds the planned expansions
+    that :func:`~overcubic.eta._expand_side` runs
+    (:func:`~overcubic.eta._side_plan`): one per base, in the order of
+    ``bases``, then one per Step whose form is not empty, in the order of
+    ``steps``. ``price`` is what the side costs: its bases and Steps as
+    planned, and one product at ``n_max`` for each stepped i.
     """
 
     bases: dict
@@ -525,9 +547,10 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
     c_slope``, P the side's period at s (:func:`_step_period`), with the
     Step of exponent ``e = lead * c_slope``; at ``c_slope = 0`` every i
     reads the one series of c: its Step, of exponent 0, is 1. Each side is
-    planned once, its bases and then its Steps, in the order
-    :func:`_verify_families` runs them (:func:`~overcubic.eta._side_plan`),
-    so the plan prices the sweep and the sweep runs the plan."""
+    planned once as one list of planned expansions, its bases and then its
+    Steps that are not 1, in the order :func:`_verify_families` runs them
+    (:func:`~overcubic.eta._side_plan`), so the plan prices the sweep and
+    the sweep runs the plan."""
     sides, forms = {}, {}
     for j, family in enumerate(families):
         s = family.prog_slope
@@ -551,25 +574,24 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
     for (modulus, route), side in sides.items():
         least = {form: min(families[j].c_for(i) for j, i in readers) for form, readers in side.bases.items()}
         bases = {form: side.bases[form] for form in sorted(side.bases, key=least.get)}
-        later = [(form, _step_order(s, n_max, order)) for (s, _), form in side.steps.items()]
-        ways, plans, price = _side_plan(list(bases), order, modulus, route, later)
+        later = [(form, _step_order(s, n_max, order)) for (s, _), form in side.steps.items() if form]
+        ways, price = _side_plan(list(bases), order, modulus, route, later)
         stepped = sum(max(i_max - lead, 0) for lead, key in side.leads.values() if side.steps.get(key))
-        steps = {key: (form, plan) for (key, form), plan in zip(side.steps.items(), plans)}
         price += stepped * _product_price(n_max, modulus)
-        sides[modulus, route] = replace(side, bases=bases, steps=steps, ways=ways, price=price)
+        sides[modulus, route] = replace(side, bases=bases, ways=ways, price=price)
     return sides
 
 
-def _step_series(form, plan, s: int, n_max: int, order: int, m: int, powers: dict) -> Optional[Series]:
+def _step_series(form, runs, s: int, n_max: int, m: int) -> Optional[Series]:
     """The Step of the normalized ``form`` for progressions of slope s, to
-    ``n_max``: its planned steps ``plan`` run mod ``m`` at its
-    :func:`_step_order`, with the dense powers ``powers`` holds, under
-    ``q^s -> q``; ``None`` for the empty form, which is 1. A coefficient off
+    ``n_max``: the next series of the side's runs ``runs``
+    (:func:`~overcubic.eta._expand_side`) under ``q^s -> q``; ``None`` for
+    the empty form, which is 1 and was not planned. A coefficient off
     ``q^s`` raises :class:`EngineInconsistencyError`: the period that chose
     the exponent says there is none."""
     if not form:
         return None
-    series = _run_steps(plan, _step_order(s, n_max, order), m, powers)
+    series = next(runs)
     if any(any(series.coeffs[r::s]) for r in range(1, s)):
         raise EngineInconsistencyError(
             f"the Step {EtaQuotient(form)} mod {m} has a coefficient off q^{s}: this is an engine bug"

@@ -146,7 +146,7 @@ def test_expand_beyond_work_bound_is_usage_error(capsys):
     # the expansion a refused DP count suggests, and the benchmark's largest
     # expansion over Z, stay below the bound
     for c, order in [(2, 20000), (3, 1200)]:
-        assert _expansion_work(_colored_quotient(c, True), order) < WORK_CAP
+        assert _expansion_work(_colored_quotient(c, True), order)[0] < WORK_CAP
 
 
 def test_expand_huge_exponent_under_a_composite_modulus(capsys):
@@ -377,30 +377,34 @@ EXPAND_EDGES = {
 def test_expand_admission_edges(c, m, previous_edge):
     quotient = _colored_quotient(c, True)
     edge = EXPAND_EDGES[c, m]
+
+    def work(order):
+        return _expansion_work(quotient, order, m)[0]
+
     if m == 4:
         # mod 4 the series is phi(-q), or phi(-q) * phi(-q^2) for even c, a
         # few updates a coefficient: both edges are admitted far under the
         # cap, and the CLI's edges, set by the price of its rows, are in
         # WORK_CAP_EDGES
         for order in (edge, previous_edge):
-            assert _expansion_work(quotient, order, m) < WORK_CAP / 20
+            assert work(order) < WORK_CAP / 20
         return
     if m == 12:
         # residues of a few bits: an update is priced at 1, as it was; the
         # CLI adds the price of the rows, so its edges are in WORK_CAP_EDGES
-        assert _expansion_work(quotient, edge, m) <= WORK_CAP < _expansion_work(quotient, edge + 1, m)
+        assert work(edge) <= WORK_CAP < work(edge + 1)
     else:
         # priced at the bits of their coefficients, these are refused now
-        assert _expansion_work(quotient, edge, m) > WORK_CAP
+        assert work(edge) > WORK_CAP
     if previous_edge < edge:
         # c = 10 mod 12 powers phi(-q^2)^-9 by Kronecker products, which
         # slots of the least whole bytes made cheaper: its edge rose past
         # that one, 131489 before them, and the older edge is admitted now
-        assert _expansion_work(quotient, previous_edge, m) <= WORK_CAP
+        assert work(previous_edge) <= WORK_CAP
     else:
         # the edge of the price without the per-exponent cost, which named
         # these cases, is refused now
-        assert _expansion_work(quotient, previous_edge, m) > WORK_CAP
+        assert work(previous_edge) > WORK_CAP
 
 
 def test_dp_price_of_a_huge_weight_is_immediate():
@@ -647,7 +651,8 @@ def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
     def expanding(*args):
         raise AssertionError("expanded a refused sweep")
 
-    monkeypatch.setattr(verify_module, "gen_overcubic_gf", expanding)
+    monkeypatch.setattr(verify_module, "_expand_side", expanding)
+    monkeypatch.setattr(eta_module, "_run_steps", expanding)
     for c_max, n_max in ((10, 2781663), (551083, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
         err = assert_refused(capsys, "verify", "--target", "thm14", "--c-max", str(c_max),
                              "--n-max", str(n_max))
@@ -658,10 +663,12 @@ def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     # the CI frontier and the benchmark's size stay admitted; the price is
     # the plans of the two mod-4 forms, with the memory of their
     # coefficients, and a price per c and per residue compared
-    work = verify_module._mod4_classification_work
+    def work(*args):
+        return verify_module._mod4_classification_work(*args)[0]
+
     assert work(10, 10**6) <= WORK_CAP
     assert work(10, 2000) <= WORK_CAP
-    forms = sum(_expansion_work(_colored_quotient(c, True), 2000, 4) for c in (1, 2))
+    forms = sum(_expansion_work(_colored_quotient(c, True), 2000, 4)[0] for c in (1, 2))
     assert work(10, 2000) == (
         forms + 2 * 2001 * verify_module._MOD4_FORM_COEFFICIENT_PRICE
         + 10 * (verify_module._MOD4_COLOR_PRICE + 2000 * verify_module._MOD4_RESIDUE_PRICE)
@@ -680,7 +687,7 @@ def test_family_sweeps_are_refused_before_any_expansion(capsys, monkeypatch):
         raise AssertionError("expanded a refused sweep")
 
     monkeypatch.setattr(verify_module, "_expand_side", expanding)
-    monkeypatch.setattr(verify_module, "_run_steps", expanding)
+    monkeypatch.setattr(eta_module, "_run_steps", expanding)
     for target, i_max, n_max in (("thm15", 3, 6000), ("thm15", 3, 10**5), ("conj73", 20, 3245),
                                  ("conj73", 10**9, 5), ("conj73", 3, 10**12), ("thm15", 10**400, 5)):
         err = assert_refused(capsys, "verify", "--target", target, "--i-max", str(i_max),
@@ -708,7 +715,7 @@ def test_family_price_admits_the_frontier_and_prices_its_parts():
     form = tuple(verify_module._normalized_factors(_colored_quotient(2, True), 10, 3))
     assert work([family], 1, 10) == (
         verify_module._FAMILY_READ_PRICE + 11 * verify_module._FAMILY_RESIDUE_PRICE
-        + verify_module._plan_price(verify_module._planned_steps(form, 10, 3, "theta"))
+        + eta_module._plan_price(eta_module._planned_steps(form, 10, 3, "theta"))
     )
 
 
@@ -742,10 +749,12 @@ def test_no_dense_rung_is_built_twice_on_a_side(capsys, monkeypatch, n_max):
     def spying(step, k, top, m, theta, powers):
         power = real(step, k, top, m, theta, powers)
         dicts.append(powers)  # kept alive, so that no later dict takes its id
-        for key in powers:
-            if (id(powers), key) not in seen:
-                seen.add((id(powers), key))
-                built.append((m, key))
+        for (n, order, base), rungs in powers.items():
+            for j in rungs:
+                key = (n, j, order, base)
+                if (id(powers), key) not in seen:
+                    seen.add((id(powers), key))
+                    built.append((m, key))
         return power
 
     monkeypatch.setattr(eta_module, "_dense_power", spying)
@@ -840,8 +849,8 @@ def test_engine_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
     # first family reads q^2 at i = 1, n = 0
     real = verify_module._expand_side
 
-    def skewed(ways, order, modulus, powers):
-        for series in real(ways, order, modulus, powers):
+    def skewed(ways, modulus):
+        for series in real(ways, modulus):
             # the prime-power sides of thm15, which take the Euler factors
             if modulus not in (2, 3, 4):
                 yield series
@@ -886,16 +895,27 @@ def test_stepped_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
 
 def test_step_off_its_progression_has_its_own_exit_status(capsys, monkeypatch):
     # a Step series with one coefficient off q^s does not pass through the
-    # progression; the sweep must say so, not report on it
-    real = verify_module._run_steps
+    # progression; the sweep must say so, not report on it. The runner
+    # skews the Steps, which a side runs after the bases its plan names
+    real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
+    bases = {}
 
-    def skewed(steps, order, m, powers):
-        series = real(steps, order, m, powers)
-        coeffs = list(series.coeffs)
-        coeffs[1] = (coeffs[1] + 1) % m
-        return Series(coeffs, m)
+    def planning(forms, order, m, route, later=()):
+        ways, price = real_plan(forms, order, m, route, later)
+        bases[id(ways)] = (ways, len(forms))  # kept, so that no other list takes their id
+        return ways, price
 
-    monkeypatch.setattr(verify_module, "_run_steps", skewed)
+    def skewed(ways, m):
+        for k, series in enumerate(real_expand(ways, m)):
+            if k < bases[id(ways)][1]:
+                yield series
+                continue
+            coeffs = list(series.coeffs)
+            coeffs[1] = (coeffs[1] + 1) % m
+            yield Series(coeffs, m)
+
+    monkeypatch.setattr(verify_module, "_side_plan", planning)
+    monkeypatch.setattr(verify_module, "_expand_side", skewed)
     code, out, err = run(capsys, "verify", "--target", "thm15")
     assert code == 3
     assert out == ""
@@ -919,7 +939,7 @@ def test_verify_bad_flag_is_usage_error(capsys):
 )
 def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv, flag):
     # refused before the library is called: a call would raise TypeError
-    for name in ("verify_mod4_classification", "_verify_families", "check_named_identity"):
+    for name in ("_verify_mod4", "_verify_families", "check_named_identity"):
         monkeypatch.setattr(cli_module, name, None)
     err = assert_refused(capsys, "verify", "--target", *argv)
     assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"

@@ -55,8 +55,10 @@ from overcubic.eta import (
     ROUTES,
     TOH_TERMS,
 )
+import overcubic.series as series_module
 from overcubic.series import (
-    WORK_CAP, Series, _divide_sparse, _kronecker_price, _slot_width, _update_price
+    WORK_CAP, NonInvertibleError, Series, _divide_sparse, _kronecker_mod, _kronecker_price, _slot_width,
+    _update_price,
 )
 from overcubic.verify import verify_conjectured_families, verify_proved_families
 
@@ -318,24 +320,90 @@ def test_dense_powers_match_cold_and_naive(factors, shifts, order, m, route):
         for shift in shifts
     ]
     forms.append(tuple(_normalized_factors(EtaQuotient(factors), order, m)))
-    warm = list(_expand_side(_side_plan(forms, order, m, route, ())[0], order, m, {}))[-1]
+    warm = list(_expand_side(_side_plan(forms, order, m, route)[0], m))[-1]
     cold = expand_eta_quotient(EtaQuotient(factors), order, modulus=m, route=route)
     assert warm == cold
     assert list(cold.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
 
 
 def test_dense_power_ladder_rungs():
-    # f1^-13 = (f1^-6)^2 * f1^-1, f1^-6 = (f1^-3)^2, f1^-3 = (f1^-1)^2 * f1^-1
+    # f1^-13 = (f1^-6)^2 * f1^-1, f1^-6 = (f1^-3)^2, f1^-3 = (f1^-1)^2 * f1^-1;
+    # the rungs of one base are kept under its (step, order, base) key
     powers = {}
     power = eta_module._dense_power(1, -13, 300, 12, False, powers)
     assert list(power.coeffs) == [c % 12 for c in naive_euler_power(1, -13, 300)]
-    assert sorted(key[1] for key in powers) == [-13, -6, -3, -1, 1]
+    assert list(powers) == [(1, 300, False)]
+    rungs = powers[1, 300, False]
+    assert sorted(rungs) == [-13, -6, -3, -1, 1]
     # a repeat is served as it is and adds no rung, and f1^-12 = (f1^-6)^2
     # adds one
     assert eta_module._dense_power(1, -13, 300, 12, False, powers) is power
-    assert len(powers) == 5
+    assert len(rungs) == 5
     eta_module._dense_power(1, -12, 300, 12, False, powers)
-    assert sorted(key[1] for key in powers) == [-13, -12, -6, -3, -1, 1]
+    assert sorted(rungs) == [-13, -12, -6, -3, -1, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-40, 40),
+    st.sampled_from([None, 2, 3, 4, 12, 2**61 - 1]),
+    st.lists(st.integers(-5, 5), min_size=0, max_size=30),
+    st.sampled_from([-1, 1]),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_one_ladder_powers_series_and_dense_steps(k, m, tail, unit, step, theta):
+    # Series.__pow__ and _dense_power take their powers from one ladder:
+    # a power equals repeated products of the series or of its inverse, a
+    # non-unit constant term refuses a negative power, and every rung the
+    # dense ladder keeps is the base to that power
+    order = len(tail)
+    base = Series([unit, *tail], m)
+    factor = base if k >= 0 else base.invert()
+    want = Series.one(order, m)
+    for _ in range(abs(k)):
+        want = want * factor
+    assert base ** k == want
+    if k < 0:
+        for c0 in (0, 2) if m is None else [c for c in (0, 2, 3) if math.gcd(c, m) > 1]:
+            with pytest.raises(NonInvertibleError):
+                Series([c0, *tail], m) ** k
+    if k:
+        powers = {}
+        power = eta_module._dense_power(step, k, order, m, theta, powers)
+        [rungs] = powers.values()
+        f = rungs[1]
+        assert power is rungs[k] and power == f ** k
+        assert all(rung == f ** j for j, rung in rungs.items())
+        naive = naive_eta_quotient([(step, 2), (2 * step, -1)] if theta else [(step, 1)], order)
+        assert list(f.coeffs) == [c if m is None else c % m for c in naive]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 2**70), st.integers(1, 12), st.integers(-1, 1), st.integers(1, 3000))
+def test_product_price_packs_the_slots_of_kronecker_mod(m, nbytes, offset, spare):
+    # the plan prices a product mod m at the slot width _kronecker_mod packs:
+    # at counts where the bound (m-1)^2 * count crosses a byte, and at others
+    edge = -(-(1 << (8 * nbytes)) // ((m - 1) ** 2))
+    count = edge + offset if 1 <= edge + offset <= 3000 else spare
+    widths = {}
+    real_pack, real_price = series_module._pack, eta_module._kronecker_price
+
+    def packing(values, width):
+        widths.setdefault("packed", set()).add(width)
+        return real_pack(values, width)
+
+    def pricing(packed, read, width):
+        widths["priced"] = width
+        return real_price(packed, read, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_pack", packing)
+        mp.setattr(eta_module, "_kronecker_price", pricing)
+        _kronecker_mod([m - 1] * count, [m - 1] * count, m)
+        eta_module._product_price(count - 1, m)
+    bound = ((m - 1) ** 2 * count).bit_length()
+    assert widths == {"packed": {widths["priced"]}, "priced": max(1, -(-bound // 8))}
 
 
 def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
@@ -355,7 +423,7 @@ def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
     for m, route in ((12, "theta"), (3, "pentagonal"), (4, "pentagonal")):
         forms = [tuple(_normalized_factors(_colored_quotient(c, True), 548, m)) for c in colors]
         first = len(calls)
-        sides[m] = list(_expand_side(_side_plan(forms, 548, m, route, ())[0], 548, m, {}))
+        sides[m] = list(_expand_side(_side_plan(forms, 548, m, route)[0], m))
         # the calls hold every dict, so no two of them share an id
         assert {id(powers) for powers, _ in calls[first:]} == {id(calls[first][0])}
         assert {seen for _, seen in calls[first:]} == {m}
@@ -617,7 +685,7 @@ def test_multiply_step_turns_to_slices_once_dense():
     assert terms == 27
     assert _multiply_passes(5, 1, 300, terms)[0::2] == (2, 301)
     [step] = _planned_steps(((1, 5),), 300, None, "pentagonal")
-    assert step[5:7] == (1, False)
+    assert step[5:8] == (1, False, 2)
     assert list(expand_eta_quotient(EtaQuotient([(1, 5)]), 300).coeffs) == naive_eta_quotient([(1, 5)], 300)
     # a base with no term inside the order costs nothing and bounds nothing
     assert _multiply_passes(10**30, 1, 5, 0) == (0, 0, 1)
@@ -632,7 +700,8 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
     # the steps the expansion runs, along the walk the plan picks and along
     # each walk named, are priced step by step by the plan, and their sum is
     # the price of the request; over Z at the price of an update on the
-    # bits that bound the coefficients, the same for either walk
+    # bits that bound the coefficients, the same for either walk. The
+    # price comes with its plan, a side of one form: those very steps
     order = 300
     factors = _normalized_factors(quotient, order, m)
     bits = 1 if m is not None else _update_price(_log_majorant(factors, order) / math.log(2))
@@ -648,9 +717,13 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
         expand_eta_quotient(quotient, order, modulus=m, route=route)
         monkeypatch.undo()
         [steps] = ran
-        for _, step, k, top, theta, nz, dense, price in steps:
+        for _, step, k, top, theta, nz, dense, by_terms, price in steps:
             assert _factor_plan(step, k, top, m, nz, theta) == (dense, price)
-        assert steps and _expansion_work(quotient, order, m, route) == sum(s[-1] for s in steps) * bits
+            terms = len(_factor_terms(step, top, theta))
+            assert by_terms == (0 if dense or k < 0 else _multiply_passes(k, nz, top, terms)[0])
+        price, ways = _expansion_work(quotient, order, m, route)
+        assert steps and price == sum(s[-1] for s in steps) * bits
+        assert ways == [("whole", order, steps)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -664,9 +737,9 @@ def test_theta_walk_never_raises_the_price(factors, order, m):
     # the Euler factors alone: a request priced under the CLI's work bound
     # by the pentagonal walk stays under it
     quotient = EtaQuotient(factors)
-    pentagonal = _expansion_work(quotient, order, m, "pentagonal")
-    theta = _expansion_work(quotient, order, m, "theta")
-    assert _expansion_work(quotient, order, m) == min(pentagonal, theta)
+    pentagonal = _expansion_work(quotient, order, m, "pentagonal")[0]
+    theta = _expansion_work(quotient, order, m, "theta")[0]
+    assert _expansion_work(quotient, order, m)[0] == min(pentagonal, theta)
 
 
 @pytest.mark.parametrize(
@@ -692,10 +765,11 @@ def test_majorant_bounds_every_coefficient(factors):
 
 def test_expansion_price_of_a_huge_order_is_immediate():
     # past WORK_CAP coefficients the factors' terms are not walked: at order
-    # 10^20 the pentagonal terms alone number about 10^10
+    # 10^20 the pentagonal terms alone number about 10^10, and nothing is
+    # planned
     for m in (None, 4):
-        assert _expansion_work(_colored_quotient(2, True), 10**20, m) > WORK_CAP
-    assert _expansion_work(EtaQuotient([(1, -(10**5000))]), 10) > WORK_CAP
+        assert _expansion_work(_colored_quotient(2, True), 10**20, m) == (10**20 + 1, None)
+    assert _expansion_work(EtaQuotient([(1, -(10**5000))]), 10)[0] > WORK_CAP
 
 
 def test_plan_prices_the_cheaper_route():
@@ -795,22 +869,34 @@ def test_held_rungs_price_a_step_below_its_cold_price(monkeypatch):
     order, m = 548, 12
     base = tuple(_normalized_factors(_colored_quotient(14, True), order, m))
     step = ((2, -2), (4, 1))
-    ways, [plan], price = _side_plan([base], order, m, "theta", [(step, order)])
+    ways, price = _side_plan([base], order, m, "theta", [(step, order)])
+    [(_, _, steps), (_, _, plan)] = ways
+    assert [way for way, _, _ in ways] == ["whole", "whole"]
     cold = _planned_steps(step, order, m, "theta")
     assert [s[6] for s in cold] == [False] and [s[6] for s in plan] == [True]
     assert _plan_price(plan) == 0 < _plan_price(cold)
-    assert price == _plan_price(ways[0][1])
-    powers = {}
-    [series] = _expand_side(ways, order, m, powers)
-    assert _held_after(ways[0][1]) == {(1, 1, 274, True), (1, -1, 274, True)} <= set(powers)
-    divisions = []
+    assert price == _plan_price(steps)
+    held = {(1, 1, 274, True), (1, -1, 274, True)}
+    assert _held_after(steps) == held
+    dicts, divisions = [], []
+    real = eta_module._dense_power
+
+    def spying(step, k, top, m, theta, powers):
+        dicts.append(powers)
+        return real(step, k, top, m, theta, powers)
 
     def dividing(*args):
         divisions.append(args)
         return _divide_sparse(*args)
 
+    monkeypatch.setattr(eta_module, "_dense_power", spying)
+    runs = _expand_side(ways, m)
+    series = next(runs)
+    # the base leaves the rungs +-1 of phi(-q^2) in the side's one dict
+    [powers] = {id(powers): powers for powers in dicts}.values()
+    assert held <= {(s, j, t, th) for (s, t, th), rungs in powers.items() for j in rungs}
     monkeypatch.setattr(eta_module, "_divide_sparse", dividing)
-    got = _run_steps(plan, order, m, powers)
+    got = next(runs)
     assert divisions == []
     monkeypatch.undo()
     assert got == expand_eta_quotient(EtaQuotient(step), order, m)
@@ -875,8 +961,8 @@ def test_shared_side_matches_each_expansion(colors, extra, m, route, order, prod
     with pytest.MonkeyPatch.context() as mp:
         if product is not None:
             mp.setattr(eta_module, "_product_price", lambda order, m: product)
-        ways = _side_plan(forms, order, m, route, ())[0]
-    got = list(_expand_side(ways, order, m, {}))
+        ways = _side_plan(forms, order, m, route)[0]
+    got = list(_expand_side(ways, m))
     assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form in forms]
 
 
@@ -910,8 +996,8 @@ def test_side_price_never_exceeds_its_cold_price(colors, m, route, order, e):
     # price; a side of one base, and no Step, keeps its cold price
     forms = sorted({tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in colors})
     later = [(tuple(_normalized_factors(EtaQuotient([(2, -2 * e), (4, e)]), order, m)), order)]
-    assert _side_plan(forms, order, m, route, later)[2] <= cold_side_price(forms, order, m, route, later)
-    assert _side_plan(forms[:1], order, m, route, ())[2] == cold_side_price(forms[:1], order, m, route, ())
+    assert _side_plan(forms, order, m, route, later)[1] <= cold_side_price(forms, order, m, route, later)
+    assert _side_plan(forms[:1], order, m, route)[1] == cold_side_price(forms[:1], order, m, route, ())
 
 
 def test_mod12_bases_are_priced_given_the_rungs_before_them():
@@ -921,9 +1007,9 @@ def test_mod12_bases_are_priced_given_the_rungs_before_them():
     # side is priced below its cold price with the same series
     order, m = 548, 12
     forms = [tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in (14, 17, 23)]
-    ways, _, price = _side_plan(forms, order, m, "theta", ())
+    ways, price = _side_plan(forms, order, m, "theta")
     assert price < cold_side_price(forms, order, m, "theta", ())
-    assert list(_expand_side(ways, order, m, {})) == [
+    assert list(_expand_side(ways, m)) == [
         expand_eta_quotient(EtaQuotient(form), order, m, "theta") for form in forms
     ]
 

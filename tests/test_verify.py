@@ -3,11 +3,13 @@
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overcubic.cli as cli_module
 import overcubic.eta as eta_module
 import overcubic.verify as verify_module
 from overcubic.counting import ColoredOverPartition, ColoredPart
@@ -117,17 +119,16 @@ def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
     # n = 0 before the range, so neither may be reported. Every odd c reads
     # that one form and must report each wrong residue, the even c none
     wrong = {0: 3, 1: 0, 9: 1, 10: 3, 50: 2, 60: 1}
-    genuine = gen_overcubic_gf
-    odd = _normalized_factors(_colored_quotient(1, True), 60, 4)
+    odd = tuple(_normalized_factors(_colored_quotient(1, True), 60, 4))
 
-    def corrupted(c, order, modulus=None):
-        coeffs = list(genuine(c, order, modulus).coeffs)
-        if _normalized_factors(_colored_quotient(c, True), order, modulus) == odd:
+    def corrupted(form, series):
+        coeffs = list(series.coeffs)
+        if form == odd:
             for n, residue in wrong.items():
                 coeffs[n] = residue
-        return Series(coeffs, modulus)
+        return Series(coeffs, series.modulus)
 
-    monkeypatch.setattr(verify_module, "gen_overcubic_gf", corrupted)
+    corrupting_runs(monkeypatch, corrupted)
     report = verify_mod4_classification(6, 50, 60)
     assert list(report.counterexamples) == [
         Counterexample(c, n, residue, expected_mod4_residue(c, n))
@@ -142,20 +143,20 @@ def test_mod4_sweep_reports_what_each_c_gives(monkeypatch):
     # is f4/(f1^2*f2): the sweep compares each parity once, and must report
     # the counterexamples that comparing every c on its own gives, c by c
     # and n by n
-    genuine = gen_overcubic_gf
+    even = tuple(_normalized_factors(_colored_quotient(2, True), 40, 4))
 
-    def corrupted(c, order, modulus=None):
-        coeffs = list(genuine(c, order, modulus).coeffs)
-        if c % 2 == 0:
-            for n in (7, 18, 25):  # neither, twice a square, a square
-                coeffs[n] = (coeffs[n] + 1) % modulus
-        return Series(coeffs, modulus)
+    def planted(series):
+        coeffs = list(series.coeffs)
+        for n in (7, 18, 25):  # neither, twice a square, a square
+            coeffs[n] = (coeffs[n] + 1) % 4
+        return Series(coeffs, 4)
 
-    monkeypatch.setattr(verify_module, "gen_overcubic_gf", corrupted)
+    corrupting_runs(monkeypatch, lambda form, series: planted(series) if form == even else series)
     report = verify_mod4_classification(7, 40)
     want = []
     for c in range(1, 8):
-        series = corrupted(c, 40, 4)
+        series = gen_overcubic_gf(c, 40, 4)
+        series = planted(series) if c % 2 == 0 else series
         want.extend(
             Counterexample(c, n, series[n], expected_mod4_residue(c, n))
             for n in range(1, 41)
@@ -172,15 +173,42 @@ def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     # report, so a wrong reduction cannot pass the check it serves
     want = verify_mod4_classification(10, 2000)
     assert want.passed
-    forms = []
+    forms, walks = [], []
+    real = verify_module._side_plan
 
-    def pentagonal(c, order, modulus=None):
-        forms.append(c)
-        return expand_eta_quotient(_colored_quotient(c, True), order, modulus, route="pentagonal")
+    def pentagonal(side, order, m, route, later=()):
+        forms.extend(side)
+        ways, price = real(side, order, m, "pentagonal", later)
+        walks.extend(steps for _, _, steps in ways)
+        return ways, price
 
-    monkeypatch.setattr(verify_module, "gen_overcubic_gf", pentagonal)
+    monkeypatch.setattr(verify_module, "_side_plan", pentagonal)
     assert verify_mod4_classification(10, 2000) == want
-    assert forms == [1, 2]
+    assert forms == [tuple(_normalized_factors(_colored_quotient(c, True), 2000, 4)) for c in (1, 2)]
+    # the Euler factors' walk divides by f1^2 in both forms
+    assert all(any(step[2] < 0 for step in steps) for steps in walks) and len(walks) == 2
+
+
+def corrupting_runs(monkeypatch, corrupt):
+    """Pass every series the one runner (``_expand_side``) yields to a sweep
+    through ``corrupt(form, series)``, each known by the form that its plan
+    (``_side_plan``) was made for."""
+    planned = {}
+    real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
+
+    def planning(forms, order, m, route, later=()):
+        ways, price = real_plan(forms, order, m, route, later)
+        # the ways are kept, so that no other list takes their id
+        planned[id(ways)] = (ways, [*forms, *(form for form, _ in later)])
+        return ways, price
+
+    def running(ways, m):
+        _, forms = planned[id(ways)]
+        for form, series in zip(forms, real_expand(ways, m)):
+            yield corrupt(form, series)
+
+    monkeypatch.setattr(verify_module, "_side_plan", planning)
+    monkeypatch.setattr(verify_module, "_expand_side", running)
 
 
 def test_mod4_forms_depend_on_c_only_through_its_parity():
@@ -201,9 +229,12 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     served = recorded_sides(monkeypatch)
     built = recorded_steps(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
-    # even c
+    # even c, each a side of one form run whole
     verify_mod4_classification(10, 200, 200)
     assert len(keys) == len(set(keys)) == 2
+    assert served == [(tuple(_normalized_factors(_colored_quotient(c, True), 200, 4)), 4, None, "whole")
+                      for c in (1, 2)]
+    served.clear()
     # the bases: c = 5 mod 6, 2 and 3, whose family steps i by 1, and
     # c = 14, 23, 17, 26 mod 12 and 4 and c = 14, 17 mod 3, whose families
     # step i by 2 mod 12 and 4 and by 1 mod 3. The series is 1 mod 2 and
@@ -255,31 +286,33 @@ def recorded_steps(monkeypatch):
     built = []
     real = verify_module._step_series
 
-    def recording(form, plan, s, n_max, order, m, powers):
+    def recording(form, runs, s, n_max, m):
         built.append((m, s, form))
-        return real(form, plan, s, n_max, order, m, powers)
+        return real(form, runs, s, n_max, m)
 
     monkeypatch.setattr(verify_module, "_step_series", recording)
     return built
 
 
 def recorded_sides(monkeypatch):
-    """The ``(form, modulus, route, way)`` of every series a family sweep's
-    sides serve (``_expand_side``) while the test runs, each side known by
-    the plan (``_side_plan``) that gave it its ways."""
+    """The ``(form, modulus, route, way)`` of every form a sweep's sides
+    serve (``_expand_side``) while the test runs, each side known by the
+    plan (``_side_plan``) that gave it its ways; the Steps that a family
+    sweep's side runs after its forms are left to ``recorded_steps``."""
     served, planned = [], {}
     real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
 
-    def planning(forms, order, m, route, later):
-        ways, plans, price = real_plan(forms, order, m, route, later)
+    def planning(forms, order, m, route, later=()):
+        ways, price = real_plan(forms, order, m, route, later)
         # the ways are kept, so that no other list takes their id
         planned[id(ways)] = (ways, forms, route)
-        return ways, plans, price
+        return ways, price
 
-    def recording(ways, order, m, powers):
+    def recording(ways, m):
         _, forms, route = planned[id(ways)]
-        for form, (way, _), series in zip(forms, ways, real_expand(ways, order, m, powers)):
-            served.append((form, m, route, way))
+        for k, series in enumerate(real_expand(ways, m)):
+            if k < len(forms):
+                served.append((forms[k], m, route, ways[k][0]))
             yield series
 
     monkeypatch.setattr(verify_module, "_side_plan", planning)
@@ -310,24 +343,85 @@ def test_a_sweep_runs_the_steps_its_price_planned(monkeypatch):
     # each of its plans once, as planned: every base served whole or by a
     # quotient that is not 1, and every Step that is not 1
     price, sides = verify_module._families_work(PROVED_FAMILIES, 3, 60)
-    form, plan = sides[12, "theta"].steps[9, 18]
-    cold = eta_module._planned_steps(form, 543, 12, "theta")
-    assert eta_module._plan_price(plan) < eta_module._plan_price(cold)
-    ran = []
-    real = eta_module._run_steps
+    side = sides[12, "theta"]
+    stepped = [form for form in side.steps.values() if form]
+    _, top, plan = side.ways[len(side.bases) + stepped.index(side.steps[9, 18])]
+    cold = eta_module._planned_steps(side.steps[9, 18], 543, 12, "theta")
+    assert top == 543 and eta_module._plan_price(plan) < eta_module._plan_price(cold)
+    with runs_recorded() as runs:
+        reports = verify_module._verify_families(PROVED_FAMILIES, 3, 60, None, sides)
+    runs.match([side.ways for side in sides.values()])
+    assert reports == verify_proved_families(3, 60)
+    # an expansion over Z and mod 12 runs the plan that the CLI priced
+    argv = ["expand", "--gf", "overcubic", "--c", "10", "--order", "300"]
+    for modulus in ([], ["--modulus", "12"]):
+        plans = []
+        real_price = cli_module._expand_price
+
+        def pricing(*args):
+            priced = real_price(*args)
+            plans.append(priced[1])
+            return priced
+
+        monkeypatch.setattr(cli_module, "_expand_price", pricing)
+        with runs_recorded() as runs:
+            assert cli_module.main([*argv, *modulus]) == 0
+        monkeypatch.undo()
+        runs.match(plans)
+    # and so does the mod-4 sweep: a side of one form for each parity
+    price, plans = verify_module._mod4_classification_work(10, 300)
+    assert len(plans) == 2
+    with runs_recorded() as runs:
+        report = verify_module._verify_mod4(10, 300, None, plans)
+    runs.match([ways for ways, _ in plans.values()])
+    assert runs.passes["terms"] == 3  # phi(-q), and phi(-q) * phi(-q^2)
+    assert report == verify_mod4_classification(10, 300)
+
+
+class _Runs:
+    """What the one runner ran: the id of each list of planned steps it ran
+    (``_run_steps``), and its multiply passes term by term and by slices."""
+
+    def __init__(self):
+        self.ran, self.passes = [], Counter()
+
+    def match(self, plans):
+        """Each list of steps of the side plans ``plans`` that runs, a whole
+        walk or a quotient that is not 1, ran once, and its multiply steps
+        ran the term-by-term split they were planned with."""
+        run = [steps for ways in plans for way, _, steps in ways if way == "whole" or steps]
+        assert sorted(self.ran) == sorted(map(id, run))
+        passes = Counter()
+        for _, _, k, _, _, _, dense, by_terms, _ in (step for steps in run for step in steps):
+            if not dense and k > 0:
+                passes["terms"] += by_terms
+                passes["slices"] += k - by_terms
+        assert self.passes == passes
+
+
+@contextmanager
+def runs_recorded():
+    """A :class:`_Runs` of what the runner runs while the block runs."""
+    runs = _Runs()
+    real_run, real_terms, real_slices = eta_module._run_steps, eta_module._times_terms, eta_module._times_f
 
     def running(steps, order, m, powers):
-        ran.append(id(steps))
-        return real(steps, order, m, powers)
+        runs.ran.append(id(steps))
+        return real_run(steps, order, m, powers)
 
-    monkeypatch.setattr(eta_module, "_run_steps", running)
-    monkeypatch.setattr(verify_module, "_run_steps", running)
-    reports = verify_module._verify_families(PROVED_FAMILIES, 3, 60, None, sides)
-    planned = [id(steps) for side in sides.values() for way, steps in side.ways if way == "whole" or steps]
-    planned += [id(steps) for side in sides.values() for form, steps in side.steps.values() if form]
-    assert sorted(ran) == sorted(planned)
-    monkeypatch.undo()
-    assert reports == verify_proved_families(3, 60)
+    def by_terms(*args):
+        runs.passes["terms"] += 1
+        return real_terms(*args)
+
+    def by_slices(*args):
+        runs.passes["slices"] += 1
+        return real_slices(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eta_module, "_run_steps", running)
+        mp.setattr(eta_module, "_times_terms", by_terms)
+        mp.setattr(eta_module, "_times_f", by_slices)
+        yield runs
 
 
 def test_family_sides_take_independent_routes(monkeypatch):
