@@ -26,8 +26,8 @@ pass (``series._kronecker_price``, ``series._update_price``), and every
 expansion is priced by the plan it runs: ``eta._expansion_work`` plans
 an expansion and sums its steps, to which ``expand`` adds the rows it
 prints (``_expand_price``), ``verify._mod4_classification_work`` plans
-the distinct mod-4 forms of ``verify --target thm14`` and prices them
-with its colors and residues, and ``verify._families_work`` plans
+``verify --target thm14`` as one side of its two mod-4 forms and prices
+it with its colors and residues, and ``verify._families_work`` plans
 ``thm15`` and ``conj73`` once, their bases, Step series and step
 products, and prices that plan with the residues it compares. Each hands
 back its plan with its price, and the command runs that plan, through
@@ -44,6 +44,7 @@ import shlex
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -313,6 +314,9 @@ def _cmd_verify(args, command: str) -> int:
     return 0 if all_pass else VERIFY_FAILURE
 
 
+# Built on first use, not at import, and kept for the process: a build
+# takes about half a millisecond, as long as a small sweep.
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overcubic",
@@ -385,9 +389,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _main(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed the usage message
         return USAGE_ERROR if exc.code else 0

@@ -11,14 +11,15 @@ as it was planned and priced. A request is a side: a list of planned
 expansions, each a walk of steps that carries every decision the run
 needs. A lone series (:func:`expand_eta_quotient`, which every named
 series and :func:`expand_f` call, and the CLI's ``expand``) is a side of
-one form, and so is each distinct mod-4 form of the ``thm14`` sweep; a
-side of a family sweep is its forms, each by its whole walk or as its
-neighbour times their quotient, then its Steps. No expansion is kept: a
-caller that reads one series more than once asks for it once, as the
-sweeps of :mod:`overcubic.verify` do by normalized form. Only the dense
-powers of step 2 are memoized, in one dict that the runner owns for the
-side, so each expansion of a side finds the powers the others built, and
-the dict is dropped with the side.
+one form; the ``thm14`` sweep is one side of its two mod-4 forms, of odd
+and of even c, and a side of a family sweep is its forms, then its Steps.
+Each form after the first runs by its whole walk or as its neighbour
+times their quotient. No expansion is kept: a caller that reads one
+series more than once asks for it once, as the sweeps of
+:mod:`overcubic.verify` do by normalized form. Only the dense powers of
+step 2 are memoized, in one dict that the runner owns for the side, so
+each expansion of a side finds the powers the others built, and the dict
+is dropped with the side.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -102,8 +103,8 @@ from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
-    WORK_CAP, Series, _divide_sparse, _kronecker_price, _ladder_power, _mod_slot_width, _show,
-    _spread, _update_price, _validate_modulus,
+    WORK_CAP, Series, _divide_sparse, _kronecker_mod, _kronecker_price, _ladder_power, _mod_slot_width,
+    _show, _spread, _update_price, _validate_modulus,
 )
 
 __all__ = [
@@ -405,8 +406,8 @@ def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
         if h < g:
             coeffs, g = _spread(coeffs, g // h, top + 1), h
         if dense:
-            power = _dense_power(step, k, top, m, theta, powers)
-            coeffs = list((Series._canonical(tuple(coeffs), m) * power if nz > 1 else power).coeffs)
+            power = _dense_power(step, k, top, m, theta, powers).coeffs
+            coeffs = _kronecker_mod(coeffs, power, m) if nz > 1 else list(power)
             continue
         terms = _factor_terms(step, top, theta)
         if k < 0:
@@ -513,11 +514,8 @@ def _plan_walk(walk, order: int, m: Optional[int], held: frozenset):
     ``held``."""
     steps, nz = [], 1
     for g, step, k, top, theta in _compressed_walk(walk, order):
-        dense, price = _factor_plan(step, k, top, m, nz, theta, held)
-        # a product's support does not depend on the route that computes it
-        terms = len(_factor_terms(step, top, theta))
-        by_terms, _, after = (0, 0, top + 1) if k < 0 else _multiply_passes(k, nz, top, terms)
-        steps.append((g, step, k, top, theta, nz, dense, 0 if dense else by_terms, price))
+        dense, price, by_terms, after = _factor_plan(step, k, top, m, nz, theta, held)
+        steps.append((g, step, k, top, theta, nz, dense, by_terms, price))
         nz = after
     return steps
 
@@ -550,6 +548,7 @@ def _expand_side(ways, m: Optional[int]) -> Iterator[Series]:
     powers, series = {}, None
     for way, order, steps in ways:
         if way == "whole":
+            series = None  # a whole walk reads no series before it: drop it first
             series = _run_steps(steps, order, m, powers)
         elif steps:
             series = series * _run_steps(steps, order, m, powers)
@@ -620,9 +619,6 @@ _DIVISION_EXPONENT_PRICE = 26
 _PAIR_PRICE = 3
 
 
-# The plan prices a step's passes, bounds what they leave, and splits them
-# for the run: three asks of the same passes.
-@lru_cache(maxsize=256)
 def _multiply_passes(k: int, nz: int, order: int, terms: int) -> Tuple[int, float, int]:
     """``(by_terms, price, nz)`` of ``k > 0`` multiply passes by a base of
     ``terms`` terms on a running product of at most ``nz`` nonzero
@@ -654,13 +650,17 @@ def _multiply_passes(k: int, nz: int, order: int, terms: int) -> Tuple[int, floa
 def _factor_plan(
     n: int, k: int, order: int, m: Optional[int], nz: int, theta: bool = False,
     held: frozenset = frozenset(),
-) -> Tuple[bool, float]:
-    """``(dense, price)`` of the cheaper route of ``f(n)^k``, or of
-    ``phi(-q^n)^k`` when ``theta``, applied to a running product of at most
-    ``nz`` nonzero coefficients, in updates of a sparse pass. Sparse, for
-    ``k < 0``: ``|k|`` division passes of ``(order + 1) * terms``, whatever
-    the weights, since the division kernel scales a sum of weight-2 terms
-    once per exponent, and ``_DIVISION_EXPONENT_PRICE`` more per exponent;
+) -> Tuple[bool, float, int, int]:
+    """``(dense, price, by_terms, nz)`` of the cheaper route of ``f(n)^k``,
+    or of ``phi(-q^n)^k`` when ``theta``, applied to a running product of at
+    most ``nz`` nonzero coefficients: the route, its price in updates of a
+    sparse pass, how many of its multiply passes run term by term (0 when
+    dense or ``k < 0``), and the bound on the nonzero coefficients it
+    leaves, which does not depend on the route: ``order + 1`` after a
+    division, else that of :func:`_multiply_passes`. Sparse, for ``k <
+    0``: ``|k|`` division passes of ``(order + 1) * terms``, whatever the
+    weights, since the division kernel scales a sum of weight-2 terms once
+    per exponent, and ``_DIVISION_EXPONENT_PRICE`` more per exponent;
     for ``k > 0`` the multiply passes of :func:`_multiply_passes`, term by
     term while the running product is sparse, then by slices. An update on
     residues mod ``m`` costs ``series._update_price``. Dense: 3 per
@@ -682,18 +682,19 @@ def _factor_plan(
     update = 1 if m is None else _update_price((m - 1).bit_length())
     division = (terms + _DIVISION_EXPONENT_PRICE) * update  # per exponent
     if k > 0:
-        sparse = _multiply_passes(k, nz, order, terms)[1] * update
+        by_terms, sparse, after = _multiply_passes(k, nz, order, terms)
+        sparse *= update
     else:
         # past 2^64 passes, far past WORK_CAP, the count stays in float range
-        sparse = min(-k, 2**64) * (order + 1) * division
+        by_terms, sparse, after = 0, min(-k, 2**64) * (order + 1) * division, order + 1
     if m is None:
-        return False, sparse
+        return False, sparse, by_terms, after
     ladder = 0 if (n, 1, order, theta) in held else 3 * (order + 1)
     if k < 0 and (n, -1, order, theta) not in held:
         ladder += (order // n + 1) * division
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
     dense = ladder + products * _product_price(order, m)
-    return (True, dense) if dense < sparse else (False, sparse)
+    return (True, dense, 0, after) if dense < sparse else (False, sparse, by_terms, after)
 
 
 def _product_price(order: int, m: int) -> float:

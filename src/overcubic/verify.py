@@ -215,24 +215,24 @@ def verify_mod4_classification(
     """Compare series coefficients mod 4 against the square / twice-square /
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
     by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
-    Each distinct mod-4 form of the series is planned as a side of one form
-    (:func:`_mod4_plans`), then run from that plan, and compared once at
-    each parity of c that reads it, two forms in all: ``f2/f1^2`` for every
-    odd c and ``f4/(f1^2*f2)`` for every even c; the mismatches of a parity
-    are reported for every c of it. The theta walk expands them as
-    ``phi(-q)`` and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 == 1 (mod
-    4)``, so no step divides; the paper's mod-4 theorem rests on the same
-    fact, so the test ``test_mod4_sweep_matches_the_pentagonal_walk``
-    guards the reduction: the Euler factors' walk, which divides, must give
-    the same report."""
+    The mod-4 form of the series depends on c only through its parity, so
+    the sweep is one side (:func:`_mod4_plans`) of the forms of c = 1 and
+    c = 2, ``f2/f1^2`` and ``f4/(f1^2*f2)``, run from its plan, and each
+    series is compared once, for its parity; the mismatches of a parity are
+    reported for every c of it. The theta walk expands them as ``phi(-q)``
+    and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 == 1 (mod 4)``, so no
+    step divides; the paper's mod-4 theorem rests on the same fact, so the
+    test ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the
+    reduction: the Euler factors' walk, which divides, must give the same
+    report."""
     return _verify_mod4(c_max, n_max, order)
 
 
 def _verify_mod4(
-    c_max: int, n_max: int, order: Optional[int], plans: Optional[dict] = None
+    c_max: int, n_max: int, order: Optional[int], ways: Optional[list] = None
 ) -> VerificationReport:
-    """:func:`verify_mod4_classification`, running the plans ``plans`` gives
-    its forms, by default those of :func:`_mod4_plans`."""
+    """:func:`verify_mod4_classification`, running the planned expansions
+    ``ways`` of its side, by default those of :func:`_mod4_plans`."""
     order = _mod4_order(c_max, n_max, order)
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
@@ -242,28 +242,28 @@ def _verify_mod4(
     )
     if report.vacuous:
         return report
-    if plans is None:
-        plans = _mod4_plans(c_max, order)
+    if ways is None:
+        ways, _ = _mod4_plans(c_max, order)
     # the prediction depends on c only through 2(c+1) mod 4, its value at
     # twice a square; it is 2 at a square and 0 elsewhere. The form depends
     # on c only through its parity too, so each parity is compared once, at
     # its least c, and its mismatches are reported for every c of it
-    mismatches = {0: [], 1: []}
-    for colors, (ways, _) in plans.items():
-        observed = next(_expand_side(ways, 4)).coeffs[1 : n_max + 1]
-        for c in colors:
-            row = [0] * (n_max + 1)
-            for k in range(1, math.isqrt(n_max // 2) + 1):
-                row[2 * k * k] = 2 * (c + 1) % 4
-            for k in range(1, math.isqrt(n_max) + 1):
-                row[k * k] = 2
-            expected = tuple(row[1:])
-            if observed != expected:
-                mismatches[c % 2] = [
-                    (n, got, want)
-                    for n, (got, want) in enumerate(zip(observed, expected), start=1)
-                    if got != want
-                ]
+    mismatches, runs = {0: [], 1: []}, _expand_side(ways, 4)
+    for c in range(1, len(ways) + 1):
+        # only the slice is kept while the next series is built
+        observed = next(runs).coeffs[1 : n_max + 1]
+        row = [0] * (n_max + 1)
+        for k in range(1, math.isqrt(n_max // 2) + 1):
+            row[2 * k * k] = 2 * (c + 1) % 4
+        for k in range(1, math.isqrt(n_max) + 1):
+            row[k * k] = 2
+        expected = tuple(row[1:])
+        if observed != expected:
+            mismatches[c % 2] = [
+                (n, got, want)
+                for n, (got, want) in enumerate(zip(observed, expected), start=1)
+                if got != want
+            ]
     bad = tuple(
         Counterexample(c, n, got, want)
         for c in range(1, c_max + 1)
@@ -272,17 +272,16 @@ def _verify_mod4(
     return replace(report, counterexamples=bad)
 
 
-def _mod4_plans(c_max: int, order: int) -> dict:
-    """The plan ``(ways, price)`` of each distinct normalized mod-4 form of
-    the overlined series at c <= c_max, a side of one form
-    (:func:`~overcubic.eta._side_plan`), keyed on the colors, 1 and 2 at
-    most, that read it: mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
-    reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even,
-    and below order 4 the two forms may coincide."""
-    colors = {}
-    for c in range(1, min(c_max, 2) + 1):
-        colors.setdefault(tuple(_normalized_factors(_colored_quotient(c, True), order, 4)), []).append(c)
-    return {tuple(cs): _side_plan([form], order, 4, None) for form, cs in colors.items()}
+def _mod4_plans(c_max: int, order: int) -> Tuple[list, float]:
+    """The plan ``(ways, price)`` of the mod-4 sweep's one side
+    (:func:`~overcubic.eta._side_plan`): the normalized mod-4 forms of the
+    overlined series at c = 1 and, when c_max reaches it, c = 2, the forms
+    of odd and of even c. Mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
+    reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even.
+    Below order 4 the two forms coincide, and the planner runs the second as
+    the first times their empty quotient: the same series."""
+    forms = [_normalized_factors(_colored_quotient(c, True), order, 4) for c in range(1, min(c_max, 2) + 1)]
+    return _side_plan(forms, order, 4, None)
 
 
 def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
@@ -302,12 +301,12 @@ def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
 # of a sparse pass (about 24 ns). Each c takes about 0.3 us besides its
 # residues, and each residue compared with its prediction about 3.1 ns
 # (c <= 10^5 at n <= 10 to 2000, c <= 10^4 at n <= 10^5; 2-vCPU x86 host).
-# Each coefficient of a distinct form is priced by the memory it holds, not
-# by its time: the lists its walk builds, spreads and copies, the slice the
-# sweep keeps and its row of predictions take about 45 ns but hold 35-45
-# bytes at their peak (132 MB at c <= 1, 201 MB at c <= 10, n <= 3 * 10^6),
-# so at its time, 2 updates, the cap would admit n <= 4.7 * 10^7 at c <= 1,
-# about 1.8 GB. At 24 the sweep at the cap holds at most about 250 MB.
+# Each coefficient of a series the side builds is priced by the memory it
+# holds, not by its time: the lists its walk builds, spreads and copies,
+# the slice the sweep keeps and its row of predictions take about 45 ns but
+# hold 35-45 bytes at their peak (132 MB at c <= 1, 201 MB at c <= 10,
+# n <= 3 * 10^6), so at its time, 2 updates, the cap would admit
+# n <= 4.7 * 10^7 at c <= 1, about 1.8 GB. At 24 the sweep at the cap holds at most about 250 MB.
 _MOD4_FORM_COEFFICIENT_PRICE = 24
 _MOD4_COLOR_PRICE = 12
 _MOD4_RESIDUE_PRICE = 0.13
@@ -315,25 +314,26 @@ _MOD4_RESIDUE_PRICE = 0.13
 
 def _mod4_classification_work(
     c_max: int, n_max: int, order: Optional[int] = None
-) -> Tuple[float, Optional[dict]]:
-    """``(price, plans)`` of ``verify_mod4_classification(c_max, n_max,
-    order)``: the plans of its distinct mod-4 forms (:func:`_mod4_plans`),
+) -> Tuple[float, Optional[list]]:
+    """``(price, ways)`` of ``verify_mod4_classification(c_max, n_max,
+    order)``: the planned expansions of its one side (:func:`_mod4_plans`),
     which the sweep runs as they are when it is given them, and its price
-    in the unit of ``series._check_work``, the plans' prices, with
-    ``_MOD4_FORM_COEFFICIENT_PRICE`` for each of their coefficients, then
+    in the unit of ``series._check_work``, the side's price, with
+    ``_MOD4_FORM_COEFFICIENT_PRICE`` for each coefficient of each series the
+    side builds (not the second form where it is the first), then
     ``_MOD4_COLOR_PRICE`` for each c swept and ``_MOD4_RESIDUE_PRICE`` for
-    each residue compared. ``(0, {})`` for an empty range, which expands
+    each residue compared. ``(0, [])`` for an empty range, which expands
     nothing; past ``WORK_CAP`` colors or coefficients, the colors and
     coefficients alone, which price it over the cap at once, and no plan."""
     order = _mod4_order(c_max, n_max, order)
     if n_max < 1:
-        return 0.0, {}
+        return 0.0, []
     if c_max >= WORK_CAP or order >= WORK_CAP:
         return float(min(c_max * _MOD4_COLOR_PRICE + order + 1, 2**64)), None
-    plans = _mod4_plans(c_max, order)
-    price = sum(price for _, price in plans.values())
-    price += len(plans) * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
-    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE), plans
+    ways, price = _mod4_plans(c_max, order)
+    built = sum(1 for way, _, steps in ways if way == "whole" or steps)
+    price += built * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
+    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE), ways
 
 
 def _prime_power_components(m: int) -> List[int]:
@@ -689,6 +689,10 @@ class IdentityCheck:
     build: Callable[[int], Tuple[Series, Series]] = field(repr=False)
 
     def run(self, order: Optional[int] = None) -> VerificationReport:
+        # checked as given: a build may read a derived order, 3n + 2 for
+        # chan-a2, and a refusal of that would name a number never passed
+        if order is not None and order < 0:
+            raise ValueError(f"order must be non-negative, got {_show(order)}")
         lhs, rhs = self.build(self.default_order if order is None else order)
         return check_identity(lhs, rhs, description=self.description)
 

@@ -661,8 +661,9 @@ def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
 
 def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     # the CI frontier and the benchmark's size stay admitted; the price is
-    # the plans of the two mod-4 forms, with the memory of their
-    # coefficients, and a price per c and per residue compared
+    # the plan of the side of the two mod-4 forms, each run whole, with the
+    # memory of their coefficients, and a price per c and per residue
+    # compared
     def work(*args):
         return verify_module._mod4_classification_work(*args)[0]
 
@@ -675,6 +676,11 @@ def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     )
     # at c <= 1 the sweep reads one form, and an empty range reads none
     assert work(1, 2000) < work(2, 2000)
+    # at order 1 the two forms coincide, and the side builds one series:
+    # the second is the first times their empty quotient
+    assert work(2, 1) == 74.26
+    one_more_c = verify_module._MOD4_COLOR_PRICE + verify_module._MOD4_RESIDUE_PRICE
+    assert work(2, 1) == pytest.approx(work(1, 1) + one_more_c)
     assert work(10, 0) == work(10, -5) == 0
     # an explicit order prices the forms at it
     assert work(10, 2000, 3000) > work(10, 2000)
@@ -834,6 +840,15 @@ def test_vacuous_verify_reports_order_zero(capsys):
     assert err == "error: order must be non-negative, got -5\n"
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+@pytest.mark.parametrize("name", sorted(verify_module.IDENTITIES))
+def test_identity_refuses_a_negative_order_as_given(capsys, name, order):
+    # refused with the order the request names, not one a build derives
+    # from it (chan-a2 reads 3n+2, ramanujan-p5 5n+4)
+    err = assert_refused(capsys, "verify", "--target", "identity", "--name", name, "--order", str(order))
+    assert err == f"error: order must be non-negative, got {order}\n"
+
+
 def test_empty_i_range_reports_order_zero(capsys):
     # a sweep over no i reads nothing: order 0, as for an empty n range
     for argv in (["--i-max", "0"], ["--n-max", "-1"]):
@@ -943,6 +958,31 @@ def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv
         monkeypatch.setattr(cli_module, name, None)
     err = assert_refused(capsys, "verify", "--target", *argv)
     assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    # built on the first call of main, not at import, and kept: a second
+    # call builds nothing and prints the same bytes
+    built = []
+    parser_class = cli_module.argparse.ArgumentParser
+    real_init = parser_class.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    argv = ("verify", "--target", "thm14", "--c-max", "3", "--n-max", "40")
+    monkeypatch.setattr(parser_class, "__init__", counting)
+    cli_module._build_parser.cache_clear()
+    try:
+        first = run(capsys, *argv)
+        once = len(built)
+        assert run(capsys, *argv) == first
+    finally:
+        cli_module._build_parser.cache_clear()
+    assert first[0] == 0 and first[1]
+    # the parser and its three subcommands' parsers, built once
+    assert once == len(built) == 4
 
 
 @pytest.mark.parametrize(

@@ -492,10 +492,19 @@ _wide_quotients = st.lists(st.tuples(st.integers(1, 12), st.integers(-40, 40)), 
 
 def forced_expansion(factors, order, m, route, dense):
     """``expand_eta_quotient`` along the walk ``route`` names, every step
-    by sparse passes or by dense powering as ``dense`` says, whichever the
-    plan would pick."""
+    by sparse passes or, under a modulus, by dense powering as ``dense``
+    says, whichever the plan would pick. Sparse multiply steps run the
+    passes term by term that :func:`_multiply_passes` splits off."""
+
+    def forced_plan(n, k, order, m, nz, theta=False, held=frozenset()):
+        terms = len(_factor_terms(n, order, theta))
+        by_terms, _, after = (0, 0, order + 1) if k < 0 else _multiply_passes(k, nz, order, terms)
+        # the dense route multiplies residues: over Z it is never taken
+        forced = dense and m is not None
+        return forced, 0, 0 if forced else by_terms, after
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eta_module, "_factor_plan", lambda *step: (dense, 0))
+        mp.setattr(eta_module, "_factor_plan", forced_plan)
         return expand_eta_quotient(EtaQuotient(factors), order, modulus=m, route=route)
 
 
@@ -508,7 +517,6 @@ def forced_expansion(factors, order, m, route, dense):
     st.booleans(),
 )
 def test_each_route_matches_naive_product(factors, order, m, route, dense):
-    # over Z the plan never picks dense powering, but it must still be exact
     want = [c if m is None else c % m for c in naive_eta_quotient(factors, order)]
     assert list(forced_expansion(factors, order, m, route, dense).coeffs) == want
 
@@ -717,10 +725,16 @@ def test_expansion_work_is_the_sum_of_the_plans_run(quotient, m, monkeypatch):
         expand_eta_quotient(quotient, order, modulus=m, route=route)
         monkeypatch.undo()
         [steps] = ran
+        # each step starts from the bound on nonzero coefficients that the
+        # plan of the step before it leaves
+        after = 1
         for _, step, k, top, theta, nz, dense, by_terms, price in steps:
-            assert _factor_plan(step, k, top, m, nz, theta) == (dense, price)
+            assert nz == after
+            *planned, after = _factor_plan(step, k, top, m, nz, theta)
+            assert planned == [dense, price, by_terms]
             terms = len(_factor_terms(step, top, theta))
             assert by_terms == (0 if dense or k < 0 else _multiply_passes(k, nz, top, terms)[0])
+            assert after == (top + 1 if k < 0 else _multiply_passes(k, nz, top, terms)[2])
         price, ways = _expansion_work(quotient, order, m, route)
         assert steps and price == sum(s[-1] for s in steps) * bits
         assert ways == [("whole", order, steps)]
@@ -778,22 +792,23 @@ def test_plan_prices_the_cheaper_route():
     # a multiply pass on a dense running product one per term
     assert _DIVISION_EXPONENT_PRICE == 26
     terms = len(_factor_terms(2, 548))
-    assert _factor_plan(2, -67, 548, None, 1) == (False, 67 * 549 * (terms + 26))
-    assert _factor_plan(2, 67, 548, None, 549) == (False, 67 * 549 * terms)
+    # a division leaves a dense product, as does a multiply on one
+    assert _factor_plan(2, -67, 548, None, 1) == (False, 67 * 549 * (terms + 26), 0, 549)
+    assert _factor_plan(2, 67, 548, None, 549) == (False, 67 * 549 * terms, 0, 549)
     # on a running product of 1 the first two passes run term by term, at 3
     # a pair and 1 a coefficient scanned; then it may be dense, and the
     # other 65 passes run by slices
     assert _PAIR_PRICE == 3
     pairs = (3 * terms + 549) + (3 * (terms + 1) * terms + 549)
     assert _multiply_passes(67, 1, 548, terms) == (2, pairs + 65 * 549 * terms, 549)
-    assert _factor_plan(2, 67, 548, None, 1) == (False, pairs + 65 * 549 * terms)
+    assert _factor_plan(2, 67, 548, None, 1) == (False, pairs + 65 * 549 * terms, 2, 549)
     # the dense route's inverting walk runs the division kernel over
     # order // n + 1 exponents and is priced as a division pass
     theta_terms = len(_factor_terms(1, 274, True))
     width = _slot_width((11 * 11 * 275).bit_length())
     products = 6 + 2 - 1 - 1  # bits(34) + popcount(34) - 1, first step
     dense = 3 * 275 + 275 * (theta_terms + 26) + products * _kronecker_price(550, 275, width)
-    assert _factor_plan(1, -34, 274, 12, 1, True) == (True, dense)
+    assert _factor_plan(1, -34, 274, 12, 1, True) == (True, dense, 0, 275)
     # a large exponent under a small modulus is powered densely
     assert _factor_plan(2, -67, 548, 12, 549)[0]
     # under a 1000-digit modulus the packed slots are wide: the c = 10
@@ -831,21 +846,24 @@ def test_plan_prices_the_cheaper_route():
 
 
 def cold_factor_plan(n, k, order, m, nz, theta):
-    """The price of a step as a cold ladder, every rung built: the terms of
-    ``base^1``, the inverting walk to ``base^-1`` and the powering products."""
+    """The plan of a step as a cold ladder, every rung built: the terms of
+    ``base^1``, the inverting walk to ``base^-1`` and the powering products;
+    the sparse route's passes term by term, and the bound its passes leave
+    on the nonzero coefficients, whichever route runs."""
     terms = len(_factor_terms(n, order, theta))
     update = 1 if m is None else _update_price((m - 1).bit_length())
     division = (terms + _DIVISION_EXPONENT_PRICE) * update
     if k > 0:
-        sparse = _multiply_passes(k, nz, order, terms)[1] * update
+        by_terms, sparse, after = _multiply_passes(k, nz, order, terms)
+        sparse *= update
     else:
-        sparse = min(-k, 2**64) * (order + 1) * division
+        by_terms, sparse, after = 0, min(-k, 2**64) * (order + 1) * division, order + 1
     if m is None:
-        return False, sparse
+        return False, sparse, by_terms, after
     walk = (order // n + 1) * division if k < 0 else 0
     products = abs(k).bit_length() + bin(abs(k)).count("1") - 1 - (nz == 1)
     dense = 3 * (order + 1) + walk + products * eta_module._product_price(order, m)
-    return (True, dense) if dense < sparse else (False, sparse)
+    return (True, dense, 0, after) if dense < sparse else (False, sparse, by_terms, after)
 
 
 @settings(max_examples=200, deadline=None)

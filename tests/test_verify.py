@@ -115,11 +115,12 @@ def test_mod4_sweep_order_too_small():
 
 def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
     # residues the classification rules out, written into the series of
-    # every odd c, whose mod-4 form is f2/f1^2; n = 60 lies past n_max and
-    # n = 0 before the range, so neither may be reported. Every odd c reads
-    # that one form and must report each wrong residue, the even c none
+    # every odd c, whose mod-4 form is f2/f1^2, the first form of the
+    # sweep's side; n = 60 lies past n_max and n = 0 before the range, so
+    # neither may be reported. Every odd c reads that one form and must
+    # report each wrong residue, the even c none
     wrong = {0: 3, 1: 0, 9: 1, 10: 3, 50: 2, 60: 1}
-    odd = tuple(_normalized_factors(_colored_quotient(1, True), 60, 4))
+    odd = _normalized_factors(_colored_quotient(1, True), 60, 4)
 
     def corrupted(form, series):
         coeffs = list(series.coeffs)
@@ -140,10 +141,10 @@ def test_mod4_sweep_lists_each_wrong_residue(monkeypatch):
 
 def test_mod4_sweep_reports_what_each_c_gives(monkeypatch):
     # wrong residues planted in the series of every even c, whose mod-4 form
-    # is f4/(f1^2*f2): the sweep compares each parity once, and must report
-    # the counterexamples that comparing every c on its own gives, c by c
-    # and n by n
-    even = tuple(_normalized_factors(_colored_quotient(2, True), 40, 4))
+    # is f4/(f1^2*f2), the second form of the sweep's side: the sweep
+    # compares each parity once, and must report the counterexamples that
+    # comparing every c on its own gives, c by c and n by n
+    even = _normalized_factors(_colored_quotient(2, True), 40, 4)
 
     def planted(series):
         coeffs = list(series.coeffs)
@@ -179,14 +180,47 @@ def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     def pentagonal(side, order, m, route, later=()):
         forms.extend(side)
         ways, price = real(side, order, m, "pentagonal", later)
-        walks.extend(steps for _, _, steps in ways)
+        walks.extend(ways)
         return ways, price
 
     monkeypatch.setattr(verify_module, "_side_plan", pentagonal)
     assert verify_mod4_classification(10, 2000) == want
-    assert forms == [tuple(_normalized_factors(_colored_quotient(c, True), 2000, 4)) for c in (1, 2)]
-    # the Euler factors' walk divides by f1^2 in both forms
-    assert all(any(step[2] < 0 for step in steps) for steps in walks) and len(walks) == 2
+    assert forms == [_normalized_factors(_colored_quotient(c, True), 2000, 4) for c in (1, 2)]
+    # the Euler factors' walk divides: by f1^2 in the form of odd c, and by
+    # f2^2 in f4/f2^2, which takes it to the form of even c
+    assert [way for way, _, _ in walks] == ["whole", "quotient"]
+    assert all(any(step[2] < 0 for step in steps) for _, _, steps in walks)
+
+
+@pytest.mark.parametrize("n_max", range(6))
+@pytest.mark.parametrize("c_max", range(1, 5))
+def test_small_mod4_sweeps_read_each_c_from_its_own_series(monkeypatch, c_max, n_max):
+    # below order 4 the forms of odd and even c coincide, and the side
+    # serves the second as the first times their empty quotient: the series
+    # the sweep reads for c = 1 and c = 2 are those of gen_overcubic_gf, and
+    # the report lists exactly what comparing every c's own residues gives
+    read = []
+    real = verify_module._expand_side
+
+    def recording(ways, m):
+        for series in real(ways, m):
+            read.append(series)
+            yield series
+
+    monkeypatch.setattr(verify_module, "_expand_side", recording)
+    report = verify_mod4_classification(c_max, n_max)
+    assert report.vacuous == (n_max < 1) and report.order == max(n_max, 0)
+    if n_max >= 1:
+        assert read == [gen_overcubic_gf(c, n_max, 4) for c in range(1, min(c_max, 2) + 1)]
+    want = []
+    for c in range(1, c_max + 1):
+        series = gen_overcubic_gf(c, max(n_max, 0), 4)
+        want.extend(
+            Counterexample(c, n, series[n], expected_mod4_residue(c, n))
+            for n in range(1, n_max + 1)
+            if series[n] != expected_mod4_residue(c, n)
+        )
+    assert report.counterexamples == tuple(want) == ()
 
 
 def corrupting_runs(monkeypatch, corrupt):
@@ -229,11 +263,17 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     served = recorded_sides(monkeypatch)
     built = recorded_steps(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
-    # even c, each a side of one form run whole
+    # even c, one side of two forms, each run whole: the plan walks each
+    # form and their quotient once
     verify_mod4_classification(10, 200, 200)
-    assert len(keys) == len(set(keys)) == 2
-    assert served == [(tuple(_normalized_factors(_colored_quotient(c, True), 200, 4)), 4, None, "whole")
+    assert len(keys) == len(set(keys)) == 3
+    assert served == [(_normalized_factors(_colored_quotient(c, True), 200, 4), 4, None, "whole")
                       for c in (1, 2)]
+    # at order 1 the forms coincide: the second is the first times their
+    # empty quotient, the same series, which is served twice and walks nothing
+    served.clear()
+    verify_mod4_classification(4, 1)
+    assert served == [([(1, -2)], 4, None, "whole"), ([(1, -2)], 4, None, "quotient")]
     served.clear()
     # the bases: c = 5 mod 6, 2 and 3, whose family steps i by 1, and
     # c = 14, 23, 17, 26 mod 12 and 4 and c = 14, 17 mod 3, whose families
@@ -368,12 +408,12 @@ def test_a_sweep_runs_the_steps_its_price_planned(monkeypatch):
             assert cli_module.main([*argv, *modulus]) == 0
         monkeypatch.undo()
         runs.match(plans)
-    # and so does the mod-4 sweep: a side of one form for each parity
-    price, plans = verify_module._mod4_classification_work(10, 300)
-    assert len(plans) == 2
+    # and so does the mod-4 sweep: one side, a form for each parity
+    price, ways = verify_module._mod4_classification_work(10, 300)
+    assert len(ways) == 2
     with runs_recorded() as runs:
-        report = verify_module._verify_mod4(10, 300, None, plans)
-    runs.match([ways for ways, _ in plans.values()])
+        report = verify_module._verify_mod4(10, 300, None, ways)
+    runs.match([ways])
     assert runs.passes["terms"] == 3  # phi(-q), and phi(-q) * phi(-q^2)
     assert report == verify_mod4_classification(10, 300)
 
