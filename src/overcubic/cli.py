@@ -314,10 +314,19 @@ def _cmd_verify(args, command: str) -> int:
     return 0 if all_pass else VERIFY_FAILURE
 
 
-# Built on first use, not at import, and kept for the process: a build
-# takes about half a millisecond, as long as a small sweep.
-@lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order the parser lists them.
+_SUBCOMMANDS = ("expand", "count", "verify")
+
+
+# Built on first use, not at import, and kept for the process: a full build
+# takes about 0.6 ms, as long as a small sweep.
+@lru_cache(maxsize=None)
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand, or with ``only`` that one.
+
+    A parser of one subcommand names the others in its usage line, so its
+    output on any argv that starts with that subcommand is the full
+    parser's: a subcommand's parser does not depend on its siblings."""
     parser = argparse.ArgumentParser(
         prog="overcubic",
         description=(
@@ -325,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "congruence verification for colored overlined partitions."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the full parser's usage names the subcommands by their choices
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
     def add_common(p):
         p.add_argument(
@@ -335,31 +346,34 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
 
-    p_expand = sub.add_parser("expand", help="expand a generating function")
-    p_expand.add_argument("--gf", choices=tuple(_KINDS))
-    p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
-    p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
-    p_expand.add_argument("--order", type=int, default=500, help="truncation order (default 500)")
-    p_expand.add_argument("--modulus", type=int, help="reduce coefficients mod this")
-    add_common(p_expand)
+    if only in (None, "expand"):
+        p_expand = sub.add_parser("expand", help="expand a generating function")
+        p_expand.add_argument("--gf", choices=tuple(_KINDS))
+        p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
+        p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
+        p_expand.add_argument("--order", type=int, default=500, help="truncation order (default 500)")
+        p_expand.add_argument("--modulus", type=int, help="reduce coefficients mod this")
+        add_common(p_expand)
 
-    p_count = sub.add_parser("count", help="count partitions of one weight")
-    p_count.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    p_count.add_argument("--c", type=int, help="color count for cubic/overcubic")
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--engine", choices=("dp", "brute"), default="dp")
-    add_common(p_count)
+    if only in (None, "count"):
+        p_count = sub.add_parser("count", help="count partitions of one weight")
+        p_count.add_argument("--kind", required=True, choices=tuple(_KINDS))
+        p_count.add_argument("--c", type=int, help="color count for cubic/overcubic")
+        p_count.add_argument("--n", type=int, required=True)
+        p_count.add_argument("--engine", choices=("dp", "brute"), default="dp")
+        add_common(p_count)
 
-    p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument(
-        "--target", required=True, choices=("thm14", "thm15", "conj73", "identity")
-    )
-    p_verify.add_argument("--c-max", type=int, dest="c_max")
-    p_verify.add_argument("--n-max", type=int, dest="n_max")
-    p_verify.add_argument("--i-max", type=int, dest="i_max")
-    p_verify.add_argument("--order", type=int, help="truncation order (default: the least covering one)")
-    p_verify.add_argument("--name", help="identity name for --target identity")
-    add_common(p_verify)
+    if only in (None, "verify"):
+        p_verify = sub.add_parser("verify", help="run a verification sweep")
+        p_verify.add_argument(
+            "--target", required=True, choices=("thm14", "thm15", "conj73", "identity")
+        )
+        p_verify.add_argument("--c-max", type=int, dest="c_max")
+        p_verify.add_argument("--n-max", type=int, dest="n_max")
+        p_verify.add_argument("--i-max", type=int, dest="i_max")
+        p_verify.add_argument("--order", type=int, help="truncation order (default: the least covering one)")
+        p_verify.add_argument("--name", help="identity name for --target identity")
+        add_common(p_verify)
 
     return parser
 
@@ -390,7 +404,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _main(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # an argv that names its subcommand needs that one's parser only;
+        # help, an empty argv and an unknown word get the full one
+        only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = _build_parser(only).parse_args(argv)
     except SystemExit as exc:
         # argparse already printed the usage message
         return USAGE_ERROR if exc.code else 0

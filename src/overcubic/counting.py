@@ -31,9 +31,14 @@ of multiplicity ``m`` takes any multiset of ``m`` colors out of ``c``; its
 pool holds each multiset's number of distinct colors, the classes it makes,
 built once per call from the pool of ``m - 1`` by byte slices. A colored
 partition is one element of its single pool or of the product of its pools,
-so the counters and ``decompose`` visit each colored partition once and
-weigh it by its class count ``r`` (``2^r`` overlinings, or 1), with the
-work per object done in C through ``map``, ``sum`` and :mod:`itertools`.
+and is weighed by its class count ``r`` (``2^r`` overlinings, or 1). The
+counters and ``decompose`` visit each partition into sizes once, and count
+those with pools by their pattern: the class count of their sizes with one
+coloring, and the multiplicities that pick their pools (small ints, which
+hash at once where a pool may hold 10^8 bytes). Each distinct pattern's
+product of pools is enumerated once per call and weighed times the
+partitions that share it, with the work per colored partition done in C
+through ``map``, ``sum`` and :mod:`itertools`.
 ``iter_overcubic_partitions`` builds its objects lazily from the same walk,
 drawing each size's colorings as it goes. Each brute-force count is checked
 against the DP count of the same weight, an independent route, and a
@@ -43,14 +48,16 @@ Brute-force routines are capped at weight 30, a rule of the domain: the
 object counts grow fast enough beyond that to make exhaustive enumeration
 pointless when the DP and the generating function are available. Within
 that, and 10^6 (size, color) classes, a bound on memory, a walk is priced
-at its colored partitions and refused over the one work cap, as a DP count
-and a ``chi_distinct`` profile are (``series._check_work``). The caps are
-checked on the call, the class count first, so the DP that counts the walk
-never sees a large c with work to do.
+at its colored partitions, an upper bound on the work of a fold, and
+refused over the one work cap, as a DP count and a ``chi_distinct``
+profile are (``series._check_work``). The caps are checked on the call,
+the class count first, so the DP that counts the walk never sees a large c
+with work to do.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import (
@@ -58,7 +65,7 @@ from itertools import (
 )
 from math import comb, exp, inf, log
 from operator import add, eq, mul, sub
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .eta import _log_euler, _prime_power_base, _saddle_minimum
 from .series import (
@@ -122,8 +129,10 @@ def _check_brute(c: int, n: int) -> int:
     # bounds c from n = 2 on; below, the DP's work does not grow with c
     _check_class_count(c, n, "brute-force enumeration", "; use the DP counter instead")
     walk = _colored_dp(c, n, overlined=False)
-    # a colored partition costs 1.4 + n/25 updates, as measured at n = 4-30:
-    # the more weight, the more pools it is drawn from
+    # a colored partition costs 1.4 + n/25 updates, as measured at n = 4-30
+    # when each was enumerated: the more weight, the more pools it is drawn
+    # from. The folds enumerate each distinct pattern once, so for them this
+    # is an upper bound
     _check_work(walk * (1.4 + n / 25), f"brute-force enumeration at c={_show(c)}, n={n}",
                 "; use the DP counter instead")
     return walk
@@ -432,12 +441,13 @@ def _log_count_bound(c: int, n: int, overlined: bool) -> float:
 
 def _walk(
     n: int, pools: List[bytes]
-) -> Iterator[Tuple[List[Tuple[int, int, int]], int, List[bytes]]]:
+) -> Iterator[Tuple[List[Tuple[int, int, int]], int, List[int]]]:
     """Yield every partition of ``n`` into sizes once, as its ``(size,
     multiplicity, weight left before it)`` triples, size descending, with
     its colorings: the class count ``fixed`` of its sizes with one
-    coloring, and the pools of its other sizes. The same lists are mutated
-    between yields; copy them to keep them.
+    coloring, and the multiplicities ``drawn`` of its other sizes, whose
+    pools are ``pools[m]``. The same lists are mutated between yields; copy
+    them to keep them.
 
     ``pools[m]`` is the pool of an even size of multiplicity ``m``; with no
     pools every size has one coloring and one class, as an odd size always
@@ -452,7 +462,7 @@ def _walk(
     """
     colored = [bool(pools) and not s % 2 for s in range(n + 1)]
     stack: List[Tuple[int, int, int]] = []
-    drawn: List[bytes] = []
+    drawn: List[int] = []
     fixed = 0
     top = left = n  # the largest size the next triple may take; weight left
     while True:
@@ -461,7 +471,7 @@ def _walk(
             mult = left // size
             stack.append((size, mult, left))
             if colored[size]:
-                drawn.append(pools[mult])
+                drawn.append(mult)
             else:
                 fixed += 1
             top, left = size - 1, left - mult * size
@@ -481,7 +491,7 @@ def _walk(
                 mult = before // size
             stack.append((size, mult, before))
             if colored[size]:
-                drawn.append(pools[mult])
+                drawn.append(mult)
             else:
                 fixed += 1
             top, left = size - 1, before - mult * size
@@ -511,28 +521,45 @@ def _pools(c: int, n: int) -> List[bytes]:
     return pools
 
 
-def _weigh(weights: List[int], fixed: int, drawn: List[bytes]) -> int:
+def _weigh(weights: List[int], fixed: int, pools: List[bytes], drawn: Sequence[int]) -> int:
     """The sum of ``weights[r]`` over the colorings of one partition into
     sizes, ``r`` their number of classes: ``fixed`` plus, per element of its
-    single pool or of the product of its two or more pools, the element's
-    entries. Each coloring is visited once."""
+    single pool or of the product of its two or more pools ``pools[m]``,
+    ``m`` in ``drawn``, the element's entries. Each coloring is visited
+    once."""
     if not drawn:
         return weights[fixed]
-    counts = drawn[0]
-    for pool in drawn[1:]:
-        counts = starmap(add, product(counts, pool))
+    counts = pools[drawn[0]]
+    for m in drawn[1:]:
+        counts = starmap(add, product(counts, pools[m]))
     return sum(map(weights[fixed:].__getitem__, counts))
+
+
+def _weigh_patterns(weights: List[int], pools: List[bytes], patterns: Counter) -> int:
+    """The sum of ``weights[r]`` over the colorings of the partitions into
+    sizes that ``patterns`` counts by their ``(fixed, drawn)``: each
+    pattern weighed once by :func:`_weigh`, times its count."""
+    return sum(
+        count * _weigh(weights, fixed, pools, drawn) for (fixed, drawn), count in patterns.items()
+    )
 
 
 def _fold(c: int, n: int, weights: List[int]) -> int:
     """The sum of ``weights[r]`` over every ``c``-colored partition of ``n``,
-    ``r`` its number of (size, color) classes; ``weights`` covers ``r <= n``."""
-    total = 0
-    for _stack, fixed, drawn in _walk(n, _pools(c, n)):
-        # inline for a partition with no pools, every one at c = 1: a call
-        # per partition is about a tenth of that walk
-        total += _weigh(weights, fixed, drawn) if drawn else weights[fixed]
-    return total
+    ``r`` its number of (size, color) classes; ``weights`` covers ``r <= n``.
+
+    The walk lists each partition into sizes once. At ``c = 1`` each has one
+    coloring, weighed inline. Otherwise the partitions are counted by their
+    pattern ``(fixed, drawn)``, and each distinct pattern's product of pools
+    is enumerated once: many partitions differ only in their odd sizes or in
+    which even sizes carry the multiplicities (5604 partitions of 30 share
+    359 patterns at ``c = 2``)."""
+    pools = _pools(c, n)
+    walk = _walk(n, pools)
+    if not pools:
+        return sum(weights[fixed] for _stack, fixed, _drawn in walk)
+    patterns = Counter((fixed, tuple(drawn)) for _stack, fixed, drawn in walk)
+    return _weigh_patterns(weights, pools, patterns)
 
 
 def count_partitions_brute(n: int) -> int:
@@ -635,23 +662,35 @@ class DecompositionCounts:
 
 
 def decompose(c: int, n: int) -> DecompositionCounts:
-    """Enumerate and classify every overlined colored partition of ``n``."""
+    """Enumerate and classify every overlined colored partition of ``n``.
+
+    A partition into one size is weighed on its own, as its colorings split
+    over ``kappa1``, ``kappa21`` and ``kappa22``. Those into several sizes
+    only add to ``p_geq2``: at ``c = 1`` each is weighed inline, otherwise
+    they are counted by pattern and each distinct pattern weighed once, as
+    in :func:`_fold`."""
     if n < 1:
         raise ValueError(f"weight must be positive, got {_show(n)}")
     _check_brute(c, n)
     overlined = [1 << r for r in range(n + 1)]  # by class count r
     tallies = {"p1": 0, "p_geq2": 0, "kappa1": 0, "kappa21": 0, "kappa22": 0}
-    for stack, fixed, drawn in _walk(n, _pools(c, n)):
-        weight = _weigh(overlined, fixed, drawn)
+    pools = _pools(c, n)
+    patterns: Counter = Counter()  # (fixed, drawn) of the partitions into several sizes
+    for stack, fixed, drawn in _walk(n, pools):
         if len(stack) > 1:
-            tallies["p_geq2"] += weight
+            if pools:
+                patterns[fixed, tuple(drawn)] += 1
+            else:
+                tallies["p_geq2"] += overlined[fixed]
             continue
+        weight = _weigh(overlined, fixed, pools, drawn)
         # one size: one class, or its pool of colorings; those of one class
         # have 2 overlinings each, the rest kappa22's 2^r
-        ones = drawn[0].count(1) if drawn else 1
+        ones = pools[drawn[0]].count(1) if drawn else 1
         tallies["p1"] += weight
         tallies["kappa1" if stack[0][0] % 2 else "kappa21"] += ones
         tallies["kappa22"] += weight - 2 * ones
+    tallies["p_geq2"] += _weigh_patterns(overlined, pools, patterns)
     _check_fold(tallies["p1"] + tallies["p_geq2"], _colored_dp(c, n, overlined=True), c, n)
     return DecompositionCounts(
         c=c,

@@ -27,7 +27,8 @@ from __future__ import annotations
 import sys
 from array import array
 from math import gcd, log2
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["Series", "NonInvertibleError"]
@@ -376,9 +377,9 @@ def _pack(values: Sequence[int], width: int) -> int:
     A slot of 1, 2, 4 or 8 bytes is one array item. A slot of 3, 5, 6 or 7
     bytes is taken from an 8-byte item by ``width`` strided byte copies, one
     per byte of the slot, so no value passes through Python one at a time.
-    A wider slot is one ``to_bytes`` a value."""
+    A wider slot is one ``to_bytes`` a value, mapped in C."""
     if width > 8:
-        raw = b"".join(v.to_bytes(width, "little") for v in values)
+        raw = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
         return int.from_bytes(raw, "little")
     words = array(_TYPECODES.get(width, _WORD), values)
     if sys.byteorder == "big":
@@ -394,16 +395,31 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 def _unpack(x: int, width: int, count: int) -> List[int]:
     """The lowest ``count`` slots of ``x``, which must be non-negative: the
-    inverse of :func:`_pack`, through the same arrays and strided copies."""
+    inverse of :func:`_pack`, through the same arrays and strided copies. A
+    slot of 9 to 16 bytes is read as two 8-byte items, its low 8 bytes and
+    the rest, joined by a shift; a wider one is one ``from_bytes`` a value,
+    as a third item costs more than that (timed at 17 to 28 bytes)."""
     raw = (x & ((1 << (8 * width * count)) - 1)).to_bytes(width * count, "little")
-    if width > 8:
+    if width > 16:
         return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    if width not in _TYPECODES:
+    if width > 8:
+        low, high = _items(raw, width, 0, 8, count), _items(raw, width, 8, width - 8, count)
+        return list(map(or_, low, map(lshift, high, repeat(64))))
+    return _items(raw, width, 0, width, count)
+
+
+def _items(raw: bytes, stride: int, start: int, width: int, count: int) -> List[int]:
+    """The ``count`` values of ``width <= 8`` bytes that start at byte
+    ``start`` of each slot of ``stride`` bytes in ``raw``: one array item
+    each, read in place or after strided copies into 8-byte items."""
+    if width == stride and width in _TYPECODES:
+        typecode = _TYPECODES[width]
+    else:
         items = bytearray(8 * count)
         for byte in range(width):
-            items[byte::8] = raw[byte::width]
-        raw = items
-    words = array(_TYPECODES.get(width, _WORD))
+            items[byte::8] = raw[start + byte :: stride]
+        raw, typecode = items, _WORD
+    words = array(typecode)
     words.frombytes(raw)
     if sys.byteorder == "big":
         words.byteswap()

@@ -734,7 +734,9 @@ def _build_chan_a2(order):
 
 
 def _build_overcubic_mod3_c5(order):
-    lhs = gen_overcubic_gf(5, order)
+    # mod 9, not over Z, then mod 3: mod 3 the series normalizes to the
+    # right side's own factors, so both sides would run one plan
+    lhs = gen_overcubic_gf(5, order, 9)
     rhs = _OVERCUBIC_MOD3_C5.expand(order, modulus=3)
     return lhs.reduce_mod(3), rhs
 

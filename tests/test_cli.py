@@ -4,6 +4,7 @@ Covers the exit-status contract (0 pass / 1 verification failure / 2 usage
 error), JSON-vs-CSV numeric agreement, and byte-level idempotence.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -981,8 +982,53 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     finally:
         cli_module._build_parser.cache_clear()
     assert first[0] == 0 and first[1]
-    # the parser and its three subcommands' parsers, built once
-    assert once == len(built) == 4
+    # the parser and the one subcommand's parser that argv names, built once
+    assert once == len(built) == 2
+
+
+def full_parser_output(argv):
+    """``(status, stdout, stderr)`` of parsing ``argv`` with every
+    subcommand's parser built, as :func:`main` reports a parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_module._build_parser().parse_args(argv)
+            status = None
+        except SystemExit as exc:
+            status = 2 if exc.code else 0
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h"],
+        ["--help", "verify"],
+        ["bogus"],
+        ["bogus", "--help"],
+        ["--format", "csv"],
+        ["expand", "--help"],
+        ["count", "--help"],
+        ["verify", "--help"],
+        ["expand", "--bogus"],
+        ["count", "--kind", "cubic", "--n", "3", "--bogus", "1"],
+        ["verify", "--target", "thm14", "--bogus"],
+        ["expand", "--order", "ten"],
+        ["count", "--kind", "nope", "--n", "3"],
+        ["count", "--kind", "cubic"],
+        ["verify"],
+        ["verify", "--target", "thm14", "extra"],
+    ],
+)
+def test_a_parser_of_one_subcommand_prints_what_the_full_one_does(capsys, argv):
+    # main builds only the parser that argv[0] names; on help, an empty
+    # argv, an unknown word or a bad flag it must print the same bytes and
+    # exit with the same status as the parser of every subcommand
+    status, out, err = full_parser_output(argv)
+    assert status is not None
+    assert run(capsys, *argv) == (status, out, err)
 
 
 @pytest.mark.parametrize(

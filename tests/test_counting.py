@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, islice, product
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import overcubic.counting as counting_module
@@ -916,6 +916,64 @@ def test_decompose_matches_reference(c):
         dec = decompose(c, n)
         assert {key: getattr(dec, key) for key in ("p1", "p_geq2", "kappa1", "kappa21",
                                                    "kappa22")} == reference_decompose(c, n)
+        assert (dec.c, dec.n, dec.tau_odd, dec.tau_even) == (c, n, tau_odd(n), tau_even(n))
+
+
+# The folds count the walk's partitions by their pattern (fixed, drawn) and
+# weigh each distinct pattern once; the references below weigh every
+# partition into sizes on its own, sharing nothing between them.
+
+
+def reference_fold(c, n, weights):
+    """``_fold`` with each partition's product of pools enumerated anew."""
+    total, pools = 0, counting_module._pools(c, n)
+    for _stack, fixed, drawn in counting_module._walk(n, pools):
+        total += counting_module._weigh(weights, fixed, pools, drawn)
+    return total
+
+
+def reference_decompose_by_partition(c, n):
+    """``decompose``'s tallies with each partition into sizes weighed on its own."""
+    overlined = [1 << r for r in range(n + 1)]
+    tallies = dict.fromkeys(("p1", "p_geq2", "kappa1", "kappa21", "kappa22"), 0)
+    pools = counting_module._pools(c, n)
+    for stack, fixed, drawn in counting_module._walk(n, pools):
+        weight = counting_module._weigh(overlined, fixed, pools, drawn)
+        if len(stack) > 1:
+            tallies["p_geq2"] += weight
+            continue
+        ones = pools[drawn[0]].count(1) if drawn else 1
+        tallies["p1"] += weight
+        tallies["kappa1" if stack[0][0] % 2 else "kappa21"] += ones
+        tallies["kappa22"] += weight - 2 * ones
+    return tallies
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(0, 18)).flatmap(
+        lambda cn: st.tuples(
+            st.just(cn[0]), st.just(cn[1]), st.lists(st.integers(), min_size=cn[1] + 1, max_size=cn[1] + 1)
+        )
+    )
+)
+@example((2, 12, list(range(1, 14))))
+@example((3, 10, [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]))
+def test_fold_matches_the_fold_by_partition(case):
+    # arbitrary weights per class count: a pattern keyed without its fixed
+    # classes, or weighed without its count, changes the sum
+    c, n, weights = case
+    assert counting_module._fold(c, n, weights) == reference_fold(c, n, weights)
+
+
+@pytest.mark.parametrize(
+    "c,weights", [(c, range(1, 25)) for c in (1, 2, 3, 4, 5)] + [(2, [30])]
+)
+def test_decompose_matches_the_decompose_by_partition(c, weights):
+    for n in weights:
+        dec = decompose(c, n)
+        assert {key: getattr(dec, key) for key in ("p1", "p_geq2", "kappa1", "kappa21",
+                                                   "kappa22")} == reference_decompose_by_partition(c, n)
         assert (dec.c, dec.n, dec.tau_odd, dec.tau_even) == (c, n, tau_odd(n), tau_even(n))
 
 

@@ -546,16 +546,20 @@ def test_kronecker_product_extreme_signs():
 
 
 @given(
-    st.integers(1, 17).flatmap(
+    st.integers(1, 20).flatmap(
         lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2 ** (8 * w) - 1), max_size=40))
     )
 )
 @example((3, [2**24 - 1, 0, 1]))
 @example((7, [2**56 - 1] * 3))
+@example((9, [2**72 - 1, 2**64, 2**64 - 1, 0]))
+@example((16, [2**128 - 1, 2**64, 2**64 - 1, 0]))
+@example((17, [2**136 - 1, 2**128, 0]))
 def test_pack_round_trips_at_every_width(case):
     # slots of 1, 2, 4 and 8 bytes are array items, of 3, 5, 6 and 7 bytes
-    # strided copies of 8-byte items, wider ones to_bytes: each holds every
-    # value of its bytes, the largest included
+    # strided copies of 8-byte items, wider ones to_bytes, read back as two
+    # 8-byte items up to 16 bytes: each holds every value of its bytes, the
+    # largest included
     width, values = case
     packed = _pack(values, width)
     assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))

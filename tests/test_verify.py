@@ -858,6 +858,23 @@ def test_named_identity_default_order():
     assert report.order == IDENTITIES["toh"].default_order
 
 
+@pytest.mark.parametrize("order", [1, 5, 300, 800])
+def test_overcubic_mod3_c5_sides_expand_different_factors(monkeypatch, order):
+    # mod 3 the 5-color series normalizes to the right side's factors; the
+    # check must still expand each side by a plan of its own, or it would
+    # compare one computation with itself
+    expanded = []
+
+    def recording(quotient, order, modulus):
+        factors = _normalized_factors(quotient, order, modulus)
+        expanded.append(factors)
+        return factors
+
+    monkeypatch.setattr(eta_module, "_normalized_factors", recording)
+    assert check_named_identity("overcubic-mod3-c5", order).passed
+    assert len(expanded) == 2 and expanded[0] != expanded[1]
+
+
 def test_negative_control_identity_fails():
     report = check_named_identity("negative-control")
     assert not report.passed
