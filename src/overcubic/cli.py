@@ -44,7 +44,7 @@ import shlex
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -316,6 +316,11 @@ def _cmd_verify(args, command: str) -> int:
 
 # The subcommands, in the order the parser lists them.
 _SUBCOMMANDS = ("expand", "count", "verify")
+# Help and usage are wrapped at a fixed width, the one argparse takes for
+# a stream that is not a terminal, so that they do not depend on COLUMNS or
+# the terminal; a fixed width also spares argparse a terminal probe on
+# every add_argument.
+_FORMATTER = partial(argparse.HelpFormatter, width=78)
 
 
 # Built on first use, not at import, and kept for the process: a full build
@@ -333,6 +338,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
             "Exact q-series expansion, partition counting, and finite-order "
             "congruence verification for colored overlined partitions."
         ),
+        formatter_class=_FORMATTER,
     )
     # the full parser's usage names the subcommands by their choices
     metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
@@ -347,7 +353,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         )
 
     if only in (None, "expand"):
-        p_expand = sub.add_parser("expand", help="expand a generating function")
+        p_expand = sub.add_parser("expand", help="expand a generating function", formatter_class=_FORMATTER)
         p_expand.add_argument("--gf", choices=tuple(_KINDS))
         p_expand.add_argument("--eta", help="eta quotient, e.g. 'f2/f1^2'")
         p_expand.add_argument("--c", type=int, help="color count for cubic/overcubic")
@@ -356,7 +362,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         add_common(p_expand)
 
     if only in (None, "count"):
-        p_count = sub.add_parser("count", help="count partitions of one weight")
+        p_count = sub.add_parser("count", help="count partitions of one weight", formatter_class=_FORMATTER)
         p_count.add_argument("--kind", required=True, choices=tuple(_KINDS))
         p_count.add_argument("--c", type=int, help="color count for cubic/overcubic")
         p_count.add_argument("--n", type=int, required=True)
@@ -364,7 +370,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         add_common(p_count)
 
     if only in (None, "verify"):
-        p_verify = sub.add_parser("verify", help="run a verification sweep")
+        p_verify = sub.add_parser("verify", help="run a verification sweep", formatter_class=_FORMATTER)
         p_verify.add_argument(
             "--target", required=True, choices=("thm14", "thm15", "conj73", "identity")
         )

@@ -69,7 +69,12 @@ is dropped with the side.
    by term over the nonzero coefficients (:func:`_times_terms`) while the
    plan's bound on them (:func:`_multiply_passes`) makes that cheaper, as
    it does on a running product that starts as 1; the plan fixes how many
-   passes run term by term. The dense route, under a modulus only, takes
+   passes run term by term. Under a modulus a pass term by term takes each
+   residue's products with the weights once and drops those that are 0
+   mod m: mod 4 each residue 2 of ``phi(-q^2)`` times a weight +-2 of
+   ``phi(-q)`` vanishes, so their product runs the constant's row alone,
+   and its price, a pair per nonzero coefficient and term, stays an upper
+   bound. The dense route, under a modulus only, takes
    ``base^k`` from the one ladder of ``Series.__pow__``
    (:func:`~overcubic.series._ladder_power`), memoized by
    :func:`_dense_power`: ``base^1`` is built from the terms, ``base^-1``
@@ -88,7 +93,9 @@ is dropped with the side.
    neither the terms of ``base^1`` nor the walk to ``base^-1`` where those
    plans leave the rungs in the dict (:func:`_held_after`). Any other rung
    the dict holds is priced as if built, so every price bounds the work of
-   its step from above.
+   its step from above. A plan counts each base's terms in closed form
+   (:func:`_term_count`), so planning walks no terms: only a step that runs
+   walks those of its base.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import exp, gcd, log, log1p, pi, sqrt
+from math import exp, gcd, isqrt, log, log1p, pi, sqrt
 from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,8 +213,9 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-# One sweep asks for a few compressed steps (n // g, order // g) of one or two
-# bases each, so each is walked once: the families sweep at i <= 3 needs 16.
+# One sweep runs a few compressed steps (n // g, order // g) of one or two
+# bases each, so each is walked once: the families sweep at i <= 3 needs 14.
+# Plans count the terms in closed form (_term_count) and walk none.
 @lru_cache(maxsize=64)
 def _factor_terms(step: int, order: int, theta: bool = False) -> Tuple[Tuple[int, int], ...]:
     """Terms ``(exponent, weight)`` of ``f(step)``, or of ``phi(-q^step)``
@@ -217,6 +225,20 @@ def _factor_terms(step: int, order: int, theta: bool = False) -> Tuple[Tuple[int
     = f(n)^2 / f(2n)`` has the weights ``2 * (-1)^j`` at ``j^2 * n``."""
     spec = ThetaSpec(-1, step, -1, step if theta else 2 * step)
     return tuple(_theta_terms(spec, order)[1:])
+
+
+def _term_count(step: int, order: int, theta: bool = False) -> int:
+    """``len(_factor_terms(step, order, theta))`` in closed form, so that a
+    plan walks no terms. With ``N = order // step``, ``phi(-q^step)`` has a
+    term at each ``j^2 <= N``, ``j >= 1``, and ``f(step)`` one at each
+    ``k(3k - 1)/2 <= N`` and each ``k(3k + 1)/2 <= N``, ``k >= 1``, the
+    generalized pentagonal numbers, which are distinct: ``k(3k -+ 1)/2 <=
+    N`` is ``6k -+ 1 <= isqrt(24N + 1)``."""
+    top = order // step
+    if theta:
+        return isqrt(top)
+    root = isqrt(24 * top + 1)
+    return (root + 1) // 6 + (root - 1) // 6
 
 
 def _times_f(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
@@ -235,24 +257,37 @@ def _times_terms(coeffs: List[int], terms, modulus: Optional[int]) -> List[int]:
     """One pass term by term: ``coeffs`` times the factor whose terms are
     given, each nonzero coefficient times each term that lands inside,
     reduced mod ``modulus`` when one is given (``coeffs`` must be reduced
-    already). It costs a pair per nonzero coefficient and term, and a scan
-    for the nonzero coefficients, so on a sparse running product it does
-    the work of a pass of slices (:func:`_times_f`) in a fraction of the
-    time."""
+    already). It costs at most a pair per nonzero coefficient and term, and
+    a scan for the nonzero coefficients, so on a sparse running product it
+    does the work of a pass of slices (:func:`_times_f`) in a fraction of
+    the time. Under a modulus the nonzero coefficients are grouped by
+    residue, each residue's products with the weights are taken once, and
+    a product that is 0 mod ``modulus`` is dropped: mod 4 a residue 2 times
+    a weight +-2 vanishes, so ``phi(-q)`` times ``phi(-q^2)`` runs the
+    constant's row alone."""
     size = len(coeffs)
     out = coeffs[:]
-    exponents = [t for t, _ in terms]
     # a running product of 1, as at the start of a walk, needs no scan
     one = coeffs[0] and coeffs.count(0) == size - 1
-    for i in (0,) if one else compress(range(size), coeffs):
-        c = coeffs[i]
-        inside = terms[: bisect_left(exponents, size - i)]
-        if modulus is None:
-            for t, w in inside:
+    starts = (0,) if one else compress(range(size), coeffs)
+    if modulus is None:
+        exponents = [t for t, _ in terms]
+        for i in starts:
+            c = coeffs[i]
+            for t, w in terms[: bisect_left(exponents, size - i)]:
                 out[i + t] += w * c
-        else:
-            for t, w in inside:
-                out[i + t] = (out[i + t] + w * c) % modulus
+        return out
+    rows: dict = {}
+    for i in starts:
+        rows.setdefault(coeffs[i], []).append(i)
+    for c, row in rows.items():
+        products = [(t, r) for t, r in ((t, w * c % modulus) for t, w in terms) if r]
+        if not products:
+            continue
+        exponents = [t for t, _ in products]
+        for i in row:
+            for t, p in products[: bisect_left(exponents, size - i)]:
+                out[i + t] = (out[i + t] + p) % modulus
     return out
 
 
@@ -416,7 +451,7 @@ def _run_steps(steps, order: int, m: Optional[int], powers: dict) -> Series:
             continue
         for j in range(k):
             coeffs = (_times_terms if j < by_terms else _times_f)(coeffs, terms, m)
-    return Series._canonical(tuple(_spread(coeffs, g, order + 1)), m)
+    return Series._canonical(tuple(coeffs if g == 1 else _spread(coeffs, g, order + 1)), m)
 
 
 def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool, powers: dict) -> Series:
@@ -678,7 +713,7 @@ def _factor_plan(
     which then cost neither their terms nor the walk; any other rung is
     priced cold, though the dict may hold it, so a price bounds the work
     from above."""
-    terms = len(_factor_terms(n, order, theta))
+    terms = _term_count(n, order, theta)
     update = 1 if m is None else _update_price((m - 1).bit_length())
     division = (terms + _DIVISION_EXPONENT_PRICE) * update  # per exponent
     if k > 0:

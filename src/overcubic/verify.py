@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
@@ -219,12 +220,15 @@ def verify_mod4_classification(
     the sweep is one side (:func:`_mod4_plans`) of the forms of c = 1 and
     c = 2, ``f2/f1^2`` and ``f4/(f1^2*f2)``, run from its plan, and each
     series is compared once, for its parity; the mismatches of a parity are
-    reported for every c of it. The theta walk expands them as ``phi(-q)``
-    and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 == 1 (mod 4)``, so no
-    step divides; the paper's mod-4 theorem rests on the same fact, so the
-    test ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the
-    reduction: the Euler factors' walk, which divides, must give the same
-    report."""
+    reported for every c of it. The side runs the theta walk, which expands
+    them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 ==
+    1 (mod 4)``, so no step divides; the paper's mod-4 theorem rests on the
+    same fact, so the test ``test_mod4_sweep_matches_the_pentagonal_walk``
+    guards the reduction: the Euler factors' walk, which divides, must give
+    the same report. Both series and the prediction are nonzero on
+    O(sqrt(n_max)) exponents, so a series is compared there alone
+    (:func:`_mod4_mismatches`), and the report is that of comparing every
+    residue."""
     return _verify_mod4(c_max, n_max, order)
 
 
@@ -232,7 +236,10 @@ def _verify_mod4(
     c_max: int, n_max: int, order: Optional[int], ways: Optional[list] = None
 ) -> VerificationReport:
     """:func:`verify_mod4_classification`, running the planned expansions
-    ``ways`` of its side, by default those of :func:`_mod4_plans`."""
+    ``ways`` of its side, by default those of :func:`_mod4_plans`, and
+    comparing each series on the predicted support and its own nonzero
+    residues (:func:`_mod4_mismatches`): no row, tuple or slice of
+    ``n_max`` entries is built besides the series."""
     order = _mod4_order(c_max, n_max, order)
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
@@ -244,32 +251,34 @@ def _verify_mod4(
         return report
     if ways is None:
         ways, _ = _mod4_plans(c_max, order)
-    # the prediction depends on c only through 2(c+1) mod 4, its value at
-    # twice a square; it is 2 at a square and 0 elsewhere. The form depends
-    # on c only through its parity too, so each parity is compared once, at
-    # its least c, and its mismatches are reported for every c of it
+    # the form depends on c only through its parity, and so does the
+    # prediction, so each parity is compared once, at its least c, and its
+    # mismatches are reported for every c of it; the series is passed on,
+    # not kept, while the next one is built
     mismatches, runs = {0: [], 1: []}, _expand_side(ways, 4)
     for c in range(1, len(ways) + 1):
-        # only the slice is kept while the next series is built
-        observed = next(runs).coeffs[1 : n_max + 1]
-        row = [0] * (n_max + 1)
-        for k in range(1, math.isqrt(n_max // 2) + 1):
-            row[2 * k * k] = 2 * (c + 1) % 4
-        for k in range(1, math.isqrt(n_max) + 1):
-            row[k * k] = 2
-        expected = tuple(row[1:])
-        if observed != expected:
-            mismatches[c % 2] = [
-                (n, got, want)
-                for n, (got, want) in enumerate(zip(observed, expected), start=1)
-                if got != want
-            ]
+        mismatches[c % 2] = _mod4_mismatches(next(runs).coeffs, c, n_max)
     bad = tuple(
         Counterexample(c, n, got, want)
         for c in range(1, c_max + 1)
         for n, got, want in mismatches[c % 2]
     )
     return replace(report, counterexamples=bad)
+
+
+def _mod4_mismatches(coeffs, c: int, n_max: int) -> List[Tuple[int, int, int]]:
+    """The ``(n, observed, expected)`` of every ``1 <= n <= n_max`` at which
+    the residues ``coeffs`` of the series of c differ from the prediction,
+    by increasing n. The prediction is 2 at a square, ``2(c+1) mod 4`` at
+    twice a square and 0 elsewhere, so a residue can differ from it only on
+    those O(sqrt(n_max)) exponents or where it is not 0: only they are
+    compared, and no row of ``n_max`` predictions is built."""
+    expected = dict.fromkeys((2 * k * k for k in range(1, math.isqrt(n_max // 2) + 1)), 2 * (c + 1) % 4)
+    expected.update(dict.fromkeys((k * k for k in range(1, math.isqrt(n_max) + 1)), 2))
+    # compress stops at the end of the range, n_max, where the series may run on
+    support = expected.keys() | compress(range(n_max + 1), coeffs)
+    support.discard(0)
+    return [(n, coeffs[n], want) for n in sorted(support) if coeffs[n] != (want := expected.get(n, 0))]
 
 
 def _mod4_plans(c_max: int, order: int) -> Tuple[list, float]:
@@ -279,9 +288,13 @@ def _mod4_plans(c_max: int, order: int) -> Tuple[list, float]:
     of odd and of even c. Mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
     reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even.
     Below order 4 the two forms coincide, and the planner runs the second as
-    the first times their empty quotient: the same series."""
+    the first times their empty quotient: the same series. The side is
+    planned on the theta walk alone: mod 4 every exponent of its steps
+    reduces to 1, so it divides nowhere, and the planner, free to take
+    the Euler factors, priced it no dearer at every order from 0 to
+    2 781 662, so its price is the one the cap always read."""
     forms = [_normalized_factors(_colored_quotient(c, True), order, 4) for c in range(1, min(c_max, 2) + 1)]
-    return _side_plan(forms, order, 4, None)
+    return _side_plan(forms, order, 4, "theta")
 
 
 def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
@@ -307,6 +320,11 @@ def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
 # hold 35-45 bytes at their peak (132 MB at c <= 1, 201 MB at c <= 10,
 # n <= 3 * 10^6), so at its time, 2 updates, the cap would admit
 # n <= 4.7 * 10^7 at c <= 1, about 1.8 GB. At 24 the sweep at the cap holds at most about 250 MB.
+# These prices were fitted while the sweep compared every residue against a
+# row of predictions; it now compares each series on its support alone and
+# holds neither the row nor a slice (85 MB at c <= 10, n = 2 781 662), so
+# they bound its work from above, and they are kept so that the cap's
+# edges stay where they were.
 _MOD4_FORM_COEFFICIENT_PRICE = 24
 _MOD4_COLOR_PRICE = 12
 _MOD4_RESIDUE_PRICE = 0.13

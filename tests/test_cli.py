@@ -1032,6 +1032,34 @@ def test_a_parser_of_one_subcommand_prints_what_the_full_one_does(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["expand", "--help"],
+        ["count", "--help"],
+        ["verify", "--help"],
+        [],
+        ["verify", "--target", "thm16"],
+        ["count", "--kind", "cubic", "--n", "x"],
+    ],
+)
+def test_help_and_usage_errors_do_not_depend_on_the_terminal(capsys, monkeypatch, argv):
+    # help and usage are wrapped at one fixed width, the one argparse takes
+    # for a stream that is not a terminal: under a narrow and a wide COLUMNS
+    # they print the same bytes, and no line but the error's own is wider
+    # than 78 columns
+    printed = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed.append(run(capsys, *argv))
+    assert printed[0] == printed[1]
+    status, out, err = printed[0]
+    assert status == (0 if "--help" in argv else 2)
+    wrapped = [line for line in (out + err).splitlines() if ": error: " not in line]
+    assert wrapped and max(map(len, wrapped)) <= 78
+
+
+@pytest.mark.parametrize(
     "argv,status",
     [
         (["verify", "--target", "identity", "--name", "negative-control"], 1),

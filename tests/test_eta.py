@@ -30,6 +30,7 @@ from overcubic.eta import (
     _prime_power_base,
     _run_steps,
     _side_plan,
+    _term_count,
     _theta_rewrite,
     _theta_terms,
     _walk,
@@ -685,6 +686,16 @@ def test_term_by_term_passes_match_slices_and_kronecker(step, theta, order, pass
     assert by_terms == list((Series(start, m) * Series(base, m) ** passes).coeffs)
 
 
+def test_term_counts_are_the_lengths_of_the_walks():
+    # a plan counts a base's terms in closed form; the count must be the
+    # number of terms the runner walks, for f(n) and phi(-q^n), at every
+    # order to 3000 and at the edges the sweeps and expansions reach
+    for step in range(1, 7):
+        for theta in (False, True):
+            for order in (*range(3001), 10**5, 10**6, 2781662, 4807480, 10**7):
+                assert _term_count(step, order, theta) == len(_factor_terms(step, order, theta))
+
+
 def test_multiply_step_turns_to_slices_once_dense():
     # f1^5 over Z at order 300: two passes term by term take the product
     # from 1 to a bound of 28^2 > 301 nonzero coefficients, so the other
@@ -935,7 +946,9 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
     # subscripts, at the sweep's order and their Steps at the least order
     # their progressions read; each compressed step (n // g, order // g) of
     # each base, f(n) on the prime-power sides and phi(-q^n) on the
-    # composite ones, is walked once
+    # composite ones, is walked once, and only by the runner: a plan counts
+    # the terms in closed form (_term_count), so a walk the plan prices but
+    # does not choose walks nothing
     walks = []
     real_walk = eta_module._theta_terms
 
@@ -950,11 +963,89 @@ def test_each_euler_factor_is_walked_once_per_order(monkeypatch):
         verify_conjectured_families(3, 60, 548)
     finally:
         _factor_terms.cache_clear()
-    assert len(walks) == len(set(walks)) == 16
+    assert len(walks) == len(set(walks)) == 14
     assert isinstance(_factor_terms(1, 10), tuple)
 
 
 _SIDE_MODULI = [2, 3, 4, 6, 8, 9, 12, 27]
+
+
+def schoolbook_pass(coeffs, terms, m):
+    """``coeffs`` times ``1 + sum w q^t`` over the ``terms``, one pair of a
+    coefficient and a term at a time, truncated to ``len(coeffs)`` and
+    reduced mod ``m`` when one is given."""
+    out = list(coeffs)
+    for i, c in enumerate(coeffs):
+        for t, w in terms:
+            if i + t < len(coeffs):
+                out[i + t] += c * w
+    return out if m is None else [c % m for c in out]
+
+
+@st.composite
+def sparse_pass(draw):
+    """``(coeffs, terms, m)``: a modulus of the sides or None, a running
+    product of a few nonzero residues, often zero divisors, and sorted
+    terms past the constant, some landing past the order, whose weights
+    are often divisors or multiples of ``m``, so that many products with
+    a residue vanish mod ``m``."""
+    m = draw(st.sampled_from([None, *_SIDE_MODULI]))
+    order = draw(st.integers(0, 60))
+    if m is None:
+        value, weight = st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool)
+    else:
+        zero_divisors = [r for r in range(2, m) if math.gcd(r, m) > 1]
+        value = st.one_of(st.integers(1, m - 1), *([st.sampled_from(zero_divisors)] if zero_divisors else []))
+        divisors = [d for d in range(2, m + 1) if m % d == 0]
+        weight = st.one_of(
+            st.integers(-3 * m, 3 * m).filter(bool),
+            st.sampled_from(divisors).flatmap(lambda d: st.sampled_from([d, -d, m // d, -(m // d), 2 * m])),
+        )
+    coeffs = [0] * (order + 1)
+    for e, c in draw(st.dictionaries(st.integers(0, order), value, max_size=10)).items():
+        coeffs[e] = c
+    terms = sorted(draw(st.dictionaries(st.integers(1, order + 5), weight, max_size=10)).items())
+    return coeffs, terms, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_pass())
+def test_term_by_term_pass_matches_the_schoolbook_product(case):
+    # the pass term by term groups the nonzero residues and drops each
+    # product that is 0 mod m; it must equal the product taken one pair at a
+    # time and a pass of slices, and leave its operand as it was
+    coeffs, terms, m = case
+    before = list(coeffs)
+    got = eta_module._times_terms(coeffs, terms, m)
+    assert coeffs == before
+    assert got == schoolbook_pass(coeffs, terms, m) == eta_module._times_f(coeffs, terms, m)
+
+
+def test_term_by_term_pass_runs_phi_q2_on_the_constant_row():
+    # mod 4 the even-c series is phi(-q^2) * phi(-q): each residue 2 of
+    # phi(-q^2) times a weight +-2 of phi(-q) is 0 mod 4, so the pass adds
+    # phi(-q)'s terms at the constant's row alone
+    order = 2000
+    running = [1] + [0] * order
+    for k in range(1, math.isqrt(order // 2) + 1):
+        running[2 * k * k] = 2
+    terms = _factor_terms(1, order, True)
+    updates = []
+
+    # the pass writes into a copy of its operand, which counts the writes
+    class Counted(list):
+        def __setitem__(self, i, value):
+            updates.append(i)
+            super().__setitem__(i, value)
+
+    class Counting(list):
+        def __getitem__(self, i):
+            got = super().__getitem__(i)
+            return Counted(got) if isinstance(i, slice) else got
+
+    got = eta_module._times_terms(Counting(running), terms, 4)
+    assert sorted(updates) == [t for t, _ in terms]
+    assert got == schoolbook_pass(running, terms, 4)
 
 
 @settings(max_examples=120, deadline=None)

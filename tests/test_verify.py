@@ -167,6 +167,70 @@ def test_mod4_sweep_reports_what_each_c_gives(monkeypatch):
     assert [(ce.i, ce.n) for ce in want] == [(c, n) for c in (2, 4, 6) for n in (7, 18, 25)]
 
 
+def dense_mod4_counterexamples(read, c_max, n_max):
+    """Every c's residues at every 1 <= n <= n_max against the prediction,
+    one n at a time: ``read[0]`` is the series of odd c, ``read[1]`` that
+    of even c."""
+    want = []
+    for c in range(1, c_max + 1):
+        for n in range(1, n_max + 1):
+            coeffs = read[(c + 1) % 2].coeffs
+            if math.isqrt(n) ** 2 == n:
+                expected = 2
+            elif 2 * math.isqrt(n // 2) ** 2 == n:
+                expected = 2 * (c + 1) % 4
+            else:
+                expected = 0
+            if coeffs[n] != expected:
+                want.append(Counterexample(c, n, coeffs[n], expected))
+    return want
+
+
+# (n_max, order, the exponents changed in turn): squares, twice squares,
+# exponents off both, n_max itself, the constant and exponents past n_max,
+# which the sweep must not report
+_MOD4_CHANGES = [
+    (50, 50, (49, 36, 18, 32, 7, 45, 50, 0)),
+    (47, 60, (1, 2, 47, 46, 49, 50, 60)),
+    (1, 1, (1, 0)),
+    (1, 6, (1, 2, 3, 4)),
+    (0, 5, (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("n_max, order, changed", _MOD4_CHANGES)
+@pytest.mark.parametrize("parity", [1, 0])
+@pytest.mark.parametrize("c_max", [1, 2, 5])
+def test_mod4_sweep_reports_every_changed_residue(monkeypatch, n_max, order, changed, parity, c_max):
+    # the sweep compares only the predicted support and the series' nonzero
+    # residues; one residue of the series of one parity is changed in turn,
+    # by 1, 2 and 3, and the report must list what comparing every residue
+    # of every c gives
+    real = verify_module._expand_side
+    for n in changed:
+        for shift in (1, 2, 3):
+            read = []
+
+            def changing(ways, m):
+                for k, series in enumerate(real(ways, m)):
+                    if k == 1 - parity:
+                        coeffs = list(series.coeffs)
+                        coeffs[n] = (coeffs[n] + shift) % 4
+                        series = Series(coeffs, m)
+                    read.append(series)
+                    yield series
+
+            monkeypatch.setattr(verify_module, "_expand_side", changing)
+            report = verify_mod4_classification(c_max, n_max, order)
+            assert report.counterexamples == tuple(dense_mod4_counterexamples(read, c_max, n_max))
+            assert report.vacuous == (n_max < 1)
+            # a change at 1 <= n <= n_max in a series that is read is reported
+            if 1 <= n <= n_max and len(read) > 1 - parity:
+                assert any(ce.n == n and ce.i % 2 == parity for ce in report.counterexamples)
+            else:
+                assert report.passed
+
+
 def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     # the sweep expands phi(-q) and phi(-q) * phi(-q^2), the theta walk
     # reduced by phi(-q^n)^2 == 1 (mod 4); forced onto the pentagonal walk,
@@ -263,17 +327,17 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     served = recorded_sides(monkeypatch)
     built = recorded_steps(monkeypatch)
     # mod 4 the overlined series is f2/f1^2 for odd c and f4/(f1^2*f2) for
-    # even c, one side of two forms, each run whole: the plan walks each
-    # form and their quotient once
+    # even c, one side of two forms on the theta walk, each run whole: the
+    # plan walks each form and their quotient once
     verify_mod4_classification(10, 200, 200)
     assert len(keys) == len(set(keys)) == 3
-    assert served == [(_normalized_factors(_colored_quotient(c, True), 200, 4), 4, None, "whole")
+    assert served == [(_normalized_factors(_colored_quotient(c, True), 200, 4), 4, "theta", "whole")
                       for c in (1, 2)]
     # at order 1 the forms coincide: the second is the first times their
     # empty quotient, the same series, which is served twice and walks nothing
     served.clear()
     verify_mod4_classification(4, 1)
-    assert served == [([(1, -2)], 4, None, "whole"), ([(1, -2)], 4, None, "quotient")]
+    assert served == [([(1, -2)], 4, "theta", "whole"), ([(1, -2)], 4, "theta", "quotient")]
     served.clear()
     # the bases: c = 5 mod 6, 2 and 3, whose family steps i by 1, and
     # c = 14, 23, 17, 26 mod 12 and 4 and c = 14, 17 mod 3, whose families
