@@ -44,7 +44,7 @@ import shlex
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import partial
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -323,9 +323,6 @@ _SUBCOMMANDS = ("expand", "count", "verify")
 _FORMATTER = partial(argparse.HelpFormatter, width=78)
 
 
-# Built on first use, not at import, and kept for the process: a full build
-# takes about 0.6 ms, as long as a small sweep.
-@lru_cache(maxsize=None)
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The CLI's parser, with every subcommand, or with ``only`` that one.
 

@@ -7,19 +7,17 @@ phi, chi are quotients of that shape as well.
 
 Expansion strategy: every expansion is planned by one planner,
 :func:`_side_plan`, and run by one runner, :func:`_expand_side`, exactly
-as it was planned and priced. A request is a side: a list of planned
-expansions, each a walk of steps that carries every decision the run
-needs. A lone series (:func:`expand_eta_quotient`, which every named
-series and :func:`expand_f` call, and the CLI's ``expand``) is a side of
-one form; the ``thm14`` sweep is one side of its two mod-4 forms, of odd
-and of even c, and a side of a family sweep is its forms, then its Steps.
-Each form after the first runs by its whole walk or as its neighbour
-times their quotient. No expansion is kept: a caller that reads one
-series more than once asks for it once, as the sweeps of
-:mod:`overcubic.verify` do by normalized form. Only the dense powers of
-step 2 are memoized, in one dict that the runner owns for the side, so
-each expansion of a side finds the powers the others built, and the dict
-is dropped with the side.
+as it was planned and priced. A request is a side: a list of expansions
+``(form, order)``, each planned as a walk of steps that carries every
+decision the run needs. A lone series (:func:`expand_eta_quotient`, which
+every named series and :func:`expand_f` call, and the CLI's ``expand``)
+is a side of one expansion; the sweeps of :mod:`overcubic.verify` list
+theirs. Each expansion at the order of the one before it runs by its
+whole walk or as that series times their quotient. No expansion is kept:
+a caller that reads one series more than once asks for it once. Only the
+dense powers of step 2 are memoized, in one dict that the runner owns for
+the side, so each expansion of a side finds the powers the others built,
+and the dict is dropped with the side.
 
 1. Normalize the exponents. Factors with a subscript above the order are
    dropped, since ``f(n) = 1 + O(q^n)``. Under a prime-power modulus
@@ -89,7 +87,7 @@ is dropped with the side.
    pass, sparse or the dense route's inverting walk, per term and per
    exponent, a multiply pass per term or per pair of a nonzero coefficient
    and a term, and the dense route as a ladder, cold but within a side:
-   each of its bases and Steps, planned after the plans before it, pays
+   each of its expansions, planned after the plans before it, pays
    neither the terms of ``base^1`` nor the walk to ``base^-1`` where those
    plans leave the rungs in the dict (:func:`_held_after`). Any other rung
    the dict holds is priced as if built, so every price bounds the work of
@@ -213,8 +211,8 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     return EtaQuotient(factors)
 
 
-# One sweep runs a few compressed steps (n // g, order // g) of one or two
-# bases each, so each is walked once: the families sweep at i <= 3 needs 14.
+# A request runs a few compressed steps (n // g, order // g) of one or two
+# bases each, so each is walked once: thm15 and conj73 at i <= 3 need 14.
 # Plans count the terms in closed form (_term_count) and walk none.
 @lru_cache(maxsize=64)
 def _factor_terms(step: int, order: int, theta: bool = False) -> Tuple[Tuple[int, int], ...]:
@@ -422,7 +420,7 @@ def expand_eta_quotient(
     if route is not None and route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
-    ways, _ = _side_plan([_normalized_factors(e, order, m)], order, m, route)
+    ways, _ = _side_plan([(_normalized_factors(e, order, m), order)], m, route)
     return next(_expand_side(ways, m))
 
 
@@ -459,8 +457,8 @@ def _dense_power(step: int, k: int, top: int, m: Optional[int], theta: bool, pow
     (mod ``m``), from the ladder of :func:`~overcubic.series._ladder_power`,
     the one of ``Series.__pow__``, so a cold ladder costs what the plan
     prices. ``powers`` keeps the rungs of each base, keyed ``(step, top,
-    theta)``, ``base^1`` built from its terms; the bases and Steps of one
-    side, which share ``powers``, share its rungs. The modulus is not in
+    theta)``, ``base^1`` built from its terms; the expansions of one side,
+    which share ``powers``, share its rungs. The modulus is not in
     the key: one dict serves one modulus, that of its side
     (:func:`_expand_side`)."""
     rungs = powers.get((step, top, theta))
@@ -528,19 +526,11 @@ def _planned_steps(
     term by term (:func:`_multiply_passes`), 0 for any other step."""
     walks = []
     if route != "theta":
-        walks.append(_walk(factors, order, m, "pentagonal"))
+        walks.append([(n, k, False) for n, k in factors])
     if route != "pentagonal":
-        walks.append(_walk(factors, order, m, "theta"))
+        walks.append(_theta_rewrite(factors, order, m))
     # min keeps the first of equal prices: the Euler factors
     return min((_plan_walk(walk, order, m, held) for walk in walks), key=_plan_price)
-
-
-def _walk(factors: FactorList, order: int, m: Optional[int], route: str) -> List[Tuple[int, int, bool]]:
-    """The ``(n, k, theta)`` steps of the walk ``route`` names: the Euler
-    factors themselves, or their :func:`_theta_rewrite`."""
-    if route == "pentagonal":
-        return [(n, k, False) for n, k in factors]
-    return _theta_rewrite(factors, order, m)
 
 
 def _plan_walk(walk, order: int, m: Optional[int], held: frozenset):
@@ -575,11 +565,10 @@ def _expand_side(ways, m: Optional[int]) -> Iterator[Series]:
     in their order, each run as :func:`_side_plan` planned it: the
     ``"whole"`` walk of its form at its order, or the series before it
     times its ``"quotient"``, one Kronecker product unless the quotient is
-    1. It is the one runner of every expansion: a lone one is a side of one
-    form, and a family sweep's side runs its bases, then its Steps. It owns
-    the side's one dict of dense powers (:func:`_dense_power`), made when
-    it starts and dropped when it is done, so a step whose rungs an
-    earlier plan built costs what the plan priced."""
+    1. It is the one runner of every expansion, a lone one being a side of
+    one. It owns the side's one dict of dense powers (:func:`_dense_power`),
+    made when it starts and dropped when it is done, so a step whose rungs
+    an earlier plan built costs what the plan priced."""
     powers, series = {}, None
     for way, order, steps in ways:
         if way == "whole":
@@ -590,31 +579,29 @@ def _expand_side(ways, m: Optional[int]) -> Iterator[Series]:
         yield series
 
 
-def _side_plan(forms, order: int, m: Optional[int], route: Optional[str], later=()):
-    """``(ways, price)`` of a side: the normalized ``forms`` at ``order``
-    (mod ``m``) along the walk ``route`` names, or the cheaper walk of each
-    with none, then the normalized expansions ``(form, order)`` of
-    ``later``, each by its whole walk, all of which :func:`_expand_side`
-    runs in this order with one dict of dense powers. Each form after the
-    first takes the cheaper of
+def _side_plan(expansions, m: Optional[int], route: Optional[str]):
+    """``(ways, price)`` of a side: the normalized expansions ``(form,
+    order)`` of ``expansions`` (mod ``m``), each along the walk ``route``
+    names, or the cheaper walk with none, all of which :func:`_expand_side`
+    runs in this order with one dict of dense powers. Each expansion at the
+    order of the one before it takes the cheaper of
     - ``"whole"``: its whole walk;
-    - ``"quotient"``: the form before it times their quotient, the
+    - ``"quotient"``: the series before it times their quotient, the
       difference of their exponents normalized mod ``m``, plus one product
-      (:func:`_product_price`) unless the quotient is empty; along a family
-      sweep's side the forms differ by ``(f4/f2^2)^e``, which walks few
-      steps;
-    its whole walk on a tie. Every plan is priced given the rungs that the
-    plans before it leave in the dict (:func:`_held_after`), in the order
-    they run; a rung only lowers a price, so no plan costs more than it
-    would cold, and a side of one form, as a lone expansion is, costs its
-    cold price. ``ways`` holds one ``(way, order, steps)`` per form and
-    then per expansion of ``later``, and ``price`` is the side's price."""
+      (:func:`_product_price`) unless the quotient is empty; neighbouring
+      overlined series differ by ``(f4/f2^2)^e``, which walks few steps;
+    its whole walk on a tie, and any other expansion its whole walk. Every
+    plan is priced given the rungs that the plans before it leave in the
+    dict (:func:`_held_after`), in the order they run; a rung only lowers a
+    price, so no plan costs more than it would cold, and a side of one
+    expansion costs its cold price. ``ways`` holds one ``(way, order,
+    steps)`` per expansion, and ``price`` is the side's price."""
     ways, price, held = [], 0.0, frozenset()
-    for k, (form, top) in enumerate([*((form, order) for form in forms), *later]):
-        steps = _planned_steps(form, top, m, route, held)
-        way, cost = ("whole", top, steps), _plan_price(steps)
-        if 0 < k < len(forms):
-            quotient = _normalized_factors(_quotient(form, forms[k - 1]), order, m)
+    for k, (form, order) in enumerate(expansions):
+        steps = _planned_steps(form, order, m, route, held)
+        way, cost = ("whole", order, steps), _plan_price(steps)
+        if k and expansions[k - 1][1] == order:
+            quotient = _normalized_factors(_quotient(form, expansions[k - 1][0]), order, m)
             steps = _planned_steps(quotient, order, m, route, held)
             by_quotient = _plan_price(steps) + _product_price(order, m) if quotient else 0
             if by_quotient < cost:
@@ -709,8 +696,9 @@ def _factor_plan(
     coefficient growth. :func:`_planned_steps` asks it at the compressed
     step: the base at ``n // g`` and ``order // g``. The dense price is that
     of a :func:`_dense_power` ladder whose rungs ``base^1`` and ``base^-1``
-    the side's dict holds where ``held`` names them (:func:`_held_after`),
-    which then cost neither their terms nor the walk; any other rung is
+    the side's dict holds where ``held`` names them, as the expansions
+    planned before it on the side leave them (:func:`_held_after`), which
+    then cost neither their terms nor the walk; any other rung is
     priced cold, though the dict may hold it, so a price bounds the work
     from above."""
     terms = _term_count(n, order, theta)
@@ -755,7 +743,7 @@ def _expansion_work(
     if order >= WORK_CAP:
         return order + 1, None
     factors = _normalized_factors(quotient, order, m)
-    ways, price = _side_plan([factors], order, m, route)
+    ways, price = _side_plan([(factors, order)], m, route)
     if m is None:
         price *= _update_price(_coefficient_bits(tuple(factors), order, m))
     return price, ways

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, count, repeat
 from typing import Callable, List, Optional, Tuple
 
 from .counting import EngineInconsistencyError, _factorize
@@ -253,11 +253,10 @@ def _verify_mod4(
         ways, _ = _mod4_plans(c_max, order)
     # the form depends on c only through its parity, and so does the
     # prediction, so each parity is compared once, at its least c, and its
-    # mismatches are reported for every c of it; the series is passed on,
-    # not kept, while the next one is built
-    mismatches, runs = {0: [], 1: []}, _expand_side(ways, 4)
-    for c in range(1, len(ways) + 1):
-        mismatches[c % 2] = _mod4_mismatches(next(runs).coeffs, c, n_max)
+    # mismatches are reported for every c of it; map, unlike a loop over
+    # enumerate, keeps no series while the next one is built
+    runs = map(_mod4_mismatches, _expand_side(ways, 4), count(1), repeat(n_max))
+    mismatches = dict(zip((1, 0), runs))
     bad = tuple(
         Counterexample(c, n, got, want)
         for c in range(1, c_max + 1)
@@ -266,13 +265,14 @@ def _verify_mod4(
     return replace(report, counterexamples=bad)
 
 
-def _mod4_mismatches(coeffs, c: int, n_max: int) -> List[Tuple[int, int, int]]:
+def _mod4_mismatches(series: Series, c: int, n_max: int) -> List[Tuple[int, int, int]]:
     """The ``(n, observed, expected)`` of every ``1 <= n <= n_max`` at which
-    the residues ``coeffs`` of the series of c differ from the prediction,
+    the residues of ``series``, that of c, differ from the prediction,
     by increasing n. The prediction is 2 at a square, ``2(c+1) mod 4`` at
     twice a square and 0 elsewhere, so a residue can differ from it only on
     those O(sqrt(n_max)) exponents or where it is not 0: only they are
     compared, and no row of ``n_max`` predictions is built."""
+    coeffs = series.coeffs
     expected = dict.fromkeys((2 * k * k for k in range(1, math.isqrt(n_max // 2) + 1)), 2 * (c + 1) % 4)
     expected.update(dict.fromkeys((k * k for k in range(1, math.isqrt(n_max) + 1)), 2))
     # compress stops at the end of the range, n_max, where the series may run on
@@ -294,7 +294,7 @@ def _mod4_plans(c_max: int, order: int) -> Tuple[list, float]:
     the Euler factors, priced it no dearer at every order from 0 to
     2 781 662, so its price is the one the cap always read."""
     forms = [_normalized_factors(_colored_quotient(c, True), order, 4) for c in range(1, min(c_max, 2) + 1)]
-    return _side_plan(forms, order, 4, "theta")
+    return _side_plan([(form, order) for form in forms], 4, "theta")
 
 
 def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
@@ -311,23 +311,14 @@ def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
 
 
 # What the mod-4 sweep costs besides the plans of its expansions, in updates
-# of a sparse pass (about 24 ns). Each c takes about 0.3 us besides its
-# residues, and each residue compared with its prediction about 3.1 ns
-# (c <= 10^5 at n <= 10 to 2000, c <= 10^4 at n <= 10^5; 2-vCPU x86 host).
-# Each coefficient of a series the side builds is priced by the memory it
-# holds, not by its time: the lists its walk builds, spreads and copies,
-# the slice the sweep keeps and its row of predictions take about 45 ns but
-# hold 35-45 bytes at their peak (132 MB at c <= 1, 201 MB at c <= 10,
-# n <= 3 * 10^6), so at its time, 2 updates, the cap would admit
-# n <= 4.7 * 10^7 at c <= 1, about 1.8 GB. At 24 the sweep at the cap holds at most about 250 MB.
-# These prices were fitted while the sweep compared every residue against a
-# row of predictions; it now compares each series on its support alone and
-# holds neither the row nor a slice (85 MB at c <= 10, n = 2 781 662), so
-# they bound its work from above, and they are kept so that the cap's
-# edges stay where they were.
+# of a sparse pass (about 24 ns). Each c swept takes 0.08-0.11 us, under
+# its price (c <= 1.2 * 10^7 at n <= 2000; 2-vCPU x86 host). Each
+# coefficient of a series the side builds is priced by the memory the sweep
+# holds, not by its time, and covers the scans that compare the series on
+# its support: about 23 bytes a coefficient at the peak (82 MB at c <= 10,
+# n = 2 850 391), so that no admitted sweep holds much more.
 _MOD4_FORM_COEFFICIENT_PRICE = 24
 _MOD4_COLOR_PRICE = 12
-_MOD4_RESIDUE_PRICE = 0.13
 
 
 def _mod4_classification_work(
@@ -338,9 +329,9 @@ def _mod4_classification_work(
     which the sweep runs as they are when it is given them, and its price
     in the unit of ``series._check_work``, the side's price, with
     ``_MOD4_FORM_COEFFICIENT_PRICE`` for each coefficient of each series the
-    side builds (not the second form where it is the first), then
-    ``_MOD4_COLOR_PRICE`` for each c swept and ``_MOD4_RESIDUE_PRICE`` for
-    each residue compared. ``(0, [])`` for an empty range, which expands
+    side builds (not the second form where it is the first), which covers
+    the scans that compare it, then ``_MOD4_COLOR_PRICE`` for each c swept.
+    ``(0, [])`` for an empty range, which expands
     nothing; past ``WORK_CAP`` colors or coefficients, the colors and
     coefficients alone, which price it over the cap at once, and no plan."""
     order = _mod4_order(c_max, n_max, order)
@@ -351,7 +342,7 @@ def _mod4_classification_work(
     ways, price = _mod4_plans(c_max, order)
     built = sum(1 for way, _, steps in ways if way == "whole" or steps)
     price += built * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
-    return price + c_max * (_MOD4_COLOR_PRICE + n_max * _MOD4_RESIDUE_PRICE), ways
+    return price + c_max * _MOD4_COLOR_PRICE, ways
 
 
 def _prime_power_components(m: int) -> List[int]:
@@ -381,9 +372,10 @@ def verify_family(
     with ``lead = lcm(P, c_slope) / c_slope``. Only the first ``lead``
     values of i are expanded, the bases. Each side is planned as one list
     of expansions, its bases and then its Steps, and run from that plan by
-    the one runner of :mod:`overcubic.eta`: a base may be its neighbour
-    times their quotient, where the plan prices that cheaper, and the bases
-    and Steps share one dict of dense powers, but never another side's
+    the one runner of :mod:`overcubic.eta`: an expansion at the order of
+    the one before it, a base or a Step, may be that series times their
+    quotient, where the plan prices that cheaper, and the bases and Steps
+    share one dict of dense powers, but never another side's
     series, Step or power, so the two routes stay independent. A
     disagreement, or a Step off ``q^s``, means the engine itself is broken
     and raises :class:`EngineInconsistencyError`.
@@ -416,10 +408,10 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sid
     ``sides`` gives it, by default that of :func:`_family_sides`, step for
     step as it was priced, through the one runner
     :func:`~overcubic.eta._expand_side`, which holds one dict of dense
-    powers for its bases and its Steps. Its bases, the series of the first
-    i of each family, are expanded once for all their readers, keyed on
-    their normalized form, in the order of the plan: a form may be the form
-    before it times their quotient. Its Steps follow. Each later i of a family
+    powers for the side's list of expansions, and reads each expansion as
+    its entry of the side's reads says, in one pass. Its bases, the series
+    of the first i of each family, are expanded once for all their readers,
+    keyed on their normalized form; its Steps follow. Each later i of a family
     reads the progression of ``i - lead`` times the side's Step series for
     the family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a
     series in ``q^s``, s the slope of the progression, so it passes through
@@ -435,14 +427,15 @@ def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sid
     # failures[j, route] maps (i, n) to the offending residue of family j
     failures = {}
     for (modulus, route), side in sorted(sides.items()):
-        progressions, runs = {}, _expand_side(side.ways, modulus)
-        for readers in side.bases.values():
-            series = next(runs)
-            for j, i in readers:
+        progressions, steps = {}, {}
+        for (key, read), series in zip(side.reads, _expand_side(side.ways, modulus)):
+            if key is not None:  # a Step, read by its form
+                steps[key] = _step_series(series, read, key[0], n_max, modulus)
+                continue
+            for j, i in read:
                 family = families[j]
                 progression = series.extract_progression(family.prog_slope, family.prog_intercept)
                 progressions[j, i] = progression.truncate(n_max)
-        steps = {key: _step_series(form, runs, key[0], n_max, modulus) for key, form in side.steps.items()}
         for j, (lead, key) in side.leads.items():
             want = families[j].residue % modulus
             found = failures.setdefault((j, route), {})
@@ -528,26 +521,24 @@ def _part_period(part: int, s: int, order: int) -> Optional[int]:
 class _Side:
     """The plan of one ``(modulus, route)`` side of a family sweep.
 
-    ``bases`` maps each form expanded in full to the ``(j, i)`` that read
-    it, by the least c that reads them, so that each form follows its
-    nearest expanded neighbour. ``leads`` maps each family j on the side to
-    ``(lead, key)``: its first ``lead`` values of i are bases, and each
-    later i is the progression of ``i - lead`` times the Step of ``key =
-    (s, e)``, whose normalized form ``steps`` holds, or the same
-    progression when that form is empty. A family with no period has every
-    i a base, and a key of ``None``. ``ways`` holds the planned expansions
-    that :func:`~overcubic.eta._expand_side` runs
-    (:func:`~overcubic.eta._side_plan`): one per base, in the order of
-    ``bases``, then one per Step whose form is not empty, in the order of
-    ``steps``. ``price`` is what the side costs: its bases and Steps as
-    planned, and one product at ``n_max`` for each stepped i.
+    ``leads`` maps each family j on the side to ``(lead, key)``: its first
+    ``lead`` values of i are bases, and each later i is the progression of
+    ``i - lead`` times the Step of ``key = (s, e)``, or the same progression
+    when that Step is 1. A family with no period has every i a base, and a
+    key of ``None``. ``ways`` holds the planned expansions that
+    :func:`~overcubic.eta._expand_side` runs
+    (:func:`~overcubic.eta._side_plan`), and ``reads`` what reads each, in
+    the same order: ``(None, readers)`` for a base, the ``(j, i)`` that
+    read it, by the least c that reads them, so that each base follows its
+    nearest neighbour; then ``(key, form)`` for each Step that is not 1,
+    its normalized form. ``price`` is what the side costs: its expansions
+    as planned, and one product at ``n_max`` for each stepped i.
     """
 
-    bases: dict
-    steps: dict
+    reads: list
     leads: dict
-    ways: list = field(default_factory=list)
-    price: float = 0.0
+    ways: list
+    price: float
 
 
 def _sides_of(family: CongruenceFamily) -> List[Tuple[int, str]]:
@@ -565,15 +556,16 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
     c_slope``, P the side's period at s (:func:`_step_period`), with the
     Step of exponent ``e = lead * c_slope``; at ``c_slope = 0`` every i
     reads the one series of c: its Step, of exponent 0, is 1. Each side is
-    planned once as one list of planned expansions, its bases and then its
-    Steps that are not 1, in the order :func:`_verify_families` runs them
-    (:func:`~overcubic.eta._side_plan`), so the plan prices the sweep and
-    the sweep runs the plan."""
+    planned once as one list of expansions, its bases at ``order`` and then
+    its Steps that are not 1 at the orders their progressions read
+    (:func:`~overcubic.eta._side_plan`), with one list of reads beside it
+    that :func:`_verify_families` reads them by, so the plan prices the
+    sweep and the sweep runs the plan."""
     sides, forms = {}, {}
     for j, family in enumerate(families):
         s = family.prog_slope
         for modulus, route in _sides_of(family):
-            side = sides.setdefault((modulus, route), _Side({}, {}, {}))
+            bases, steps, leads = sides.setdefault((modulus, route), ({}, {}, {}))
             step_order = _step_order(s, n_max, order)
             period = _step_period(modulus, s, step_order) if family.c_slope else 1
             if period is None:
@@ -581,35 +573,34 @@ def _family_sides(families, i_max: int, n_max: int, order: int) -> dict:
             else:
                 e = math.lcm(period, family.c_slope)
                 lead, key = e // family.c_slope if family.c_slope else 1, (s, e)
-                if i_max > lead and key not in side.steps:
-                    side.steps[key] = tuple(_normalized_factors(_step_quotient(e), step_order, modulus))
-            side.leads[j] = (lead, key)
+                if i_max > lead and key not in steps:
+                    steps[key] = tuple(_normalized_factors(_step_quotient(e), step_order, modulus))
+            leads[j] = (lead, key)
             for i in range(1, min(lead, i_max) + 1):
                 c = family.c_for(i)
                 if (c, modulus) not in forms:  # families of one c_slope share their c
                     forms[c, modulus] = tuple(_normalized_factors(_colored_quotient(c, True), order, modulus))
-                side.bases.setdefault(forms[c, modulus], []).append((j, i))
-    for (modulus, route), side in sides.items():
-        least = {form: min(families[j].c_for(i) for j, i in readers) for form, readers in side.bases.items()}
-        bases = {form: side.bases[form] for form in sorted(side.bases, key=least.get)}
-        later = [(form, _step_order(s, n_max, order)) for (s, _), form in side.steps.items() if form]
-        ways, price = _side_plan(list(bases), order, modulus, route, later)
-        stepped = sum(max(i_max - lead, 0) for lead, key in side.leads.values() if side.steps.get(key))
+                bases.setdefault(forms[c, modulus], []).append((j, i))
+    for (modulus, route), (bases, steps, leads) in sides.items():
+        least = {form: min(families[j].c_for(i) for j, i in readers) for form, readers in bases.items()}
+        ordered = sorted(bases, key=least.get)
+        built = [(key, form) for key, form in steps.items() if form]  # a Step of 1 is not expanded
+        reads = [(None, bases[form]) for form in ordered] + built
+        expansions = [(form, order) for form in ordered] + [
+            (form, _step_order(s, n_max, order)) for (s, _), form in built
+        ]
+        ways, price = _side_plan(expansions, modulus, route)
+        stepped = sum(max(i_max - lead, 0) for lead, key in leads.values() if steps.get(key))
         price += stepped * _product_price(n_max, modulus)
-        sides[modulus, route] = replace(side, bases=bases, ways=ways, price=price)
+        sides[modulus, route] = _Side(reads, leads, ways, price)
     return sides
 
 
-def _step_series(form, runs, s: int, n_max: int, m: int) -> Optional[Series]:
+def _step_series(series: Series, form, s: int, n_max: int, m: int) -> Series:
     """The Step of the normalized ``form`` for progressions of slope s, to
-    ``n_max``: the next series of the side's runs ``runs``
-    (:func:`~overcubic.eta._expand_side`) under ``q^s -> q``; ``None`` for
-    the empty form, which is 1 and was not planned. A coefficient off
-    ``q^s`` raises :class:`EngineInconsistencyError`: the period that chose
-    the exponent says there is none."""
-    if not form:
-        return None
-    series = next(runs)
+    ``n_max``: its ``series`` under ``q^s -> q``. A coefficient off ``q^s``
+    raises :class:`EngineInconsistencyError`: the period that chose the
+    exponent says there is none."""
     if any(any(series.coeffs[r::s]) for r in range(1, s)):
         raise EngineInconsistencyError(
             f"the Step {EtaQuotient(form)} mod {m} has a coefficient off q^{s}: this is an engine bug"

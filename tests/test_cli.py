@@ -421,10 +421,10 @@ M61 = 2**61 - 1
 # admitted value of the last one), bisected. Each ran in 1.5-3.7 s, cold, on a
 # 2-vCPU x86 host (median of three runs; the tables in CHANGES.md). An
 # expansion's edge is priced with the rows the CLI prints. The mod-4 sweep's
-# edge, at c <= 10, is set by the memory its forms hold: about 1.0 s and
-# 190 MB. The edges that Kronecker products price, c = 10 mod 12, the DP at
+# edge, at c <= 10, is set by the memory its forms hold: 0.5-0.6 s and
+# 82 MB. The edges that Kronecker products price, c = 10 mod 12, the DP at
 # c = 2 and the family sweeps, conj73 at i <= 20 and thm15 at i <= 3, ran in
-# 2.23, 1.94, 1.67 and 1.87 s cold (median of three).
+# 2.23, 1.94, 1.80 and 1.87 s cold (median of three).
 WORK_CAP_EDGES = [
     ("expand", (1, None), 103403), ("expand", (1, 4), 4807480), ("expand", (1, 12), 263434),
     ("expand", (1, M61), 163405), ("expand", (10, None), 36834), ("expand", (10, 4), 4434894),
@@ -433,7 +433,7 @@ WORK_CAP_EDGES = [
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
     ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
-    ("brute", (30,), 7), ("thm14", (10,), 2781662), ("conj73", (20,), 3244), ("thm15", (3,), 4100),
+    ("brute", (30,), 7), ("thm14", (10,), 2850391), ("conj73", (20,), 3262), ("thm15", (3,), 4100),
 ]
 _EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
 _DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
@@ -654,7 +654,7 @@ def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
 
     monkeypatch.setattr(verify_module, "_expand_side", expanding)
     monkeypatch.setattr(eta_module, "_run_steps", expanding)
-    for c_max, n_max in ((10, 2781663), (551083, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
+    for c_max, n_max in ((10, 2850392), (12491209, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
         err = assert_refused(capsys, "verify", "--target", "thm14", "--c-max", str(c_max),
                              "--n-max", str(n_max))
         assert "mod-4 sweep" in err and "lower --n-max or --c-max" in err
@@ -663,25 +663,24 @@ def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
 def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     # the CI frontier and the benchmark's size stay admitted; the price is
     # the plan of the side of the two mod-4 forms, each run whole, with the
-    # memory of their coefficients, and a price per c and per residue
-    # compared
+    # memory of their coefficients, and a price per c. At n <= 2000 the
+    # edge in c is 12 491 208
     def work(*args):
         return verify_module._mod4_classification_work(*args)[0]
 
     assert work(10, 10**6) <= WORK_CAP
     assert work(10, 2000) <= WORK_CAP
+    assert work(12491208, 2000) <= WORK_CAP < work(12491209, 2000)
     forms = sum(_expansion_work(_colored_quotient(c, True), 2000, 4)[0] for c in (1, 2))
     assert work(10, 2000) == (
-        forms + 2 * 2001 * verify_module._MOD4_FORM_COEFFICIENT_PRICE
-        + 10 * (verify_module._MOD4_COLOR_PRICE + 2000 * verify_module._MOD4_RESIDUE_PRICE)
+        forms + 2 * 2001 * verify_module._MOD4_FORM_COEFFICIENT_PRICE + 10 * verify_module._MOD4_COLOR_PRICE
     )
     # at c <= 1 the sweep reads one form, and an empty range reads none
     assert work(1, 2000) < work(2, 2000)
     # at order 1 the two forms coincide, and the side builds one series:
     # the second is the first times their empty quotient
-    assert work(2, 1) == 74.26
-    one_more_c = verify_module._MOD4_COLOR_PRICE + verify_module._MOD4_RESIDUE_PRICE
-    assert work(2, 1) == pytest.approx(work(1, 1) + one_more_c)
+    assert work(2, 1) == 74
+    assert work(2, 1) == work(1, 1) + verify_module._MOD4_COLOR_PRICE
     assert work(10, 0) == work(10, -5) == 0
     # an explicit order prices the forms at it
     assert work(10, 2000, 3000) > work(10, 2000)
@@ -695,7 +694,7 @@ def test_family_sweeps_are_refused_before_any_expansion(capsys, monkeypatch):
 
     monkeypatch.setattr(verify_module, "_expand_side", expanding)
     monkeypatch.setattr(eta_module, "_run_steps", expanding)
-    for target, i_max, n_max in (("thm15", 3, 6000), ("thm15", 3, 10**5), ("conj73", 20, 3245),
+    for target, i_max, n_max in (("thm15", 3, 6000), ("thm15", 3, 10**5), ("conj73", 20, 3263),
                                  ("conj73", 10**9, 5), ("conj73", 3, 10**12), ("thm15", 10**400, 5)):
         err = assert_refused(capsys, "verify", "--target", target, "--i-max", str(i_max),
                              "--n-max", str(n_max))
@@ -911,27 +910,16 @@ def test_stepped_inconsistency_has_its_own_exit_status(capsys, monkeypatch):
 
 def test_step_off_its_progression_has_its_own_exit_status(capsys, monkeypatch):
     # a Step series with one coefficient off q^s does not pass through the
-    # progression; the sweep must say so, not report on it. The runner
-    # skews the Steps, which a side runs after the bases its plan names
-    real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
-    bases = {}
+    # progression; the sweep must say so, not report on it. Each Step's
+    # series is skewed as the sweep reads it
+    real = verify_module._step_series
 
-    def planning(forms, order, m, route, later=()):
-        ways, price = real_plan(forms, order, m, route, later)
-        bases[id(ways)] = (ways, len(forms))  # kept, so that no other list takes their id
-        return ways, price
+    def skewed(series, form, s, n_max, m):
+        coeffs = list(series.coeffs)
+        coeffs[1] = (coeffs[1] + 1) % m
+        return real(Series(coeffs, m), form, s, n_max, m)
 
-    def skewed(ways, m):
-        for k, series in enumerate(real_expand(ways, m)):
-            if k < bases[id(ways)][1]:
-                yield series
-                continue
-            coeffs = list(series.coeffs)
-            coeffs[1] = (coeffs[1] + 1) % m
-            yield Series(coeffs, m)
-
-    monkeypatch.setattr(verify_module, "_side_plan", planning)
-    monkeypatch.setattr(verify_module, "_expand_side", skewed)
+    monkeypatch.setattr(verify_module, "_step_series", skewed)
     code, out, err = run(capsys, "verify", "--target", "thm15")
     assert code == 3
     assert out == ""
@@ -961,9 +949,10 @@ def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv
     assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"
 
 
-def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
-    # built on the first call of main, not at import, and kept: a second
-    # call builds nothing and prints the same bytes
+def test_a_call_builds_the_two_parsers_its_argv_names(capsys, monkeypatch):
+    # built by the call of main, not at import: the parser and the one
+    # subcommand's parser that argv names, and the same again on a second
+    # call, which prints the same bytes
     built = []
     parser_class = cli_module.argparse.ArgumentParser
     real_init = parser_class.__init__
@@ -974,16 +963,11 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
 
     argv = ("verify", "--target", "thm14", "--c-max", "3", "--n-max", "40")
     monkeypatch.setattr(parser_class, "__init__", counting)
-    cli_module._build_parser.cache_clear()
-    try:
-        first = run(capsys, *argv)
-        once = len(built)
-        assert run(capsys, *argv) == first
-    finally:
-        cli_module._build_parser.cache_clear()
+    first = run(capsys, *argv)
+    assert len(built) == 2
+    assert run(capsys, *argv) == first
+    assert len(built) == 4
     assert first[0] == 0 and first[1]
-    # the parser and the one subcommand's parser that argv names, built once
-    assert once == len(built) == 2
 
 
 def full_parser_output(argv):

@@ -8,7 +8,7 @@ package.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import overcubic.eta as eta_module
@@ -33,7 +33,6 @@ from overcubic.eta import (
     _term_count,
     _theta_rewrite,
     _theta_terms,
-    _walk,
     F_MINUS_Q_Q2,
     F_Q3_Q6,
     PHI_SPEC,
@@ -316,12 +315,12 @@ def test_dense_powers_match_cold_and_naive(factors, shifts, order, m, route):
     # and the rungs of their ladders; expanded as one side, the last of them
     # finds the powers the others built, and must equal it expanded cold, on
     # its own, and the naive product
-    forms = [
-        tuple(_normalized_factors(EtaQuotient([(n, k + shift) for n, k in factors]), order, m))
+    expansions = [
+        (tuple(_normalized_factors(EtaQuotient([(n, k + shift) for n, k in factors]), order, m)), order)
         for shift in shifts
     ]
-    forms.append(tuple(_normalized_factors(EtaQuotient(factors), order, m)))
-    warm = list(_expand_side(_side_plan(forms, order, m, route)[0], m))[-1]
+    expansions.append((tuple(_normalized_factors(EtaQuotient(factors), order, m)), order))
+    warm = list(_expand_side(_side_plan(expansions, m, route)[0], m))[-1]
     cold = expand_eta_quotient(EtaQuotient(factors), order, modulus=m, route=route)
     assert warm == cold
     assert list(cold.coeffs) == [c % m for c in naive_eta_quotient(factors, order)]
@@ -422,9 +421,9 @@ def test_mod12_sweep_leaves_no_power_for_its_prime_power_parts(monkeypatch):
     colors = range(2, 36, 3)
     sides = {}
     for m, route in ((12, "theta"), (3, "pentagonal"), (4, "pentagonal")):
-        forms = [tuple(_normalized_factors(_colored_quotient(c, True), 548, m)) for c in colors]
+        expansions = [(tuple(_normalized_factors(_colored_quotient(c, True), 548, m)), 548) for c in colors]
         first = len(calls)
-        sides[m] = list(_expand_side(_side_plan(forms, 548, m, route)[0], m))
+        sides[m] = list(_expand_side(_side_plan(expansions, m, route)[0], m))
         # the calls hold every dict, so no two of them share an id
         assert {id(powers) for powers, _ in calls[first:]} == {id(calls[first][0])}
         assert {seen for _, seen in calls[first:]} == {m}
@@ -898,7 +897,7 @@ def test_held_rungs_price_a_step_below_its_cold_price(monkeypatch):
     order, m = 548, 12
     base = tuple(_normalized_factors(_colored_quotient(14, True), order, m))
     step = ((2, -2), (4, 1))
-    ways, price = _side_plan([base], order, m, "theta", [(step, order)])
+    ways, price = _side_plan([(base, order), (step, order)], m, "theta")
     [(_, _, steps), (_, _, plan)] = ways
     assert [way for way, _, _ in ways] == ["whole", "whole"]
     cold = _planned_steps(step, order, m, "theta")
@@ -1048,47 +1047,57 @@ def test_term_by_term_pass_runs_phi_q2_on_the_constant_row():
     assert got == schoolbook_pass(running, terms, 4)
 
 
+_SIDE_ORDERS = [0, 1, 2, 57, 200, 548]
+
+
 @settings(max_examples=120, deadline=None)
+@example([(2, 0), (5, 0), (8, 1), (11, 1), (3, 0)], [(1, 3)], 12, "theta", (548, 57), None)
 @given(
-    st.sets(st.integers(1, 60), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(1, 60), st.integers(0, 1)), min_size=1, max_size=6),
     _wide_quotients,
     st.sampled_from(_SIDE_MODULI),
     st.sampled_from(ROUTES),
-    st.sampled_from([0, 1, 2, 57, 200, 548]),
+    st.tuples(st.sampled_from(_SIDE_ORDERS), st.sampled_from(_SIDE_ORDERS)),
     st.sampled_from([None, 0.0, math.inf]),
 )
-def test_shared_side_matches_each_expansion(colors, extra, m, route, order, product):
-    # a side's forms, the colored series times a common extra quotient, are
-    # served in their order from one dict of powers and equal each form
-    # expanded on its own. The product's price is left to the plan, or set
-    # to 0 or past any form, so that each form is served by its whole walk
-    # or as the form before it times their quotient
-    forms = sorted({
-        tuple(_normalized_factors(EtaQuotient(_colored_quotient(c, True).factors + tuple(extra)), order, m))
-        for c in colors
-    })
+def test_shared_side_matches_each_expansion(drawn, extra, m, route, orders, product):
+    # a side's expansions, colored series times a common extra quotient,
+    # each at one of two orders, so that some neighbours share an order and
+    # some do not, are served in their order from one dict of powers and
+    # equal each expanded on its own. The product's price is left to the
+    # plan, or set to 0 or past any form, so that each expansion at the
+    # order before it is served by its whole walk or as the series before it
+    # times their quotient
+    expansions = []
+    for c, pick in drawn:
+        quotient = EtaQuotient(_colored_quotient(c, True).factors + tuple(extra))
+        expansions.append((tuple(_normalized_factors(quotient, orders[pick], m)), orders[pick]))
     with pytest.MonkeyPatch.context() as mp:
         if product is not None:
             mp.setattr(eta_module, "_product_price", lambda order, m: product)
-        ways = _side_plan(forms, order, m, route)[0]
+        ways = _side_plan(expansions, m, route)[0]
     got = list(_expand_side(ways, m))
-    assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form in forms]
+    assert got == [expand_eta_quotient(EtaQuotient(form), order, m, route) for form, order in expansions]
+    # only an expansion at the order of the one before it may be a quotient
+    for k, (way, order, _) in enumerate(ways):
+        assert way == "whole" or k and expansions[k - 1][1] == order
 
 
-def cold_side_price(forms, order, m, route, later):
+def cold_side_price(expansions, m, route):
     """A side's price with every plan priced cold, as if its dict held no
-    rung: each form by the cheaper of its whole walk and its quotient by
-    the form before it plus one product, then each of ``later``."""
-    product = eta_module._product_price(order, m)
+    rung: each expansion at the order of the one before it by the cheaper
+    of its whole walk and their quotient plus one product, any other by its
+    whole walk."""
     price = 0.0
-    for k, form in enumerate(forms):
+    for k, (form, order) in enumerate(expansions):
         cost = _plan_price(_planned_steps(form, order, m, route))
-        if k:
-            quotient = _normalized_factors(eta_module._quotient(form, forms[k - 1]), order, m)
+        if k and expansions[k - 1][1] == order:
+            quotient = _normalized_factors(eta_module._quotient(form, expansions[k - 1][0]), order, m)
+            product = eta_module._product_price(order, m)
             by_quotient = _plan_price(_planned_steps(quotient, order, m, route)) + product if quotient else 0
             cost = min(cost, by_quotient)
         price += cost
-    return price + sum(_plan_price(_planned_steps(form, top, m, route)) for form, top in later)
+    return price
 
 
 @settings(max_examples=80, deadline=None)
@@ -1102,11 +1111,15 @@ def cold_side_price(forms, order, m, route, later):
 def test_side_price_never_exceeds_its_cold_price(colors, m, route, order, e):
     # every plan of a side, its bases as well as its Steps, is priced given
     # the rungs the plans before it leave in the dict, which only lower a
-    # price; a side of one base, and no Step, keeps its cold price
+    # price; a side of one base keeps its cold price. The bases share the
+    # order, the first Step shares it with the last base, and the second
+    # Step, at a third of it, does not
     forms = sorted({tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in colors})
-    later = [(tuple(_normalized_factors(EtaQuotient([(2, -2 * e), (4, e)]), order, m)), order)]
-    assert _side_plan(forms, order, m, route, later)[1] <= cold_side_price(forms, order, m, route, later)
-    assert _side_plan(forms[:1], order, m, route)[1] == cold_side_price(forms[:1], order, m, route, ())
+    step = EtaQuotient([(2, -2 * e), (4, e)])
+    expansions = [(form, order) for form in forms]
+    expansions += [(tuple(_normalized_factors(step, top, m)), top) for top in (order, order // 3)]
+    assert _side_plan(expansions, m, route)[1] <= cold_side_price(expansions, m, route)
+    assert _side_plan(expansions[:1], m, route)[1] == cold_side_price(expansions[:1], m, route)
 
 
 def test_mod12_bases_are_priced_given_the_rungs_before_them():
@@ -1116,10 +1129,11 @@ def test_mod12_bases_are_priced_given_the_rungs_before_them():
     # side is priced below its cold price with the same series
     order, m = 548, 12
     forms = [tuple(_normalized_factors(_colored_quotient(c, True), order, m)) for c in (14, 17, 23)]
-    ways, price = _side_plan(forms, order, m, "theta")
-    assert price < cold_side_price(forms, order, m, "theta", ())
+    expansions = [(form, order) for form in forms]
+    ways, price = _side_plan(expansions, m, "theta")
+    assert price < cold_side_price(expansions, m, "theta")
     assert list(_expand_side(ways, m)) == [
-        expand_eta_quotient(EtaQuotient(form), order, m, "theta") for form in forms
+        expand_eta_quotient(EtaQuotient(form), order, m, "theta") for form, _ in expansions
     ]
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import overcubic.cli as cli_module
@@ -241,9 +241,9 @@ def test_mod4_sweep_matches_the_pentagonal_walk(monkeypatch):
     forms, walks = [], []
     real = verify_module._side_plan
 
-    def pentagonal(side, order, m, route, later=()):
-        forms.extend(side)
-        ways, price = real(side, order, m, "pentagonal", later)
+    def pentagonal(expansions, m, route):
+        forms.extend(form for form, _ in expansions)
+        ways, price = real(expansions, m, "pentagonal")
         walks.extend(ways)
         return ways, price
 
@@ -294,10 +294,10 @@ def corrupting_runs(monkeypatch, corrupt):
     planned = {}
     real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
 
-    def planning(forms, order, m, route, later=()):
-        ways, price = real_plan(forms, order, m, route, later)
+    def planning(expansions, m, route):
+        ways, price = real_plan(expansions, m, route)
         # the ways are kept, so that no other list takes their id
-        planned[id(ways)] = (ways, [*forms, *(form for form, _ in later)])
+        planned[id(ways)] = (ways, [form for form, _ in expansions])
         return ways, price
 
     def running(ways, m):
@@ -345,78 +345,79 @@ def test_sweeps_expand_each_distinct_quotient_once(monkeypatch):
     # takes two forms mod 4, which leaves 11 distinct of 14 reads; serving
     # mod 4 or mod 3 from a mod-12 series would show as fewer. The Steps,
     # (f4/f2^2)^e in q^s: e = 3 at s = 3 mod 6 and mod 3, e = 9 at s = 9
-    # mod 3, e = 18 at s = 9 mod 12; mod 2 and mod 4 the Step is 1 and
-    # expands nothing
+    # mod 3, e = 18 at s = 9 mod 12, each served after the bases of its
+    # side; mod 2 and mod 4 the Step is 1, and is neither served nor built
     verify_proved_families(3, 21, 200)
-    assert len(served) == len(set(served)) == 11
+    assert len(served) == len(set(served)) == 11 + 4
     assert Counter((m, route) for _, m, route, _ in served) == {
-        (2, "pentagonal"): 1, (3, "pentagonal"): 3, (4, "pentagonal"): 2,
-        (6, "theta"): 1, (12, "theta"): 4,
+        (2, "pentagonal"): 1, (3, "pentagonal"): 3 + 2, (4, "pentagonal"): 2,
+        (6, "theta"): 1 + 1, (12, "theta"): 4 + 1,
     }
     # each at the least order its progressions read, 3*21 + 2 and 9*21 + 8
     step_order = {3: 65, 9: 197}
     assert sorted(built) == sorted(
         (m, s, tuple(_normalized_factors(verify_module._step_quotient(e), step_order[s], m)))
-        for m, s, e in ((2, 3, 3), (3, 3, 3), (3, 9, 9), (4, 9, 18), (6, 3, 3), (12, 9, 18))
+        for m, s, e in ((3, 3, 3), (3, 9, 9), (6, 3, 3), (12, 9, 18))
     )
-    assert [form for m, _, form in built if m in (2, 4)] == [(), ()]
+    assert {(m, form) for m, _, form in built} <= {(m, form) for form, m, _, _ in served}
+    for m, s, e in ((2, 3, 3), (4, 9, 18)):
+        assert _normalized_factors(verify_module._step_quotient(e), step_order[s], m) == []
     # served by the ways their plans priced cheaper: the lone base mod 2
     # and mod 6 and the first base of every other side by its whole walk,
     # the rest as the base before them times their quotient, but the second
     # base mod 4, whose whole walk finds the rungs the first one left in the
-    # side's dict and is priced under its quotient and one product
+    # side's dict and is priced under its quotient and one product; every
+    # Step by its whole walk, mod 12 at the order of the base before it too
     assert Counter((m, way) for _, m, _, way in served) == {
-        (2, "whole"): 1, (6, "whole"): 1, (3, "whole"): 1, (4, "whole"): 2, (12, "whole"): 1,
+        (2, "whole"): 1, (6, "whole"): 1 + 1, (3, "whole"): 1 + 2, (4, "whole"): 2, (12, "whole"): 1 + 1,
         (3, "quotient"): 2, (12, "quotient"): 3,
     }
     # at i <= 20 each sweep serves the same bases and Steps as at i <= 3,
     # at n <= 30 and at n <= 10, where the lower order makes forms of
-    # distant c coincide: 11 and 15 bases, and 6 and 5 Steps, of which 4
-    # and 3 expand
-    for sweep, bases, steps in ((verify_proved_families, 11, 6), (verify_conjectured_families, 15, 5)):
+    # distant c coincide: 11 and 15 bases, and 4 and 3 Steps that are not 1
+    for sweep, bases, steps in ((verify_proved_families, 11, 4), (verify_conjectured_families, 15, 3)):
         for n_max in (30, 10):
             served.clear()
             built.clear()
             sweep(20, n_max)
-            assert len(served) == len(set(served)) == bases
+            assert len(served) == len(set(served)) == bases + steps
             assert len(built) == len(set(built)) == steps
-            assert [m for m, _, form in built if not form] == [2, 4]
+            assert not {m for m, _, _ in built} & {2, 4}
 
 
 def recorded_steps(monkeypatch):
     """The ``(modulus, s, form)`` of every Step a family sweep builds
-    (``_step_series``) while the test runs: ``form`` is empty for a Step of
-    1, which expands nothing."""
+    (``_step_series``) while the test runs; a Step of 1 expands nothing
+    and is not built."""
     built = []
     real = verify_module._step_series
 
-    def recording(form, runs, s, n_max, m):
+    def recording(series, form, s, n_max, m):
         built.append((m, s, form))
-        return real(form, runs, s, n_max, m)
+        return real(series, form, s, n_max, m)
 
     monkeypatch.setattr(verify_module, "_step_series", recording)
     return built
 
 
 def recorded_sides(monkeypatch):
-    """The ``(form, modulus, route, way)`` of every form a sweep's sides
-    serve (``_expand_side``) while the test runs, each side known by the
-    plan (``_side_plan``) that gave it its ways; the Steps that a family
-    sweep's side runs after its forms are left to ``recorded_steps``."""
+    """The ``(form, modulus, route, way)`` of every expansion a sweep's
+    sides serve (``_expand_side``) while the test runs, a family sweep's
+    bases and then its Steps, each side known by the plan (``_side_plan``)
+    that gave it its ways."""
     served, planned = [], {}
     real_plan, real_expand = verify_module._side_plan, verify_module._expand_side
 
-    def planning(forms, order, m, route, later=()):
-        ways, price = real_plan(forms, order, m, route, later)
+    def planning(expansions, m, route):
+        ways, price = real_plan(expansions, m, route)
         # the ways are kept, so that no other list takes their id
-        planned[id(ways)] = (ways, forms, route)
+        planned[id(ways)] = (ways, expansions, route)
         return ways, price
 
     def recording(ways, m):
-        _, forms, route = planned[id(ways)]
-        for k, series in enumerate(real_expand(ways, m)):
-            if k < len(forms):
-                served.append((forms[k], m, route, ways[k][0]))
+        _, expansions, route = planned[id(ways)]
+        for (form, _), (way, _, _), series in zip(expansions, ways, real_expand(ways, m)):
+            served.append((form, m, route, way))
             yield series
 
     monkeypatch.setattr(verify_module, "_side_plan", planning)
@@ -448,10 +449,10 @@ def test_a_sweep_runs_the_steps_its_price_planned(monkeypatch):
     # quotient that is not 1, and every Step that is not 1
     price, sides = verify_module._families_work(PROVED_FAMILIES, 3, 60)
     side = sides[12, "theta"]
-    stepped = [form for form in side.steps.values() if form]
-    _, top, plan = side.ways[len(side.bases) + stepped.index(side.steps[9, 18])]
-    cold = eta_module._planned_steps(side.steps[9, 18], 543, 12, "theta")
-    assert top == 543 and eta_module._plan_price(plan) < eta_module._plan_price(cold)
+    k = [key for key, _ in side.reads].index((9, 18))
+    way, top, plan = side.ways[k]
+    cold = eta_module._planned_steps(side.reads[k][1], 543, 12, "theta")
+    assert (way, top) == ("whole", 543) and eta_module._plan_price(plan) < eta_module._plan_price(cold)
     with runs_recorded() as runs:
         reports = verify_module._verify_families(PROVED_FAMILIES, 3, 60, None, sides)
     runs.match([side.ways for side in sides.values()])
@@ -704,6 +705,8 @@ def test_family_sweep_matches_a_per_form_loop(families, i_max, n_max):
 
 
 @settings(max_examples=80, deadline=None)
+@example(list(CONJECTURED_FAMILIES), 20, 0)
+@example(list(CONJECTURED_FAMILIES), 20, 10)
 @given(
     st.lists(congruence_families(st.sampled_from([1, 2, 3, 9, 27])), min_size=1, max_size=2),
     st.integers(7, 24),
@@ -714,10 +717,24 @@ def test_stepped_sweep_matches_a_per_form_loop(families, i_max, n_max):
     # the periods give: mod 4 (P = 2), mod 3 at s = 3 and mod 6 at s = 9
     # (3, 9) and mod 12 at s = 9 (18). Every i past its family's lead reads
     # the progression of i - lead times a Step; the reports must be those of
-    # a loop that expands every (i, side) on its own
+    # a loop that expands every (i, side) on its own. conj73's families at
+    # i <= 20, n <= 0 and n <= 10 serve the mod-6 Step as a quotient
+    # (test_a_step_at_its_sides_order_may_be_a_quotient)
     order = max(f.prog_slope * n_max + f.prog_intercept for f in families)
     got = verify_module._verify_families(families, i_max, n_max, None)
     assert got == per_form_reports(families, i_max, n_max, order)
+
+
+@pytest.mark.parametrize("n_max", [0, 10])
+def test_a_step_at_its_sides_order_may_be_a_quotient(n_max):
+    # conj73's mod-6 Step, (f4/f2^2)^9 in q^9, is built at the sweep's order
+    # 9*n_max + 8, that of the last base before it, and at orders 8 and 98
+    # it is priced cheaper, and served, as that base times their quotient
+    order = 9 * n_max + 8
+    side = verify_module._family_sides(CONJECTURED_FAMILIES, 20, n_max, order)[6, "theta"]
+    [(k, key)] = [(k, key) for k, (key, _) in enumerate(side.reads) if key is not None]
+    assert key == (9, 9) and side.reads[k - 1][0] is None
+    assert side.ways[k][:2] == ("quotient", order)
 
 
 @pytest.mark.parametrize("modulus,s,period", [
@@ -745,7 +762,7 @@ def test_every_i_of_a_constant_family_reads_one_form(monkeypatch):
     assert Counter((m, route) for _, m, route, _ in served) == {
         (6, "theta"): 1, (2, "pentagonal"): 1, (3, "pentagonal"): 1,
     }
-    assert all(form == () for *_, form in built)
+    assert built == []
     assert report == per_form_reports([family], 30, 20, 62)[0]
 
 
