@@ -4,12 +4,16 @@ Output is machine readable (JSON by default, CSV on request) and depends
 on the arguments alone, so identical invocations print identical bytes.
 
 The CLI owns flag syntax, and refuses up front an expansion or a DP count
-over the engine's work cap; library calls of them are not bound by it. The
+over the engine's work cap, at prices that count what only the CLI does:
+the rows ``expand`` prints, and the ``overcubic expand`` command that a
+refused DP count names. The library refuses its own requests over the
+cap: the verify sweeps, brute-force counts, ``chi_distinct`` profiles and
+each lone expansion, ``expand_eta_quotient`` at the price of its plan. The
 four kinds are two series at a color count: ``partition`` and
 ``overpartition`` are ``cubic`` and ``overcubic`` at c = 1. Every domain
 rule (color count, weight, modulus, brute-force bounds, verification
-order) belongs to the library, which raises ``ValueError``; :func:`main`
-maps that to exit status 2.
+order, work cap) belongs to the library, which raises ``ValueError``;
+:func:`main` maps that to exit status 2.
 A verify target reads only its flags (``_TARGET_FLAGS``) and, without
 ``--order``, runs at the library's least covering order.
 
@@ -25,15 +29,12 @@ Each engine prices its own request in one unit, an update of a sparse
 pass (``series._kronecker_price``, ``series._update_price``), and every
 expansion is priced by the plan it runs: ``eta._expansion_work`` plans
 an expansion and sums its steps, to which ``expand`` adds the rows it
-prints (``_expand_price``), ``verify._mod4_classification_work`` plans
-``verify --target thm14`` as one side of its two mod-4 forms and prices
-it with its colors and residues, and ``verify._families_work`` plans
-``thm15`` and ``conj73`` once, their bases, Step series and step
-products, and prices that plan with the residues it compares. Each hands
-back its plan with its price, and the command runs that plan, through
-the one runner ``eta._expand_side``. ``counting._dp_work`` sums the DP's
-block products over its tree. ``series._check_work`` refuses each over
-``series.WORK_CAP``, as it refuses every engine's requests.
+prints (``_expand_price``), and the command runs that plan through the one
+runner ``eta._expand_side``. ``counting._dp_work`` sums the DP's block
+products over its tree. ``series._check_work`` refuses each over
+``series.WORK_CAP``, as it refuses every engine's requests; the verify
+targets call the library's public checks, which price and refuse their
+own sweeps.
 """
 
 from __future__ import annotations
@@ -65,16 +66,13 @@ from .eta import (
 )
 from .series import WORK_CAP, _check_work
 from .verify import (
-    CONJECTURED_FAMILIES,
     IDENTITIES,
-    PROVED_FAMILIES,
     EngineInconsistencyError,
     VerificationReport,
-    _families_work,
-    _mod4_classification_work,
-    _verify_families,
-    _verify_mod4,
     check_named_identity,
+    verify_conjectured_families,
+    verify_mod4_classification,
+    verify_proved_families,
 )
 
 ENGINE_INCONSISTENCY = 3
@@ -264,7 +262,8 @@ _VERIFY_CSV_HEADER = [
 
 
 # The flags each verify target reads besides --order and --format, with
-# their defaults; a target refuses the others.
+# their defaults, in the order its library check takes them; a target
+# refuses the others.
 _TARGET_FLAGS = {
     "thm14": {"c_max": 10, "n_max": 2000},
     "thm15": {"i_max": 3, "n_max": 100},
@@ -282,24 +281,20 @@ def _cmd_verify(args, command: str) -> int:
             params[dest] = reads[dest] if value is None else value
         elif value is not None:
             raise UsageError(f"--{dest.replace('_', '-')} is meaningless with --target {target}")
-    if target == "thm14":
-        c_max, n_max = params["c_max"], params["n_max"]
-        price, plans = _mod4_classification_work(c_max, n_max, args.order)
-        _check_work(price, f"the mod-4 sweep of c <= {c_max} to n = {n_max}", "; lower --n-max or --c-max")
-        reports = [_verify_mod4(c_max, n_max, args.order, plans)]
-    elif target == "identity":
-        if args.name is None:
-            raise UsageError(
-                "--target identity requires --name; known names: "
-                + ", ".join(sorted(IDENTITIES))
-            )
-        reports = [check_named_identity(args.name, args.order)]
-    else:
-        families = PROVED_FAMILIES if target == "thm15" else CONJECTURED_FAMILIES
-        i_max, n_max = params["i_max"], params["n_max"]
-        price, sides = _families_work(families, i_max, n_max, args.order)
-        _check_work(price, f"the {target} sweep of i <= {i_max} to n = {n_max}", "; lower --n-max or --i-max")
-        reports = _verify_families(families, i_max, n_max, args.order, sides)
+    if target == "identity" and args.name is None:
+        raise UsageError("--target identity requires --name; known names: " + ", ".join(sorted(IDENTITIES)))
+    # built on each call, so that a wrapper installed on these names (a
+    # tracer, a test double) is the one called
+    check = {
+        "thm14": verify_mod4_classification,
+        "thm15": verify_proved_families,
+        "conj73": verify_conjectured_families,
+        "identity": check_named_identity,
+    }[target]
+    # each takes the flags its target reads, in their order, then the order
+    reports = check(*(params[dest] for dest in reads), args.order)
+    if isinstance(reports, VerificationReport):
+        reports = [reports]
     params["order"] = reports[0].order
     all_pass = all(r.passed for r in reports)
     record = _record(

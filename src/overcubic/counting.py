@@ -49,10 +49,11 @@ object counts grow fast enough beyond that to make exhaustive enumeration
 pointless when the DP and the generating function are available. Within
 that, and 10^6 (size, color) classes, a bound on memory, a walk is priced
 at its colored partitions, an upper bound on the work of a fold, and
-refused over the one work cap, as a DP count and a ``chi_distinct``
-profile are (``series._check_work``). The caps are checked on the call,
-the class count first, so the DP that counts the walk never sees a large c
-with work to do.
+refused over the one work cap, as a ``chi_distinct`` profile is
+(``series._check_work``); a DP count is refused only by the CLI, whose
+advice names an ``overcubic expand`` command. The caps are checked on the
+call, the class count first, so the DP that counts the walk never sees a
+large c with work to do.
 """
 
 from __future__ import annotations

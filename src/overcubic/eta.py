@@ -108,8 +108,8 @@ from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .series import (
-    WORK_CAP, Series, _divide_sparse, _kronecker_mod, _kronecker_price, _ladder_power, _mod_slot_width,
-    _show, _spread, _update_price, _validate_modulus,
+    WORK_CAP, Series, _check_work, _divide_sparse, _kronecker_mod, _kronecker_price, _ladder_power,
+    _mod_slot_width, _show, _spread, _update_price, _validate_modulus,
 )
 
 __all__ = [
@@ -411,16 +411,21 @@ def expand_eta_quotient(
     the division kernel for ``k < 0``), or, under a modulus, dense powering
     of its base. Reducing after every step keeps coefficients bounded; by
     the homomorphism property the result matches reduce-at-the-end. The
-    expansion is a side of one form: :func:`_side_plan` plans it, and
-    :func:`_expand_side` runs that plan, with dense powers that its own
-    steps share and that are dropped when it returns.
+    expansion is a side of one form: :func:`_side_plan` plans it, the plan's
+    price is refused over ``WORK_CAP`` (``series._check_work``) before any
+    step runs, and :func:`_expand_side` runs that plan, with dense powers
+    that its own steps share and that are dropped when it returns. Under a
+    modulus that price is the CLI's ``expand`` without its rows; over Z it
+    leaves out the factor for the bits of the coefficients, which is at
+    least 1, so it is a lower bound and refuses nothing the CLI admits.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if route is not None and route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES} or None, got {route!r}")
     m = _validate_modulus(modulus)
-    ways, _ = _side_plan([(_normalized_factors(e, order, m), order)], m, route)
+    ways, price = _side_plan([(_normalized_factors(e, order, m), order)], m, route)
+    _check_work(price, f"expanding {e} to order {_show(order)}", "; lower the order")
     return next(_expand_side(ways, m))
 
 

@@ -39,7 +39,7 @@ from .eta import (
     theta_sum,
     toh_rhs,
 )
-from .series import WORK_CAP, Series, _show
+from .series import WORK_CAP, Series, _check_work, _show
 
 __all__ = [
     "SQUARE",
@@ -217,30 +217,24 @@ def verify_mod4_classification(
     other prediction for every c <= c_max and 1 <= n <= n_max, at ``order``,
     by default the least that covers them, ``n_max``, or 0 when ``n_max < 1``.
     The mod-4 form of the series depends on c only through its parity, so
-    the sweep is one side (:func:`_mod4_plans`) of the forms of c = 1 and
-    c = 2, ``f2/f1^2`` and ``f4/(f1^2*f2)``, run from its plan, and each
-    series is compared once, for its parity; the mismatches of a parity are
-    reported for every c of it. The side runs the theta walk, which expands
-    them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``, since ``phi(-q^n)^2 ==
-    1 (mod 4)``, so no step divides; the paper's mod-4 theorem rests on the
-    same fact, so the test ``test_mod4_sweep_matches_the_pentagonal_walk``
-    guards the reduction: the Euler factors' walk, which divides, must give
-    the same report. Both series and the prediction are nonzero on
-    O(sqrt(n_max)) exponents, so a series is compared there alone
-    (:func:`_mod4_mismatches`), and the report is that of comparing every
-    residue."""
-    return _verify_mod4(c_max, n_max, order)
-
-
-def _verify_mod4(
-    c_max: int, n_max: int, order: Optional[int], ways: Optional[list] = None
-) -> VerificationReport:
-    """:func:`verify_mod4_classification`, running the planned expansions
-    ``ways`` of its side, by default those of :func:`_mod4_plans`, and
-    comparing each series on the predicted support and its own nonzero
-    residues (:func:`_mod4_mismatches`): no row, tuple or slice of
-    ``n_max`` entries is built besides the series."""
+    the sweep is one side of the forms of c = 1 and c = 2, ``f2/f1^2`` and
+    ``f4/(f1^2*f2)``, planned and priced by
+    :func:`_mod4_classification_work`, refused over ``WORK_CAP``
+    (``series._check_work``) before anything is expanded, and then run from
+    that plan. Each series is compared once, for its parity; the mismatches
+    of a parity are reported for every c of it. The side runs the theta walk,
+    which expands them as ``phi(-q)`` and ``phi(-q) * phi(-q^2)``, since
+    ``phi(-q^n)^2 == 1 (mod 4)``, so no step divides; the paper's mod-4
+    theorem rests on the same fact, so the test
+    ``test_mod4_sweep_matches_the_pentagonal_walk`` guards the reduction: the
+    Euler factors' walk, which divides, must give the same report. Both
+    series and the prediction are nonzero on O(sqrt(n_max)) exponents, so a
+    series is compared there alone (:func:`_mod4_mismatches`), and no row,
+    tuple or slice of ``n_max`` entries is built besides the series; the
+    report is that of comparing every residue."""
     order = _mod4_order(c_max, n_max, order)
+    price, ways = _mod4_classification_work(c_max, n_max, order)
+    _check_work(price, f"the mod-4 sweep of c <= {_show(c_max)} to n = {_show(n_max)}", "; lower n_max or c_max")
     report = VerificationReport(
         description=f"mod-4 residue classification for c <= {c_max}",
         i_range=(1, c_max),
@@ -249,8 +243,6 @@ def _verify_mod4(
     )
     if report.vacuous:
         return report
-    if ways is None:
-        ways, _ = _mod4_plans(c_max, order)
     # the form depends on c only through its parity, and so does the
     # prediction, so each parity is compared once, at its least c, and its
     # mismatches are reported for every c of it; map, unlike a loop over
@@ -281,22 +273,6 @@ def _mod4_mismatches(series: Series, c: int, n_max: int) -> List[Tuple[int, int,
     return [(n, coeffs[n], want) for n in sorted(support) if coeffs[n] != (want := expected.get(n, 0))]
 
 
-def _mod4_plans(c_max: int, order: int) -> Tuple[list, float]:
-    """The plan ``(ways, price)`` of the mod-4 sweep's one side
-    (:func:`~overcubic.eta._side_plan`): the normalized mod-4 forms of the
-    overlined series at c = 1 and, when c_max reaches it, c = 2, the forms
-    of odd and of even c. Mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
-    reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even.
-    Below order 4 the two forms coincide, and the planner runs the second as
-    the first times their empty quotient: the same series. The side is
-    planned on the theta walk alone: mod 4 every exponent of its steps
-    reduces to 1, so it divides nowhere, and the planner, free to take
-    the Euler factors, priced it no dearer at every order from 0 to
-    2 781 662, so its price is the one the cap always read."""
-    forms = [_normalized_factors(_colored_quotient(c, True), order, 4) for c in range(1, min(c_max, 2) + 1)]
-    return _side_plan([(form, order) for form in forms], 4, "theta")
-
-
 def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
     """The order :func:`verify_mod4_classification` runs at, once its
     arguments are checked."""
@@ -311,35 +287,43 @@ def _mod4_order(c_max: int, n_max: int, order: Optional[int]) -> int:
 
 
 # What the mod-4 sweep costs besides the plans of its expansions, in updates
-# of a sparse pass (about 24 ns). Each c swept takes 0.08-0.11 us, under
-# its price (c <= 1.2 * 10^7 at n <= 2000; 2-vCPU x86 host). Each
+# of a sparse pass. Each c swept took 81-100 ns (c <= 2 * 10^7 at n <= 2000,
+# in process) where an update took 14-15 ns at the work cap's other edges
+# (a DP count and thm15, cold), under its price. Each
 # coefficient of a series the side builds is priced by the memory the sweep
 # holds, not by its time, and covers the scans that compare the series on
 # its support: about 23 bytes a coefficient at the peak (82 MB at c <= 10,
-# n = 2 850 391), so that no admitted sweep holds much more.
+# n = 2 850 392), so that no admitted sweep holds much more.
 _MOD4_FORM_COEFFICIENT_PRICE = 24
-_MOD4_COLOR_PRICE = 12
+_MOD4_COLOR_PRICE = 8
 
 
 def _mod4_classification_work(
     c_max: int, n_max: int, order: Optional[int] = None
 ) -> Tuple[float, Optional[list]]:
     """``(price, ways)`` of ``verify_mod4_classification(c_max, n_max,
-    order)``: the planned expansions of its one side (:func:`_mod4_plans`),
-    which the sweep runs as they are when it is given them, and its price
-    in the unit of ``series._check_work``, the side's price, with
-    ``_MOD4_FORM_COEFFICIENT_PRICE`` for each coefficient of each series the
-    side builds (not the second form where it is the first), which covers
-    the scans that compare it, then ``_MOD4_COLOR_PRICE`` for each c swept.
-    ``(0, [])`` for an empty range, which expands
-    nothing; past ``WORK_CAP`` colors or coefficients, the colors and
-    coefficients alone, which price it over the cap at once, and no plan."""
+    order)``: the plan of its one side (:func:`~overcubic.eta._side_plan`),
+    which the sweep runs as it is, and its price in the unit of
+    ``series._check_work``. The side lists the normalized mod-4 forms of the
+    overlined series at c = 1 and, when c_max reaches it, c = 2, the forms
+    of odd and of even c: mod 4 the exponents of ``f4^(c-1)/(f1^2*f2^(2c-3))``
+    reduce to -2 at 1, 1 or -1 at 2 and 0 or 1 at 4, as c is odd or even.
+    Below order 4 the two forms coincide, and the planner runs the second as
+    the first times their empty quotient: the same series. The side takes
+    the theta walk, since mod 4 none of its steps divides. The price is the
+    side's, with ``_MOD4_FORM_COEFFICIENT_PRICE`` for each coefficient of
+    each series the side builds (not the second form where it is the first),
+    which covers the scans that compare it, then ``_MOD4_COLOR_PRICE`` for
+    each c swept. ``(0, [])`` for an empty range, which expands nothing; past
+    ``WORK_CAP`` colors or coefficients, the colors and coefficients alone,
+    which price it over the cap at once, and no plan."""
     order = _mod4_order(c_max, n_max, order)
     if n_max < 1:
         return 0.0, []
     if c_max >= WORK_CAP or order >= WORK_CAP:
         return float(min(c_max * _MOD4_COLOR_PRICE + order + 1, 2**64)), None
-    ways, price = _mod4_plans(c_max, order)
+    forms = [_normalized_factors(_colored_quotient(c, True), order, 4) for c in range(1, min(c_max, 2) + 1)]
+    ways, price = _side_plan([(form, order) for form in forms], 4, "theta")
     built = sum(1 for way, _, steps in ways if way == "whole" or steps)
     price += built * (order + 1) * _MOD4_FORM_COEFFICIENT_PRICE
     return price + c_max * _MOD4_COLOR_PRICE, ways
@@ -376,7 +360,9 @@ def verify_family(
     the one before it, a base or a Step, may be that series times their
     quotient, where the plan prices that cheaper, and the bases and Steps
     share one dict of dense powers, but never another side's
-    series, Step or power, so the two routes stay independent. A
+    series, Step or power, so the two routes stay independent. The sweep
+    is priced by that plan (:func:`_families_work`) and refused over
+    ``WORK_CAP`` (``series._check_work``) before anything is expanded. A
     disagreement, or a Step off ``q^s``, means the engine itself is broken
     and raises :class:`EngineInconsistencyError`.
     """
@@ -400,30 +386,30 @@ CONJECTURED_FAMILIES = (
 )
 
 
-def _verify_families(families, i_max: int, n_max: int, order: Optional[int], sides: Optional[dict] = None):
+def _verify_families(families, i_max: int, n_max: int, order: Optional[int]):
     """One report per family, all at ``order``: by default the least that
     covers every family, or 0 when the i or the n range is empty, which
-    reads nothing at any order that is not negative. Each side of
-    :func:`verify_family`, a ``(modulus, route)`` pair, runs the plan
-    ``sides`` gives it, by default that of :func:`_family_sides`, step for
-    step as it was priced, through the one runner
-    :func:`~overcubic.eta._expand_side`, which holds one dict of dense
-    powers for the side's list of expansions, and reads each expansion as
-    its entry of the side's reads says, in one pass. Its bases, the series
-    of the first i of each family, are expanded once for all their readers,
-    keyed on their normalized form; its Steps follow. Each later i of a family
-    reads the progression of ``i - lead`` times the side's Step series for
-    the family's exponent e: mod the side's modulus ``(f4/f2^2)^e`` is a
-    series in ``q^s``, s the slope of the progression, so it passes through
-    the progression, and one product at order ``n_max`` replaces an
-    expansion at order ``s*n_max + r``. A Step with a coefficient off
-    ``q^s`` raises :class:`EngineInconsistencyError`."""
+    reads nothing at any order that is not negative. The plan of its sides
+    (:func:`_families_work`) is priced and refused over ``WORK_CAP`` before
+    anything is expanded. Each side of :func:`verify_family`, a ``(modulus,
+    route)`` pair, then runs its plan step for step as it was priced,
+    through the one runner :func:`~overcubic.eta._expand_side`, which holds
+    one dict of dense powers for the side's list of expansions, and reads
+    each expansion as its entry of the side's reads says, in one pass. Its
+    bases, the series of the first i of each family, are expanded once for
+    all their readers, keyed on their normalized form; its Steps follow.
+    Each later i of a family reads the progression of ``i - lead`` times the
+    side's Step series for the family's exponent e: mod the side's modulus
+    ``(f4/f2^2)^e`` is a series in ``q^s``, s the slope of the progression,
+    so it passes through the progression, and one product at order
+    ``n_max`` replaces an expansion at order ``s*n_max + r``. A Step with a
+    coefficient off ``q^s`` raises :class:`EngineInconsistencyError`."""
     order = _families_order(families, i_max, n_max, order)
+    price, sides = _families_work(families, i_max, n_max, order)
+    _check_work(price, f"the family sweep of i <= {_show(i_max)} to n = {_show(n_max)}", "; lower n_max or i_max")
     reports = [VerificationReport(f.describe(), (1, i_max), (0, n_max), order) for f in families]
     if reports[0].vacuous:  # every report covers the same ranges
         return reports
-    if sides is None:
-        sides = _family_sides(families, i_max, n_max, order)
     # failures[j, route] maps (i, n) to the offending residue of family j
     failures = {}
     for (modulus, route), side in sorted(sides.items()):
@@ -629,7 +615,7 @@ def _families_work(
 ) -> Tuple[float, Optional[dict]]:
     """``(price, sides)`` of ``_verify_families(families, i_max, n_max,
     order)``: the plan of its sides (:func:`_family_sides`), which the sweep
-    runs as it is when it is given it, and its price in the unit of
+    runs as it is, and its price in the unit of
     ``series._check_work``, the price of each side, then
     ``_FAMILY_READ_PRICE`` for each progression read and
     ``_FAMILY_RESIDUE_PRICE`` for each residue compared. ``(0, {})`` for an

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -433,7 +434,7 @@ WORK_CAP_EDGES = [
     ("dp", ("cubic", 10**6), 2634),
     ("chi", (1,), 1267), ("chi", (100,), 426), ("chi", (1000,), 394), ("chi", (3000,), 385),
     ("brute", (4,), 13865), ("brute", (5,), 13689), ("brute", (10,), 93), ("brute", (20,), 16),
-    ("brute", (30,), 7), ("thm14", (10,), 2850391), ("conj73", (20,), 3262), ("thm15", (3,), 4100),
+    ("brute", (30,), 7), ("thm14", (10,), 2850392), ("conj73", (20,), 3262), ("thm15", (3,), 4100),
 ]
 _EDGE_IDS = ["-".join(map(str, (engine, *args))) for engine, args, _ in WORK_CAP_EDGES]
 _DP_EDGES = [row for row in WORK_CAP_EDGES if row[0] == "dp"]
@@ -464,12 +465,13 @@ class _Priced(Exception):
 
 
 def _price(monkeypatch, request):
-    """The price ``request`` gives the one work check, which the CLI and the
-    counters call; nothing past the check runs."""
+    """The price ``request`` gives the one work check, which the CLI, the
+    counters, the sweeps and the lone expansion call; nothing past the check
+    runs."""
     def record(price, what, advice=""):
         raise _Priced(price)
 
-    for module in (cli_module, counting_module):
+    for module in (cli_module, counting_module, verify_module, eta_module):
         monkeypatch.setattr(module, "_check_work", record)
     with pytest.raises(_Priced) as priced:
         request() if callable(request) else main(request)
@@ -654,23 +656,23 @@ def test_thm14_is_refused_before_any_expansion(capsys, monkeypatch):
 
     monkeypatch.setattr(verify_module, "_expand_side", expanding)
     monkeypatch.setattr(eta_module, "_run_steps", expanding)
-    for c_max, n_max in ((10, 2850392), (12491209, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
+    for c_max, n_max in ((10, 2850393), (18736813, 2000), (10**400, 5), (10, 10**400), (1, 10**7)):
         err = assert_refused(capsys, "verify", "--target", "thm14", "--c-max", str(c_max),
                              "--n-max", str(n_max))
-        assert "mod-4 sweep" in err and "lower --n-max or --c-max" in err
+        assert "mod-4 sweep" in err and "lower n_max or c_max" in err
 
 
 def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     # the CI frontier and the benchmark's size stay admitted; the price is
     # the plan of the side of the two mod-4 forms, each run whole, with the
     # memory of their coefficients, and a price per c. At n <= 2000 the
-    # edge in c is 12 491 208
+    # edge in c is 18 736 812
     def work(*args):
         return verify_module._mod4_classification_work(*args)[0]
 
     assert work(10, 10**6) <= WORK_CAP
     assert work(10, 2000) <= WORK_CAP
-    assert work(12491208, 2000) <= WORK_CAP < work(12491209, 2000)
+    assert work(18736812, 2000) <= WORK_CAP < work(18736813, 2000)
     forms = sum(_expansion_work(_colored_quotient(c, True), 2000, 4)[0] for c in (1, 2))
     assert work(10, 2000) == (
         forms + 2 * 2001 * verify_module._MOD4_FORM_COEFFICIENT_PRICE + 10 * verify_module._MOD4_COLOR_PRICE
@@ -679,7 +681,7 @@ def test_thm14_price_admits_the_frontier_and_prices_its_parts():
     assert work(1, 2000) < work(2, 2000)
     # at order 1 the two forms coincide, and the side builds one series:
     # the second is the first times their empty quotient
-    assert work(2, 1) == 74
+    assert work(2, 1) == 66
     assert work(2, 1) == work(1, 1) + verify_module._MOD4_COLOR_PRICE
     assert work(10, 0) == work(10, -5) == 0
     # an explicit order prices the forms at it
@@ -698,7 +700,7 @@ def test_family_sweeps_are_refused_before_any_expansion(capsys, monkeypatch):
                                  ("conj73", 10**9, 5), ("conj73", 3, 10**12), ("thm15", 10**400, 5)):
         err = assert_refused(capsys, "verify", "--target", target, "--i-max", str(i_max),
                              "--n-max", str(n_max))
-        assert f"{target} sweep" in err and "lower --n-max or --i-max" in err
+        assert "family sweep" in err and "lower n_max or i_max" in err
 
 
 def test_family_price_admits_the_frontier_and_prices_its_parts():
@@ -727,8 +729,8 @@ def test_family_price_admits_the_frontier_and_prices_its_parts():
 
 @pytest.mark.parametrize("target", ["thm15", "conj73"])
 def test_one_verify_request_plans_its_sweep_once(capsys, monkeypatch, target):
-    # the price and the sweep read one plan of the sides: the CLI prices
-    # it, then hands it to the sweep, which runs it as it is
+    # the price and the sweep read one plan of the sides: the sweep prices
+    # it, then runs it as it is
     plans = []
     real = verify_module._family_sides
 
@@ -849,6 +851,21 @@ def test_identity_refuses_a_negative_order_as_given(capsys, name, order):
     assert err == f"error: order must be non-negative, got {order}\n"
 
 
+@pytest.mark.parametrize("name,order", [("ramanujan-p5", 2 * 10**5), ("toh", 10**6), ("chan-a2", 10**5),
+                                        ("psi-3dissection", 3 * 10**6), ("overcubic-mod3-c5", 10**6)])
+def test_identities_past_the_cap_are_refused_before_any_expansion(capsys, monkeypatch, name, order):
+    # each identity's first expansion is priced over the work cap by its
+    # plan, and refused before any step of it runs
+    def expanding(*args):
+        raise AssertionError("expanded a refused identity")
+
+    monkeypatch.setattr(eta_module, "_run_steps", expanding)
+    start = time.perf_counter()
+    err = assert_refused(capsys, "verify", "--target", "identity", "--name", name, "--order", str(order))
+    assert time.perf_counter() - start < 1
+    assert err.startswith("error: expanding ") and "is priced over the work cap" in err
+
+
 def test_empty_i_range_reports_order_zero(capsys):
     # a sweep over no i reads nothing: order 0, as for an empty n range
     for argv in (["--i-max", "0"], ["--n-max", "-1"]):
@@ -943,7 +960,8 @@ def test_verify_bad_flag_is_usage_error(capsys):
 )
 def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, argv, flag):
     # refused before the library is called: a call would raise TypeError
-    for name in ("_verify_mod4", "_verify_families", "check_named_identity"):
+    for name in ("verify_mod4_classification", "verify_proved_families", "verify_conjectured_families",
+                 "check_named_identity"):
         monkeypatch.setattr(cli_module, name, None)
     err = assert_refused(capsys, "verify", "--target", *argv)
     assert err == f"error: {flag} is meaningless with --target {argv[0]}\n"

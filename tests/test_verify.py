@@ -4,6 +4,7 @@ import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -441,46 +442,79 @@ def recorded_expansions(monkeypatch):
     return keys
 
 
+def recorded_plans(monkeypatch, module, name):
+    """The plans that the pricing function ``module.<name>`` hands back, as
+    ``(price, plan)``, while the test runs, one for each call."""
+    plans = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        priced = real(*args)
+        plans.append(priced[1])
+        return priced
+
+    monkeypatch.setattr(module, name, recording)
+    return plans
+
+
 def test_a_sweep_runs_the_steps_its_price_planned(monkeypatch):
     # thm15's mod-12 Step phi(-q^2)^-18 is planned after the bases, whose
     # phi(-q^2)^-13 leaves the rungs +-1 in the side's dict, and is priced
-    # below its cold price; given the plan it was priced by, the sweep runs
-    # each of its plans once, as planned: every base served whole or by a
-    # quotient that is not 1, and every Step that is not 1
-    price, sides = verify_module._families_work(PROVED_FAMILIES, 3, 60)
+    # below its cold price; the sweep runs each of the plans it was priced
+    # by once, as planned: every base served whole or by a quotient that is
+    # not 1, and every Step that is not 1
+    plans = recorded_plans(monkeypatch, verify_module, "_families_work")
+    with runs_recorded() as runs:
+        reports = verify_proved_families(3, 60)
+    (sides,) = plans
+    runs.match([side.ways for side in sides.values()])
     side = sides[12, "theta"]
     k = [key for key, _ in side.reads].index((9, 18))
     way, top, plan = side.ways[k]
     cold = eta_module._planned_steps(side.reads[k][1], 543, 12, "theta")
     assert (way, top) == ("whole", 543) and eta_module._plan_price(plan) < eta_module._plan_price(cold)
-    with runs_recorded() as runs:
-        reports = verify_module._verify_families(PROVED_FAMILIES, 3, 60, None, sides)
-    runs.match([side.ways for side in sides.values()])
-    assert reports == verify_proved_families(3, 60)
+    assert all(report.passed for report in reports)
+    monkeypatch.undo()
     # an expansion over Z and mod 12 runs the plan that the CLI priced
     argv = ["expand", "--gf", "overcubic", "--c", "10", "--order", "300"]
     for modulus in ([], ["--modulus", "12"]):
-        plans = []
-        real_price = cli_module._expand_price
-
-        def pricing(*args):
-            priced = real_price(*args)
-            plans.append(priced[1])
-            return priced
-
-        monkeypatch.setattr(cli_module, "_expand_price", pricing)
+        plans = recorded_plans(monkeypatch, cli_module, "_expand_price")
         with runs_recorded() as runs:
             assert cli_module.main([*argv, *modulus]) == 0
         monkeypatch.undo()
         runs.match(plans)
     # and so does the mod-4 sweep: one side, a form for each parity
-    price, ways = verify_module._mod4_classification_work(10, 300)
-    assert len(ways) == 2
+    plans = recorded_plans(monkeypatch, verify_module, "_mod4_classification_work")
     with runs_recorded() as runs:
-        report = verify_module._verify_mod4(10, 300, None, ways)
+        report = verify_mod4_classification(10, 300)
+    (ways,) = plans
+    assert len(ways) == 2
     runs.match([ways])
     assert runs.passes["terms"] == 3  # phi(-q), and phi(-q) * phi(-q^2)
-    assert report == verify_mod4_classification(10, 300)
+    assert report.passed
+
+
+def test_library_sweeps_past_the_cap_are_refused_before_any_expansion(monkeypatch):
+    # the sweeps price their own plans and refuse them with ValueError, as
+    # the CLI does, one step past each of its edges and far past them
+    def expanding(*args):
+        raise AssertionError("expanded a refused sweep")
+
+    monkeypatch.setattr(verify_module, "_expand_side", expanding)
+    monkeypatch.setattr(eta_module, "_run_steps", expanding)
+    refused = [
+        partial(verify_mod4_classification, 10, 2850393),
+        partial(verify_mod4_classification, 18736813, 2000),
+        partial(verify_mod4_classification, 10**400, 5),
+        partial(verify_proved_families, 3, 4101),
+        partial(verify_conjectured_families, 20, 3263),
+        partial(verify_conjectured_families, 10**9, 5),
+        partial(verify_family, PROVED_FAMILIES[0], 3, 10**5, 3 * 10**5 + 2),
+    ]
+    for sweep in refused:
+        with pytest.raises(ValueError, match="is priced over the work cap") as error:
+            sweep()
+        assert error.traceback[-1].name == "_check_work"
 
 
 class _Runs:
